@@ -41,26 +41,26 @@ from .model import (
     sawtooth_surface,
 )
 from .dtn import (
-    ModeProjections,
-    SymbolMatrix,
     TraceCoefficients,
     apply_dtn,
     gamma,
     helmholtz_split,
-    mode_projections,
+    projection_matrices,
     symbol_bound_check,
-    symbol_matrix,
+    symbol_matrices,
     traction,
     upward_extend,
 )
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, Quadrature, build_mesh
 from .fem import (
     FieldSolution,
+    MappedQuadrature,
     SparseSystem,
     assemble_B,
     assemble_B_transformed,
     assemble_load,
     assemble_load_transformed,
+    map_quadrature,
     norms,
     solve,
     trace_coefficients,

@@ -67,7 +67,6 @@ class RunConfig:
     nx: int = 32
     ny: int = 48
     n_max: int = 0  # 0 = auto: smallest n with |xi_n| >= 4 k_s
-    quadrature_degree: int = 5
     # run
     command: str = "solve"
     N: int = 32
@@ -167,7 +166,6 @@ _SCHEMA = {
     },
     "discretization": {
         "nx": ("nx", int), "ny": ("ny", int), "n_max": ("n_max", int),
-        "quadrature_degree": ("quadrature_degree", int),
     },
     "run": {
         "command": ("command", str), "N": ("N", int),
@@ -268,8 +266,6 @@ def _validate(cfg: RunConfig) -> None:
          "source.amplitude_re", "amplitude needs two components")
     need(cfg.nx >= 2 and cfg.ny >= 2, "discretization.nx", "nx, ny must be >= 2")
     need(cfg.n_max >= 0, "discretization.n_max", "must be >= 0 (0 = auto)")
-    need(cfg.quadrature_degree == 5, "discretization.quadrature_degree",
-         "only the degree-5 rule is provided")
     need(cfg.command in _COMMANDS, "run.command",
          f"must be one of {', '.join(_COMMANDS)}")
     need(cfg.N >= 1, "run.N", "must be >= 1")

@@ -32,11 +32,8 @@ from .model import ElasticParams
 
 __all__ = [
     "gamma",
-    "SymbolMatrix",
-    "symbol_matrix",
     "symbol_matrices",
-    "ModeProjections",
-    "mode_projections",
+    "projection_matrices",
     "TraceCoefficients",
     "apply_dtn",
     "upward_extend",
@@ -67,17 +64,6 @@ def _gammas_rho(xi, p: ElasticParams):
     return g_p, g_s, rho
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """DtN symbol at one horizontal wavenumber."""
-
-    xi: float
-    entries: np.ndarray
-    gamma_p: complex
-    gamma_s: complex
-    rho: complex
-
-
 def symbol_matrices(xis, p: ElasticParams) -> np.ndarray:
     """Vectorized DtN symbols, shape (..., 2, 2)."""
     xis = np.asarray(xis, dtype=float)
@@ -92,24 +78,6 @@ def symbol_matrices(xis, p: ElasticParams) -> np.ndarray:
     m[..., 1, 0] = -off
     m[..., 1, 1] = w2 * g_s
     return 1j / rho[..., None, None] * m
-
-
-def symbol_matrix(xi: float, p: ElasticParams) -> SymbolMatrix:
-    """DtN symbol M(xi) with its branch data."""
-    g_p, g_s, rho = _gammas_rho(float(xi), p)
-    entries = symbol_matrices(float(xi), p)
-    return SymbolMatrix(xi=float(xi), entries=entries,
-                        gamma_p=complex(g_p), gamma_s=complex(g_s),
-                        rho=complex(rho))
-
-
-@dataclass(frozen=True)
-class ModeProjections:
-    """Compressional (Mp) and shear (Ms) projections at one wavenumber."""
-
-    xi: float
-    Mp: np.ndarray
-    Ms: np.ndarray
 
 
 def projection_matrices(xis, p: ElasticParams) -> tuple[np.ndarray, np.ndarray]:
@@ -130,11 +98,6 @@ def projection_matrices(xis, p: ElasticParams) -> tuple[np.ndarray, np.ndarray]:
     ms[..., 1, 0] = -mp[..., 1, 0]
     ms[..., 1, 1] = mp[..., 0, 0]
     return mp, ms
-
-
-def mode_projections(xi: float, p: ElasticParams) -> ModeProjections:
-    mp, ms = projection_matrices(float(xi), p)
-    return ModeProjections(xi=float(xi), Mp=mp, Ms=ms)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ dense coupling block on the top dofs only.
 The transformed form replaces the constant coefficients by the domain-map
 factors: with J the (lower-triangular) Jacobi matrix of the map and
 C = inv(J) inv(J)^T det(J), gradients become invJ^T-transformed gradients and
-all terms pick up det(J); all evaluated by a degree-5 (7-point) rule.
+all terms pick up det(J); all evaluated by the mesh's degree-5 (7-point)
+rule.  `map_quadrature` evaluates the map once per sample at those points;
+the resulting `MappedQuadrature` is the only place the factors are formed.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ import scipy.sparse.linalg as spla
 
 from .dtn import TraceCoefficients, symbol_matrices
 from .errors import MapSingularError, SolveError
-from .mesh import Mesh
+from .mesh import DEGREE5_RULE, Mesh, Quadrature, _weighted_sum
 from .model import DomainMap, ElasticParams
 
 __all__ = [
     "SparseSystem",
     "FieldSolution",
+    "MappedQuadrature",
+    "map_quadrature",
     "assemble_B",
     "assemble_B_transformed",
     "assemble_load",
@@ -44,60 +48,20 @@ __all__ = [
     "norms",
     "trace_coefficients",
     "element_gradients",
-    "MIDEDGE_RULE",
-    "DEGREE5_RULE",
 ]
 
-# Barycentric quadrature rules (points, weights); weights sum to 1.
-MIDEDGE_RULE = (
-    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-    np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]),
-)
 
-_A5 = 0.4701420641051151
-_B5 = 0.1012865073234563
-_W5A = (155.0 + math.sqrt(15.0)) / 1200.0
-_W5B = (155.0 - math.sqrt(15.0)) / 1200.0
-DEGREE5_RULE = (
-    np.array([
-        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-        [1.0 - 2 * _A5, _A5, _A5],
-        [_A5, 1.0 - 2 * _A5, _A5],
-        [_A5, _A5, 1.0 - 2 * _A5],
-        [1.0 - 2 * _B5, _B5, _B5],
-        [_B5, 1.0 - 2 * _B5, _B5],
-        [_B5, _B5, 1.0 - 2 * _B5],
-    ]),
-    np.array([9.0 / 40.0, _W5A, _W5A, _W5A, _W5B, _W5B, _W5B]),
-)
-
-
-def _geometry_from_coords(coords: np.ndarray):
-    """Areas (nt,) and constant P1 gradients (nt, 3, 2)."""
-    x, y = coords[..., 0], coords[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
-    grads = np.stack([b, c], axis=2) / area2[:, None, None]
-    return 0.5 * area2, grads
-
-
-def _geometry_arrays(mesh: Mesh):
-    return _geometry_from_coords(mesh.tri_coords)
-
-
-def element_matrices(coords: np.ndarray, lam: float, mu: float):
+def element_matrices(quad: Quadrature, lam: float, mu: float):
     """Vectorized (stiffness, mass) element matrices, shape (nt, 6, 6).
 
     Local dof order is (vertex k, component a) -> 2k + a.  Exact for P1:
     the stiffness integrand is constant and the mass integrand quadratic.
     """
-    coords = np.asarray(coords, dtype=float)
-    area, g = _geometry_from_coords(coords)
+    area, g = quad.area, quad.grads
 
     gg = np.einsum("tia,tja->tij", g, g)          # grad_i . grad_j
     gij = np.einsum("tia,tjb->tiajb", g, g)       # grad_i[a] grad_j[b]
-    nt = coords.shape[0]
+    nt = area.shape[0]
     k = np.zeros((nt, 3, 2, 3, 2))
     for a in range(2):
         k[:, :, a, :, a] += mu * gg
@@ -111,40 +75,75 @@ def element_matrices(coords: np.ndarray, lam: float, mu: float):
     return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
 
 
-def _map_factors(dmap: DomainMap, pts: np.ndarray):
-    """(detj, t12, t22) at points (..., 2), where
-    inv(J)^T = [[1, t12], [0, t22]]."""
-    j1, j2 = dmap.jacobian(pts)
+@dataclass(frozen=True)
+class MappedQuadrature:
+    """A reference-mesh `Quadrature` pulled through a domain map H.
+
+    With J = [[1, 0], [J1, 1 + J2]] the Jacobi matrix of H at the reference
+    points, inv(J)^T = [[1, t12], [0, t22]].  `weights` carries det J, so
+    sums over them are integrals over the image strip.
+    """
+
+    quad: Quadrature
+    detj: np.ndarray       # (nt, 7) det J = 1 + J2
+    j1: np.ndarray         # (nt, 7)
+    t12: np.ndarray        # (nt, 7) -J1 / det J
+    t22: np.ndarray        # (nt, 7) 1 / det J
+    weights: np.ndarray    # (nt, 7) rule weight times area times det J
+    points: np.ndarray     # (nt, 7, 2) mapped points H(y)
+
+    def _expand(self, a: np.ndarray, ndim: int) -> np.ndarray:
+        return a.reshape(a.shape + (1,) * (ndim - 3))
+
+    def physical_gradient(self, g) -> np.ndarray:
+        """inv(J)^T applied to reference gradients g (nt, 7 or 1, ..., 2),
+        whose last axis is the derivative direction."""
+        g = np.asarray(g)
+        t12 = self._expand(self.t12, g.ndim)
+        t22 = self._expand(self.t22, g.ndim)
+        return np.stack([g[..., 0] + t12 * g[..., 1], t22 * g[..., 1]],
+                        axis=-1)
+
+    def pullback_gradient(self, gx) -> np.ndarray:
+        """Chain rule D_y (f o H) = (D_x f) J for D_x f (nt, 7, ..., 2) at the
+        mapped points."""
+        gx = np.asarray(gx)
+        j1 = self._expand(self.j1, gx.ndim)
+        detj = self._expand(self.detj, gx.ndim)
+        return np.stack([gx[..., 0] + gx[..., 1] * j1, gx[..., 1] * detj],
+                        axis=-1)
+
+    def integral(self, f):
+        """Integral over the image strip of point values f (nt, 7, ...)."""
+        return _weighted_sum(self.weights, f)
+
+
+def map_quadrature(quad: Quadrature, dmap: DomainMap) -> MappedQuadrature:
+    """Evaluate the map factors once at the rule's points.
+
+    Raises MapSingularError where det J <= 0.
+    """
+    j1, j2 = dmap.jacobian(quad.points)
     detj = 1.0 + j2
     if np.any(detj <= 0.0):
         raise MapSingularError(
             f"det J = {float(np.min(detj)):.6g} <= 0 at a quadrature point")
-    return detj, -j1 / detj, 1.0 / detj
+    return MappedQuadrature(quad=quad, detj=detj, j1=j1, t12=-j1 / detj,
+                            t22=1.0 / detj, weights=quad.weights * detj,
+                            points=dmap.apply(quad.points))
 
 
-def transformed_element_matrices(coords: np.ndarray, dmap: DomainMap,
-                                 lam: float, mu: float,
-                                 rule=DEGREE5_RULE):
+def transformed_element_matrices(mq: MappedQuadrature, lam: float, mu: float):
     """Element (stiffness, mass) for the pulled-back form, shape (nt, 6, 6).
 
     Gradients transform as G = inv(J)^T grad(phi); every term carries det J.
     """
-    coords = np.asarray(coords, dtype=float)
-    bary, wts = rule
-    area, grads = _geometry_from_coords(coords)
-    pts = np.einsum("qk,tkx->tqx", bary, coords)      # (nt, nq, 2)
-    detj, t12, t22 = _map_factors(dmap, pts)          # (nt, nq)
-
-    gx = grads[..., 0][:, None, :]                    # (nt, 1, 3)
-    gy = grads[..., 1][:, None, :]
-    G = np.empty(coords.shape[:1] + (len(wts), 3, 2))
-    G[..., 0] = gx + t12[..., None] * gy
-    G[..., 1] = t22[..., None] * gy
-
-    wdet = wts[None, :] * detj * area[:, None]        # (nt, nq)
+    bary, _ = DEGREE5_RULE
+    G = mq.physical_gradient(mq.quad.grads[:, None])  # (nt, nq, 3, 2)
+    wdet = mq.weights
     gg = np.einsum("tq,tqia,tqja->tij", wdet, G, G)
     gij = np.einsum("tq,tqia,tqjb->tiajb", wdet, G, G)
-    nt = coords.shape[0]
+    nt = wdet.shape[0]
     k = np.zeros((nt, 3, 2, 3, 2))
     for a in range(2):
         k[:, :, a, :, a] += mu * gg
@@ -238,36 +237,36 @@ def _sinc2(t: np.ndarray) -> np.ndarray:
 
 
 def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
-    """Dense coupling on top dofs realizing int_top (DtN u_h) . conj(v_h)."""
+    """Dense coupling on top dofs realizing int_top (DtN u_h) . conj(v_h):
+    sum_n c_n kron(w_n w_n^H, M(xi_n)) with w_n = exp(i xi_n x_top)."""
     nx = mesh.nx
     per = mesh.period
     xk = mesh.nodes[mesh.top_nodes, 0]
-    block = np.zeros((2 * nx, 2 * nx), dtype=complex)
     ns = np.arange(-n_max, n_max + 1)
-    beta = _sinc2(math.pi * ns / nx)
-    for n, b in zip(ns, beta):
-        xi = 2.0 * math.pi * n / per
-        m = symbol_matrices(xi, p)
-        w = np.exp(1j * xi * xk)
-        outer = np.outer(w, np.conj(w)) * (per * b * b / nx ** 2)
-        block += np.kron(outer, m)
-    return block
+    xis = 2.0 * math.pi * ns / per
+    m = symbol_matrices(xis, p)                        # (n_modes, 2, 2)
+    w = np.exp(1j * np.outer(xis, xk))                 # (n_modes, nx)
+    c = per * _sinc2(math.pi * ns / nx) ** 2 / nx ** 2
+    cwm = (c[:, None] * w)[:, :, None, None] * m[:, None]   # c_n w_n[i] M_n
+    block = np.einsum("niab,nj->iajb", cwm, np.conj(w))
+    return block.reshape(2 * nx, 2 * nx)
 
 
 def assemble_B(mesh: Mesh, p: ElasticParams, n_max: int) -> SparseSystem:
     """Assemble the reference form: exact P1 element integrals + DtN block."""
-    k, m = element_matrices(mesh.tri_coords, p.lam, p.mu)
+    k, m = element_matrices(mesh.quadrature, p.lam, p.mu)
     domain = _scatter_elements(mesh, k - p.omega ** 2 * m)
     return _finish_system(mesh, p, n_max, domain)
 
 
-def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams, dmap: DomainMap,
-                           n_max: int) -> SparseSystem:
-    """Assemble the pulled-back form on the reference mesh.
+def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
+                           mq: MappedQuadrature, n_max: int) -> SparseSystem:
+    """Assemble the pulled-back form on the reference mesh, with the map
+    factors of `mq` (built on mesh_ref.quadrature).
 
     The map fixes the top line, so the DtN block is identical to assemble_B.
     """
-    k, m = transformed_element_matrices(mesh_ref.tri_coords, dmap, p.lam, p.mu)
+    k, m = transformed_element_matrices(mq, p.lam, p.mu)
     domain = _scatter_elements(mesh_ref, k - p.omega ** 2 * m)
     return _finish_system(mesh_ref, p, n_max, domain)
 
@@ -292,25 +291,20 @@ def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
     )
 
 
-def assemble_load(mesh: Mesh, g, rule=DEGREE5_RULE) -> np.ndarray:
+def assemble_load(mesh: Mesh, g) -> np.ndarray:
     """Free-dof load vector with entries -int g . phi_i (7-point rule)."""
-    bary, wts = rule
-    area, _ = _geometry_arrays(mesh)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    gv = np.asarray(g(pts), dtype=complex)           # (nt, nq, 2)
-    contrib = -np.einsum("q,tqa,qi,t->tia", wts, gv, bary, area)
+    q = mesh.quadrature
+    gv = np.asarray(g(q.points), dtype=complex)       # (nt, nq, 2)
+    contrib = -np.einsum("tq,tqa,qi->tia", q.weights, gv, DEGREE5_RULE[0])
     return _scatter_load(mesh, contrib)
 
 
-def assemble_load_transformed(mesh_ref: Mesh, g_tilde, dmap: DomainMap,
-                              rule=DEGREE5_RULE) -> np.ndarray:
-    """Load for the pulled-back form: -int g_tilde . phi_i det(J)."""
-    bary, wts = rule
-    area, _ = _geometry_arrays(mesh_ref)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh_ref.tri_coords)
-    detj, _, _ = _map_factors(dmap, pts)
-    gv = np.asarray(g_tilde(pts), dtype=complex)
-    contrib = -np.einsum("q,tq,tqa,qi,t->tia", wts, detj, gv, bary, area)
+def assemble_load_transformed(mesh_ref: Mesh, g_tilde,
+                              mq: MappedQuadrature) -> np.ndarray:
+    """Load for the pulled-back form: -int g_tilde . phi_i det(J), with
+    g_tilde evaluated at the reference points."""
+    gv = np.asarray(g_tilde(mq.quad.points), dtype=complex)
+    contrib = -np.einsum("tq,tqa,qi->tia", mq.weights, gv, DEGREE5_RULE[0])
     return _scatter_load(mesh_ref, contrib)
 
 
@@ -362,15 +356,14 @@ def solve(system: SparseSystem, load: np.ndarray,
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     """Per-element constant gradient (nt, 2, 2): [t, a, b] = d u_a / d x_b."""
-    _, grads = _geometry_arrays(mesh)
     vals = np.asarray(values, dtype=complex)[mesh.triangles]   # (nt, 3, 2)
-    return np.einsum("tka,tkb->tab", vals, grads)
+    return np.einsum("tka,tkb->tab", vals, mesh.quadrature.grads)
 
 
 def norms(sol: FieldSolution) -> dict:
     """Quadrature-exact L2, H1, d2 (=||d u/d x2||) and top-trace L2 norms."""
     mesh = sol.mesh
-    area, _ = _geometry_arrays(mesh)
+    area = mesh.quadrature.area
     vals = np.asarray(sol.values, dtype=complex)[mesh.triangles]  # (nt, 3, 2)
     # v^H (ones+I) v = |sum v|^2 + sum |v|^2, per component
     ssum = np.abs(np.sum(vals, axis=1)) ** 2

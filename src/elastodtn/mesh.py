@@ -8,10 +8,15 @@ coordinates (x1 = L) for geometry, which keeps all signed areas positive.
 
 Each quad splits into two counterclockwise triangles; with increasing row
 heights this yields positive areas for any Lipschitz surface profile.
+
+Every mesh carries its degree-5 quadrature (a `Quadrature`): the P1
+geometry and the 7-point rule on each triangle, built once and only read
+afterwards, so concurrent ensemble samples can share it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +24,71 @@ import numpy as np
 from .errors import MeshError
 from .model import SurfaceFn
 
-__all__ = ["Mesh", "build_mesh"]
+__all__ = ["Mesh", "Quadrature", "build_mesh", "DEGREE5_RULE"]
 
 SURFACE = "SURFACE"
 TOP = "TOP"
 PERIODIC_PAIR = "PERIODIC_PAIR"
+
+# Barycentric 7-point rule (points, weights), exact to degree 5; weights
+# sum to 1.
+_A5 = 0.4701420641051151
+_B5 = 0.1012865073234563
+_W5A = (155.0 + math.sqrt(15.0)) / 1200.0
+_W5B = (155.0 - math.sqrt(15.0)) / 1200.0
+DEGREE5_RULE = (
+    np.array([
+        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+        [1.0 - 2 * _A5, _A5, _A5],
+        [_A5, 1.0 - 2 * _A5, _A5],
+        [_A5, _A5, 1.0 - 2 * _A5],
+        [1.0 - 2 * _B5, _B5, _B5],
+        [_B5, 1.0 - 2 * _B5, _B5],
+        [_B5, _B5, 1.0 - 2 * _B5],
+    ]),
+    np.array([9.0 / 40.0, _W5A, _W5A, _W5A, _W5B, _W5B, _W5B]),
+)
+
+
+def _weighted_sum(weights: np.ndarray, f) -> complex | float:
+    """sum over elements and points of weights (nt, nq) times f (nt, nq, ...),
+    with the trailing axes of f summed first."""
+    f = np.asarray(f)
+    return np.sum(weights * f.reshape(weights.shape + (-1,)).sum(axis=-1))
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    """Degree-5 rule on each triangle of a (nt, 3, 2) coordinate array."""
+
+    area: np.ndarray       # (nt,) signed area
+    grads: np.ndarray      # (nt, 3, 2) constant P1 gradients
+    points: np.ndarray     # (nt, 7, 2)
+    weights: np.ndarray    # (nt, 7) rule weight times area
+
+    @classmethod
+    def from_coords(cls, coords) -> Quadrature:
+        coords = np.asarray(coords, dtype=float)
+        x, y = coords[..., 0], coords[..., 1]
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
+                     axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
+                     axis=1)
+        area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
+        bary, wts = DEGREE5_RULE
+        area = 0.5 * area2
+        return cls(area=area,
+                   grads=np.stack([b, c], axis=2) / area2[:, None, None],
+                   points=np.einsum("qk,tkx->tqx", bary, coords),
+                   weights=wts[None, :] * area[:, None])
+
+    def interpolate(self, vertex_values) -> np.ndarray:
+        """P1 interpolant at the points: (nt, 3, ...) -> (nt, 7, ...)."""
+        return np.einsum("qk,tk...->tq...", DEGREE5_RULE[0], vertex_values)
+
+    def integral(self, f):
+        """Rule applied to point values f (nt, 7, ...), trailing axes summed."""
+        return _weighted_sum(self.weights, f)
 
 
 @dataclass(frozen=True)
@@ -37,6 +102,7 @@ class Mesh:
     tri_coords: np.ndarray     # (n_tri, 3, 2) unwrapped vertex coordinates
     surface_nodes: np.ndarray  # (nx,) node ids on x2 = f(x1)
     top_nodes: np.ndarray      # (nx,) node ids on x2 = h, ordered by x1
+    quadrature: Quadrature     # degree-5 rule on tri_coords
 
     @property
     def n_nodes(self) -> int:
@@ -51,9 +117,7 @@ class Mesh:
 
     def areas(self) -> np.ndarray:
         """Signed triangle areas from the unwrapped coordinates."""
-        a, b, c = (self.tri_coords[:, k, :] for k in range(3))
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        return self.quadrature.area
 
     def meshsize(self) -> float:
         """Longest edge over all triangles."""
@@ -143,6 +207,7 @@ def build_mesh(f: SurfaceFn, h: float, nx: int, ny: int) -> Mesh:
         tri_coords=coords,
         surface_nodes=np.arange(nx, dtype=np.int64),
         top_nodes=ny * nx + np.arange(nx, dtype=np.int64),
+        quadrature=Quadrature.from_coords(coords),
     )
     areas = mesh.areas()
     if np.any(areas <= 0.0):

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import fem
 from .errors import ElastoDtnError, EnsembleError, ParameterError
-from .fem import DEGREE5_RULE, assemble_B_transformed, assemble_load_transformed, solve
+from .fem import (
+    MappedQuadrature,
+    assemble_B_transformed,
+    assemble_load_transformed,
+    map_quadrature,
+    solve,
+)
 from .mesh import Mesh
 from .model import (
     DomainMap,
@@ -48,60 +54,36 @@ def default_n_max(p: ElasticParams, period: float) -> int:
     return max(8, int(math.ceil(4.0 * p.k_s * period / (2.0 * math.pi))))
 
 
-def _jacobian_extremes(dmap: DomainMap, h: float, resolution: int = 64):
-    """(kappa, min_detJ) over a tensor grid: kappa dominates both directions
-    of the norm-equivalence sandwich."""
-    per = dmap.f0.period
-    x1 = np.linspace(0.0, per, resolution, endpoint=False)
-    f0 = dmap.f0.f(x1)
-    s = np.linspace(0.0, 1.0, resolution)
-    pts = np.empty((resolution, resolution, 2))
-    pts[..., 0] = x1[:, None]
-    pts[..., 1] = f0[:, None] + s[None, :] * (h - f0[:, None])
-    j1, j2 = dmap.jacobian(pts)
-    d = 1.0 + j2
+def _norm_equivalence_kappa(mq: MappedQuadrature) -> float:
+    """kappa over the quadrature points: both H1 norms of a sample are sums
+    over these points, so kappa dominates both directions of the
+    norm-equivalence sandwich."""
+    j1, d = mq.j1, mq.detj
     tr_fwd = 1.0 + j1 ** 2 + d ** 2
     lmax_fwd = 0.5 * (tr_fwd + np.sqrt(tr_fwd ** 2 - 4.0 * d ** 2))
     kappa_a = np.max(np.maximum(lmax_fwd, 1.0) / d)
     tr_inv = 1.0 + (1.0 + j1 ** 2) / d ** 2
     lmax_inv = 0.5 * (tr_inv + np.sqrt(tr_inv ** 2 - 4.0 / d ** 2))
     kappa_b = np.max(np.maximum(lmax_inv, 1.0) * d)
-    return float(max(kappa_a, kappa_b)), float(d.min())
+    return float(max(kappa_a, kappa_b))
 
 
-def pushforward_h1_sq(mesh: Mesh, values: np.ndarray, dmap: DomainMap) -> float:
+def pushforward_h1_sq(mesh: Mesh, values: np.ndarray,
+                      mq: MappedQuadrature) -> float:
     """||u*||^2_{H1} on the image strip by change of variables:
     int [sum_a |invJ^T grad u~_a|^2 + |u~|^2] det J dy."""
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    j1, j2 = dmap.jacobian(pts)
-    detj = 1.0 + j2
-    vals = np.asarray(values, dtype=complex)[mesh.triangles]
-    uh = np.einsum("qk,tka->tqa", bary, vals)
+    uh = mq.quad.interpolate(np.asarray(values, dtype=complex)[mesh.triangles])
     gu = fem.element_gradients(mesh, values)                 # (nt, 2, 2)
-    g1 = gu[:, None, :, 0] - (j1 / detj)[..., None] * gu[:, None, :, 1]
-    g2 = gu[:, None, :, 1] / detj[..., None]
-    wa = wts[None, :] * area[:, None] * detj
-    return float(np.sum(wa * (np.abs(g1) ** 2 + np.abs(g2) ** 2
-                              + np.abs(uh) ** 2).sum(axis=-1)))
+    g = mq.physical_gradient(gu[:, None])                    # (nt, nq, 2, 2)
+    return float(mq.integral(np.abs(g) ** 2) + mq.integral(np.abs(uh) ** 2))
 
 
-def pullback_source_h1_sq(mesh: Mesh, g, dmap: DomainMap) -> float:
+def pullback_source_h1_sq(g, mq: MappedQuadrature) -> float:
     """||g o H||^2_{H1} on the reference strip (g has analytic .grad)."""
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    j1, j2 = dmap.jacobian(pts)
-    xpts = dmap.apply(pts)
-    gv = np.asarray(g(xpts), dtype=complex)
-    gx = np.asarray(g.grad(xpts), dtype=complex)
-    # D_y (g o H) = (D_x g) J, J = [[1, 0], [J1, 1+J2]]
-    d1 = gx[..., 0] + gx[..., 1] * j1[..., None]
-    d2 = gx[..., 1] * (1.0 + j2)[..., None]
-    wa = wts[None, :] * area[:, None]
-    return float(np.sum(wa * (np.abs(gv) ** 2 + np.abs(d1) ** 2
-                              + np.abs(d2) ** 2).sum(axis=-1)))
+    gv = np.asarray(g(mq.points), dtype=complex)
+    dg = mq.pullback_gradient(np.asarray(g.grad(mq.points), dtype=complex))
+    return float(mq.quad.integral(np.abs(gv) ** 2)
+                 + mq.quad.integral(np.abs(dg) ** 2))
 
 
 def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
@@ -122,22 +104,22 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     dmap = DomainMap(f0=model.f0, f_eta=f_eta, cutoff=cutoff,
                      epsilon_margin=epsilon_margin)
     min_detj = check_invertibility(dmap, 64, h=h)
-    kappa, _ = _jacobian_extremes(dmap, h)
+    mq = map_quadrature(mesh_ref.quadrature, dmap)
 
     g_eta = make_source(src, index, f_max=model.f0.f_max, h=h)
     g_tilde = lambda pts: g_eta(dmap.apply(pts))
-    system = assemble_B_transformed(mesh_ref, p, dmap, n_max)
-    load = assemble_load_transformed(mesh_ref, g_tilde, dmap)
+    system = assemble_B_transformed(mesh_ref, p, mq, n_max)
+    load = assemble_load_transformed(mesh_ref, g_tilde, mq)
     sol = solve(system, load, metadata={"omega": p.omega,
                                         "n_max": system.n_max,
                                         "sample_index": index})
     return {
         "index": index,
         "u_h1_sq": sol.norms["h1"] ** 2,
-        "u_ref_h1_sq": pushforward_h1_sq(mesh_ref, sol.values, dmap),
-        "g_h1_sq": pullback_source_h1_sq(mesh_ref, g_eta, dmap),
+        "u_ref_h1_sq": pushforward_h1_sq(mesh_ref, sol.values, mq),
+        "g_h1_sq": pullback_source_h1_sq(g_eta, mq),
         "min_detJ": min_detj,
-        "kappa": kappa,
+        "kappa": _norm_equivalence_kappa(mq),
     }
 
 
@@ -227,7 +209,8 @@ def random_input_moments(model: RandomSurfaceModel, src: SourceSpec,
         dmap = DomainMap(f0=model.f0, f_eta=f_eta, cutoff=cutoff,
                          epsilon_margin=epsilon_margin)
         g_eta = make_source(src, i, f_max=model.f0.f_max, h=h)
-        g_moms.append(pullback_source_h1_sq(mesh_ref, g_eta, dmap))
+        mq = map_quadrature(mesh_ref.quadrature, dmap)
+        g_moms.append(pullback_source_h1_sq(g_eta, mq))
     return {
         "f_second_moment": float(np.mean(f_moms)),
         "g_second_moment": float(np.mean(g_moms)),

@@ -24,12 +24,13 @@ from .dtn import (
 )
 from .errors import InternalError, MmsError, SweepError
 from .fem import (
-    DEGREE5_RULE,
     FieldSolution,
+    MappedQuadrature,
     assemble_B,
     assemble_B_transformed,
     assemble_load,
     assemble_load_transformed,
+    map_quadrature,
     solve,
     trace_coefficients,
 )
@@ -314,18 +315,12 @@ def manufactured_source(u_exact, p: ElasticParams, step: float = 0.01,
 
 def _field_errors(mesh: Mesh, sol_values: np.ndarray, field) -> tuple[float, float]:
     """(h1_error, l2_error) of the P1 field against an analytic field."""
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    uh = np.einsum("qk,tka->tqa", bary,
-                   np.asarray(sol_values, dtype=complex)[mesh.triangles])
-    ue = field.value(pts)
+    q = mesh.quadrature
+    uh = q.interpolate(np.asarray(sol_values, dtype=complex)[mesh.triangles])
     guh = fem.element_gradients(mesh, sol_values)           # (nt, 2, 2)
-    gue = field.grad(pts)                                   # (nt, nq, 2, 2)
-    wa = wts[None, :] * area[:, None]
-    l2_sq = float(np.sum(wa * np.sum(np.abs(uh - ue) ** 2, axis=-1)))
-    ge = np.abs(guh[:, None, :, :] - gue) ** 2
-    semi_sq = float(np.sum(wa * np.sum(ge, axis=(-2, -1))))
+    l2_sq = float(q.integral(np.abs(uh - field.value(q.points)) ** 2))
+    semi_sq = float(q.integral(
+        np.abs(guh[:, None, :, :] - field.grad(q.points)) ** 2))
     return math.sqrt(l2_sq + semi_sq), math.sqrt(l2_sq)
 
 
@@ -387,12 +382,9 @@ def convergence_slopes(table, key: str) -> list[float]:
 def _dtn_apply_samples(u_hat: np.ndarray, period: float, p: ElasticParams,
                        x_eval: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """sum_n M(xi_n) u_hat_n exp(i xi_n x) at the evaluation abscissae."""
-    out = np.zeros((x_eval.size, 2), dtype=complex)
-    for n, uh in zip(ns, u_hat):
-        xi = 2.0 * math.pi * n / period
-        m = symbol_matrices(xi, p)
-        out += (m @ uh) * np.exp(1j * xi * x_eval)[:, None]
-    return out
+    xis = 2.0 * math.pi * np.asarray(ns) / period
+    tu_hat = np.einsum("nab,nb->na", symbol_matrices(xis, p), u_hat)
+    return np.einsum("xn,na->xa", np.exp(1j * np.outer(x_eval, xis)), tu_hat)
 
 
 def rellich_lhs_samples(u_vals: np.ndarray, grad_vals: np.ndarray,
@@ -446,13 +438,9 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams,
     gu = fem.element_gradients(mesh, sol.values)[mesh.top_edge_triangles()]
     lhs = float(np.sum(_rellich_integrand(tu_mid, u_mid, gu, p)) * dx)
 
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    uh = np.einsum("qk,tka->tqa", bary, sol.values[mesh.triangles])
-    gv = np.asarray(g(pts), dtype=complex)
-    integral = np.sum(wts[None, :] * area[:, None]
-                      * np.sum(gv * np.conj(uh), axis=-1))
+    q = mesh.quadrature
+    uh = q.interpolate(sol.values[mesh.triangles])
+    integral = q.integral(np.asarray(g(q.points), dtype=complex) * np.conj(uh))
     rhs = float(2.0 * p.k_s * np.imag(integral))
     return {"lhs": lhs, "rhs": rhs}
 
@@ -475,15 +463,15 @@ def poincare_check(field: FieldSolution) -> float:
 
 def source_norms(mesh: Mesh, g: SourceField) -> dict:
     """L2 and H1 norms of an analytic source by degree-5 quadrature."""
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    wa = wts[None, :] * area[:, None]
-    gv = np.asarray(g(pts), dtype=complex)
-    l2_sq = float(np.sum(wa * np.sum(np.abs(gv) ** 2, axis=-1)))
-    gg = np.asarray(g.grad(pts), dtype=complex)
-    semi_sq = float(np.sum(wa * np.sum(np.abs(gg) ** 2, axis=(-2, -1))))
+    q = mesh.quadrature
+    l2_sq = _source_l2_sq(q, g)
+    semi_sq = float(q.integral(
+        np.abs(np.asarray(g.grad(q.points), dtype=complex)) ** 2))
     return {"l2": math.sqrt(l2_sq), "h1": math.sqrt(l2_sq + semi_sq)}
+
+
+def _source_l2_sq(q, g) -> float:
+    return float(q.integral(np.abs(np.asarray(g(q.points), dtype=complex)) ** 2))
 
 
 def trace_bound_check(sol: FieldSolution, g, p: ElasticParams,
@@ -499,14 +487,7 @@ def trace_bound_check(sol: FieldSolution, g, p: ElasticParams,
     dy = np.diff(np.append(y1, y1[0]))
     length = np.hypot(dx, dy)
     lhs = float(np.sum(length * (np.abs(div) ** 2 + np.abs(curl) ** 2)))
-    gnorm = source_norms(mesh, g)["l2"] if hasattr(g, "grad") else None
-    if gnorm is None:
-        bary, wts = DEGREE5_RULE
-        area, _ = fem._geometry_from_coords(mesh.tri_coords)
-        pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-        gv = np.asarray(g(pts), dtype=complex)
-        gnorm = math.sqrt(float(np.sum(
-            wts[None, :] * area[:, None] * np.sum(np.abs(gv) ** 2, axis=-1))))
+    gnorm = math.sqrt(_source_l2_sq(mesh.quadrature, g))
     d2 = sol.norms["d2"] if sol.norms else fem.norms(sol)["d2"]
     rhs_shape = profile.c1 * gnorm * d2
     ratio = lhs / rhs_shape if rhs_shape > 0 else 0.0
@@ -624,30 +605,25 @@ def _dtn_pairing(u_top: np.ndarray, v_top: np.ndarray, period: float,
     nx = u_top.shape[0]
     ns = np.arange(-n_max, n_max + 1)
     beta = fem._sinc2(math.pi * ns / nx)
-    uh = np.fft.fft(u_top, axis=0) / nx
-    vh = np.fft.fft(v_top, axis=0) / nx
-    total = 0.0 + 0.0j
-    for n, b in zip(ns, beta):
-        xi = 2.0 * math.pi * n / period
-        m = symbol_matrices(xi, p)
-        total += period * b * b * np.vdot(vh[n % nx], m @ uh[n % nx])
-    return complex(total)
+    uh = (np.fft.fft(u_top, axis=0) / nx)[ns % nx]
+    vh = (np.fft.fft(v_top, axis=0) / nx)[ns % nx]
+    m = symbol_matrices(2.0 * math.pi * ns / period, p)
+    pair = np.einsum("na,nab,nb->n", np.conj(vh), m, uh)
+    return complex(period * np.sum(beta * beta * pair))
 
 
-def _quad_form_plain(mesh: Mesh, p: ElasticParams, u, v, n_max: int) -> complex:
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    uv = u.value(pts)
-    vv = np.conj(v.value(pts))
-    ug = u.grad(pts)
-    vg = np.conj(v.grad(pts))
-    wa = wts[None, :] * area[:, None]
-    term_mu = p.mu * np.sum(wa * np.sum(ug * vg, axis=(-2, -1)))
+def _quad_form(mesh: Mesh, p: ElasticParams, rule, sample, u, v,
+               n_max: int) -> complex:
+    """B(u, v) by quadrature: sample(field) gives (values, gradients) at the
+    points of rule, which integrates them; the DtN term pairs the samples of
+    u and v on the top line of mesh."""
+    uv, ug = sample(u)
+    vv, vg = (np.conj(a) for a in sample(v))
+    term_mu = p.mu * rule.integral(ug * vg)
     div_u = ug[..., 0, 0] + ug[..., 1, 1]
     div_v = vg[..., 0, 0] + vg[..., 1, 1]
-    term_div = (p.lam + p.mu) * np.sum(wa * div_u * div_v)
-    term_mass = -p.omega ** 2 * np.sum(wa * np.sum(uv * vv, axis=-1))
+    term_div = (p.lam + p.mu) * rule.integral(div_u * div_v)
+    term_mass = -p.omega ** 2 * rule.integral(uv * vv)
     top_pts = np.stack([mesh.nodes[mesh.top_nodes, 0],
                         np.full(mesh.nx, mesh.h)], axis=-1)
     dtn = _dtn_pairing(u.value(top_pts), v.value(top_pts),
@@ -655,53 +631,25 @@ def _quad_form_plain(mesh: Mesh, p: ElasticParams, u, v, n_max: int) -> complex:
     return complex(term_mu + term_div + term_mass - dtn)
 
 
-def _quad_form_transformed(mesh_ref: Mesh, p: ElasticParams, dmap: DomainMap,
-                           u, v, n_max: int) -> complex:
-    """B_c(u~, v~) by quadrature, with u~ = u o H evaluated analytically."""
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh_ref.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh_ref.tri_coords)
-    j1, j2 = dmap.jacobian(pts)
-    detj = 1.0 + j2
-    xpts = dmap.apply(pts)
+def _quad_form_plain(mesh: Mesh, p: ElasticParams, u, v, n_max: int) -> complex:
+    q = mesh.quadrature
+    return _quad_form(mesh, p, q,
+                      lambda f: (f.value(q.points), f.grad(q.points)),
+                      u, v, n_max)
 
-    def pulled(field):
-        val = field.value(xpts)
-        gx = field.grad(xpts)
-        g = np.empty_like(gx)
-        # D_y (f o H) = (D_x f) J with J = [[1, 0], [J1, 1+J2]]
-        g[..., 0] = gx[..., 0] + gx[..., 1] * j1[..., None]
-        g[..., 1] = gx[..., 1] * detj[..., None]
-        return val, g
 
-    uv, ug = pulled(u)
-    vv, vg = pulled(v)
-    vv = np.conj(vv)
-    vg = np.conj(vg)
-    # invJ^T rows: [1, -J1/det; 0, 1/det], transformed gradient G = invJ^T grad
-    t12 = -j1 / detj
+def _quad_form_transformed(mesh_ref: Mesh, p: ElasticParams,
+                           mq: MappedQuadrature, u, v, n_max: int) -> complex:
+    """B_c(u~, v~) by quadrature, with u~ = u o H evaluated analytically:
+    values at H(y), gradients invJ^T D_y(u o H).
 
-    def tgrad(g):
-        out = np.empty_like(g)
-        out[..., 0] = g[..., 0] + t12[..., None] * g[..., 1]
-        out[..., 1] = g[..., 1] / detj[..., None]
-        return out
+    H fixes the top line, so samples of u~ there equal samples of u.
+    """
+    def sample(f):
+        grad = mq.pullback_gradient(f.grad(mq.points))
+        return f.value(mq.points), mq.physical_gradient(grad)
 
-    tug = tgrad(ug)
-    tvg = tgrad(vg)
-    wa = wts[None, :] * area[:, None] * detj
-    term_mu = p.mu * np.sum(wa * np.sum(tug * tvg, axis=(-2, -1)))
-    div_u = tug[..., 0, 0] + tug[..., 1, 1]
-    div_v = tvg[..., 0, 0] + tvg[..., 1, 1]
-    term_div = (p.lam + p.mu) * np.sum(wa * div_u * div_v)
-    term_mass = -p.omega ** 2 * np.sum(wa * np.sum(uv * vv, axis=-1))
-    top_pts = np.stack([mesh_ref.nodes[mesh_ref.top_nodes, 0],
-                        np.full(mesh_ref.nx, mesh_ref.h)], axis=-1)
-    # H fixes the top line, so samples of u~ there equal samples of u
-    dtn = _dtn_pairing(u.value(dmap.apply(top_pts)),
-                       v.value(dmap.apply(top_pts)),
-                       mesh_ref.period, p, n_max)
-    return complex(term_mu + term_div + term_mass - dtn)
+    return _quad_form(mesh_ref, p, mq, sample, u, v, n_max)
 
 
 def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
@@ -729,6 +677,7 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     margin = 0.05 * (band_hi - band_lo)
     window = SmoothWindow(band_lo + margin, band_hi - margin)
 
+    mq = map_quadrature(mesh_ref.quadrature, dmap)
     b_disc = 0.0
     for t in range(n_trials):
         u = TrigPolyField(per, window, seed=seed * 1000 + 2 * t,
@@ -736,29 +685,21 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
         v = TrigPolyField(per, window, seed=seed * 1000 + 2 * t + 1,
                           x2_ref=band_lo)
         lhs = _quad_form_plain(mesh_map, p, u, v, n_max)
-        rhs = _quad_form_transformed(mesh_ref, p, dmap, u, v, n_max)
+        rhs = _quad_form_transformed(mesh_ref, p, mq, u, v, n_max)
         b_disc = max(b_disc, abs(lhs - rhs))
 
     g_disc = 0.0
     if source is not None:
-        bary, wts = DEGREE5_RULE
+        q_map = mesh_map.quadrature
+        g_map = source(q_map.points)
+        g_ref = source(mq.points)
         for t in range(n_trials):
             v = TrigPolyField(per, window, seed=seed * 1000 + 777 + t,
                               x2_ref=band_lo)
             # mapped side: -int g . conj(v)
-            area, _ = fem._geometry_from_coords(mesh_map.tri_coords)
-            pts = np.einsum("qk,tkx->tqx", bary, mesh_map.tri_coords)
-            wa = wts[None, :] * area[:, None]
-            lhs = -np.sum(wa * np.sum(source(pts) * np.conj(v.value(pts)),
-                                      axis=-1))
+            lhs = -q_map.integral(g_map * np.conj(v.value(q_map.points)))
             # reference side: -int (g o H) . conj(v o H) det J
-            area_r, _ = fem._geometry_from_coords(mesh_ref.tri_coords)
-            pts_r = np.einsum("qk,tkx->tqx", bary, mesh_ref.tri_coords)
-            _, j2 = dmap.jacobian(pts_r)
-            xr = dmap.apply(pts_r)
-            wa_r = wts[None, :] * area_r[:, None] * (1.0 + j2)
-            rhs = -np.sum(wa_r * np.sum(source(xr) * np.conj(v.value(xr)),
-                                        axis=-1))
+            rhs = -mq.integral(g_ref * np.conj(v.value(mq.points)))
             g_disc = max(g_disc, abs(complex(lhs) - complex(rhs)))
     return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
             "max_discrepancy": max(b_disc, g_disc)}
@@ -822,26 +763,24 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
     pairs = [(fields[i], fields[(i + 1) % len(fields)]) for i in range(len(fields))]
     uvecs = [(_free_vector(mesh, u), _free_vector(mesh, v)) for u, v in pairs]
 
-    bary, wts = DEGREE5_RULE
-    area, _ = fem._geometry_from_coords(mesh.tri_coords)
-    pts = np.einsum("qk,tkx->tqx", bary, mesh.tri_coords)
-    wa = wts[None, :] * area[:, None]
-
+    q = mesh.quadrature
+    g0_vals = np.asarray(g0(q.points), dtype=complex)
     b_ratios, g_ratios, sol_errors = [], [], []
     for fm, gm in zip(f_sequence, g_sequence):
         dist_f = surface_distance_1inf(fm, f0, f0.period)
         dmap = DomainMap(f0=f0, f_eta=fm, cutoff=cutoff)
-        sys_m = assemble_B_transformed(mesh, p, dmap, n_max)
+        mq = map_quadrature(q, dmap)
+        sys_m = assemble_B_transformed(mesh, p, mq, n_max)
         a_m = sys_m.full_matrix()
         diff = (a_m - a0).tocsr()
         disc = max(abs(complex(np.vdot(v, diff @ u))) for u, v in uvecs)
         b_ratios.append(disc / dist_f if dist_f > 0 else 0.0)
 
-        load_m = assemble_load_transformed(mesh, gm, dmap)
+        load_m = assemble_load_transformed(mesh, gm, mq)
         dload = load_m - load0
         g_disc = max(abs(complex(np.vdot(v, dload))) for u, v in uvecs)
-        dg = np.asarray(gm(pts), dtype=complex) - np.asarray(g0(pts), dtype=complex)
-        dist_g = math.sqrt(float(np.sum(wa * np.sum(np.abs(dg) ** 2, axis=-1))))
+        dg = np.asarray(gm(q.points), dtype=complex) - g0_vals
+        dist_g = math.sqrt(float(q.integral(np.abs(dg) ** 2)))
         denom = dist_g + dist_f
         g_ratios.append(g_disc / denom if denom > 0 else 0.0)
 

@@ -46,9 +46,12 @@ class TestLoadConfig:
             load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = _write(tmp_path / "a.cfg", "[physics]\nmass = 1\n")
-        with pytest.raises(ConfigError, match="physics.mass"):
-            load_config(path)
+        # quadrature_degree was a key while only degree 5 existed
+        for section, key in (("physics", "mass"),
+                             ("discretization", "quadrature_degree")):
+            path = _write(tmp_path / "a.cfg", f"[{section}]\n{key} = 5\n")
+            with pytest.raises(ConfigError, match=f"{section}.{key}"):
+                load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = _write(tmp_path / "a.cfg", "[quantum]\nx = 1\n")

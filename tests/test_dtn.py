@@ -12,11 +12,9 @@ from elastodtn.dtn import (
     apply_dtn,
     gamma,
     helmholtz_split,
-    mode_projections,
     projection_matrices,
     symbol_bound_check,
     symbol_matrices,
-    symbol_matrix,
     sweep_grid,
     traction,
     upward_extend,
@@ -51,7 +49,7 @@ class TestGamma:
 class TestSymbol:
     def test_normal_incidence_diagonal(self):
         p = make_params(1.0, 1.0, 2.0)
-        m = symbol_matrix(0.0, p).entries
+        m = symbol_matrices(0.0, p)
         expect = np.diag([2j, 3.464102j])
         assert np.allclose(m, expect, atol=1e-6)
 
@@ -83,9 +81,9 @@ class TestSymbol:
 class TestProjections:
     def test_normal_incidence(self):
         p = make_params(1.0, 1.0, 2.0)
-        pr = mode_projections(0.0, p)
-        assert np.allclose(pr.Mp, [[0, 0], [0, 1]], atol=1e-15)
-        assert np.allclose(pr.Ms, [[1, 0], [0, 0]], atol=1e-15)
+        mp, ms = projection_matrices(0.0, p)
+        assert np.allclose(mp, [[0, 0], [0, 1]], atol=1e-15)
+        assert np.allclose(ms, [[1, 0], [0, 0]], atol=1e-15)
 
     def test_projection_algebra(self):
         p = make_params(1.0, 1.5, 3.0)

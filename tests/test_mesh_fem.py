@@ -1,10 +1,12 @@
 """Mesh construction, element integrals, assembly, DtN block, solve, norms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from elastodtn.dtn import symbol_matrices
 from elastodtn.errors import MeshError, SolveError
 from elastodtn.fem import (
     FieldSolution,
@@ -13,19 +15,22 @@ from elastodtn.fem import (
     assemble_load,
     assemble_load_transformed,
     element_matrices,
+    map_quadrature,
     norms,
     solve,
     trace_coefficients,
     transformed_element_matrices,
 )
-from elastodtn.mesh import build_mesh
+from elastodtn.mesh import DEGREE5_RULE, Quadrature, build_mesh
 from elastodtn.model import (
     DomainMap,
     flat_surface,
     make_cutoff,
     make_params,
+    sample_surface,
     sawtooth_surface,
 )
+from elastodtn.montecarlo import default_n_max
 
 
 class TestMesh:
@@ -69,6 +74,48 @@ class TestMesh:
         assert any("PERIODIC_PAIR" in ln for ln in lines)
 
 
+def _monomial_integral(verts, a: int, b: int) -> Fraction:
+    """Exact int_T x^a y^b over a triangle with rational vertices, via
+    x = x0 + (x1-x0) s + (x2-x0) t and int s^i t^j = i! j! / (i+j+2)!."""
+    (x0, y0), (x1, y1), (x2, y2) = verts
+
+    def mul(poly, c0, c1, c2):
+        out = {}
+        for (i, j), c in poly.items():
+            for (di, dj), d in (((0, 0), c0), ((1, 0), c1 - c0),
+                                ((0, 1), c2 - c0)):
+                out[i + di, j + dj] = out.get((i + di, j + dj), 0) + c * d
+        return out
+
+    poly = {(0, 0): Fraction(1)}
+    for _ in range(a):
+        poly = mul(poly, x0, x1, x2)
+    for _ in range(b):
+        poly = mul(poly, y0, y1, y2)
+    jac = abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    return jac * sum(c * Fraction(math.factorial(i) * math.factorial(j),
+                                  math.factorial(i + j + 2))
+                     for (i, j), c in poly.items())
+
+
+class TestQuadrature:
+    def test_weights_sum_to_one(self):
+        assert float(np.sum(DEGREE5_RULE[1])) == pytest.approx(1.0, abs=1e-15)
+
+    def test_degree5_monomials_exact_on_skewed_triangle(self):
+        # dyadic vertices, so the float coordinates equal the rationals
+        verts = [(Fraction(1, 4), Fraction(-1, 2)), (Fraction(2), Fraction(3, 8)),
+                 (Fraction(3, 4), Fraction(5, 4))]
+        quad = Quadrature.from_coords(
+            np.array([[[float(x), float(y)] for x, y in verts]]))
+        x, y = quad.points[..., 0], quad.points[..., 1]
+        for a in range(6):
+            for b in range(6 - a):
+                exact = float(_monomial_integral(verts, a, b))
+                got = float(quad.integral(x ** a * y ** b))
+                assert got == pytest.approx(exact, rel=1e-13, abs=1e-15), (a, b)
+
+
 class TestElementMatrices:
     def test_stiffness_matches_symbolic_integration(self):
         import sympy as sp
@@ -89,7 +136,7 @@ class TestElementMatrices:
                                            (x, 0, 1))
                         expect[2 * i + a, 2 * j + b] = float(val)
         coords = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-        k, m = element_matrices(coords, 1.0, 1.0)
+        k, m = element_matrices(Quadrature.from_coords(coords), 1.0, 1.0)
         assert np.max(np.abs(k[0] - expect)) < 1e-14
         # scalar mass block: area/6 diagonal, area/12 off-diagonal
         assert m[0, 0, 0] == pytest.approx(0.5 / 6)
@@ -99,22 +146,22 @@ class TestElementMatrices:
     def test_translation_invariance(self):
         coords = np.array([[[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]])
         shifted = coords + np.array([2.0, -1.0])
-        k1, m1 = element_matrices(coords, 1.3, 0.8)
-        k2, m2 = element_matrices(shifted, 1.3, 0.8)
+        k1, m1 = element_matrices(Quadrature.from_coords(coords), 1.3, 0.8)
+        k2, m2 = element_matrices(Quadrature.from_coords(shifted), 1.3, 0.8)
         assert np.allclose(k1, k2, atol=1e-13)
         assert np.allclose(m1, m2, atol=1e-14)
 
-    def test_closed_forms_equal_midedge_quadrature(self):
-        # the mid-edge rule is degree-2 exact: it must reproduce both the
-        # (constant-integrand) stiffness and the (quadratic) mass exactly
-        from elastodtn.fem import MIDEDGE_RULE, _geometry_from_coords
-        bary, wts = MIDEDGE_RULE
+    def test_closed_forms_equal_degree5_quadrature(self):
+        # the degree-5 rule must reproduce both the (constant-integrand)
+        # stiffness and the (quadratic) mass exactly
+        bary, _ = DEGREE5_RULE
         coords = np.array([[[0.2, 0.1], [1.1, 0.3], [0.4, 1.2]]])
         lam, mu = 1.7, 0.6
-        area, grads = _geometry_from_coords(coords)
+        quad = Quadrature.from_coords(coords)
+        grads = quad.grads
         k_q = np.zeros((3, 2, 3, 2))
         m_q = np.zeros((3, 2, 3, 2))
-        for q, w in enumerate(wts):
+        for q, w in enumerate(quad.weights[0]):
             phi = bary[q]
             for i in range(3):
                 for a in range(2):
@@ -123,9 +170,9 @@ class TestElementMatrices:
                             val = (lam + mu) * grads[0, i, a] * grads[0, j, b]
                             if a == b:
                                 val += mu * float(grads[0, i] @ grads[0, j])
-                                m_q[i, a, j, b] += w * area[0] * phi[i] * phi[j]
-                            k_q[i, a, j, b] += w * area[0] * val
-        k, m = element_matrices(coords, lam, mu)
+                                m_q[i, a, j, b] += w * phi[i] * phi[j]
+                            k_q[i, a, j, b] += w * val
+        k, m = element_matrices(quad, lam, mu)
         assert np.allclose(k[0], k_q.reshape(6, 6), atol=1e-13)
         assert np.allclose(m[0], m_q.reshape(6, 6), atol=1e-14)
 
@@ -152,7 +199,8 @@ class TestAssembly:
         f0 = flat_geom.surface
         ident = DomainMap(f0=f0, f_eta=f0, cutoff=make_cutoff(0.1, 1.1))
         sys_a = assemble_B(mesh, params2, 8)
-        sys_b = assemble_B_transformed(mesh, params2, ident, 8)
+        sys_b = assemble_B_transformed(
+            mesh, params2, map_quadrature(mesh.quadrature, ident), 8)
         diff = abs(sys_a.entries - sys_b.entries).max()
         assert diff < 1e-14 * abs(sys_a.entries).max()
         assert np.array_equal(sys_a.dtn_block, sys_b.dtn_block)
@@ -164,8 +212,10 @@ class TestAssembly:
         cutoff = make_cutoff(0.2, 2.0)
         dmap = DomainMap(f0=f0, f_eta=f1, cutoff=cutoff)
         coords = np.array([[[0.1, 1.0], [0.2, 1.0], [0.1, 1.1]]])  # in band
+        quad = Quadrature.from_coords(coords)
         lam = mu = 1.0
-        k, m = transformed_element_matrices(coords, dmap, lam, mu)
+        k, m = transformed_element_matrices(map_quadrature(quad, dmap),
+                                            lam, mu)
         j2 = -0.2 / 1.7
         d = 1.0 + j2
         grads = np.array([[-10.0, -10.0], [10.0, 0.0], [0.0, 10.0]])
@@ -183,8 +233,51 @@ class TestAssembly:
                         expect_k[2 * i + a, 2 * j + b] = val * area * d
         assert np.max(np.abs(k[0] - expect_k)) < 1e-12
         # mass block scales by det J
-        _, m_plain = element_matrices(coords, lam, mu)
+        _, m_plain = element_matrices(quad, lam, mu)
         assert np.allclose(m[0], d * m_plain[0], atol=1e-15)
+
+    @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi])
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_system_structure(self, flat_geom, surface_model, omega, mapped):
+        # 2 pi and 4 pi are Rayleigh-Wood frequencies: xi_n = k_s for n = 1, 2
+        p = make_params(1.0, 1.0, omega)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 16)
+        n_max = default_n_max(p, mesh.period)
+        if mapped:
+            gap = flat_geom.h - flat_geom.surface.sup()
+            dmap = DomainMap(f0=flat_geom.surface,
+                             f_eta=sample_surface(surface_model, 0),
+                             cutoff=make_cutoff(gap / 8.0, gap))
+            system = assemble_B_transformed(
+                mesh, p, map_quadrature(mesh.quadrature, dmap), n_max)
+        else:
+            system = assemble_B(mesh, p, n_max)
+        # complex-symmetric system matrix
+        a = system.full_matrix()
+        assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
+        # outgoing energy flux: Im of the DtN block is positive semidefinite
+        b = system.dtn_block
+        eigs = np.linalg.eigvalsh((b - b.conj().T) / 2j)
+        assert eigs.min() >= -1e-12 * eigs.max()
+
+    def test_dtn_block_equals_per_mode_kron_sum(self, flat_geom):
+        # reference: the mode-by-mode Kronecker sum the block realizes;
+        # the vectorized sum only reorders floating-point additions
+        p = make_params(1.0, 1.0, 8.0)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 128, 4)
+        n_max = 8
+        xk = mesh.nodes[mesh.top_nodes, 0]
+        expect = np.zeros((2 * mesh.nx, 2 * mesh.nx), dtype=complex)
+        for n in range(-n_max, n_max + 1):
+            xi = 2.0 * math.pi * n / mesh.period
+            beta = (math.sin(math.pi * n / mesh.nx) / (math.pi * n / mesh.nx)
+                    ) ** 2 if n else 1.0
+            w = np.exp(1j * xi * xk)
+            outer = np.outer(w, np.conj(w)) * (mesh.period * beta ** 2
+                                               / mesh.nx ** 2)
+            expect += np.kron(outer, symbol_matrices(xi, p))
+        block = assemble_B(mesh, p, n_max).dtn_block
+        assert np.max(np.abs(block - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     def test_dtn_block_touches_only_top_dofs(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 6)
@@ -208,7 +301,8 @@ class TestLoads:
         f0 = flat_geom.surface
         ident = DomainMap(f0=f0, f_eta=f0, cutoff=make_cutoff(0.1, 1.1))
         plain = assemble_load(mesh, bump)
-        mapped = assemble_load_transformed(mesh, bump, ident)
+        mapped = assemble_load_transformed(
+            mesh, bump, map_quadrature(mesh.quadrature, ident))
         assert np.allclose(plain, mapped, atol=1e-15)
 
     def test_constant_source_nodal_entries(self, flat_geom):
