@@ -79,12 +79,14 @@ class Quadrature:
         area = 0.5 * area2
         return cls(area=area,
                    grads=np.stack([b, c], axis=2) / area2[:, None, None],
-                   points=np.einsum("qk,tkx->tqx", bary, coords),
+                   points=bary @ coords,
                    weights=wts[None, :] * area[:, None])
 
     def interpolate(self, vertex_values) -> np.ndarray:
         """P1 interpolant at the points: (nt, 3, ...) -> (nt, 7, ...)."""
-        return np.einsum("qk,tk...->tq...", DEGREE5_RULE[0], vertex_values)
+        v = np.asarray(vertex_values)
+        out = DEGREE5_RULE[0] @ v.reshape(v.shape[0], 3, -1)
+        return out.reshape((v.shape[0], out.shape[1]) + v.shape[2:])
 
     def integral(self, f):
         """Rule applied to point values f (nt, 7, ...), trailing axes summed."""

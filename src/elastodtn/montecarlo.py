@@ -107,9 +107,8 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     mq = map_quadrature(mesh_ref.quadrature, dmap)
 
     g_eta = make_source(src, index, f_max=model.f0.f_max, h=h)
-    g_tilde = lambda pts: g_eta(dmap.apply(pts))
     system = assemble_B_transformed(mesh_ref, p, mq, n_max)
-    load = assemble_load_transformed(mesh_ref, g_tilde, mq)
+    load = assemble_load_transformed(mesh_ref, g_eta(mq.points), mq)
     sol = solve(system, load, metadata={"omega": p.omega,
                                         "n_max": system.n_max,
                                         "sample_index": index})

@@ -776,10 +776,11 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
         disc = max(abs(complex(np.vdot(v, diff @ u))) for u, v in uvecs)
         b_ratios.append(disc / dist_f if dist_f > 0 else 0.0)
 
-        load_m = assemble_load_transformed(mesh, gm, mq)
+        gm_vals = np.asarray(gm(q.points), dtype=complex)
+        load_m = assemble_load_transformed(mesh, gm_vals, mq)
         dload = load_m - load0
         g_disc = max(abs(complex(np.vdot(v, dload))) for u, v in uvecs)
-        dg = np.asarray(gm(q.points), dtype=complex) - g0_vals
+        dg = gm_vals - g0_vals
         dist_g = math.sqrt(float(q.integral(np.abs(dg) ** 2)))
         denom = dist_g + dist_f
         g_ratios.append(g_disc / denom if denom > 0 else 0.0)

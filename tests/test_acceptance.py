@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from elastodtn.cli import main
+from elastodtn.cli import _keystone_deviation, main
 from elastodtn.dtn import (
     gamma,
     projection_matrices,
@@ -84,6 +84,8 @@ def test_criterion_01_dtn_keystone_consistency():
         div = 1j * xi * a[0] + dz[1]
         t = traction(grad, div, (0.0, 1.0), p)
         worst = max(worst, float(np.max(np.abs(t - symbol_matrices(xi, p) @ a))))
+    # verify-all's vectorized check draws the same pairs from the generator
+    assert _keystone_deviation(p, np.random.default_rng(101), 100) == worst
     _report(1, "dtn keystone consistency", worst < 1e-10,
             f"max entrywise dev {worst:.3e} < 1e-10")
 

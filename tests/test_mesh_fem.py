@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from elastodtn.dtn import symbol_matrices
 from elastodtn.errors import MeshError, SolveError
@@ -302,7 +303,8 @@ class TestLoads:
         ident = DomainMap(f0=f0, f_eta=f0, cutoff=make_cutoff(0.1, 1.1))
         plain = assemble_load(mesh, bump)
         mapped = assemble_load_transformed(
-            mesh, bump, map_quadrature(mesh.quadrature, ident))
+            mesh, bump(mesh.quadrature.points),
+            map_quadrature(mesh.quadrature, ident))
         assert np.allclose(plain, mapped, atol=1e-15)
 
     def test_constant_source_nodal_entries(self, flat_geom):
@@ -370,6 +372,41 @@ class TestSolve:
         x[1::2] = sol.values[mesh.free_nodes, 1]
         gl2 = source_norms(mesh, bump)["l2"]
         assert float(np.max(np.abs(a @ x - load))) <= 1e-9 * gl2
+
+    def test_symmetric_ordering_halves_fill(self, flat_geom, bump):
+        # reference: SuperLU's default (COLAMD) ordering of the same matrix
+        p = make_params(1.0, 1.0, 8.0)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 64, 96)
+        system = assemble_B(mesh, p, default_n_max(p, mesh.period))
+        load = assemble_load(mesh, bump)
+        sol = solve(system, load)
+        lu = spla.splu(system.full_matrix())
+        assert sol.metadata["nnz_lu"] < 0.7 * lu.nnz
+        x = lu.solve(load)
+        values = np.zeros((mesh.n_nodes, 2), dtype=complex)
+        values[mesh.free_nodes, 0] = x[0::2]
+        values[mesh.free_nodes, 1] = x[1::2]
+        expect = norms(FieldSolution(mesh=mesh, values=values))
+        for key, value in expect.items():
+            assert sol.norms[key] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [2 * math.pi, 4 * math.pi])
+    def test_rayleigh_wood_frequencies_solve(self, wavy_geom, bump, omega):
+        # xi_n = k_s for n = 1, 2: a mode grazes the top line
+        p = make_params(1.0, 1.0, omega)
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 48, 64)
+        system = assemble_B(mesh, p, default_n_max(p, mesh.period))
+        load = assemble_load(mesh, bump)
+        sol = solve(system, load, metadata={"omega": omega})
+        x = np.empty(system.dimension, dtype=complex)
+        x[0::2] = sol.values[mesh.free_nodes, 0]
+        x[1::2] = sol.values[mesh.free_nodes, 1]
+        a = system.full_matrix()
+        rel = np.linalg.norm(a @ x - load) / np.linalg.norm(load)
+        assert rel <= 1e-10
+        assert sol.metadata["omega"] == omega
+        assert sol.metadata["residual"] == pytest.approx(rel, rel=1e-9)
+        assert sol.norms["h1"] > 0.0
 
 
 class TestNorms:
