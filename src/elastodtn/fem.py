@@ -137,22 +137,21 @@ def transformed_element_matrices(mq: MappedQuadrature, lam: float, mu: float):
     """Element (stiffness, mass) for the pulled-back form, shape (nt, 6, 6).
 
     Gradients transform as G = inv(J)^T grad(phi); every term carries det J.
+    With G flattened to (vertex i, direction a) -> 2i + a, the weighted
+    product (w G)^T G holds grad_i[a] grad_j[b] in the local dof layout.
     """
     bary, _ = DEGREE5_RULE
-    G = mq.physical_gradient(mq.quad.grads[:, None])  # (nt, nq, 3, 2)
     wdet = mq.weights
-    gg = np.einsum("tq,tqia,tqja->tij", wdet, G, G)
-    gij = np.einsum("tq,tqia,tqjb->tiajb", wdet, G, G)
-    nt = wdet.shape[0]
-    k = np.zeros((nt, 3, 2, 3, 2))
-    for a in range(2):
-        k[:, :, a, :, a] += mu * gg
-    k += (lam + mu) * gij
-
-    mm = np.einsum("tq,qi,qj->tij", wdet, bary, bary)
+    nt, nq = wdet.shape
+    G = mq.physical_gradient(mq.quad.grads[:, None]).reshape(nt, nq, 6)
+    gij = np.matmul((wdet[:, :, None] * G).transpose(0, 2, 1), G)
+    k = (lam + mu) * gij.reshape(nt, 3, 2, 3, 2)
+    gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
+    mm = wdet @ (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
     m = np.zeros((nt, 3, 2, 3, 2))
     for a in range(2):
-        m[:, :, a, :, a] = mm
+        k[:, :, a, :, a] += mu * gg
+        m[:, :, a, :, a] = mm.reshape(nt, 3, 3)
     return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
 
 
@@ -197,31 +196,20 @@ class FieldSolution:
     metadata: dict = field(default_factory=dict)
 
 
-def _free_dof_arrays(mesh: Mesh):
-    """free node ids, and a map node id -> free-vector position (or -1)."""
-    free = mesh.free_nodes
-    pos = -np.ones(mesh.n_nodes, dtype=np.int64)
-    pos[free] = np.arange(free.size)
-    return free, pos
+def _sum_at(positions: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the real values at each position below n; positions at or
+    past n hold the dropped (surface-node) entries."""
+    return np.bincount(positions.ravel(), weights=values.ravel(),
+                       minlength=n)[:n]
 
 
 def _scatter_elements(mesh: Mesh, elem: np.ndarray) -> sp.csr_matrix:
-    """Assemble (nt, 6, 6) element blocks into the free-dof sparse matrix."""
-    free, pos = _free_dof_arrays(mesh)
-    n_free = free.size
-    tri = mesh.triangles
-    dofs = np.empty((tri.shape[0], 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * pos[tri]
-    dofs[:, 1::2] = 2 * pos[tri] + 1
-    keep = dofs >= 0
-    rows = np.repeat(dofs[:, :, None], 6, axis=2)
-    cols = np.repeat(dofs[:, None, :], 6, axis=1)
-    mask = keep[:, :, None] & keep[:, None, :]
-    a = sp.coo_matrix(
-        (elem[mask], (rows[mask], cols[mask])),
-        shape=(2 * n_free, 2 * n_free),
-    )
-    return a.tocsr()
+    """Sum (nt, 6, 6) element blocks into the complex free-dof CSR matrix."""
+    pat = mesh.pattern
+    data = np.zeros(pat.indices.size, dtype=complex)
+    data.real = _sum_at(pat.slots, elem, data.size)
+    return sp.csr_matrix((data, pat.indices, pat.indptr),
+                         shape=(pat.n_dofs, pat.n_dofs))
 
 
 def _effective_n_max(mesh: Mesh, n_max: int) -> int:
@@ -274,29 +262,29 @@ def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
 def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
                    domain: sp.csr_matrix) -> SparseSystem:
     n_eff = _effective_n_max(mesh, n_max)
-    block = _dtn_block(mesh, p, n_eff)
-    _, pos = _free_dof_arrays(mesh)
-    tp = pos[mesh.top_nodes]
-    top_dofs = np.empty(2 * mesh.nx, dtype=np.int64)
-    top_dofs[0::2] = 2 * tp
-    top_dofs[1::2] = 2 * tp + 1
     return SparseSystem(
         dimension=domain.shape[0],
-        entries=domain.astype(complex),
-        dtn_block=block,
-        top_dofs=top_dofs,
+        entries=domain,
+        dtn_block=_dtn_block(mesh, p, n_eff),
+        top_dofs=mesh.pattern.top_dofs,
         mesh=mesh,
         params=p,
         n_max=n_eff,
     )
 
 
+def _weighted_load(weights: np.ndarray, g_values) -> np.ndarray:
+    """Element loads -sum_q w g(q) phi_i(q), shape (nt, 3, 2), from the
+    source values (nt, 7, 2) at the rule's points; contracted in real
+    arithmetic on the (re, im) view of the values."""
+    gv = np.ascontiguousarray(g_values, dtype=complex).view(float)
+    return -np.matmul(DEGREE5_RULE[0].T, weights[:, :, None] * gv).view(complex)
+
+
 def assemble_load(mesh: Mesh, g) -> np.ndarray:
     """Free-dof load vector with entries -int g . phi_i (7-point rule)."""
     q = mesh.quadrature
-    gv = np.asarray(g(q.points), dtype=complex)       # (nt, nq, 2)
-    contrib = -np.einsum("tq,tqa,qi->tia", q.weights, gv, DEGREE5_RULE[0])
-    return _scatter_load(mesh, contrib)
+    return _scatter_load(mesh, _weighted_load(q.weights, g(q.points)))
 
 
 def assemble_load_transformed(mesh_ref: Mesh, g_values,
@@ -304,21 +292,16 @@ def assemble_load_transformed(mesh_ref: Mesh, g_values,
     """Load for the pulled-back form: -int g_tilde . phi_i det(J), from the
     values (nt, 7, 2) of g_tilde at the reference points (for a source g on
     the image strip, g(mq.points))."""
-    gv = np.asarray(g_values, dtype=complex)
-    contrib = -np.einsum("tq,tqa,qi->tia", mq.weights, gv, DEGREE5_RULE[0])
-    return _scatter_load(mesh_ref, contrib)
+    return _scatter_load(mesh_ref, _weighted_load(mq.weights, g_values))
 
 
 def _scatter_load(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
-    free, pos = _free_dof_arrays(mesh)
-    out = np.zeros(2 * free.size, dtype=complex)
-    tri = mesh.triangles
-    dofs = np.empty((tri.shape[0], 3, 2), dtype=np.int64)
-    dofs[..., 0] = 2 * pos[tri]
-    dofs[..., 1] = 2 * pos[tri] + 1
-    keep = dofs[..., 0] >= 0
-    np.add.at(out, dofs[keep][:, 0], contrib[keep][:, 0])
-    np.add.at(out, dofs[keep][:, 1], contrib[keep][:, 1])
+    """Sum element loads (nt, 3, 2) into the free-dof vector."""
+    pat = mesh.pattern
+    c = contrib.reshape(-1, 6)
+    out = np.empty(pat.n_dofs, dtype=complex)
+    out.real = _sum_at(pat.elem_dofs, c.real, pat.n_dofs)
+    out.imag = _sum_at(pat.elem_dofs, c.imag, pat.n_dofs)
     return out
 
 
@@ -353,7 +336,7 @@ def solve(system: SparseSystem, load: np.ndarray,
         x = np.zeros_like(b)
 
     mesh = system.mesh
-    free, _ = _free_dof_arrays(mesh)
+    free = mesh.free_nodes
     values = np.zeros((mesh.n_nodes, 2), dtype=complex)
     values[free, 0] = x[0::2]
     values[free, 1] = x[1::2]

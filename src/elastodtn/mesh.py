@@ -10,8 +10,9 @@ Each quad splits into two counterclockwise triangles; with increasing row
 heights this yields positive areas for any Lipschitz surface profile.
 
 Every mesh carries its degree-5 quadrature (a `Quadrature`): the P1
-geometry and the 7-point rule on each triangle, built once and only read
-afterwards, so concurrent ensemble samples can share it.
+geometry and the 7-point rule on each triangle, and its free-dof assembly
+pattern (a `DofPattern`). Both are built once and only read afterwards, so
+concurrent ensemble samples can share them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import MeshError
 from .model import SurfaceFn
 
-__all__ = ["Mesh", "Quadrature", "build_mesh", "DEGREE5_RULE"]
+__all__ = ["Mesh", "Quadrature", "DofPattern", "build_mesh", "DEGREE5_RULE"]
 
 SURFACE = "SURFACE"
 TOP = "TOP"
@@ -93,6 +94,91 @@ class Quadrature:
         return _weighted_sum(self.weights, f)
 
 
+def _index_dtype(maxval: int):
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
+
+
+def _read_only(a, maxval: int) -> np.ndarray:
+    """a as a read-only index array of the smallest type holding maxval."""
+    out = np.ascontiguousarray(a, dtype=_index_dtype(maxval))
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
+class DofPattern:
+    """Free-dof numbering and the CSR pattern of the domain matrix.
+
+    The free dofs are (node, component) pairs of the non-surface nodes:
+    free node k (in node order) owns dofs 2k and 2k+1.  Local element dofs
+    follow (vertex i, component a) -> 2i + a.  `elem_dofs` and `slots` point
+    entries of surface nodes past the end (at `n_dofs`, or at `nnz` and
+    `nnz + 1`), where the scatters drop them.
+    """
+
+    n_dofs: int
+    elem_dofs: np.ndarray  # (nt, 6) free-vector position of each local dof
+    top_dofs: np.ndarray   # (2*nx,) dofs of the top nodes, by x1
+    indptr: np.ndarray     # (n_dofs + 1,) CSR row pointers
+    indices: np.ndarray    # (nnz,) CSR columns, sorted within each row
+    slots: np.ndarray      # (nt, 36) CSR data position of element entry (i, j)
+
+    @classmethod
+    def from_topology(cls, triangles, surface_nodes, top_nodes,
+                      n_nodes: int) -> DofPattern:
+        # free-node position of each node, -1 on the surface
+        pos = np.ones(n_nodes, dtype=np.int64)
+        pos[surface_nodes] = 0
+        pos = np.cumsum(pos) - 1
+        pos[surface_nodes] = -1
+        nf = int(pos.max() + 1)
+        n = 2 * nf
+
+        def dofs_of(nodes):
+            d = np.stack([2 * pos[nodes], 2 * pos[nodes] + 1], axis=-1)
+            return np.where(d >= 0, d, n).reshape(nodes.shape[:-1] + (-1,))
+
+        elem_dofs = _read_only(dofs_of(triangles), n)
+        top_dofs = _read_only(dofs_of(top_nodes[:, None]).ravel(), n)
+
+        # Couplings of free nodes (r, c), sorted; each is a 2x2 block whose
+        # entries (2r + a, 2c + b) sit in dof row 2r + a, which holds two
+        # columns for every node coupled to r.
+        pt = pos[triangles]                              # (nt, 3)
+        nt = pt.shape[0]
+        keep = (pt[:, :, None] >= 0) & (pt[:, None, :] >= 0)
+        pairs, inverse = np.unique((pt[:, :, None] * nf + pt[:, None, :])
+                                   [keep], return_inverse=True)
+        r, c = np.divmod(pairs, nf)
+        row_len = np.bincount(r, minlength=nf)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.repeat(2 * row_len, 2), out=indptr[1:])
+        nnz = int(indptr[-1])
+        rank = np.arange(pairs.size) - (np.cumsum(row_len) - row_len)[r]
+        first = indptr[2 * r] + 2 * rank                 # slot of (2r, 2c)
+        stride = 2 * row_len[r]                          # to (2r + 1, 2c)
+
+        # the same per node pair of each triangle; dropped pairs point at
+        # nnz and nnz + 1
+        itype = _index_dtype(nnz + 1)
+        first_t = np.full((nt, 3, 3), nnz, dtype=itype)
+        stride_t = np.zeros((nt, 3, 3), dtype=itype)
+        first_t[keep] = first[inverse]
+        stride_t[keep] = stride[inverse]
+        indices = np.empty(nnz, dtype=itype)
+        slots = np.empty((nt, 3, 2, 3, 2), dtype=itype)
+        for a in range(2):
+            for b in range(2):
+                indices[first + a * stride + b] = 2 * c + b
+                slots[:, :, a, :, b] = first_t + (a * stride_t + b)
+        return cls(n_dofs=n,
+                   elem_dofs=elem_dofs,
+                   top_dofs=top_dofs,
+                   indptr=_read_only(indptr, nnz),
+                   indices=_read_only(indices, n),
+                   slots=_read_only(slots.reshape(nt, 36), nnz + 1))
+
+
 @dataclass(frozen=True)
 class Mesh:
     period: float
@@ -105,6 +191,7 @@ class Mesh:
     surface_nodes: np.ndarray  # (nx,) node ids on x2 = f(x1)
     top_nodes: np.ndarray      # (nx,) node ids on x2 = h, ordered by x1
     quadrature: Quadrature     # degree-5 rule on tri_coords
+    pattern: DofPattern        # free-dof numbering and assembly pattern
 
     @property
     def n_nodes(self) -> int:
@@ -202,14 +289,18 @@ def build_mesh(f: SurfaceFn, h: float, nx: int, ny: int) -> Mesh:
     coords[0::2] = np.stack([pa, pb, pc], axis=-2).reshape(-1, 3, 2)
     coords[1::2] = np.stack([pa, pc, pd], axis=-2).reshape(-1, 3, 2)
 
+    surface_nodes = np.arange(nx, dtype=np.int64)
+    top_nodes = ny * nx + np.arange(nx, dtype=np.int64)
     mesh = Mesh(
         period=per, h=float(h), nx=nx, ny=ny,
         nodes=nodes,
         triangles=tris,
         tri_coords=coords,
-        surface_nodes=np.arange(nx, dtype=np.int64),
-        top_nodes=ny * nx + np.arange(nx, dtype=np.int64),
+        surface_nodes=surface_nodes,
+        top_nodes=top_nodes,
         quadrature=Quadrature.from_coords(coords),
+        pattern=DofPattern.from_topology(tris, surface_nodes, top_nodes,
+                                         nodes.shape[0]),
     )
     areas = mesh.areas()
     if np.any(areas <= 0.0):

@@ -6,11 +6,19 @@ of the transformed solution (the quantity the mean-square bound controls)
 and the physical-strip norm of the pushforward, obtained by change of
 variables on the same quadrature points.  Samples are pure functions of
 (seed, index), so ensembles are reproducible bit for bit at any parallelism.
+
+The sample loop runs with every loaded OpenBLAS pinned to one thread: the
+sample threads then do not oversubscribe the cores, and the LU factors (so
+the ensemble's bytes) do not depend on the BLAS thread setting.  Other BLAS
+vendors are left as they are.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,6 +56,76 @@ __all__ = [
 ]
 
 
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads")
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process; empty where the memory map cannot be read (non-Linux) or no
+    OpenBLAS is loaded (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in
+                     (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths
+                       if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+class _SingleThreadBlas:
+    """Context manager pinning every loaded OpenBLAS to one thread.
+
+    The thread count is process-wide, so overlapping blocks share one pin:
+    the first to enter saves each library's count and the last to leave
+    restores it, also when the block raises.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(setter, getter()) for getter, setter
+                               in _openblas_thread_controls()]
+                for setter, _ in self._saved:
+                    setter(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in self._saved:
+                    setter(count)
+                self._saved = []
+        return False
+
+
+_single_thread_blas = _SingleThreadBlas()
+
+
 def default_n_max(p: ElasticParams, period: float) -> int:
     """Smallest mode count with |xi_n| >= 4 k_s (evanescent tail negligible
     at unit distance), floored at 8."""
@@ -78,9 +156,10 @@ def pushforward_h1_sq(mesh: Mesh, values: np.ndarray,
     return float(mq.integral(np.abs(g) ** 2) + mq.integral(np.abs(uh) ** 2))
 
 
-def pullback_source_h1_sq(g, mq: MappedQuadrature) -> float:
-    """||g o H||^2_{H1} on the reference strip (g has analytic .grad)."""
-    gv = np.asarray(g(mq.points), dtype=complex)
+def pullback_source_h1_sq(g, mq: MappedQuadrature, values) -> float:
+    """||g o H||^2_{H1} on the reference strip (g has analytic .grad), with
+    values = g(mq.points) evaluated by the caller (shared with the load)."""
+    gv = np.asarray(values, dtype=complex)
     dg = mq.pullback_gradient(np.asarray(g.grad(mq.points), dtype=complex))
     return float(mq.quad.integral(np.abs(gv) ** 2)
                  + mq.quad.integral(np.abs(dg) ** 2))
@@ -107,8 +186,9 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     mq = map_quadrature(mesh_ref.quadrature, dmap)
 
     g_eta = make_source(src, index, f_max=model.f0.f_max, h=h)
+    g_values = g_eta(mq.points)
     system = assemble_B_transformed(mesh_ref, p, mq, n_max)
-    load = assemble_load_transformed(mesh_ref, g_eta(mq.points), mq)
+    load = assemble_load_transformed(mesh_ref, g_values, mq)
     sol = solve(system, load, metadata={"omega": p.omega,
                                         "n_max": system.n_max,
                                         "sample_index": index})
@@ -116,7 +196,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
         "index": index,
         "u_h1_sq": sol.norms["h1"] ** 2,
         "u_ref_h1_sq": pushforward_h1_sq(mesh_ref, sol.values, mq),
-        "g_h1_sq": pullback_source_h1_sq(g_eta, mq),
+        "g_h1_sq": pullback_source_h1_sq(g_eta, mq, g_values),
         "min_detJ": min_detj,
         "kappa": _norm_equivalence_kappa(mq),
     }
@@ -137,7 +217,8 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                  mesh_ref: Mesh, N: int, parallelism: int = 1,
                  **sample_kwargs) -> EnsembleResult:
     """N independent samples with indices 0..N-1; aggregation is an ordered
-    reduction, so the result is independent of scheduling."""
+    reduction, so the result is independent of scheduling.  The samples run
+    with OpenBLAS pinned to one thread (see the module docstring)."""
     if N < 1:
         raise ParameterError("N must be >= 1")
     results: dict[int, dict] = {}
@@ -146,20 +227,14 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     def task(i):
         return run_sample(model, src, p, mesh_ref, i, **sample_kwargs)
 
-    if parallelism <= 1:
-        for i in range(N):
+    with _single_thread_blas, \
+            ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        futs = {i: pool.submit(task, i) for i in range(N)}
+        for i, fut in futs.items():
             try:
-                results[i] = task(i)
+                results[i] = fut.result()
             except ElastoDtnError as exc:
                 failures[i] = str(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futs = {i: pool.submit(task, i) for i in range(N)}
-            for i, fut in futs.items():
-                try:
-                    results[i] = fut.result()
-                except ElastoDtnError as exc:
-                    failures[i] = str(exc)
     if failures:
         detail = "; ".join(f"{i}: {msg}" for i, msg in sorted(failures.items()))
         raise EnsembleError(f"samples failed: {detail}")
@@ -209,7 +284,7 @@ def random_input_moments(model: RandomSurfaceModel, src: SourceSpec,
                          epsilon_margin=epsilon_margin)
         g_eta = make_source(src, i, f_max=model.f0.f_max, h=h)
         mq = map_quadrature(mesh_ref.quadrature, dmap)
-        g_moms.append(pullback_source_h1_sq(g_eta, mq))
+        g_moms.append(pullback_source_h1_sq(g_eta, mq, g_eta(mq.points)))
     return {
         "f_second_moment": float(np.mean(f_moms)),
         "g_second_moment": float(np.mean(g_moms)),

@@ -564,38 +564,43 @@ class TrigPolyField:
         shape = (2, ks.size, 3)  # component, harmonic, x2-power
         self.coef = (gen.standard_normal(shape)
                      + 1j * gen.standard_normal(shape)) / (ks.size * 3.0)
+        # harmonic-major coefficients (k, (a, p)) of the field and of its
+        # x1-derivative, so one product with exp(i ks x1) contracts them
+        self._coef_k = self.coef.transpose(1, 0, 2).reshape(ks.size, 6)
+        self._coef_k_dx = 1j * self.ks[:, None] * self._coef_k
 
-    def _poly(self, x2):
-        z = x2 - self.x2_ref
-        return np.stack([np.ones_like(z), z, z * z], axis=-1)
+    def _harmonics(self, x1):
+        return np.exp(1j * np.multiply.outer(x1, self.ks))        # (..., nk)
 
-    def _dpoly(self, x2):
-        z = x2 - self.x2_ref
-        return np.stack([np.zeros_like(z), np.ones_like(z), 2.0 * z], axis=-1)
+    @staticmethod
+    def _contract(e, c):
+        """sum_k e_k c[k, (a, p)], shape (..., 2, 3)."""
+        return (e @ c).reshape(e.shape[:-1] + (2, 3))
+
+    @staticmethod
+    def _poly(t, z):
+        """sum_p t[..., a, p] z^p for z (..., 1)."""
+        return t[..., 0] + z * (t[..., 1] + z * t[..., 2])
 
     def value(self, pts):
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
-        e = np.exp(1j * np.multiply.outer(x1, self.ks))      # (..., nk)
-        pz = self._poly(x2)                                  # (..., 3)
-        base = np.einsum("...k,akp,...p->...a", e, self.coef, pz)
+        t = self._contract(self._harmonics(x1), self._coef_k)
+        base = self._poly(t, (x2 - self.x2_ref)[..., None])
         return self.chi.value(x2)[..., None] * base
 
     def grad(self, pts):
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
-        e = np.exp(1j * np.multiply.outer(x1, self.ks))
-        de = 1j * self.ks * e
-        pz = self._poly(x2)
-        dpz = self._dpoly(x2)
-        ch = self.chi.value(x2)
-        dch = self.chi.d1(x2)
-        base = np.einsum("...k,akp,...p->...a", e, self.coef, pz)
-        dbase1 = np.einsum("...k,akp,...p->...a", de, self.coef, pz)
-        dbase2 = np.einsum("...k,akp,...p->...a", e, self.coef, dpz)
-        out = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
-        out[..., 0] = ch[..., None] * dbase1
-        out[..., 1] = ch[..., None] * dbase2 + dch[..., None] * base
+        e = self._harmonics(x1)
+        z = (x2 - self.x2_ref)[..., None]
+        ch = self.chi.value(x2)[..., None]
+        out = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
+        out[..., 0] = ch * self._poly(self._contract(e, self._coef_k_dx), z)
+        t = self._contract(e, self._coef_k)
+        del e  # the largest temporary: release it before the last products
+        out[..., 1] = (ch * (t[..., 1] + 2.0 * z * t[..., 2])
+                       + self.chi.d1(x2)[..., None] * self._poly(t, z))
         return out
 
 

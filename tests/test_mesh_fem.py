@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from elastodtn import fem
 from elastodtn.dtn import symbol_matrices
 from elastodtn.errors import MeshError, SolveError
 from elastodtn.fem import (
@@ -289,6 +291,95 @@ class TestAssembly:
         assert np.all(full[~mask, :] == 0.0)
         assert np.all(full[:, ~mask] == 0.0)
         assert np.any(full[np.ix_(mask, mask)] != 0.0)
+
+
+def _sampled_map_quadrature(geom, model, mesh):
+    gap = geom.h - geom.surface.sup()
+    dmap = DomainMap(f0=geom.surface, f_eta=sample_surface(model, 0),
+                     cutoff=make_cutoff(gap / 8.0, gap))
+    return map_quadrature(mesh.quadrature, dmap)
+
+
+def _einsum_element_matrices(mq, lam, mu):
+    """Reference: transformed element matrices by three-operand einsums."""
+    bary, _ = DEGREE5_RULE
+    g = mq.physical_gradient(mq.quad.grads[:, None])    # (nt, 7, 3, 2)
+    w = mq.weights
+    nt = w.shape[0]
+    gg = np.einsum("tq,tqia,tqja->tij", w, g, g)
+    k = (lam + mu) * np.einsum("tq,tqia,tqjb->tiajb", w, g, g)
+    mm = np.einsum("tq,qi,qj->tij", w, bary, bary)
+    m = np.zeros((nt, 3, 2, 3, 2))
+    for a in range(2):
+        k[:, :, a, :, a] += mu * gg
+        m[:, :, a, :, a] = mm
+    return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
+
+
+def _reference_dofs(mesh):
+    """(nt, 6) free-vector dof of local dof 2i + a, -1 on surface nodes."""
+    pos = -np.ones(mesh.n_nodes, dtype=np.int64)
+    pos[mesh.free_nodes] = np.arange(mesh.free_nodes.size)
+    p = pos[mesh.triangles]
+    dofs = np.stack([2 * p, 2 * p + 1], axis=-1).reshape(-1, 6)
+    return np.where(np.repeat(p, 2, axis=1) >= 0, dofs, -1)
+
+
+def _rel_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestAssemblyPattern:
+    """The mesh's assembly pattern and the matmul kernels against their
+    element-by-element references on a sampled (non-affine) map."""
+
+    @pytest.fixture
+    def mesh(self, flat_geom):
+        return build_mesh(flat_geom.surface, flat_geom.h, 24, 16)
+
+    def test_matmul_element_matrices_equal_einsum(self, flat_geom,
+                                                  surface_model, mesh):
+        mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
+        k, m = transformed_element_matrices(mq, 1.3, 0.7)
+        k_ref, m_ref = _einsum_element_matrices(mq, 1.3, 0.7)
+        assert _rel_gap(k, k_ref) <= 1e-14
+        assert _rel_gap(m, m_ref) <= 1e-14
+
+    def test_scatter_equals_coo_to_csr(self, flat_geom, surface_model,
+                                       mesh):
+        mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
+        k, m = transformed_element_matrices(mq, 1.0, 1.0)
+        elem = k - 8.0 ** 2 * m
+        dofs = _reference_dofs(mesh)
+        rows = np.repeat(dofs[:, :, None], 6, axis=2)
+        cols = np.repeat(dofs[:, None, :], 6, axis=1)
+        keep = (rows >= 0) & (cols >= 0)
+        n = 2 * mesh.free_nodes.size
+        ref = sp.coo_matrix((elem[keep], (rows[keep], cols[keep])),
+                            shape=(n, n)).tocsr()
+        a = fem._scatter_elements(mesh, elem)
+        assert a.shape == ref.shape
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert np.array_equal(a.indices, ref.indices)
+        assert _rel_gap(a.data, ref.data) <= 1e-14
+
+    def test_top_dofs_are_top_node_components(self, mesh):
+        free_pos = np.searchsorted(mesh.free_nodes, mesh.top_nodes)
+        expect = np.stack([2 * free_pos, 2 * free_pos + 1], axis=1).ravel()
+        assert np.array_equal(mesh.pattern.top_dofs, expect)
+
+    def test_load_equals_add_at(self, flat_geom, surface_model, mesh,
+                                bump):
+        mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
+        gv = bump(mq.points)
+        contrib = -np.einsum("tq,tqa,qi->tia", mq.weights, gv,
+                             DEGREE5_RULE[0]).reshape(-1, 6)
+        dofs = _reference_dofs(mesh)
+        keep = dofs >= 0
+        expect = np.zeros(2 * mesh.free_nodes.size, dtype=complex)
+        np.add.at(expect, dofs[keep], contrib[keep])
+        load = assemble_load_transformed(mesh, gv, mq)
+        assert _rel_gap(load, expect) <= 1e-14
 
 
 class TestLoads:

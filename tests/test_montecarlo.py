@@ -1,10 +1,15 @@
 """Seeded ensembles: determinism, per-sample invariants, mean-square bound."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from elastodtn import cli, montecarlo
 from elastodtn.errors import EnsembleError, ParameterError
 from elastodtn.fem import assemble_B, assemble_load, solve
 from elastodtn.mesh import build_mesh
@@ -106,6 +111,141 @@ class TestRunEnsemble:
                          mesh_ref):
         with pytest.raises(ParameterError):
             run_ensemble(surface_model, source_spec, params2, mesh_ref, 0)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The ensemble of the determinism contract: 64x96, omega 8, two samples of a
+# two-mode surface with a jittered source.
+ENSEMBLE_CFG = """\
+[physics]
+omega = 8.0
+
+[surface_model]
+mode_count = 2
+amplitudes = 0.02, 0.01
+phases = 0.0, 1.3
+M0 = 0.3
+seed = 7
+
+[source]
+jitter_center = 0.05
+jitter_amplitude = 0.1
+jitter_seed = 7
+
+[discretization]
+nx = 64
+ny = 96
+
+[run]
+N = {n}
+"""
+
+
+def _ensemble_csv_subprocess(tmp_path, blas_threads: str) -> bytes:
+    cfg = tmp_path / "ens.cfg"
+    cfg.write_text(ENSEMBLE_CFG.format(n=2))
+    out = tmp_path / f"blas{blas_threads}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastodtn.cli", "ensemble", "--config",
+         str(cfg), "--out", str(out), "--parallelism", "1"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return (out / "ensemble.csv").read_bytes()
+
+
+def _blas_threads(controls) -> list:
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def openblas_at_two():
+    """Every loaded OpenBLAS at 2 threads, so a missing pin or a missing
+    restore is visible; the original counts are restored afterwards."""
+    controls = montecarlo._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = _blas_threads(controls)
+    for _, set_threads in controls:
+        set_threads(2)
+    assert _blas_threads(controls) == [2] * len(controls)
+    yield controls
+    for (_, set_threads), count in zip(controls, before):
+        set_threads(count)
+
+
+class TestDeterminismContract:
+    """ensemble.csv is byte-identical at any parallelism and any OpenBLAS
+    thread setting: the samples run with OpenBLAS pinned to one thread."""
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        one = _ensemble_csv_subprocess(tmp_path, "1")
+        two = _ensemble_csv_subprocess(tmp_path, "2")
+        assert one.count(b"\n") == 3
+        assert one == two
+
+    def test_bytes_independent_of_parallelism(self, tmp_path):
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text(ENSEMBLE_CFG.format(n=4).replace(
+            "nx = 64\nny = 96", "nx = 32\nny = 48"))
+        out = {}
+        for workers in (1, 2, 4):
+            d = tmp_path / f"p{workers}"
+            assert cli.main(["ensemble", "--config", str(cfg), "--out",
+                             str(d), "--parallelism", str(workers)]) == 0
+            out[workers] = (d / "ensemble.csv").read_bytes()
+        assert out[1].count(b"\n") == 5
+        assert out[1] == out[2] == out[4]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_samples_pinned_and_counts_restored(
+            self, openblas_at_two, monkeypatch, surface_model, source_spec,
+            params2, mesh_ref, parallelism):
+        controls = openblas_at_two
+        seen = []
+        sample = montecarlo.run_sample
+
+        def recording_sample(*args, **kwargs):
+            seen.append(_blas_threads(controls))
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_sample", recording_sample)
+        run_ensemble(surface_model, source_spec, params2, mesh_ref, 2,
+                     parallelism=parallelism)
+        assert seen == [[1] * len(controls)] * 2
+        assert _blas_threads(controls) == [2] * len(controls)
+
+    def test_counts_restored_after_failed_ensemble(
+            self, openblas_at_two, surface_model, source_spec, params2,
+            mesh_ref):
+        with pytest.raises(EnsembleError):
+            run_ensemble(surface_model, source_spec, params2, mesh_ref, 2,
+                         parallelism=2, epsilon_margin=0.999999)
+        assert _blas_threads(openblas_at_two) == [2] * len(openblas_at_two)
+
+    def test_nested_pins_restore_once(self, openblas_at_two):
+        controls = openblas_at_two
+        with montecarlo._single_thread_blas:
+            with montecarlo._single_thread_blas:
+                assert _blas_threads(controls) == [1] * len(controls)
+            assert _blas_threads(controls) == [1] * len(controls)
+        assert _blas_threads(controls) == [2] * len(controls)
+
+    def test_unreadable_memory_map_pins_nothing(self, openblas_at_two,
+                                                monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise PermissionError("memory map not readable")
+
+        monkeypatch.setattr(montecarlo, "open", unreadable, raising=False)
+        assert montecarlo._openblas_thread_controls() == []
+        with montecarlo._single_thread_blas:
+            assert _blas_threads(openblas_at_two) == [2] * len(
+                openblas_at_two)
+        assert _blas_threads(openblas_at_two) == [2] * len(openblas_at_two)
 
 
 class TestMeansquareEnvelope:

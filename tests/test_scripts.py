@@ -1,4 +1,5 @@
-"""Every experiment script starts: its imports resolve against the package."""
+"""Every experiment script starts (its imports resolve against the package),
+and the ensemble study runs end to end."""
 
 import os
 import subprocess
@@ -15,13 +16,27 @@ def test_scripts_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda s: s.name)
-def test_script_help(script):
+def _run_script(script: Path, *args: str,
+                timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
+    return subprocess.run([sys.executable, str(script), *args], env=env,
                           cwd=ROOT, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda s: s.name)
+def test_script_help(script):
+    proc = _run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_ensemble_study_runs():
+    # the ensemble path end to end, with a thread pool
+    proc = _run_script(ROOT / "scripts" / "ensemble_study.py", "--samples",
+                       "2", "--omegas", "2.0", "--parallelism", "2",
+                       timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "ok=True" in proc.stdout
