@@ -8,7 +8,6 @@ came out false), 2 configuration or runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
@@ -41,13 +40,32 @@ __all__ = ["main", "run_command"]
 # Artifact writers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+def _csv_cell(v) -> str:
+    """CSV text of one cell: floats (np.float64 too) as the shortest repr of
+    the Python float, anything else as str(), quoted when it holds a comma, a
+    quote or a line break."""
+    if isinstance(v, float):
+        return repr(float(v))
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header line and the rows, each line ending in "\\n".
+
+    `rows` is a list of rows, or a 2-D numeric array, which is formatted in
+    one `%r` pass over its Python scalars (whose repr is their CSV text).
+    """
+    text = ",".join(map(_csv_cell, header)) + "\n"
+    if isinstance(rows, np.ndarray):
+        n, m = rows.shape
+        text += ((",".join(["%r"] * m) + "\n") * n) % tuple(
+            rows.ravel().tolist())
+    else:
+        text += "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    path.write_text(text, newline="")
 
 
 def _svg_loglog(path: Path, xs, series: dict[str, list[float]]) -> None:
@@ -111,12 +129,10 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     system = assemble_B(mesh, p, cfg.auto_n_max())
     sol = solve(system, assemble_load(mesh, src),
                 metadata={"omega": p.omega, "n_max": system.n_max})
-    rows = [[float(x1), float(x2),
-             float(np.real(u[0])), float(np.imag(u[0])),
-             float(np.real(u[1])), float(np.imag(u[1]))]
-            for (x1, x2), u in zip(mesh.nodes, sol.values)]
+    # (re, im) view of the complex (n_nodes, 2) values: re_u1 im_u1 re_u2 im_u2
+    table = np.column_stack([mesh.nodes, sol.values.view(float)])
     _write_csv(out / "solution.csv",
-               ["x1", "x2", "re_u1", "im_u1", "re_u2", "im_u2"], rows)
+               ["x1", "x2", "re_u1", "im_u1", "re_u2", "im_u2"], table)
     n = sol.norms
     _write_csv(out / "norms.csv",
                ["omega", "h", "l2", "h1", "d2", "trace_l2_top"],
@@ -215,7 +231,10 @@ def _deterministic_anchor(cfg: RunConfig, p, mesh, profile) -> float:
     """Envelope constant calibrated on the unperturbed deterministic solve."""
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     system = assemble_B(mesh, p, cfg.auto_n_max())
-    sol = solve(system, assemble_load(mesh, src))
+    # pinned like the samples, so checks.csv does not depend on the BLAS
+    # thread setting either
+    with montecarlo._single_thread_blas:
+        sol = solve(system, assemble_load(mesh, src))
     gn = verify.source_norms(mesh, src)["h1"]
     denom = ((profile.h + 2.0 - profile.m) ** 2
              * (profile.c4 + profile.c5 + profile.c6) ** 2 * gn ** 2)

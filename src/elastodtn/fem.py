@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,28 +52,37 @@ __all__ = [
 ]
 
 
+def _elastic_element_matrices(w: np.ndarray, g: np.ndarray, mm: np.ndarray,
+                              lam: float, mu: float):
+    """Element (stiffness, mass), shape (nt, 6, 6), from the rule weights w
+    (nt, nq), the gradients g (nt, nq, 6) flattened to (vertex i, direction
+    a) -> 2i + a, and the scalar mass blocks mm (nt, 3, 3).
+
+    The weighted product (w g)^T g holds int grad_i[a] grad_j[b] in the
+    local dof layout (vertex k, component a) -> 2k + a.
+    """
+    nt = w.shape[0]
+    gij = np.matmul((w[:, :, None] * g).transpose(0, 2, 1), g)
+    k = (lam + mu) * gij.reshape(nt, 3, 2, 3, 2)
+    gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
+    m = np.zeros((nt, 3, 2, 3, 2))
+    for a in range(2):
+        k[:, :, a, :, a] += mu * gg
+        m[:, :, a, :, a] = mm
+    return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
+
+
 def element_matrices(quad: Quadrature, lam: float, mu: float):
     """Vectorized (stiffness, mass) element matrices, shape (nt, 6, 6).
 
-    Local dof order is (vertex k, component a) -> 2k + a.  Exact for P1:
-    the stiffness integrand is constant and the mass integrand quadratic.
+    Exact for P1: the gradients are constant (a one-point rule with the
+    area as weight) and the mass has the closed form area (1 + d_ij) / 12.
     """
-    area, g = quad.area, quad.grads
-
-    gg = np.einsum("tia,tja->tij", g, g)          # grad_i . grad_j
-    gij = np.einsum("tia,tjb->tiajb", g, g)       # grad_i[a] grad_j[b]
-    nt = area.shape[0]
-    k = np.zeros((nt, 3, 2, 3, 2))
-    for a in range(2):
-        k[:, :, a, :, a] += mu * gg
-    k += (lam + mu) * gij
-    k *= area[:, None, None, None, None]
-
+    area = quad.area
     m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m = np.zeros((nt, 3, 2, 3, 2))
-    for a in range(2):
-        m[:, :, a, :, a] = area[:, None, None] * m_scalar
-    return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
+    return _elastic_element_matrices(
+        area[:, None], quad.grads.reshape(-1, 1, 6),
+        area[:, None, None] * m_scalar, lam, mu)
 
 
 @dataclass(frozen=True)
@@ -136,23 +146,15 @@ def map_quadrature(quad: Quadrature, dmap: DomainMap) -> MappedQuadrature:
 def transformed_element_matrices(mq: MappedQuadrature, lam: float, mu: float):
     """Element (stiffness, mass) for the pulled-back form, shape (nt, 6, 6).
 
-    Gradients transform as G = inv(J)^T grad(phi); every term carries det J.
-    With G flattened to (vertex i, direction a) -> 2i + a, the weighted
-    product (w G)^T G holds grad_i[a] grad_j[b] in the local dof layout.
+    Gradients transform as G = inv(J)^T grad(phi); every term carries det J
+    through the weights.
     """
     bary, _ = DEGREE5_RULE
     wdet = mq.weights
     nt, nq = wdet.shape
-    G = mq.physical_gradient(mq.quad.grads[:, None]).reshape(nt, nq, 6)
-    gij = np.matmul((wdet[:, :, None] * G).transpose(0, 2, 1), G)
-    k = (lam + mu) * gij.reshape(nt, 3, 2, 3, 2)
-    gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
+    g = mq.physical_gradient(mq.quad.grads[:, None]).reshape(nt, nq, 6)
     mm = wdet @ (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
-    m = np.zeros((nt, 3, 2, 3, 2))
-    for a in range(2):
-        k[:, :, a, :, a] += mu * gg
-        m[:, :, a, :, a] = mm.reshape(nt, 3, 3)
-    return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
+    return _elastic_element_matrices(wdet, g, mm.reshape(nt, 3, 3), lam, mu)
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,14 @@ class FieldSolution:
     values: np.ndarray                # (n_nodes, 2) complex
     norms: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """`element_gradients` of the values, computed on first use and
+        shared (read-only) by every later reader."""
+        g = element_gradients(self.mesh, self.values)
+        g.setflags(write=False)
+        return g
 
 
 def _sum_at(positions: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -361,7 +371,7 @@ def norms(sol: FieldSolution) -> dict:
     ssum = np.abs(np.sum(vals, axis=1)) ** 2
     ssq = np.sum(np.abs(vals) ** 2, axis=1)
     l2_sq = float(np.sum(area[:, None] / 12.0 * (ssum + ssq)))
-    gu = element_gradients(mesh, sol.values)
+    gu = sol.gradients
     semi_sq = float(np.sum(area[:, None, None] * np.abs(gu) ** 2))
     d2_sq = float(np.sum(area[:, None] * np.abs(gu[:, :, 1]) ** 2))
 

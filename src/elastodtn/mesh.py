@@ -235,19 +235,31 @@ class Mesh:
         the single node that represents both the x1=0 and x1=period sides of
         its row.
         """
-        lines = []
-        for k, (x1, x2) in enumerate(self.nodes):
-            lines.append(f"node\t{k}\t{x1!r}\t{x2!r}")
-        for k, (a, b, c) in enumerate(self.triangles):
-            lines.append(f"tri\t{k}\t{a}\t{b}\t{c}")
-        for i in range(self.nx):
-            a, b = self.surface_nodes[i], self.surface_nodes[(i + 1) % self.nx]
-            lines.append(f"edge\t{SURFACE}\t{a}\t{b}")
-            a, b = self.top_nodes[i], self.top_nodes[(i + 1) % self.nx]
-            lines.append(f"edge\t{TOP}\t{a}\t{b}")
-        for j in range(self.ny + 1):
-            lines.append(f"edge\t{PERIODIC_PAIR}\t{j * self.nx}\t{j * self.nx}")
-        return "\n".join(lines) + "\n"
+        nx, ny = self.nx, self.ny
+        s, t = self.surface_nodes, self.top_nodes
+        rows = np.arange(ny + 1) * nx
+        return (_records("node\t%d\t%r\t%r",
+                         np.arange(self.n_nodes), *self.nodes.T)
+                + _records("tri\t%d\t%d\t%d\t%d",
+                           np.arange(len(self.triangles)), *self.triangles.T)
+                + _records("edge\t%s\t%d\t%d", [SURFACE, TOP] * nx,
+                           np.stack([s, t], axis=1).ravel(),
+                           np.stack([np.roll(s, -1), np.roll(t, -1)],
+                                    axis=1).ravel())
+                + _records("edge\t%s\t%d\t%d", [PERIODIC_PAIR] * (ny + 1),
+                           rows, rows))
+
+
+def _records(fmt: str, *columns) -> str:
+    """One line `fmt % row` per row of the columns, in one formatting pass.
+
+    The cells become Python scalars first, so `%r` prints a float as its
+    plain shortest repr (a numpy scalar would print as `np.float64(...)`).
+    """
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, col in enumerate(columns):
+        table[:, j] = col
+    return ((fmt + "\n") * len(table)) % tuple(table.ravel().tolist())
 
 
 def build_mesh(f: SurfaceFn, h: float, nx: int, ny: int) -> Mesh:

@@ -9,7 +9,8 @@ variables on the same quadrature points.  Samples are pure functions of
 
 The sample loop runs with every loaded OpenBLAS pinned to one thread: the
 sample threads then do not oversubscribe the cores, and the LU factors (so
-the ensemble's bytes) do not depend on the BLAS thread setting.  Other BLAS
+the ensemble's bytes) do not depend on the BLAS thread setting.  The CLI
+solves the ensemble's deterministic anchor under the same pin.  Other BLAS
 vendors are left as they are.
 """
 
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
 from .errors import ElastoDtnError, EnsembleError, ParameterError
 from .fem import (
+    FieldSolution,
     MappedQuadrature,
     assemble_B_transformed,
     assemble_load_transformed,
@@ -146,13 +147,12 @@ def _norm_equivalence_kappa(mq: MappedQuadrature) -> float:
     return float(max(kappa_a, kappa_b))
 
 
-def pushforward_h1_sq(mesh: Mesh, values: np.ndarray,
-                      mq: MappedQuadrature) -> float:
+def pushforward_h1_sq(sol: FieldSolution, mq: MappedQuadrature) -> float:
     """||u*||^2_{H1} on the image strip by change of variables:
-    int [sum_a |invJ^T grad u~_a|^2 + |u~|^2] det J dy."""
-    uh = mq.quad.interpolate(np.asarray(values, dtype=complex)[mesh.triangles])
-    gu = fem.element_gradients(mesh, values)                 # (nt, 2, 2)
-    g = mq.physical_gradient(gu[:, None])                    # (nt, nq, 2, 2)
+    int [sum_a |invJ^T grad u~_a|^2 + |u~|^2] det J dy, with the element
+    gradients the solution's norms already used."""
+    uh = mq.quad.interpolate(sol.values[sol.mesh.triangles])
+    g = mq.physical_gradient(sol.gradients[:, None])         # (nt, nq, 2, 2)
     return float(mq.integral(np.abs(g) ** 2) + mq.integral(np.abs(uh) ** 2))
 
 
@@ -195,7 +195,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     return {
         "index": index,
         "u_h1_sq": sol.norms["h1"] ** 2,
-        "u_ref_h1_sq": pushforward_h1_sq(mesh_ref, sol.values, mq),
+        "u_ref_h1_sq": pushforward_h1_sq(sol, mq),
         "g_h1_sq": pullback_source_h1_sq(g_eta, mq, g_values),
         "min_detJ": min_detj,
         "kappa": _norm_equivalence_kappa(mq),

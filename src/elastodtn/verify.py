@@ -435,7 +435,7 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams,
 
     top = sol.values[mesh.top_nodes]
     u_mid = 0.5 * (top + np.roll(top, -1, axis=0))
-    gu = fem.element_gradients(mesh, sol.values)[mesh.top_edge_triangles()]
+    gu = sol.gradients[mesh.top_edge_triangles()]
     lhs = float(np.sum(_rellich_integrand(tu_mid, u_mid, gu, p)) * dx)
 
     q = mesh.quadrature
@@ -478,7 +478,7 @@ def trace_bound_check(sol: FieldSolution, g, p: ElasticParams,
                       profile: BoundProfile) -> dict:
     """||div u||^2 + ||curl u||^2 on the surface vs the c1-shaped bound."""
     mesh = sol.mesh
-    gu = fem.element_gradients(mesh, sol.values)[mesh.surface_edge_triangles()]
+    gu = sol.gradients[mesh.surface_edge_triangles()]
     div = gu[:, 0, 0] + gu[:, 1, 1]
     curl = gu[:, 1, 0] - gu[:, 0, 1]
     x1 = mesh.nodes[mesh.surface_nodes, 0]

@@ -2,11 +2,16 @@
 
 import csv
 
+import numpy as np
 import pytest
 
+from elastodtn import cli
 from elastodtn.cli import main, run_command
 from elastodtn.config import RunConfig, default_config, load_config, resolved_text
 from elastodtn.errors import ConfigError
+from elastodtn.fem import assemble_B, assemble_load, solve
+from elastodtn.mesh import build_mesh
+from elastodtn.model import make_source
 
 
 def _write(path, text):
@@ -86,6 +91,93 @@ class TestSolveCommand:
         assert set(nrows[0]) == {"omega", "h", "l2", "h1", "d2",
                                  "trace_l2_top"}
         assert float(nrows[0]["h1"]) > 0.0
+
+
+    def test_mesh_nodes_carry_the_solution_coordinates(self, tmp_path):
+        cfg = default_config()
+        assert run_command(cfg, str(tmp_path)) == 0
+        lines = (tmp_path / "mesh.txt").read_text().splitlines()
+        nx, ny = cfg.nx, cfg.ny
+        assert len(lines) == (nx * (ny + 1) + 2 * nx * ny + 2 * nx
+                              + (ny + 1))
+        nodes = [ln.split("\t") for ln in lines if ln.startswith("node\t")]
+        with open(tmp_path / "solution.csv") as fh:
+            coords = [row[:2] for row in list(csv.reader(fh))[1:]]
+        assert len(nodes) == len(coords) == nx * (ny + 1)
+        for k, (fields, xy) in enumerate(zip(nodes, coords)):
+            assert len(fields) == 4 and fields[1] == str(k)
+            assert [float(v) for v in fields[2:]] == [float(v) for v in xy]
+            assert fields[2:] == xy
+        assert "np." not in (tmp_path / "mesh.txt").read_text()
+
+
+def _reference_write_csv(path, header, rows):
+    """The csv.writer writer that _write_csv replaced: the byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in row])
+
+
+class TestCsvWriter:
+    """_write_csv against the csv.writer + repr writer it replaced."""
+
+    def test_solution_csv_equals_reference_writer(self, tmp_path):
+        cfg = default_config()
+        assert run_command(cfg, str(tmp_path / "new")) == 0
+        p, geom = cfg.make_params(), cfg.make_geometry()
+        mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
+        src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+        sol = solve(assemble_B(mesh, p, cfg.auto_n_max()),
+                    assemble_load(mesh, src))
+        rows = [[float(x1), float(x2),
+                 float(np.real(u[0])), float(np.imag(u[0])),
+                 float(np.real(u[1])), float(np.imag(u[1]))]
+                for (x1, x2), u in zip(mesh.nodes, sol.values)]
+        _reference_write_csv(tmp_path / "ref.csv",
+                             ["x1", "x2", "re_u1", "im_u1", "re_u2", "im_u2"],
+                             rows)
+        assert (tmp_path / "new" / "solution.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_edge_cells_equal_reference_writer(self, tmp_path):
+        floats = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -1.5e-300, 2.0]
+        header = ["a", "b", "c", "d", "e", "f", "g"]
+        mixed = [[7, True, np.bool_(False), "name", "a,b", 'say "hi"', -3],
+                 floats]
+        for name, rows in (("mixed", mixed),
+                           ("array", np.array([floats, floats[::-1]]))):
+            cli._write_csv(tmp_path / f"{name}.csv", header, rows)
+            ref_rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+            _reference_write_csv(tmp_path / f"{name}_ref.csv", header,
+                                 ref_rows)
+            assert (tmp_path / f"{name}.csv").read_bytes() == \
+                (tmp_path / f"{name}_ref.csv").read_bytes()
+
+    def test_numpy_float_cells_print_as_plain_floats(self, tmp_path):
+        cli._write_csv(tmp_path / "f.csv", ["x"], [[np.float64(0.1)]])
+        assert (tmp_path / "f.csv").read_text() == "x\n0.1\n"
+
+    @pytest.mark.parametrize("cfg, names", [
+        (RunConfig(), ("norms.csv",)),
+        (RunConfig(command="mms"), ("mms.csv", "checks.csv")),
+        (RunConfig(command="sweep-omega", omega_list=(2.0, 2.83, 4.0)),
+         ("sweep.csv", "checks.csv")),
+        (RunConfig(command="ensemble", N=2, nx=16, ny=24),
+         ("ensemble.csv", "checks.csv")),
+        (RunConfig(command="verify-all"), ("checks.csv",)),
+    ], ids=["solve", "mms", "sweep-omega", "ensemble", "verify-all"])
+    def test_command_artifacts_equal_reference_writer(self, tmp_path,
+                                                       monkeypatch, cfg,
+                                                       names):
+        assert run_command(cfg, str(tmp_path / "new")) == 0
+        monkeypatch.setattr(cli, "_write_csv", _reference_write_csv)
+        assert run_command(cfg, str(tmp_path / "ref")) == 0
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes(), name
 
 
 class TestSweepCommand:

@@ -316,6 +316,24 @@ def _einsum_element_matrices(mq, lam, mu):
     return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
 
 
+def _einsum_plain_element_matrices(quad, lam, mu):
+    """Reference: plain element matrices by two-operand einsum outer
+    products scaled by the area."""
+    area, g = quad.area, quad.grads
+    nt = area.shape[0]
+    gg = np.einsum("tia,tja->tij", g, g)
+    k = np.zeros((nt, 3, 2, 3, 2))
+    for a in range(2):
+        k[:, :, a, :, a] += mu * gg
+    k += (lam + mu) * np.einsum("tia,tjb->tiajb", g, g)
+    k *= area[:, None, None, None, None]
+    m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    m = np.zeros((nt, 3, 2, 3, 2))
+    for a in range(2):
+        m[:, :, a, :, a] = area[:, None, None] * m_scalar
+    return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
+
+
 def _reference_dofs(mesh):
     """(nt, 6) free-vector dof of local dof 2i + a, -1 on surface nodes."""
     pos = -np.ones(mesh.n_nodes, dtype=np.int64)
@@ -342,6 +360,13 @@ class TestAssemblyPattern:
         mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
         k, m = transformed_element_matrices(mq, 1.3, 0.7)
         k_ref, m_ref = _einsum_element_matrices(mq, 1.3, 0.7)
+        assert _rel_gap(k, k_ref) <= 1e-14
+        assert _rel_gap(m, m_ref) <= 1e-14
+
+    def test_matmul_plain_element_matrices_equal_einsum(self, wavy_geom):
+        quad = build_mesh(wavy_geom.surface, wavy_geom.h, 24, 16).quadrature
+        k, m = element_matrices(quad, 1.3, 0.7)
+        k_ref, m_ref = _einsum_plain_element_matrices(quad, 1.3, 0.7)
         assert _rel_gap(k, k_ref) <= 1e-14
         assert _rel_gap(m, m_ref) <= 1e-14
 

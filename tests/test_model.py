@@ -239,9 +239,15 @@ class TestRandomSurface:
 
     def test_cross_process_determinism(self):
         # two fresh interpreters produce identical bytes for the same draw
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH")]))
         snippet = (
             "import numpy as np\n"
             "from elastodtn.model import RandomSurfaceModel, flat_surface, "
@@ -252,7 +258,7 @@ class TestRandomSurface:
             "s = sample_surface(m, 7)\n"
             "print(s.f(np.linspace(0, 1, 64)).tobytes().hex())\n"
         )
-        outs = [subprocess.run([sys.executable, "-c", snippet],
+        outs = [subprocess.run([sys.executable, "-c", snippet], env=env,
                                capture_output=True, text=True, check=True)
                 .stdout for _ in range(2)]
         assert outs[0] == outs[1]

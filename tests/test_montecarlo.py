@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elastodtn import cli, montecarlo
+from elastodtn import cli, fem, montecarlo
 from elastodtn.errors import EnsembleError, ParameterError
 from elastodtn.fem import assemble_B, assemble_load, solve
 from elastodtn.mesh import build_mesh
@@ -68,6 +68,20 @@ class TestRunSample:
             k = rec["kappa"]
             assert rec["u_h1_sq"] <= k * rec["u_ref_h1_sq"] * (1 + 1e-12)
             assert rec["u_ref_h1_sq"] <= k * rec["u_h1_sq"] * (1 + 1e-12)
+
+    def test_element_gradients_once_per_sample(
+            self, surface_model, source_spec, params2, mesh_ref,
+            monkeypatch):
+        calls = []
+        gradients = fem.element_gradients
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gradients(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "element_gradients", counting)
+        run_sample(surface_model, source_spec, params2, mesh_ref, 1)
+        assert len(calls) == 1
 
     def test_negative_index_rejected(self, surface_model, source_spec,
                                      params2, mesh_ref):
@@ -142,7 +156,9 @@ N = {n}
 """
 
 
-def _ensemble_csv_subprocess(tmp_path, blas_threads: str) -> bytes:
+def _ensemble_subprocess(tmp_path, blas_threads: str) -> dict:
+    """ensemble.csv and checks.csv of a CLI run with the given
+    OPENBLAS_NUM_THREADS."""
     cfg = tmp_path / "ens.cfg"
     cfg.write_text(ENSEMBLE_CFG.format(n=2))
     out = tmp_path / f"blas{blas_threads}"
@@ -155,7 +171,8 @@ def _ensemble_csv_subprocess(tmp_path, blas_threads: str) -> bytes:
          str(cfg), "--out", str(out), "--parallelism", "1"],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return (out / "ensemble.csv").read_bytes()
+    return {name: (out / name).read_bytes()
+            for name in ("ensemble.csv", "checks.csv")}
 
 
 def _blas_threads(controls) -> list:
@@ -179,14 +196,17 @@ def openblas_at_two():
 
 
 class TestDeterminismContract:
-    """ensemble.csv is byte-identical at any parallelism and any OpenBLAS
-    thread setting: the samples run with OpenBLAS pinned to one thread."""
+    """ensemble.csv and checks.csv are byte-identical at any parallelism and
+    any OpenBLAS thread setting: the samples and the anchor solve run with
+    OpenBLAS pinned to one thread."""
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
-        one = _ensemble_csv_subprocess(tmp_path, "1")
-        two = _ensemble_csv_subprocess(tmp_path, "2")
-        assert one.count(b"\n") == 3
-        assert one == two
+        one = _ensemble_subprocess(tmp_path, "1")
+        two = _ensemble_subprocess(tmp_path, "2")
+        assert one["ensemble.csv"].count(b"\n") == 3
+        assert one["ensemble.csv"] == two["ensemble.csv"]
+        assert one["checks.csv"].count(b"\n") == 2
+        assert one["checks.csv"] == two["checks.csv"]
 
     def test_bytes_independent_of_parallelism(self, tmp_path):
         cfg = tmp_path / "ens.cfg"
