@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dtn, fem, montecarlo, verify
+from . import dtn, montecarlo, verify
 from .config import RunConfig, load_config, resolved_text
 from .errors import ConfigError, ElastoDtnError, GeometryError
 from .fem import assemble_B, assemble_load, solve
@@ -55,13 +55,14 @@ def _csv_cell(v) -> str:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write a header line and the rows, each line ending in "\\n".
 
-    `rows` is a list of rows, or a 2-D numeric array, which is formatted in
-    one `%r` pass over its Python scalars (whose repr is their CSV text).
+    `rows` is a list of rows, or a 2-D array of floats and cell text, which
+    is formatted in one `%s` pass over its Python scalars (the str of a
+    Python float is its repr, its CSV text).
     """
     text = ",".join(map(_csv_cell, header)) + "\n"
     if isinstance(rows, np.ndarray):
         n, m = rows.shape
-        text += ((",".join(["%r"] * m) + "\n") * n) % tuple(
+        text += ((",".join(["%s"] * m) + "\n") * n) % tuple(
             rows.ravel().tolist())
     else:
         text += "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
@@ -129,15 +130,17 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     system = assemble_B(mesh, p, cfg.auto_n_max())
     sol = solve(system, assemble_load(mesh, src),
                 metadata={"omega": p.omega, "n_max": system.n_max})
-    # (re, im) view of the complex (n_nodes, 2) values: re_u1 im_u1 re_u2 im_u2
-    table = np.column_stack([mesh.nodes, sol.values.view(float)])
+    # the node coordinates' text, shared with mesh.txt, then the (re, im)
+    # view of the complex (n_nodes, 2) values: re_u1 im_u1 re_u2 im_u2
+    xy = mesh.node_text()
+    table = np.column_stack([xy, sol.values.view(float)])
     _write_csv(out / "solution.csv",
                ["x1", "x2", "re_u1", "im_u1", "re_u2", "im_u2"], table)
     n = sol.norms
     _write_csv(out / "norms.csv",
                ["omega", "h", "l2", "h1", "d2", "trace_l2_top"],
                [[p.omega, cfg.h, n["l2"], n["h1"], n["d2"], n["trace_l2_top"]]])
-    (out / "mesh.txt").write_text(mesh.dump())
+    (out / "mesh.txt").write_text(mesh.dump(xy))
     return 0
 
 
@@ -304,9 +307,8 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     hm = cfg.h - cfg.m
     bound = hm / math.sqrt(2.0) * (1.0 + 5.0 * mesh.meshsize())
     worst = 0.0
-    for vec in verify._random_unit_fields(mesh, 20, cfg.seed):
-        worst = max(worst, poincare_check(
-            fem.FieldSolution(mesh=mesh, values=vec)))
+    for field in verify._random_unit_fields(mesh, 20, cfg.seed):
+        worst = max(worst, poincare_check(field))
     checks.append(["poincare_random", worst, bound, worst <= bound, 0.0])
 
     # pullback identity on one sampled map

@@ -246,8 +246,9 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
     w = np.exp(1j * np.outer(xis, xk))                 # (n_modes, nx)
     c = per * _sinc2(math.pi * ns / nx) ** 2 / nx ** 2
     cwm = (c[:, None] * w)[:, :, None, None] * m[:, None]   # c_n w_n[i] M_n
-    block = np.einsum("niab,nj->iajb", cwm, np.conj(w))
-    return block.reshape(2 * nx, 2 * nx)
+    block = cwm.reshape(ns.size, 4 * nx).T @ np.conj(w)     # (i a b, j)
+    return block.reshape(nx, 2, 2, nx).transpose(0, 1, 3, 2).reshape(
+        2 * nx, 2 * nx)
 
 
 def assemble_B(mesh: Mesh, p: ElasticParams, n_max: int) -> SparseSystem:

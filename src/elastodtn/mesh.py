@@ -228,18 +228,24 @@ class Mesh:
         i = np.arange(self.nx)
         return 2 * (i * self.ny + 0)
 
-    def dump(self) -> str:
+    def node_text(self) -> np.ndarray:
+        """(n_nodes, 2) object array of the shortest repr of each node
+        coordinate: the text of the node records."""
+        return np.array(list(map(repr, self.nodes.ravel().tolist())),
+                        dtype=object).reshape(self.nodes.shape)
+
+    def dump(self, node_text: np.ndarray | None = None) -> str:
         """Tab-separated plain-text listing: nodes, triangles, tagged edges.
 
         Lateral boundaries are identified, so each PERIODIC_PAIR record names
         the single node that represents both the x1=0 and x1=period sides of
-        its row.
+        its row.  A caller that has `node_text()` already passes it.
         """
         nx, ny = self.nx, self.ny
         s, t = self.surface_nodes, self.top_nodes
         rows = np.arange(ny + 1) * nx
-        return (_records("node\t%d\t%r\t%r",
-                         np.arange(self.n_nodes), *self.nodes.T)
+        xy = self.node_text() if node_text is None else node_text
+        return (_records("node\t%d\t%s\t%s", np.arange(self.n_nodes), *xy.T)
                 + _records("tri\t%d\t%d\t%d\t%d",
                            np.arange(len(self.triangles)), *self.triangles.T)
                 + _records("edge\t%s\t%d\t%d", [SURFACE, TOP] * nx,

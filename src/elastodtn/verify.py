@@ -25,7 +25,6 @@ from .dtn import (
 from .errors import InternalError, MmsError, SweepError
 from .fem import (
     FieldSolution,
-    MappedQuadrature,
     assemble_B,
     assemble_B_transformed,
     assemble_load,
@@ -550,58 +549,62 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
 
 class TrigPolyField:
     """Random smooth periodic test field: a vertical C^2 window times a small
-    trigonometric polynomial in x1 with quadratic x2 modulation."""
+    trigonometric polynomial in x1 with quadratic x2 modulation.
+
+    `basis(pts)` holds what depends on the points alone; every field with
+    the same period, window, x2_ref and harmonic count samples from it.
+    """
 
     def __init__(self, period: float, chi, seed: int,
                  n_harmonics: int = 2, x2_ref: float = 0.0):
         self.period = float(period)
         self.chi = chi
         self.x2_ref = float(x2_ref)
+        self.n_harmonics = n_harmonics
         gen = np.random.Generator(np.random.Philox(key=np.array(
             [seed % (1 << 64), 0xF1E1D], dtype=np.uint64)))
         ks = np.arange(-n_harmonics, n_harmonics + 1)
-        self.ks = 2.0 * math.pi * ks / self.period
         shape = (2, ks.size, 3)  # component, harmonic, x2-power
         self.coef = (gen.standard_normal(shape)
                      + 1j * gen.standard_normal(shape)) / (ks.size * 3.0)
-        # harmonic-major coefficients (k, (a, p)) of the field and of its
-        # x1-derivative, so one product with exp(i ks x1) contracts them
-        self._coef_k = self.coef.transpose(1, 0, 2).reshape(ks.size, 6)
-        self._coef_k_dx = 1j * self.ks[:, None] * self._coef_k
+        # coefficient rows (p, a) of the field and of its x1-derivative, so
+        # one product with the harmonics contracts them
+        self._coef = self.coef.transpose(2, 0, 1).reshape(6, ks.size)
+        self._coef_dx = (2j * math.pi / self.period) * ks * self._coef
 
-    def _harmonics(self, x1):
-        return np.exp(1j * np.multiply.outer(x1, self.ks))        # (..., nk)
+    def basis(self, pts) -> tuple:
+        """(e, z, chi, chi') at the flattened points: the harmonics e
+        (nk, nq) for k = -n..n as powers of exp(2 pi i x1 / period) with
+        e_{-k} = conj(e_k); z = x2 - x2_ref and the window, each (2 nq,),
+        every value twice to scale the (re, im) float view of complex rows."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        x1, x2 = pts[:, 0], pts[:, 1]
+        n = self.n_harmonics
+        e = np.empty((2 * n + 1, x1.size), dtype=complex)
+        e[n] = 1.0
+        e1 = np.exp((2j * math.pi / self.period) * x1)
+        for k in range(n):
+            e[n + k + 1] = e[n + k] * e1
+        e[:n] = np.conj(e[:n:-1])
+        return (e, *(np.repeat(a, 2) for a in
+                     (x2 - self.x2_ref, self.chi.value(x2), self.chi.d1(x2))))
 
-    @staticmethod
-    def _contract(e, c):
-        """sum_k e_k c[k, (a, p)], shape (..., 2, 3)."""
-        return (e @ c).reshape(e.shape[:-1] + (2, 3))
+    def sample(self, basis) -> tuple[np.ndarray, np.ndarray]:
+        """Values (nq, 2) and gradients (nq, 2, 2), [a, b] = d u_a / d x_b,
+        at the points of a basis, as views of component-major arrays."""
+        e, z, ch, dch = basis
 
-    @staticmethod
-    def _poly(t, z):
-        """sum_p t[..., a, p] z^p for z (..., 1)."""
-        return t[..., 0] + z * (t[..., 1] + z * t[..., 2])
+        def poly(t):  # sum_p t[(p, a)] z^p on the (re, im) float view
+            return t[0:2] + z * (t[2:4] + z * t[4:6])
 
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        t = self._contract(self._harmonics(x1), self._coef_k)
-        base = self._poly(t, (x2 - self.x2_ref)[..., None])
-        return self.chi.value(x2)[..., None] * base
-
-    def grad(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        e = self._harmonics(x1)
-        z = (x2 - self.x2_ref)[..., None]
-        ch = self.chi.value(x2)[..., None]
-        out = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
-        out[..., 0] = ch * self._poly(self._contract(e, self._coef_k_dx), z)
-        t = self._contract(e, self._coef_k)
-        del e  # the largest temporary: release it before the last products
-        out[..., 1] = (ch * (t[..., 1] + 2.0 * z * t[..., 2])
-                       + self.chi.d1(x2)[..., None] * self._poly(t, z))
-        return out
+        t = (self._coef @ e).view(float)                  # (6, 2 nq)
+        val = poly(t)
+        grad = np.empty((2, 2, z.size))                   # (b, a, 2 nq)
+        grad[1] = ch * (t[2:4] + 2.0 * z * t[4:6]) + dch * val
+        del t  # release it before the x1-derivative's rows are formed
+        grad[0] = ch * poly((self._coef_dx @ e).view(float))
+        val *= ch
+        return val.view(complex).T, grad.view(complex).transpose(2, 1, 0)
 
 
 def _dtn_pairing(u_top: np.ndarray, v_top: np.ndarray, period: float,
@@ -617,44 +620,17 @@ def _dtn_pairing(u_top: np.ndarray, v_top: np.ndarray, period: float,
     return complex(period * np.sum(beta * beta * pair))
 
 
-def _quad_form(mesh: Mesh, p: ElasticParams, rule, sample, u, v,
-               n_max: int) -> complex:
-    """B(u, v) by quadrature: sample(field) gives (values, gradients) at the
-    points of rule, which integrates them; the DtN term pairs the samples of
-    u and v on the top line of mesh."""
-    uv, ug = sample(u)
-    vv, vg = (np.conj(a) for a in sample(v))
-    term_mu = p.mu * rule.integral(ug * vg)
-    div_u = ug[..., 0, 0] + ug[..., 1, 1]
-    div_v = vg[..., 0, 0] + vg[..., 1, 1]
-    term_div = (p.lam + p.mu) * rule.integral(div_u * div_v)
-    term_mass = -p.omega ** 2 * rule.integral(uv * vv)
-    top_pts = np.stack([mesh.nodes[mesh.top_nodes, 0],
-                        np.full(mesh.nx, mesh.h)], axis=-1)
-    dtn = _dtn_pairing(u.value(top_pts), v.value(top_pts),
-                       mesh.period, p, n_max)
-    return complex(term_mu + term_div + term_mass - dtn)
-
-
-def _quad_form_plain(mesh: Mesh, p: ElasticParams, u, v, n_max: int) -> complex:
-    q = mesh.quadrature
-    return _quad_form(mesh, p, q,
-                      lambda f: (f.value(q.points), f.grad(q.points)),
-                      u, v, n_max)
-
-
-def _quad_form_transformed(mesh_ref: Mesh, p: ElasticParams,
-                           mq: MappedQuadrature, u, v, n_max: int) -> complex:
-    """B_c(u~, v~) by quadrature, with u~ = u o H evaluated analytically:
-    values at H(y), gradients invJ^T D_y(u o H).
-
-    H fixes the top line, so samples of u~ there equal samples of u.
-    """
-    def sample(f):
-        grad = mq.pullback_gradient(f.grad(mq.points))
-        return f.value(mq.points), mq.physical_gradient(grad)
-
-    return _quad_form(mesh_ref, p, mq, sample, u, v, n_max)
+def _domain_form(p: ElasticParams, rule, u, v) -> complex:
+    """Domain part of B(u, v) by the quadrature rule from the samples
+    (values, gradients) of u and v at its points."""
+    uv, ug = u
+    vv, vg = (np.conj(a) for a in v)
+    div_u = ug[:, 0, 0] + ug[:, 1, 1]
+    div_v = vg[:, 0, 0] + vg[:, 1, 1]
+    integrand = (p.mu * np.sum(ug * vg, axis=(1, 2))
+                 + (p.lam + p.mu) * div_u * div_v
+                 - p.omega ** 2 * np.sum(uv * vv, axis=1))
+    return complex(rule.integral(integrand))
 
 
 def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
@@ -665,6 +641,11 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     reference domain for random smooth test pairs; also the load pair when a
     source is given.  Returns the max absolute discrepancies.
 
+    The mapped side samples the fields at the mapped mesh's points; the
+    reference side samples u~ = u o H analytically: values at H(y),
+    gradients invJ^T D_y(u o H).  H fixes the top line, so both sides share
+    the DtN pairing of the top-line samples.
+
     The cutoff ramp makes det J jump across the curves x2 = f0(x1) + delta
     and x2 = f0(x1) + ramp_end; quadrature across a jump is only first-order
     accurate, so the test fields are windowed to the band strictly between
@@ -673,7 +654,6 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     """
     h = dmap.f0.sup() + dmap.cutoff.gap
     mesh_ref = build_mesh(dmap.f0, h, nx, ny)
-    mesh_map = build_mesh(dmap.f_eta, h, nx, ny)
     per = dmap.f0.period
     x = np.linspace(0.0, per, 2048, endpoint=False)
     band_lo = max(float(np.max(dmap.f0.f(x))) + dmap.cutoff.delta,
@@ -682,30 +662,40 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     margin = 0.05 * (band_hi - band_lo)
     window = SmoothWindow(band_lo + margin, band_hi - margin)
 
-    mq = map_quadrature(mesh_ref.quadrature, dmap)
-    b_disc = 0.0
-    for t in range(n_trials):
-        u = TrigPolyField(per, window, seed=seed * 1000 + 2 * t,
-                          x2_ref=band_lo)
-        v = TrigPolyField(per, window, seed=seed * 1000 + 2 * t + 1,
-                          x2_ref=band_lo)
-        lhs = _quad_form_plain(mesh_map, p, u, v, n_max)
-        rhs = _quad_form_transformed(mesh_ref, p, mq, u, v, n_max)
-        b_disc = max(b_disc, abs(lhs - rhs))
+    def field(s):
+        return TrigPolyField(per, window, seed=seed * 1000 + s, x2_ref=band_lo)
 
-    g_disc = 0.0
-    if source is not None:
-        q_map = mesh_map.quadrature
-        g_map = source(q_map.points)
-        g_ref = source(mq.points)
-        for t in range(n_trials):
-            v = TrigPolyField(per, window, seed=seed * 1000 + 777 + t,
-                              x2_ref=band_lo)
-            # mapped side: -int g . conj(v)
-            lhs = -q_map.integral(g_map * np.conj(v.value(q_map.points)))
-            # reference side: -int (g o H) . conj(v o H) det J
-            rhs = -mq.integral(g_ref * np.conj(v.value(mq.points)))
-            g_disc = max(g_disc, abs(complex(lhs) - complex(rhs)))
+    pairs = [(field(2 * t), field(2 * t + 1)) for t in range(n_trials)]
+    loads = [field(777 + t) for t in range(n_trials)] if source is not None \
+        else []
+    family = field(0)  # builds the basis every test field samples from
+    top = family.basis(np.stack([mesh_ref.nodes[mesh_ref.top_nodes, 0],
+                                 np.full(nx, h)], axis=-1))
+    dtn = [_dtn_pairing(u.sample(top)[0], v.sample(top)[0], per, p, n_max)
+           for u, v in pairs]
+
+    def side(rule, gradient):
+        """The forms and the load pairings -int g . conj(v) on one side."""
+        basis = family.basis(rule.points)
+
+        def sample(f):
+            val, grad = f.sample(basis)
+            return val, gradient(grad)
+
+        forms = [_domain_form(p, rule, sample(u), sample(v)) - d
+                 for (u, v), d in zip(pairs, dtn)]
+        g = source(rule.points).reshape(-1, 2) if loads else None
+        return forms, [complex(-rule.integral(g * np.conj(f.sample(basis)[0])))
+                       for f in loads]
+
+    # each side keeps only its own rule alive
+    lhs = side(build_mesh(dmap.f_eta, h, nx, ny).quadrature, lambda g: g)
+    mq = map_quadrature(mesh_ref.quadrature, dmap)
+    del mesh_ref
+    rhs = side(mq, lambda g: mq.physical_gradient(mq.pullback_gradient(
+        g.reshape(mq.detj.shape + (2, 2)))).reshape(-1, 2, 2))
+    b_disc, g_disc = (max((abs(a - b) for a, b in zip(left, right)),
+                          default=0.0) for left, right in zip(lhs, rhs))
     return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
             "max_discrepancy": max(b_disc, g_disc)}
 
@@ -722,7 +712,8 @@ def surface_distance_1inf(fa, fb, period: float, n_samples: int = 10000) -> floa
 
 
 def _random_unit_fields(mesh: Mesh, count: int, seed: int):
-    """Random free-node fields normalized to unit H1 norm."""
+    """Random free-node fields normalized to unit H1 norm, as solutions
+    carrying their (scaled) norms."""
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [seed % (1 << 64), 0xBA7C4], dtype=np.uint64)))
     free = mesh.free_nodes
@@ -731,9 +722,10 @@ def _random_unit_fields(mesh: Mesh, count: int, seed: int):
         vec = np.zeros((mesh.n_nodes, 2), dtype=complex)
         vec[free] = gen.standard_normal((free.size, 2)) \
             + 1j * gen.standard_normal((free.size, 2))
-        h1 = fem.norms(FieldSolution(mesh=mesh, values=vec))["h1"]
-        vec /= h1
-        out.append(vec)
+        n = fem.norms(FieldSolution(mesh=mesh, values=vec))
+        vec /= n["h1"]
+        out.append(FieldSolution(mesh=mesh, values=vec, norms={
+            k: v / n["h1"] for k, v in n.items()}))
     return out
 
 
@@ -766,7 +758,8 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
     sol0 = solve(base, load0)
     fields = _random_unit_fields(mesh, n_batch, seed)
     pairs = [(fields[i], fields[(i + 1) % len(fields)]) for i in range(len(fields))]
-    uvecs = [(_free_vector(mesh, u), _free_vector(mesh, v)) for u, v in pairs]
+    uvecs = [(_free_vector(mesh, u.values), _free_vector(mesh, v.values))
+             for u, v in pairs]
 
     q = mesh.quadrature
     g0_vals = np.asarray(g0(q.points), dtype=complex)

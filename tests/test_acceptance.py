@@ -189,8 +189,8 @@ def test_criterion_06_poincare():
     hm = 1.4 - 0.2
     bound = hm / math.sqrt(2.0) * (1.0 + 5.0 * mesh.meshsize())
     worst = 0.0
-    for vec in _random_unit_fields(mesh, 100, seed=106):
-        worst = max(worst, poincare_check(FieldSolution(mesh=mesh, values=vec)))
+    for field in _random_unit_fields(mesh, 100, seed=106):
+        worst = max(worst, poincare_check(field))
     ok = worst <= bound
 
     # analytic profiles on a strip of unit height

@@ -8,8 +8,11 @@ import pytest
 from elastodtn.errors import InternalError, MmsError, SweepError
 from elastodtn.fem import (
     FieldSolution,
+    MappedQuadrature,
     assemble_B,
     assemble_load,
+    map_quadrature,
+    norms,
     solve,
 )
 from elastodtn.mesh import build_mesh
@@ -25,7 +28,9 @@ from elastodtn.model import (
 )
 from elastodtn.dtn import TraceCoefficients, gamma, projection_matrices, symbol_matrices
 from elastodtn.verify import (
+    SmoothWindow,
     SweepConfig,
+    TrigPolyField,
     UpgoingModesField,
     bound_profile,
     convergence_slopes,
@@ -245,9 +250,14 @@ class TestPoincare:
         from elastodtn.verify import _random_unit_fields
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 32)
         bound = (1.4 - 0.2) / math.sqrt(2.0) * (1 + 5 * mesh.meshsize())
-        for vec in _random_unit_fields(mesh, 30, seed=11):
-            ratio = poincare_check(FieldSolution(mesh=mesh, values=vec))
+        for field in _random_unit_fields(mesh, 30, seed=11):
+            ratio = poincare_check(field)
             assert ratio <= bound
+            # the carried norms are those of the normalized values
+            fresh = norms(FieldSolution(mesh=mesh, values=field.values))
+            assert fresh["h1"] == pytest.approx(1.0, rel=1e-12)
+            for key, value in fresh.items():
+                assert field.norms[key] == pytest.approx(value, rel=1e-12)
 
 
 class TestTraceBound:
@@ -344,13 +354,94 @@ class TestPullbackIdentity:
         assert fine["b_discrepancy"] < coarse["b_discrepancy"]
 
     def test_source_pair(self, params2, surface_model, bump):
-        from elastodtn.model import sample_surface
-        f_eta = sample_surface(surface_model, 1)
-        dmap = DomainMap(f0=surface_model.f0, f_eta=f_eta,
-                         cutoff=make_cutoff(0.1, 1.1))
-        r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48,
-                                    source=bump, n_max=8, seed=4)
+        r = pullback_identity_check(_sampled_map(surface_model), params2, 2,
+                                    nx=48, ny=48, source=bump, n_max=8,
+                                    seed=4)
         assert r["g_discrepancy"] < 1e-6
+
+    def test_dropped_jacobian_is_caught(self, params2, surface_model,
+                                        monkeypatch):
+        # negative control: the chain rule without its J factor must break
+        # the identity, or the check has become vacuous
+        dmap = _sampled_map(surface_model)
+        r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48,
+                                    n_max=8, seed=4)
+        assert r["b_discrepancy"] < 1e-6
+        monkeypatch.setattr(MappedQuadrature, "pullback_gradient",
+                            lambda self, gx: np.asarray(gx))
+        r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48,
+                                    n_max=8, seed=4)
+        assert r["b_discrepancy"] > 1e-6
+
+
+def _sampled_map(surface_model, index=1):
+    from elastodtn.model import sample_surface
+    return DomainMap(f0=surface_model.f0,
+                     f_eta=sample_surface(surface_model, index),
+                     cutoff=make_cutoff(0.1, 1.1))
+
+
+def _trig_reference(f, pts):
+    """TrigPolyField's values and gradients with one exp(i k x1) per
+    harmonic and einsum contractions, the per-harmonic reference form."""
+    x1, x2 = pts[..., 0], pts[..., 1]
+    n = f.n_harmonics
+    ks = 2.0 * math.pi * np.arange(-n, n + 1) / f.period
+    e = np.exp(1j * np.multiply.outer(x1, ks))
+    t = np.einsum("...k,akp->...ap", e, f.coef)
+    tdx = np.einsum("...k,akp->...ap", 1j * ks * e, f.coef)
+    z = (x2 - f.x2_ref)[..., None]
+
+    def poly(c):
+        return c[..., 0] + z * (c[..., 1] + z * c[..., 2])
+
+    ch = f.chi.value(x2)[..., None]
+    dch = f.chi.d1(x2)[..., None]
+    grad = np.stack([ch * poly(tdx),
+                     ch * (t[..., 1] + 2.0 * z * t[..., 2]) + dch * poly(t)],
+                    axis=-1)
+    return ch * poly(t), grad
+
+
+class TestTrigPolyField:
+    def _field(self, seed=3):
+        return TrigPolyField(1.0, SmoothWindow(0.45, 1.05), seed=seed,
+                             x2_ref=0.45)
+
+    def _points(self, surface_model, mapped):
+        mesh = build_mesh(surface_model.f0, 1.4, 16, 24)
+        if not mapped:
+            return mesh.quadrature.points
+        return map_quadrature(mesh.quadrature,
+                              _sampled_map(surface_model)).points
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_sampler_equals_per_harmonic_form(self, surface_model, mapped):
+        pts = self._points(surface_model, mapped)
+        for seed in (3, 4):
+            f = self._field(seed)
+            val, grad = f.sample(f.basis(pts))
+            ref_val, ref_grad = _trig_reference(f, pts)
+            ref_val = ref_val.reshape(-1, 2)
+            ref_grad = ref_grad.reshape(-1, 2, 2)
+            assert np.max(np.abs(ref_grad)) > 0.1  # the window is reached
+            assert (np.max(np.abs(val - ref_val))
+                    <= 1e-13 * np.max(np.abs(ref_val)))
+            assert (np.max(np.abs(grad - ref_grad))
+                    <= 1e-13 * np.max(np.abs(ref_grad)))
+
+    def test_gradient_equals_central_differences(self, surface_model):
+        pts = self._points(surface_model, True).reshape(-1, 2)
+        f = self._field()
+        step = 1e-6
+        _, grad = f.sample(f.basis(pts))
+        for b in range(2):
+            shift = np.zeros(2)
+            shift[b] = step
+            fd = (f.sample(f.basis(pts + shift))[0]
+                  - f.sample(f.basis(pts - shift))[0]) / (2.0 * step)
+            assert (np.max(np.abs(grad[..., b] - fd))
+                    <= 1e-8 * np.max(np.abs(grad)))
 
 
 class TestFormContinuity:
