@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -208,20 +209,23 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
     model = cfg.make_model()
     spec = cfg.make_source_spec()
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
+    l0 = model.f0.lipschitz + min(model.M0, model.norm_bound)
+    profile = bound_profile(p.omega, cfg.h, cfg.m, l0)
+    # the anchor solve (when the constant is not given) runs in the
+    # ensemble's pool, overlapping the samples
+    anchor = None if cfg.calibrated_c > 0.0 else functools.partial(
+        _deterministic_anchor, cfg, p, mesh, profile)
     res = montecarlo.run_ensemble(
         model, spec, p, mesh, cfg.N, parallelism=cfg.parallelism,
-        delta=cfg.auto_delta(gap), epsilon_margin=cfg.epsilon_margin,
-        n_max=cfg.auto_n_max())
+        anchor=anchor, delta=cfg.auto_delta(gap),
+        epsilon_margin=cfg.epsilon_margin, n_max=cfg.auto_n_max())
     _write_csv(out / "ensemble.csv",
                ["index", "u_h1_sq", "u_ref_h1_sq", "g_h1_sq", "min_detJ"],
                [[r["index"], r["u_h1_sq"], r["u_ref_h1_sq"], r["g_h1_sq"],
                  r["min_detJ"]] for r in res.per_sample])
 
-    l0 = model.f0.lipschitz + min(model.M0, model.norm_bound)
-    profile = bound_profile(p.omega, cfg.h, cfg.m, l0)
-    c = cfg.calibrated_c
-    if c <= 0.0:
-        c = cfg.anchor_safety * _deterministic_anchor(cfg, p, mesh, profile)
+    c = cfg.calibrated_c if anchor is None \
+        else cfg.anchor_safety * res.anchor
     check = montecarlo.meansquare_envelope_check(res, profile, c)
     _write_csv(out / "checks.csv",
                ["check_name", "lhs", "rhs", "ok", "tolerance"],
@@ -231,13 +235,12 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
 
 
 def _deterministic_anchor(cfg: RunConfig, p, mesh, profile) -> float:
-    """Envelope constant calibrated on the unperturbed deterministic solve."""
+    """Envelope constant calibrated on the unperturbed deterministic solve.
+    It runs as a task of the ensemble's pool, so BLAS is pinned as for the
+    samples and checks.csv does not depend on the BLAS thread setting."""
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     system = assemble_B(mesh, p, cfg.auto_n_max())
-    # pinned like the samples, so checks.csv does not depend on the BLAS
-    # thread setting either
-    with montecarlo._single_thread_blas:
-        sol = solve(system, assemble_load(mesh, src))
+    sol = solve(system, assemble_load(mesh, src))
     gn = verify.source_norms(mesh, src)["h1"]
     denom = ((profile.h + 2.0 - profile.m) ** 2
              * (profile.c4 + profile.c5 + profile.c6) ** 2 * gn ** 2)

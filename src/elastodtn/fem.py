@@ -52,17 +52,13 @@ __all__ = [
 ]
 
 
-def _elastic_element_matrices(w: np.ndarray, g: np.ndarray, mm: np.ndarray,
-                              lam: float, mu: float):
-    """Element (stiffness, mass), shape (nt, 6, 6), from the rule weights w
-    (nt, nq), the gradients g (nt, nq, 6) flattened to (vertex i, direction
-    a) -> 2i + a, and the scalar mass blocks mm (nt, 3, 3).
-
-    The weighted product (w g)^T g holds int grad_i[a] grad_j[b] in the
-    local dof layout (vertex k, component a) -> 2k + a.
-    """
-    nt = w.shape[0]
-    gij = np.matmul((w[:, :, None] * g).transpose(0, 2, 1), g)
+def _elastic_element_matrices(gij: np.ndarray, mm: np.ndarray, lam: float,
+                              mu: float):
+    """Element (stiffness, mass), shape (nt, 6, 6), from the gradient
+    products gij (nt, 6, 6), int grad_i[a] grad_j[b] at [2i + a, 2j + b],
+    and the scalar mass blocks mm (nt, 3, 3); the local dof layout is
+    (vertex k, component a) -> 2k + a."""
+    nt = gij.shape[0]
     k = (lam + mu) * gij.reshape(nt, 3, 2, 3, 2)
     gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
     m = np.zeros((nt, 3, 2, 3, 2))
@@ -75,14 +71,15 @@ def _elastic_element_matrices(w: np.ndarray, g: np.ndarray, mm: np.ndarray,
 def element_matrices(quad: Quadrature, lam: float, mu: float):
     """Vectorized (stiffness, mass) element matrices, shape (nt, 6, 6).
 
-    Exact for P1: the gradients are constant (a one-point rule with the
-    area as weight) and the mass has the closed form area (1 + d_ij) / 12.
+    Exact for P1: the gradients are constant and the mass has the closed
+    form area (1 + d_ij) / 12.
     """
     area = quad.area
+    g = quad.grads.reshape(-1, 6)
+    gij = (area[:, None] * g)[:, :, None] * g[:, None, :]
     m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _elastic_element_matrices(
-        area[:, None], quad.grads.reshape(-1, 1, 6),
-        area[:, None, None] * m_scalar, lam, mu)
+    return _elastic_element_matrices(gij, area[:, None, None] * m_scalar,
+                                     lam, mu)
 
 
 @dataclass(frozen=True)
@@ -127,34 +124,78 @@ class MappedQuadrature:
         """Integral over the image strip of point values f (nt, 7, ...)."""
         return _weighted_sum(self.weights, f)
 
+    def take(self, elems) -> MappedQuadrature:
+        """The mapped rule on the triangles `elems` only."""
+        return MappedQuadrature(
+            quad=self.quad.take(elems), detj=self.detj[elems],
+            j1=self.j1[elems], t12=self.t12[elems], t22=self.t22[elems],
+            weights=self.weights[elems], points=self.points[elems])
+
+    @cached_property
+    def element_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gij, mm): the products sum_q w G_i[a] G_j[b] of the transformed
+        P1 gradients G = inv(J)^T grad(phi), (nt, 6, 6) at [2i + a, 2j + b],
+        and the scalar mass sum_q w phi_i phi_j, (nt, 3, 3).
+
+        grad(phi) is constant on a triangle and G = (g_x + t12 g_y, t22 g_y),
+        so gij needs only six moments sum_q w {1, t12, t22, t12^2, t12 t22,
+        t22^2} per triangle.
+        """
+        bary, _ = DEGREE5_RULE
+        w, t12, t22 = self.weights, self.t12, self.t22
+        nt, nq = w.shape
+        w12, w22 = w * t12, w * t22
+        ones = np.ones(nq)        # row sums as matrix-vector products
+        m1, m12, m22, m1212, m1222, m2222 = (
+            (a @ ones)[:, None, None]
+            for a in (w, w12, w22, w12 * t12, w12 * t22, w22 * t22))
+        gx, gy = self.quad.grads[..., 0], self.quad.grads[..., 1]
+        xx = gx[:, :, None] * gx[:, None, :]
+        xy = gx[:, :, None] * gy[:, None, :]
+        yy = gy[:, :, None] * gy[:, None, :]
+        gij = np.empty((nt, 3, 2, 3, 2))
+        gij[:, :, 0, :, 0] = m1 * xx + m12 * (xy + xy.transpose(0, 2, 1)) \
+            + m1212 * yy
+        gij[:, :, 0, :, 1] = m22 * xy + m1222 * yy
+        gij[:, :, 1, :, 0] = gij[:, :, 0, :, 1].transpose(0, 2, 1)
+        gij[:, :, 1, :, 1] = m2222 * yy
+        mm = w @ (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
+        return gij.reshape(nt, 6, 6), mm.reshape(nt, 3, 3)
+
+    @cached_property
+    def h1_blocks(self) -> np.ndarray:
+        """Scalar H1 blocks sum_q w (G_i . G_j + phi_i phi_j), (nt, 3, 3):
+        the image-strip H1 norm of a P1 field is a quadratic form in them."""
+        gij, mm = self.element_blocks
+        return gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2] + mm
+
 
 def map_quadrature(quad: Quadrature, dmap: DomainMap) -> MappedQuadrature:
-    """Evaluate the map factors once at the rule's points.
+    """Evaluate the map factors once at the rule's points; the surfaces are
+    evaluated once per distinct abscissa of the points.
 
     Raises MapSingularError where det J <= 0.
     """
-    j1, j2 = dmap.jacobian(quad.points)
+    xs, inverse = quad.abscissae
+    surface = tuple(v[inverse] for v in dmap.surface_terms(xs))
+    j1, j2 = dmap.jacobian(quad.points, surface)
     detj = 1.0 + j2
     if np.any(detj <= 0.0):
         raise MapSingularError(
             f"det J = {float(np.min(detj)):.6g} <= 0 at a quadrature point")
     return MappedQuadrature(quad=quad, detj=detj, j1=j1, t12=-j1 / detj,
                             t22=1.0 / detj, weights=quad.weights * detj,
-                            points=dmap.apply(quad.points))
+                            points=dmap.apply(quad.points, surface))
 
 
 def transformed_element_matrices(mq: MappedQuadrature, lam: float, mu: float):
     """Element (stiffness, mass) for the pulled-back form, shape (nt, 6, 6).
 
     Gradients transform as G = inv(J)^T grad(phi); every term carries det J
-    through the weights.
+    through the weights.  The blocks are kept on `mq` (`element_blocks`,
+    `h1_blocks`).
     """
-    bary, _ = DEGREE5_RULE
-    wdet = mq.weights
-    nt, nq = wdet.shape
-    g = mq.physical_gradient(mq.quad.grads[:, None]).reshape(nt, nq, 6)
-    mm = wdet @ (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
-    return _elastic_element_matrices(wdet, g, mm.reshape(nt, 3, 3), lam, mu)
+    return _elastic_element_matrices(*mq.element_blocks, lam, mu)
 
 
 @dataclass(frozen=True)
@@ -253,9 +294,8 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
 
 def assemble_B(mesh: Mesh, p: ElasticParams, n_max: int) -> SparseSystem:
     """Assemble the reference form: exact P1 element integrals + DtN block."""
-    k, m = element_matrices(mesh.quadrature, p.lam, p.mu)
-    domain = _scatter_elements(mesh, k - p.omega ** 2 * m)
-    return _finish_system(mesh, p, n_max, domain)
+    return _finish_system(mesh, p, n_max, _domain_matrix(
+        mesh, p, lambda: element_matrices(mesh.quadrature, p.lam, p.mu)))
 
 
 def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
@@ -265,9 +305,23 @@ def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
 
     The map fixes the top line, so the DtN block is identical to assemble_B.
     """
-    k, m = transformed_element_matrices(mq, p.lam, p.mu)
-    domain = _scatter_elements(mesh_ref, k - p.omega ** 2 * m)
-    return _finish_system(mesh_ref, p, n_max, domain)
+    return _finish_system(mesh_ref, p, n_max, _domain_matrix(
+        mesh_ref, p, lambda: transformed_element_matrices(mq, p.lam, p.mu)))
+
+
+def _domain_matrix(mesh: Mesh, p: ElasticParams,
+                   element_blocks) -> sp.csr_matrix:
+    """The domain matrix from the element blocks k - omega^2 m, with
+    (k, m) = element_blocks(), formed in the memory of m.
+
+    The blocks are made after the mesh's pattern exists: a first use builds
+    the pattern, and its temporaries then do not add to the blocks' memory.
+    """
+    mesh.pattern
+    k, m = element_blocks()
+    m *= -p.omega ** 2
+    m += k
+    return _scatter_elements(mesh, m)
 
 
 def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
@@ -298,21 +352,29 @@ def assemble_load(mesh: Mesh, g) -> np.ndarray:
     return _scatter_load(mesh, _weighted_load(q.weights, g(q.points)))
 
 
-def assemble_load_transformed(mesh_ref: Mesh, g_values,
-                              mq: MappedQuadrature) -> np.ndarray:
+def assemble_load_transformed(mesh_ref: Mesh, g_values, mq: MappedQuadrature,
+                              elems=None) -> np.ndarray:
     """Load for the pulled-back form: -int g_tilde . phi_i det(J), from the
-    values (nt, 7, 2) of g_tilde at the reference points (for a source g on
-    the image strip, g(mq.points))."""
-    return _scatter_load(mesh_ref, _weighted_load(mq.weights, g_values))
+    values (ne, 7, 2) of g_tilde at the reference points (for a source g on
+    the image strip, g(mq.points)).
+
+    `mq` and the values cover the triangles `elems` of mesh_ref (all when
+    None; `mq.take(elems)` restricts a full rule), so a source supported on
+    a few triangles is integrated on those alone.
+    """
+    return _scatter_load(mesh_ref, _weighted_load(mq.weights, g_values),
+                         elems)
 
 
-def _scatter_load(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
-    """Sum element loads (nt, 3, 2) into the free-dof vector."""
+def _scatter_load(mesh: Mesh, contrib: np.ndarray, elems=None) -> np.ndarray:
+    """Sum element loads (ne, 3, 2) of the triangles elems (all when None)
+    into the free-dof vector."""
     pat = mesh.pattern
+    dofs = pat.elem_dofs if elems is None else pat.elem_dofs[elems]
     c = contrib.reshape(-1, 6)
     out = np.empty(pat.n_dofs, dtype=complex)
-    out.real = _sum_at(pat.elem_dofs, c.real, pat.n_dofs)
-    out.imag = _sum_at(pat.elem_dofs, c.imag, pat.n_dofs)
+    out.real = _sum_at(dofs, c.real, pat.n_dofs)
+    out.imag = _sum_at(dofs, c.imag, pat.n_dofs)
     return out
 
 

@@ -11,13 +11,16 @@ heights this yields positive areas for any Lipschitz surface profile.
 
 Every mesh carries its degree-5 quadrature (a `Quadrature`): the P1
 geometry and the 7-point rule on each triangle, and its free-dof assembly
-pattern (a `DofPattern`). Both are built once and only read afterwards, so
-concurrent ensemble samples can share them.
+pattern (a `DofPattern`).  The pattern, and the distinct abscissae of the
+rule's points, are built on first use, under a lock, so a mesh that is
+never assembled (or never mapped) does not pay for them; afterwards they
+are only read, so concurrent ensemble samples can share them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,22 @@ DEGREE5_RULE = (
 )
 
 
+_BUILD_LOCK = threading.Lock()
+
+
+def _built_once(owner, name: str, build):
+    """owner's attribute `name`, made by build() on first use.  Concurrent
+    first users wait for one build and share it."""
+    try:
+        return owner.__dict__[name]
+    except KeyError:
+        pass
+    with _BUILD_LOCK:
+        if name not in owner.__dict__:
+            owner.__dict__[name] = build()
+        return owner.__dict__[name]
+
+
 def _weighted_sum(weights: np.ndarray, f) -> complex | float:
     """sum over elements and points of weights (nt, nq) times f (nt, nq, ...),
     with the trailing axes of f summed first."""
@@ -82,6 +101,24 @@ class Quadrature:
                    grads=np.stack([b, c], axis=2) / area2[:, None, None],
                    points=bary @ coords,
                    weights=wts[None, :] * area[:, None])
+
+    @property
+    def abscissae(self) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, inverse): the sorted distinct x1 of the points and, shape
+        (nt, 7), the position of each point's x1 in xs.  A structured mesh
+        has few (the points of one column share them), so functions of x1
+        alone are evaluated once per abscissa."""
+        def build():
+            x1 = self.points[..., 0]
+            xs, inverse = np.unique(x1.ravel(), return_inverse=True)
+            return xs, inverse.reshape(x1.shape)
+        return _built_once(self, "_abscissae", build)
+
+    def take(self, elems) -> Quadrature:
+        """The rule on the triangles `elems` only."""
+        return Quadrature(area=self.area[elems], grads=self.grads[elems],
+                          points=self.points[elems],
+                          weights=self.weights[elems])
 
     def interpolate(self, vertex_values) -> np.ndarray:
         """P1 interpolant at the points: (nt, 3, ...) -> (nt, 7, ...)."""
@@ -191,7 +228,13 @@ class Mesh:
     surface_nodes: np.ndarray  # (nx,) node ids on x2 = f(x1)
     top_nodes: np.ndarray      # (nx,) node ids on x2 = h, ordered by x1
     quadrature: Quadrature     # degree-5 rule on tri_coords
-    pattern: DofPattern        # free-dof numbering and assembly pattern
+
+    @property
+    def pattern(self) -> DofPattern:
+        """Free-dof numbering and assembly pattern, built on first use."""
+        return _built_once(self, "_pattern", lambda: DofPattern.from_topology(
+            self.triangles, self.surface_nodes, self.top_nodes,
+            self.n_nodes))
 
     @property
     def n_nodes(self) -> int:
@@ -317,8 +360,6 @@ def build_mesh(f: SurfaceFn, h: float, nx: int, ny: int) -> Mesh:
         surface_nodes=surface_nodes,
         top_nodes=top_nodes,
         quadrature=Quadrature.from_coords(coords),
-        pattern=DofPattern.from_topology(tris, surface_nodes, top_nodes,
-                                         nodes.shape[0]),
     )
     areas = mesh.areas()
     if np.any(areas <= 0.0):

@@ -273,26 +273,40 @@ class DomainMap:
     def j2_envelope(self) -> float:
         return self._j2_envelope
 
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        """Map points (..., 2) from the reference strip into the image strip."""
+    def surface_terms(self, y1) -> tuple:
+        """(f0, f_eta - f0, f0', f_eta' - f0') at abscissae y1: everything
+        H takes from the two surfaces."""
+        f0 = self.f0.f(y1)
+        df0 = self.f0.df(y1)
+        return f0, self.f_eta.f(y1) - f0, df0, self.f_eta.df(y1) - df0
+
+    def apply(self, pts: np.ndarray, surface=None) -> np.ndarray:
+        """Map points (..., 2) from the reference strip into the image strip.
+        `surface` holds `surface_terms` at the points' x1, when the caller
+        has them."""
         pts = np.asarray(pts, dtype=float)
         y1, y2 = pts[..., 0], pts[..., 1]
-        shift = self.cutoff(y2 - self.f0.f(y1)) * (self.f_eta.f(y1) - self.f0.f(y1))
+        if surface is None:
+            f0 = self.f0.f(y1)
+            diff = self.f_eta.f(y1) - f0
+        else:
+            f0, diff = surface[:2]
         out = pts.copy()
-        out[..., 1] = y2 + shift
+        out[..., 1] = y2 + self.cutoff(y2 - f0) * diff
         return out
 
-    def jacobian(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def jacobian(self, pts: np.ndarray,
+                 surface=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (J1, J2) at points (..., 2); the Jacobi matrix is
-        [[1, 0], [J1, 1 + J2]]."""
+        [[1, 0], [J1, 1 + J2]].  `surface` is as for `apply`."""
         pts = np.asarray(pts, dtype=float)
         y1, y2 = pts[..., 0], pts[..., 1]
-        s = y2 - self.f0.f(y1)
-        diff = self.f_eta.f(y1) - self.f0.f(y1)
-        ddiff = self.f_eta.df(y1) - self.f0.df(y1)
+        f0, diff, df0, ddiff = (self.surface_terms(y1) if surface is None
+                                else surface)
+        s = y2 - f0
         a = self.cutoff(s)
         da = self.cutoff.slope(s)
-        j1 = a * ddiff - da * self.f0.df(y1) * diff
+        j1 = a * ddiff - da * df0 * diff
         j2 = da * diff
         return j1, j2
 
@@ -450,6 +464,13 @@ class SourceField:
         dy = pts[..., 1] - self.center[1]
         return (dx * dx + dy * dy) / self.radius ** 2, dx, dy
 
+    def support_elements(self, points: np.ndarray) -> np.ndarray:
+        """Indices of the rows of points (n, nq, 2), such as the triangles
+        of a quadrature, with a point inside the support disk: outside
+        those rows the source and its gradient vanish."""
+        r2, _, _ = self._r2(points)
+        return np.flatnonzero(np.any(r2 < 1.0, axis=-1))
+
     def profile(self, pts: np.ndarray) -> np.ndarray:
         """Scalar bump value at points (..., 2)."""
         r2, _, _ = self._r2(pts)
@@ -492,10 +513,6 @@ class SourceSpec:
     amplitude: tuple[complex, complex]
     period: float = 1.0
     jitter: SourceJitter | None = None
-
-    def support_margin(self) -> float:
-        """Worst-case extra shift the jitter can add to the support disk."""
-        return self.jitter.center_radius if self.jitter is not None else 0.0
 
 
 def make_source(spec: SourceSpec, index: int | None = None,

@@ -9,9 +9,10 @@ variables on the same quadrature points.  Samples are pure functions of
 
 The sample loop runs with every loaded OpenBLAS pinned to one thread: the
 sample threads then do not oversubscribe the cores, and the LU factors (so
-the ensemble's bytes) do not depend on the BLAS thread setting.  The CLI
-solves the ensemble's deterministic anchor under the same pin.  Other BLAS
-vendors are left as they are.
+the ensemble's bytes) do not depend on the BLAS thread setting.  A caller's
+extra solve (the CLI's deterministic anchor) can run as one more task of
+the same pool, under the same pin.  Other BLAS vendors are left as they
+are.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -149,16 +151,17 @@ def _norm_equivalence_kappa(mq: MappedQuadrature) -> float:
 
 def pushforward_h1_sq(sol: FieldSolution, mq: MappedQuadrature) -> float:
     """||u*||^2_{H1} on the image strip by change of variables:
-    int [sum_a |invJ^T grad u~_a|^2 + |u~|^2] det J dy, with the element
-    gradients the solution's norms already used."""
-    uh = mq.quad.interpolate(sol.values[sol.mesh.triangles])
-    g = mq.physical_gradient(sol.gradients[:, None])         # (nt, nq, 2, 2)
-    return float(mq.integral(np.abs(g) ** 2) + mq.integral(np.abs(uh) ** 2))
+    int [sum_a |invJ^T grad u~_a|^2 + |u~|^2] det J dy, which for P1 is
+    sum over triangles and components of u^H (mq.h1_blocks) u."""
+    u = np.asarray(sol.values, dtype=complex)
+    v = u[sol.mesh.triangles].view(float)              # (nt, 3, (re, im) x 2)
+    return float(np.sum(v * (mq.h1_blocks @ v)))
 
 
 def pullback_source_h1_sq(g, mq: MappedQuadrature, values) -> float:
     """||g o H||^2_{H1} on the reference strip (g has analytic .grad), with
-    values = g(mq.points) evaluated by the caller (shared with the load)."""
+    values = g(mq.points) evaluated by the caller (shared with the load).
+    `mq` may cover only the triangles where g does not vanish."""
     gv = np.asarray(values, dtype=complex)
     dg = mq.pullback_gradient(np.asarray(g.grad(mq.points), dtype=complex))
     return float(mq.quad.integral(np.abs(gv) ** 2)
@@ -169,7 +172,10 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                mesh_ref: Mesh, index: int, *, delta: float | None = None,
                epsilon_margin: float = 0.05,
                n_max: int | None = None) -> dict:
-    """Solve one draw of the random problem; returns the per-sample record."""
+    """Solve one draw of the random problem; returns the per-sample record.
+
+    The source enters (load and norm) only through the triangles where it
+    does not vanish."""
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     h = mesh_ref.h
@@ -186,9 +192,11 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     mq = map_quadrature(mesh_ref.quadrature, dmap)
 
     g_eta = make_source(src, index, f_max=model.f0.f_max, h=h)
-    g_values = g_eta(mq.points)
+    elems = g_eta.support_elements(mq.points)
+    near = mq.take(elems)
+    g_values = g_eta(near.points)
     system = assemble_B_transformed(mesh_ref, p, mq, n_max)
-    load = assemble_load_transformed(mesh_ref, g_values, mq)
+    load = assemble_load_transformed(mesh_ref, g_values, near, elems)
     sol = solve(system, load, metadata={"omega": p.omega,
                                         "n_max": system.n_max,
                                         "sample_index": index})
@@ -196,7 +204,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
         "index": index,
         "u_h1_sq": sol.norms["h1"] ** 2,
         "u_ref_h1_sq": pushforward_h1_sq(sol, mq),
-        "g_h1_sq": pullback_source_h1_sq(g_eta, mq, g_values),
+        "g_h1_sq": pullback_source_h1_sq(g_eta, near, g_values),
         "min_detJ": min_detj,
         "kappa": _norm_equivalence_kappa(mq),
     }
@@ -211,14 +219,22 @@ class EnsembleResult:
     mean_u_sq: float
     mean_g_sq: float
     se_u_sq: float
+    anchor: Any = None     # value of run_ensemble's `anchor` task, if any
 
 
 def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                  mesh_ref: Mesh, N: int, parallelism: int = 1,
+                 anchor: Callable[[], Any] | None = None,
                  **sample_kwargs) -> EnsembleResult:
     """N independent samples with indices 0..N-1; aggregation is an ordered
     reduction, so the result is independent of scheduling.  The samples run
-    with OpenBLAS pinned to one thread (see the module docstring)."""
+    with OpenBLAS pinned to one thread (see the module docstring).
+
+    `anchor`, a function of no arguments, runs as one more task of the
+    pool, ahead of the samples, so it overlaps them while at most
+    `parallelism` tasks (and factorizations) are alive; its value is the
+    result's `anchor`, and an error it raises propagates unchanged.
+    """
     if N < 1:
         raise ParameterError("N must be >= 1")
     results: dict[int, dict] = {}
@@ -229,6 +245,7 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
 
     with _single_thread_blas, \
             ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        extra = pool.submit(anchor) if anchor is not None else None
         futs = {i: pool.submit(task, i) for i in range(N)}
         for i, fut in futs.items():
             try:
@@ -246,7 +263,8 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     se = float(np.std(u_sq, ddof=1) / math.sqrt(N)) if N > 1 else 0.0
     return EnsembleResult(sample_count=N, per_sample=per_sample,
                           mean_u_sq=mean_u, mean_g_sq=float(np.mean(g_sq)),
-                          se_u_sq=se)
+                          se_u_sq=se,
+                          anchor=extra.result() if extra is not None else None)
 
 
 def meansquare_envelope_check(res: EnsembleResult, profile: BoundProfile,

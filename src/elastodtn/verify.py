@@ -644,7 +644,9 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     The mapped side samples the fields at the mapped mesh's points; the
     reference side samples u~ = u o H analytically: values at H(y),
     gradients invJ^T D_y(u o H).  H fixes the top line, so both sides share
-    the DtN pairing of the top-line samples.
+    one DtN pairing of the top-line samples: the DtN term cancels by
+    construction, and the check covers only the domain integrals and the
+    load (`_dtn_pairing` is tested against the assembled DtN block apart).
 
     The cutoff ramp makes det J jump across the curves x2 = f0(x1) + delta
     and x2 = f0(x1) + ramp_end; quadrature across a jump is only first-order

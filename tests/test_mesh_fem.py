@@ -1,6 +1,8 @@
 """Mesh construction, element integrals, assembly, DtN block, solve, norms."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +26,11 @@ from elastodtn.fem import (
     trace_coefficients,
     transformed_element_matrices,
 )
-from elastodtn.mesh import DEGREE5_RULE, Quadrature, build_mesh
+from elastodtn.mesh import DEGREE5_RULE, DofPattern, Quadrature, build_mesh
 from elastodtn.model import (
     DomainMap,
+    RandomSurfaceModel,
+    cosine_surface,
     flat_surface,
     make_cutoff,
     make_params,
@@ -405,6 +409,76 @@ class TestAssemblyPattern:
         np.add.at(expect, dofs[keep], contrib[keep])
         load = assemble_load_transformed(mesh, gv, mq)
         assert _rel_gap(load, expect) <= 1e-14
+
+
+    def test_pattern_built_once_on_first_use(self, flat_geom, monkeypatch):
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 8)
+        assert "_pattern" not in vars(mesh)   # build_mesh does not build it
+        calls = []
+        build = DofPattern.from_topology
+
+        def slow_build(*args):
+            calls.append(1)
+            barrier_passed.wait(1.0)  # hold the build while others arrive
+            return build(*args)
+
+        monkeypatch.setattr(DofPattern, "from_topology", slow_build)
+        barrier_passed = threading.Event()
+        barrier = threading.Barrier(4, action=barrier_passed.set)
+        seen = []
+
+        def first_use():
+            barrier.wait()
+            seen.append(mesh.pattern)
+
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(seen) == 4 and all(pat is seen[0] for pat in seen)
+        ref = build(mesh.triangles, mesh.surface_nodes, mesh.top_nodes,
+                    mesh.n_nodes)
+        for name in ("elem_dofs", "top_dofs", "indptr", "indices", "slots"):
+            assert np.array_equal(getattr(seen[0], name), getattr(ref, name))
+
+
+def _map_family(kind):
+    f0 = flat_surface(0.3, 0.2, 0.4, 1.0) if kind == "flat" else \
+        cosine_surface(0.3, [0.04], [1], [0.4], 0.2, 0.4, 1.0)
+    return RandomSurfaceModel(f0=f0, mode_count=2, amplitudes=(0.02, 0.01),
+                              phases=(0.0, 1.3), M0=0.3, seed=11)
+
+
+class TestMapQuadrature:
+    """map_quadrature evaluates the surfaces once per distinct abscissa;
+    DomainMap.apply and jacobian on every point are the oracle."""
+
+    @pytest.mark.parametrize("kind,index", [("flat", 0), ("flat", 1),
+                                            ("cosine", 0), ("cosine", 1)])
+    def test_equals_pointwise_map(self, kind, index):
+        model = _map_family(kind)
+        mesh = build_mesh(model.f0, 1.4, 24, 16)
+        gap = 1.4 - model.f0.sup()
+        dmap = DomainMap(f0=model.f0, f_eta=sample_surface(model, index),
+                         cutoff=make_cutoff(gap / 8.0, gap))
+        quad = mesh.quadrature
+        mq = map_quadrature(quad, dmap)
+        j1, j2 = dmap.jacobian(quad.points)
+        assert np.array_equal(mq.points, dmap.apply(quad.points))
+        assert np.array_equal(mq.j1, j1)
+        assert np.array_equal(mq.detj, 1.0 + j2)
+        assert np.any(j2 != 0.0) and np.any(j1 != 0.0)
+        xs, inverse = quad.abscissae
+        assert np.array_equal(xs[inverse], quad.points[..., 0])
+        assert xs.size <= 12 * mesh.nx    # a column's points share them
 
 
 class TestLoads:

@@ -4,23 +4,37 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elastodtn import cli, fem, montecarlo
-from elastodtn.errors import EnsembleError, ParameterError
-from elastodtn.fem import assemble_B, assemble_load, solve
+from elastodtn.errors import EnsembleError, ParameterError, SolveError
+from elastodtn.fem import (
+    FieldSolution,
+    assemble_B,
+    assemble_load,
+    assemble_load_transformed,
+    map_quadrature,
+    solve,
+)
 from elastodtn.mesh import build_mesh
 from elastodtn.model import (
+    DomainMap,
     RandomSurfaceModel,
+    SourceSpec,
     flat_surface,
+    make_cutoff,
     make_source,
+    sample_surface,
 )
 from elastodtn.montecarlo import (
     random_input_moments,
     default_n_max,
+    pullback_source_h1_sq,
+    pushforward_h1_sq,
     run_ensemble,
     run_sample,
     meansquare_envelope_check,
@@ -87,6 +101,53 @@ class TestRunSample:
                                      params2, mesh_ref):
         with pytest.raises(ParameterError):
             run_sample(surface_model, source_spec, params2, mesh_ref, -1)
+
+
+def _sampled_mq(surface_model, mesh, index=1):
+    dmap = DomainMap(f0=surface_model.f0,
+                     f_eta=sample_surface(surface_model, index),
+                     cutoff=make_cutoff(1.1 / 8.0, 1.1))
+    return map_quadrature(mesh.quadrature, dmap)
+
+
+class TestSampleKernels:
+    """The per-sample norms and load against their point-wise forms."""
+
+    def test_pushforward_blocks_equal_pointwise(self, surface_model,
+                                                mesh_ref):
+        mq = _sampled_mq(surface_model, mesh_ref)
+        gen = np.random.default_rng(3)
+        vals = gen.standard_normal((mesh_ref.n_nodes, 2)) \
+            + 1j * gen.standard_normal((mesh_ref.n_nodes, 2))
+        sol = FieldSolution(mesh=mesh_ref, values=vals)
+        # the point-wise form: interpolate, transform the gradients, sum
+        uh = mq.quad.interpolate(vals[mesh_ref.triangles])
+        g = mq.physical_gradient(fem.element_gradients(mesh_ref, vals)[:, None])
+        ref = float(mq.integral(np.abs(g) ** 2)
+                    + mq.integral(np.abs(uh) ** 2))
+        assert np.min(mq.detj) < 0.999    # the map is not the identity
+        assert abs(pushforward_h1_sq(sol, mq) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("center", [(0.5, 0.8), (0.03, 0.8),
+                                        (0.97, 0.9)])
+    def test_support_restricted_load_and_norm(self, surface_model, mesh_ref,
+                                              center):
+        # the last two disks straddle the seam x1 = 0
+        g = make_source(SourceSpec(center=center, radius=0.15,
+                                   amplitude=(1.0, 0.5j)), None,
+                        f_max=0.4, h=1.4)
+        mq = _sampled_mq(surface_model, mesh_ref)
+        elems = g.support_elements(mq.points)
+        assert 0 < elems.size < mq.weights.shape[0] // 4
+        near = mq.take(elems)
+        values = g(near.points)
+        full = g(mq.points)
+        load = assemble_load_transformed(mesh_ref, values, near, elems)
+        assert np.array_equal(load, assemble_load_transformed(mesh_ref, full,
+                                                              mq))
+        ref = pullback_source_h1_sq(g, mq, full)
+        assert abs(pullback_source_h1_sq(g, near, values) - ref) \
+            <= 1e-14 * ref
 
 
 class TestRunEnsemble:
@@ -217,9 +278,38 @@ class TestDeterminismContract:
             d = tmp_path / f"p{workers}"
             assert cli.main(["ensemble", "--config", str(cfg), "--out",
                              str(d), "--parallelism", str(workers)]) == 0
-            out[workers] = (d / "ensemble.csv").read_bytes()
-        assert out[1].count(b"\n") == 5
+            out[workers] = [(d / name).read_bytes()
+                            for name in ("ensemble.csv", "checks.csv")]
+        assert out[1][0].count(b"\n") == 5
+        assert out[1][1].count(b"\n") == 2
         assert out[1] == out[2] == out[4]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_anchor_task_runs_pinned_in_pool(
+            self, openblas_at_two, surface_model, source_spec, params2,
+            mesh_ref, parallelism):
+        controls = openblas_at_two
+        seen = []
+
+        def anchor():
+            seen.append((_blas_threads(controls),
+                         threading.current_thread() is threading.main_thread()))
+            return 0.25
+
+        res = run_ensemble(surface_model, source_spec, params2, mesh_ref, 2,
+                           parallelism=parallelism, anchor=anchor)
+        assert res.anchor == 0.25
+        assert seen == [([1] * len(controls), False)]
+        assert _blas_threads(controls) == [2] * len(controls)
+
+    def test_anchor_error_propagates(self, surface_model, source_spec,
+                                     params2, mesh_ref):
+        def anchor():
+            raise SolveError("anchor failed")
+
+        with pytest.raises(SolveError, match="anchor failed"):
+            run_ensemble(surface_model, source_spec, params2, mesh_ref, 1,
+                         anchor=anchor)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_samples_pinned_and_counts_restored(

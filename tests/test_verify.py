@@ -15,7 +15,8 @@ from elastodtn.fem import (
     norms,
     solve,
 )
-from elastodtn.mesh import build_mesh
+from elastodtn import fem
+from elastodtn.mesh import DofPattern, build_mesh
 from elastodtn.model import (
     DomainMap,
     Geometry,
@@ -28,6 +29,7 @@ from elastodtn.model import (
 )
 from elastodtn.dtn import TraceCoefficients, gamma, projection_matrices, symbol_matrices
 from elastodtn.verify import (
+    _dtn_pairing,
     SmoothWindow,
     SweepConfig,
     TrigPolyField,
@@ -335,7 +337,39 @@ class TestOmegaSweep:
             omega_sweep(self._config(flat_geom, g0, (2.0, 4.0)))
 
 
+class TestDtnPairing:
+    """The top-line pairing of the pullback check against the assembled DtN
+    block; the pullback identity itself cannot see it (both sides share
+    one pairing)."""
+
+    @pytest.mark.parametrize("omega", [2.0, 8.0])
+    def test_equals_dtn_block_form(self, flat_geom, omega):
+        p = make_params(1.0, 1.0, omega)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 32, 4)
+        n_max = 12
+        gen = np.random.default_rng(int(omega))
+        u, v = (gen.standard_normal((mesh.nx, 2))
+                + 1j * gen.standard_normal((mesh.nx, 2)) for _ in range(2))
+        expect = np.conj(v).ravel() @ fem._dtn_block(mesh, p, n_max) \
+            @ u.ravel()
+        got = _dtn_pairing(u, v, mesh.period, p, n_max)
+        assert abs(got - expect) <= 1e-13 * abs(expect)
+        # negative control: the pairing is not symmetric in (u, v)
+        swapped = _dtn_pairing(v, u, mesh.period, p, n_max)
+        assert abs(swapped - expect) > 1e-3 * abs(expect)
+
+
 class TestPullbackIdentity:
+    def test_builds_no_assembly_pattern(self, params2, surface_model,
+                                        monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the check built an assembly pattern")
+
+        monkeypatch.setattr(DofPattern, "from_topology", refuse)
+        r = pullback_identity_check(_sampled_map(surface_model), params2, 1,
+                                    nx=24, ny=24, n_max=8, seed=4)
+        assert r["max_discrepancy"] < 1e-4
+
     def test_identity_map(self, params2):
         f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
         dmap = DomainMap(f0=f0, f_eta=f0, cutoff=make_cutoff(0.1, 1.1))
