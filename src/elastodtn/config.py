@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dtn import default_n_max
 from .errors import ConfigError
 from .model import (
     ElasticParams,
@@ -128,9 +129,7 @@ class RunConfig:
     def auto_n_max(self, omega: float | None = None) -> int:
         if self.n_max > 0:
             return self.n_max
-        p = self.make_params(omega)
-        return max(8, int(math.ceil(4.0 * p.k_s * self.period
-                                    / (2.0 * math.pi))))
+        return default_n_max(self.make_params(omega), self.period)
 
     def auto_delta(self, gap: float) -> float:
         return self.delta if self.delta > 0.0 else gap / 8.0

@@ -40,9 +40,16 @@ __all__ = [
     "helmholtz_split",
     "traction",
     "symbol_bound_check",
+    "default_n_max",
 ]
 
 _RHO_FLOOR = 1e-14
+
+
+def default_n_max(p: ElasticParams, period: float) -> int:
+    """Smallest mode count with |xi_n| >= 4 k_s (evanescent tail negligible
+    at unit distance), floored at 8."""
+    return max(8, int(math.ceil(4.0 * p.k_s * period / (2.0 * math.pi))))
 
 
 def gamma(xi, k: float):

@@ -27,6 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .dtn import default_n_max
 from .errors import ElastoDtnError, EnsembleError, ParameterError
 from .fem import (
     FieldSolution,
@@ -127,12 +128,6 @@ class _SingleThreadBlas:
 
 
 _single_thread_blas = _SingleThreadBlas()
-
-
-def default_n_max(p: ElasticParams, period: float) -> int:
-    """Smallest mode count with |xi_n| >= 4 k_s (evanescent tail negligible
-    at unit distance), floored at 8."""
-    return max(8, int(math.ceil(4.0 * p.k_s * period / (2.0 * math.pi))))
 
 
 def _norm_equivalence_kappa(mq: MappedQuadrature) -> float:

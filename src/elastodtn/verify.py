@@ -633,6 +633,9 @@ def _domain_form(p: ElasticParams, rule, u, v) -> complex:
     return complex(rule.integral(integrand))
 
 
+_PULLBACK_BLOCK = 1024  # triangles sampled at once by pullback_identity_check
+
+
 def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
                             nx: int = 96, ny: int = 96,
                             source: SourceField | None = None,
@@ -676,26 +679,36 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     dtn = [_dtn_pairing(u.sample(top)[0], v.sample(top)[0], per, p, n_max)
            for u, v in pairs]
 
-    def side(rule, gradient):
-        """The forms and the load pairings -int g . conj(v) on one side."""
-        basis = family.basis(rule.points)
+    def block_terms(blk, gradient):
+        """The domain forms and the load pairings -int g . conj(v) on the
+        triangles of the rule blk."""
+        basis = family.basis(blk.points)
 
         def sample(f):
             val, grad = f.sample(basis)
-            return val, gradient(grad)
+            return val, gradient(blk, grad)
 
-        forms = [_domain_form(p, rule, sample(u), sample(v)) - d
-                 for (u, v), d in zip(pairs, dtn)]
-        g = source(rule.points).reshape(-1, 2) if loads else None
-        return forms, [complex(-rule.integral(g * np.conj(f.sample(basis)[0])))
-                       for f in loads]
+        forms = [_domain_form(p, blk, sample(u), sample(v)) for u, v in pairs]
+        g = source(blk.points).reshape(-1, 2) if loads else None
+        return forms + [complex(-blk.integral(g * np.conj(f.sample(basis)[0])))
+                        for f in loads]
+
+    def side(rule, gradient):
+        """The forms and the load pairings on one side, summed over blocks
+        of triangles so that the samples' temporaries stay small."""
+        nt = rule.weights.shape[0]
+        terms = [sum(col) for col in zip(*(
+            block_terms(rule.take(slice(s, s + _PULLBACK_BLOCK)), gradient)
+            for s in range(0, nt, _PULLBACK_BLOCK)))]
+        return ([t - d for t, d in zip(terms, dtn)], terms[len(pairs):])
 
     # each side keeps only its own rule alive
-    lhs = side(build_mesh(dmap.f_eta, h, nx, ny).quadrature, lambda g: g)
+    lhs = side(build_mesh(dmap.f_eta, h, nx, ny).quadrature,
+               lambda blk, g: g)
     mq = map_quadrature(mesh_ref.quadrature, dmap)
     del mesh_ref
-    rhs = side(mq, lambda g: mq.physical_gradient(mq.pullback_gradient(
-        g.reshape(mq.detj.shape + (2, 2)))).reshape(-1, 2, 2))
+    rhs = side(mq, lambda blk, g: blk.physical_gradient(blk.pullback_gradient(
+        g.reshape(blk.detj.shape + (2, 2)))).reshape(-1, 2, 2))
     b_disc, g_disc = (max((abs(a - b) for a, b in zip(left, right)),
                           default=0.0) for left, right in zip(lhs, rhs))
     return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,

@@ -12,6 +12,7 @@ from elastodtn.errors import ConfigError
 from elastodtn.fem import assemble_B, assemble_load, solve
 from elastodtn.mesh import build_mesh
 from elastodtn.model import make_source
+from elastodtn.montecarlo import default_n_max
 
 
 def _write(path, text):
@@ -32,6 +33,16 @@ class TestLoadConfig:
     def test_empty_config_gives_defaults(self, tmp_path):
         cfg = load_config(_write(tmp_path / "a.cfg", ""))
         assert cfg == default_config()
+
+    @pytest.mark.parametrize("omega, period, expect", [
+        (0.5, 1.0, 8), (2.0, 1.0, 8), (8.0, 1.0, 8), (24.0, 1.0, 16),
+        (8.0, 3.0, 16), (24.0, 3.0, 46)])
+    def test_auto_n_max_is_the_ensemble_rule(self, omega, period, expect):
+        # one rule for the CLI commands and the ensemble: smallest n with
+        # |xi_n| >= 4 k_s, floored at 8
+        cfg = RunConfig(period=period)
+        assert cfg.auto_n_max(omega) == expect
+        assert default_n_max(cfg.make_params(omega), period) == expect
 
     def test_resolved_text_byte_stable(self, tmp_path):
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 3.5\n")

@@ -599,6 +599,79 @@ class TestSolve:
         assert sol.norms["h1"] > 0.0
 
 
+def _double_solve(system, load):
+    """Oracle: one plain complex128 LU solve, as a FieldSolution."""
+    mesh = system.mesh
+    x = spla.splu(system.full_matrix(), permc_spec="MMD_AT_PLUS_A").solve(load)
+    values = np.zeros((mesh.n_nodes, 2), dtype=complex)
+    values[mesh.free_nodes, 0] = x[0::2]
+    values[mesh.free_nodes, 1] = x[1::2]
+    return FieldSolution(mesh=mesh, values=values)
+
+
+def _near_singular(eps):
+    """A = [[1, 1], [1, 1 + eps]] as CSC, with b = (1, 2)."""
+    a = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + eps]],
+                               dtype=complex))
+    return a, np.array([1.0, 2.0], dtype=complex)
+
+
+class TestRefinedSolve:
+    """The complex64 factorization with complex128 refinement against a
+    complex128 solve, and its fallback to the complex128 factorization."""
+
+    @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi])
+    @pytest.mark.parametrize("kind", ["flat", "wavy"])
+    def test_matches_double_solve(self, flat_geom, wavy_geom, bump, kind,
+                                  omega):
+        geom = flat_geom if kind == "flat" else wavy_geom
+        p = make_params(1.0, 1.0, omega)
+        mesh = build_mesh(geom.surface, geom.h, 32, 48)
+        system = assemble_B(mesh, p, default_n_max(p, mesh.period))
+        load = assemble_load(mesh, bump)
+        sol = solve(system, load)
+        assert sol.metadata["factor_dtype"] == "complex64"
+        assert 1 <= sol.metadata["refinement_steps"] <= 10
+        assert sol.metadata["residual"] <= 1e-10
+        expect = _double_solve(system, load)
+        for key, value in norms(expect).items():
+            assert sol.norms[key] == pytest.approx(value, rel=1e-12), key
+        scale = float(np.max(np.abs(expect.values)))
+        assert float(np.max(np.abs(sol.values - expect.values))) \
+            <= 1e-11 * scale
+
+    def test_single_precision_singular_falls_back(self):
+        # 1 + 1e-9 rounds to 1 in complex64: the complex64 LU is singular
+        a, b = _near_singular(1e-9)
+        x, health = fem._lu_solve(a, b)
+        assert health["factor_dtype"] == "complex128"
+        assert health["refinement_steps"] == 0
+        assert health["residual"] <= 1e-10
+        # the complex128 path is the plain solve: same factor, same x
+        expect = spla.splu(a, permc_spec="MMD_AT_PLUS_A").solve(b)
+        assert np.array_equal(x, expect)
+
+    def test_ill_conditioned_system_refines(self):
+        # kappa about 4e6: the first complex64 solve is off by about
+        # kappa * 6e-8, and the refinement recovers double accuracy
+        a, b = _near_singular(1e-6)
+        x, health = fem._lu_solve(a, b)
+        assert health["factor_dtype"] == "complex64"
+        assert health["refinement_steps"] == 7
+        assert health["residual"] <= 1e-12
+        rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+        assert health["residual"] == pytest.approx(rel, rel=1e-9, abs=0.0)
+
+    def test_refinement_short_of_gate_falls_back(self, monkeypatch):
+        # with no refinement steps the first complex64 solve misses the
+        # gate, so the complex128 factorization answers
+        monkeypatch.setattr(fem, "_REFINE_MAX_STEPS", 0)
+        a, b = _near_singular(1e-6)
+        _, health = fem._lu_solve(a, b)
+        assert health["factor_dtype"] == "complex128"
+        assert health["residual"] <= 1e-10
+
+
 class TestNorms:
     def test_constant_field_l2(self, flat_geom):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 16)

@@ -25,10 +25,14 @@ from elastodtn.model import (
     make_cutoff,
     make_params,
     make_source,
+    sample_surface,
     SourceSpec,
 )
 from elastodtn.dtn import TraceCoefficients, gamma, projection_matrices, symbol_matrices
+from elastodtn import cli
+from elastodtn.config import default_config
 from elastodtn.verify import (
+    _domain_form,
     _dtn_pairing,
     SmoothWindow,
     SweepConfig,
@@ -406,6 +410,73 @@ class TestPullbackIdentity:
         r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48,
                                     n_max=8, seed=4)
         assert r["b_discrepancy"] > 1e-6
+
+    def test_blocks_equal_single_block_form(self):
+        # oracle: the check with every triangle sampled at once; on the
+        # verify-all map the rule has 8192 triangles, so eight blocks
+        cfg = default_config()
+        _, gap = cli._gate_random(cfg)
+        model = cfg.make_model()
+        dmap = DomainMap(f0=model.f0, f_eta=sample_surface(model, 0),
+                         cutoff=make_cutoff(cfg.auto_delta(gap), gap),
+                         epsilon_margin=cfg.epsilon_margin)
+        src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+        p = cfg.make_params()
+        args = dict(nx=64, ny=64, source=src, n_max=8, seed=cfg.seed)
+        got = pullback_identity_check(dmap, p, 2, **args)
+        expect = _single_block_pullback_check(dmap, p, 2, **args)
+        assert set(got) == set(expect)
+        for key, value in got.items():
+            assert type(value) is float, key
+            assert abs(value - expect[key]) <= 1e-12 * abs(expect[key]), key
+
+
+def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
+                                 seed):
+    """pullback_identity_check with each side's test fields sampled on all
+    of its triangles at once."""
+    h = dmap.f0.sup() + dmap.cutoff.gap
+    mesh_ref = build_mesh(dmap.f0, h, nx, ny)
+    per = dmap.f0.period
+    x = np.linspace(0.0, per, 2048, endpoint=False)
+    band_lo = max(float(np.max(dmap.f0.f(x))) + dmap.cutoff.delta,
+                  float(np.max(dmap.f_eta.f(x))))
+    band_hi = float(np.min(dmap.f0.f(x))) + dmap.cutoff.ramp_end
+    margin = 0.05 * (band_hi - band_lo)
+    window = SmoothWindow(band_lo + margin, band_hi - margin)
+
+    def field(s):
+        return TrigPolyField(per, window, seed=seed * 1000 + s, x2_ref=band_lo)
+
+    pairs = [(field(2 * t), field(2 * t + 1)) for t in range(n_trials)]
+    loads = [field(777 + t) for t in range(n_trials)]
+    family = field(0)
+    top = family.basis(np.stack([mesh_ref.nodes[mesh_ref.top_nodes, 0],
+                                 np.full(nx, h)], axis=-1))
+    dtn = [_dtn_pairing(u.sample(top)[0], v.sample(top)[0], per, p, n_max)
+           for u, v in pairs]
+
+    def side(rule, gradient):
+        basis = family.basis(rule.points)
+
+        def sample(f):
+            val, grad = f.sample(basis)
+            return val, gradient(grad)
+
+        forms = [_domain_form(p, rule, sample(u), sample(v)) - d
+                 for (u, v), d in zip(pairs, dtn)]
+        g = source(rule.points).reshape(-1, 2)
+        return forms, [complex(-rule.integral(g * np.conj(f.sample(basis)[0])))
+                       for f in loads]
+
+    lhs = side(build_mesh(dmap.f_eta, h, nx, ny).quadrature, lambda g: g)
+    mq = map_quadrature(mesh_ref.quadrature, dmap)
+    rhs = side(mq, lambda g: mq.physical_gradient(mq.pullback_gradient(
+        g.reshape(mq.detj.shape + (2, 2)))).reshape(-1, 2, 2))
+    b_disc, g_disc = (max(abs(a - b) for a, b in zip(left, right))
+                      for left, right in zip(lhs, rhs))
+    return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
+            "max_discrepancy": max(b_disc, g_disc)}
 
 
 def _sampled_map(surface_model, index=1):
