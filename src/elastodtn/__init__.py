@@ -31,7 +31,6 @@ from .model import (
     SurfaceFn,
     check_invertibility,
     cosine_surface,
-    domain_map_eval,
     flat_surface,
     height_condition,
     make_cutoff,

@@ -480,23 +480,34 @@ def solve(system: SparseSystem, load: np.ndarray,
 
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Per-element constant gradient (nt, 2, 2): [t, a, b] = d u_a / d x_b."""
-    vals = np.asarray(values, dtype=complex)[mesh.triangles]   # (nt, 3, 2)
-    return np.einsum("tka,tkb->tab", vals, mesh.quadrature.grads)
+    """Per-element constant gradient (nt, 2, 2): [t, a, b] = d u_a / d x_b.
+
+    One product of the mesh's gradient operator with the (re, im) float
+    view of the values; the result is a view of the contiguous (nt, b, a)
+    array.
+    """
+    vf = np.ascontiguousarray(values, dtype=complex).view(float)  # (n, 4)
+    g = mesh.p1_operators.grad @ vf                    # (2 nt, 4): (t b, a)
+    return g.view(complex).reshape(-1, 2, 2).transpose(0, 2, 1)
 
 
 def norms(sol: FieldSolution) -> dict:
     """Quadrature-exact L2, H1, d2 (=||d u/d x2||) and top-trace L2 norms."""
     mesh = sol.mesh
+    ops = mesh.p1_operators
     area = mesh.quadrature.area
-    vals = np.asarray(sol.values, dtype=complex)[mesh.triangles]  # (nt, 3, 2)
-    # v^H (ones+I) v = |sum v|^2 + sum |v|^2, per component
-    ssum = np.abs(np.sum(vals, axis=1)) ** 2
-    ssq = np.sum(np.abs(vals) ** 2, axis=1)
-    l2_sq = float(np.sum(area[:, None] / 12.0 * (ssum + ssq)))
-    gu = sol.gradients
-    semi_sq = float(np.sum(area[:, None, None] * np.abs(gu) ** 2))
-    d2_sq = float(np.sum(area[:, None] * np.abs(gu[:, :, 1]) ** 2))
+    # squares of (re, im) float views weighted and summed by numpy (a BLAS
+    # dot product over the triangles would round by the thread count)
+    vf = np.ascontiguousarray(sol.values, dtype=complex).view(float)
+    # v^H (ones+I) v area/12 per triangle: |sum_k v_k|^2 area/12 plus the
+    # nodal part sum_k |v_k|^2 area/12
+    s = ops.vertex_sum @ vf
+    l2_sq = float(np.sum(area[:, None] * np.square(s)) / 12.0
+                  + np.sum(ops.nodal_weights[:, None] * np.square(vf)))
+    gf = np.ascontiguousarray(sol.gradients.transpose(0, 2, 1)).view(float)
+    gsq = area[:, None, None] * np.square(gf)      # (nt, b, (a, re/im))
+    semi_sq = float(np.sum(gsq))
+    d2_sq = float(np.sum(gsq[:, 1]))
 
     top = sol.values[mesh.top_nodes]
     nxt = np.roll(top, -1, axis=0)

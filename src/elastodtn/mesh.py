@@ -10,11 +10,13 @@ Each quad splits into two counterclockwise triangles; with increasing row
 heights this yields positive areas for any Lipschitz surface profile.
 
 Every mesh carries its degree-5 quadrature (a `Quadrature`): the P1
-geometry and the 7-point rule on each triangle, and its free-dof assembly
-pattern (a `DofPattern`).  The pattern, and the distinct abscissae of the
-rule's points, are built on first use, under a lock, so a mesh that is
-never assembled (or never mapped) does not pay for them; afterwards they
-are only read, so concurrent ensemble samples can share them.
+geometry and the 7-point rule on each triangle, its free-dof assembly
+pattern (a `DofPattern`) and the sparse operators of its P1 gradients and
+norms (`P1Operators`).  The pattern, the operators and the distinct
+abscissae of the rule's points are built on first use, under a lock, so a
+mesh that is never assembled (or never mapped) does not pay for them;
+afterwards they are only read, so concurrent ensemble samples can share
+them.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshError
 from .model import SurfaceFn
 
-__all__ = ["Mesh", "Quadrature", "DofPattern", "build_mesh", "DEGREE5_RULE"]
+__all__ = ["Mesh", "Quadrature", "DofPattern", "P1Operators", "build_mesh",
+           "DEGREE5_RULE"]
 
 SURFACE = "SURFACE"
 TOP = "TOP"
@@ -217,6 +221,42 @@ class DofPattern:
 
 
 @dataclass(frozen=True)
+class P1Operators:
+    """Sparse operators on the (n_nodes, k) nodal values of a P1 field.
+
+    Row 2t + b of `grad` gives the constant d/dx_b on triangle t: three
+    entries, the triangle's nodes, with the P1 gradients as data.  Row t of
+    `vertex_sum` sums the triangle's three vertex values.  The mass of a
+    P1 function on a triangle is area/12 (sum_k |v_k|^2 + |sum_k v_k|^2),
+    so with `nodal_weights` (sum over the triangles at a node of area/12)
+    the L2 norm needs no per-triangle gather.
+    """
+
+    grad: sp.csr_matrix         # (2 nt, n_nodes)
+    vertex_sum: sp.csr_matrix   # (nt, n_nodes)
+    nodal_weights: np.ndarray   # (n_nodes,)
+
+    @classmethod
+    def from_quadrature(cls, triangles, quad: Quadrature,
+                        n_nodes: int) -> P1Operators:
+        tri = np.asarray(triangles)
+        nt = tri.shape[0]
+        itype = _index_dtype(max(n_nodes, 6 * nt))
+        grad = sp.csr_matrix(
+            (quad.grads.transpose(0, 2, 1).ravel(),
+             np.repeat(tri, 2, axis=0).ravel().astype(itype),
+             np.arange(0, 6 * nt + 1, 3, dtype=itype)),
+            shape=(2 * nt, n_nodes))
+        vertex_sum = sp.csr_matrix(
+            (np.ones(3 * nt), tri.ravel().astype(itype),
+             np.arange(0, 3 * nt + 1, 3, dtype=itype)),
+            shape=(nt, n_nodes))
+        weights = np.bincount(tri.ravel(), weights=np.repeat(
+            quad.area / 12.0, 3), minlength=n_nodes)
+        return cls(grad=grad, vertex_sum=vertex_sum, nodal_weights=weights)
+
+
+@dataclass(frozen=True)
 class Mesh:
     period: float
     h: float
@@ -235,6 +275,13 @@ class Mesh:
         return _built_once(self, "_pattern", lambda: DofPattern.from_topology(
             self.triangles, self.surface_nodes, self.top_nodes,
             self.n_nodes))
+
+    @property
+    def p1_operators(self) -> P1Operators:
+        """Sparse P1 gradient and norm operators, built on first use."""
+        return _built_once(self, "_p1_operators",
+                           lambda: P1Operators.from_quadrature(
+                               self.triangles, self.quadrature, self.n_nodes))
 
     @property
     def n_nodes(self) -> int:

@@ -44,7 +44,6 @@ __all__ = [
     "CutoffFn",
     "make_cutoff",
     "DomainMap",
-    "domain_map_eval",
     "check_invertibility",
     "RandomSurfaceModel",
     "sample_surface",
@@ -309,17 +308,6 @@ class DomainMap:
         j1 = a * ddiff - da * df0 * diff
         j2 = da * diff
         return j1, j2
-
-
-def domain_map_eval(dmap: DomainMap, y) -> tuple[np.ndarray, float, float, float]:
-    """Evaluate (x, J1, J2, detJ) at a single reference point y."""
-    y = np.asarray(y, dtype=float)
-    x = dmap.apply(y)
-    j1, j2 = dmap.jacobian(y)
-    detj = 1.0 + float(j2)
-    if detj <= 0.0:
-        raise MapSingularError(f"det J = {detj:.6g} <= 0 at y = {y.tolist()}")
-    return x, float(j1), float(j2), detj
 
 
 def check_invertibility(dmap: DomainMap, grid_resolution: int,

@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 
 from elastodtn import fem
@@ -26,7 +28,13 @@ from elastodtn.fem import (
     trace_coefficients,
     transformed_element_matrices,
 )
-from elastodtn.mesh import DEGREE5_RULE, DofPattern, Quadrature, build_mesh
+from elastodtn.mesh import (
+    DEGREE5_RULE,
+    DofPattern,
+    P1Operators,
+    Quadrature,
+    build_mesh,
+)
 from elastodtn.model import (
     DomainMap,
     RandomSurfaceModel,
@@ -247,25 +255,31 @@ class TestAssembly:
     @pytest.mark.parametrize("mapped", [False, True])
     def test_system_structure(self, flat_geom, surface_model, omega, mapped):
         # 2 pi and 4 pi are Rayleigh-Wood frequencies: xi_n = k_s for n = 1, 2
-        p = make_params(1.0, 1.0, omega)
-        mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 16)
-        n_max = default_n_max(p, mesh.period)
-        if mapped:
-            gap = flat_geom.h - flat_geom.surface.sup()
-            dmap = DomainMap(f0=flat_geom.surface,
-                             f_eta=sample_surface(surface_model, 0),
-                             cutoff=make_cutoff(gap / 8.0, gap))
-            system = assemble_B_transformed(
-                mesh, p, map_quadrature(mesh.quadrature, dmap), n_max)
-        else:
-            system = assemble_B(mesh, p, n_max)
-        # complex-symmetric system matrix
-        a = system.full_matrix()
-        assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
-        # outgoing energy flux: Im of the DtN block is positive semidefinite
-        b = system.dtn_block
-        eigs = np.linalg.eigvalsh((b - b.conj().T) / 2j)
-        assert eigs.min() >= -1e-12 * eigs.max()
+        _assert_system_structure(flat_geom, surface_model, 24, 16, omega,
+                                 mapped)
+
+    # today's cases, then random meshes and frequencies; k_s = omega and
+    # k_p = omega / sqrt(3) meet xi_n = 2 pi n at the Rayleigh-Wood values
+    @example(nx=24, ny=16, omega=2.0, mapped=False)
+    @example(nx=24, ny=16, omega=8.0, mapped=False)
+    @example(nx=24, ny=16, omega=2 * math.pi, mapped=False)
+    @example(nx=24, ny=16, omega=4 * math.pi, mapped=False)
+    @example(nx=24, ny=16, omega=2.0, mapped=True)
+    @example(nx=24, ny=16, omega=8.0, mapped=True)
+    @example(nx=24, ny=16, omega=2 * math.pi, mapped=True)
+    @example(nx=24, ny=16, omega=4 * math.pi, mapped=True)
+    @given(nx=st.integers(4, 40), ny=st.integers(2, 24),
+           omega=st.one_of(
+               st.sampled_from([2 * math.pi, 4 * math.pi, 6 * math.pi,
+                                2 * math.sqrt(3.0) * math.pi]),
+               st.floats(0.25, 20.0)),
+           mapped=st.booleans())
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_system_structure_property(self, flat_geom, surface_model, nx,
+                                       ny, omega, mapped):
+        _assert_system_structure(flat_geom, surface_model, nx, ny, omega,
+                                 mapped)
 
     def test_dtn_block_equals_per_mode_kron_sum(self, flat_geom):
         # reference: the mode-by-mode Kronecker sum the block realizes;
@@ -295,6 +309,28 @@ class TestAssembly:
         assert np.all(full[~mask, :] == 0.0)
         assert np.all(full[:, ~mask] == 0.0)
         assert np.any(full[np.ix_(mask, mask)] != 0.0)
+
+
+def _assert_system_structure(geom, model, nx, ny, omega, mapped):
+    """The assembled system is complex-symmetric and the Im part of its DtN
+    block is positive semidefinite (outgoing energy flux), for the plain
+    form or the form pulled back through a sampled map."""
+    p = make_params(1.0, 1.0, omega)
+    mesh = build_mesh(geom.surface, geom.h, nx, ny)
+    n_max = default_n_max(p, mesh.period)
+    if mapped:
+        gap = geom.h - geom.surface.sup()
+        dmap = DomainMap(f0=geom.surface, f_eta=sample_surface(model, 0),
+                         cutoff=make_cutoff(gap / 8.0, gap))
+        system = assemble_B_transformed(
+            mesh, p, map_quadrature(mesh.quadrature, dmap), n_max)
+    else:
+        system = assemble_B(mesh, p, n_max)
+    a = system.full_matrix()
+    assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
+    b = system.dtn_block
+    eigs = np.linalg.eigvalsh((b - b.conj().T) / 2j)
+    assert eigs.min() >= -1e-12 * eigs.max()
 
 
 def _sampled_map_quadrature(geom, model, mesh):
@@ -414,40 +450,49 @@ class TestAssemblyPattern:
     def test_pattern_built_once_on_first_use(self, flat_geom, monkeypatch):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 8)
         assert "_pattern" not in vars(mesh)   # build_mesh does not build it
-        calls = []
-        build = DofPattern.from_topology
-
-        def slow_build(*args):
-            calls.append(1)
-            barrier_passed.wait(1.0)  # hold the build while others arrive
-            return build(*args)
-
-        monkeypatch.setattr(DofPattern, "from_topology", slow_build)
-        barrier_passed = threading.Event()
-        barrier = threading.Barrier(4, action=barrier_passed.set)
-        seen = []
-
-        def first_use():
-            barrier.wait()
-            seen.append(mesh.pattern)
-
-        threads = [threading.Thread(target=first_use) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        calls, seen, build = _race_first_use(
+            monkeypatch, DofPattern, "from_topology", lambda: mesh.pattern)
         assert len(calls) == 1
         assert len(seen) == 4 and all(pat is seen[0] for pat in seen)
         ref = build(mesh.triangles, mesh.surface_nodes, mesh.top_nodes,
                     mesh.n_nodes)
         for name in ("elem_dofs", "top_dofs", "indptr", "indices", "slots"):
             assert np.array_equal(getattr(seen[0], name), getattr(ref, name))
+
+
+def _race_first_use(monkeypatch, cls, builder, first_use):
+    """Call first_use() on 4 threads released together by a barrier while
+    cls.builder, patched to count its calls, holds its build until all
+    have arrived.  Returns (calls, the values seen, the real builder)."""
+    calls = []
+    build = getattr(cls, builder)
+
+    def slow_build(*args):
+        calls.append(1)
+        barrier_passed.wait(1.0)  # hold the build while others arrive
+        return build(*args)
+
+    monkeypatch.setattr(cls, builder, slow_build)
+    barrier_passed = threading.Event()
+    barrier = threading.Barrier(4, action=barrier_passed.set)
+    seen = []
+
+    def run():
+        barrier.wait()
+        seen.append(first_use())
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return calls, seen, build
 
 
 def _map_family(kind):
@@ -711,6 +756,76 @@ class TestNorms:
         assert n["l2"] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
         assert n["d2"] == pytest.approx(1.0, rel=1e-12)
         assert n["h1"] == pytest.approx(math.sqrt(1.0 / 3.0 + 1.0), rel=1e-12)
+
+
+def _einsum_gradients(mesh, values):
+    """Reference: element gradients by an einsum over the vertex values."""
+    vals = np.asarray(values, dtype=complex)[mesh.triangles]
+    return np.einsum("tka,tkb->tab", vals, mesh.quadrature.grads)
+
+
+def _complex_abs_norms(mesh, values):
+    """Reference: (l2, h1, d2) from complex abs values of the vertex values
+    and the einsum gradients, summed over the triangles."""
+    area = mesh.quadrature.area
+    vals = np.asarray(values, dtype=complex)[mesh.triangles]
+    ssum = np.abs(np.sum(vals, axis=1)) ** 2
+    ssq = np.sum(np.abs(vals) ** 2, axis=1)
+    l2_sq = float(np.sum(area[:, None] / 12.0 * (ssum + ssq)))
+    gu = _einsum_gradients(mesh, values)
+    semi_sq = float(np.sum(area[:, None, None] * np.abs(gu) ** 2))
+    d2_sq = float(np.sum(area[:, None] * np.abs(gu[:, :, 1]) ** 2))
+    return {"l2": math.sqrt(l2_sq), "h1": math.sqrt(l2_sq + semi_sq),
+            "d2": math.sqrt(d2_sq)}
+
+
+class TestP1Operators:
+    """Gradients and norms from the mesh's sparse operators against the
+    per-triangle einsum and complex-abs forms."""
+
+    @pytest.fixture(params=["flat", "wavy"])
+    def mesh(self, request, flat_geom, wavy_geom):
+        geom = flat_geom if request.param == "flat" else wavy_geom
+        return build_mesh(geom.surface, geom.h, 24, 32)
+
+    @staticmethod
+    def _fields(mesh):
+        """Random complex fields, zero on the surface rows."""
+        gen = np.random.default_rng(mesh.n_nodes)
+        for _ in range(3):
+            vals = gen.standard_normal((mesh.n_nodes, 2)) \
+                + 1j * gen.standard_normal((mesh.n_nodes, 2))
+            vals[mesh.surface_nodes] = 0.0
+            yield vals
+
+    def test_gradients_equal_einsum(self, mesh):
+        ops = mesh.p1_operators
+        assert np.all(np.diff(ops.grad.indptr) == 3)
+        for vals in self._fields(mesh):
+            got = fem.element_gradients(mesh, vals)
+            assert _rel_gap(got, _einsum_gradients(mesh, vals)) <= 1e-14
+
+    def test_norms_equal_complex_abs(self, mesh):
+        for vals in self._fields(mesh):
+            got = norms(FieldSolution(mesh=mesh, values=vals))
+            expect = _complex_abs_norms(mesh, vals)
+            for key, value in expect.items():
+                assert abs(got[key] - value) <= 1e-14 * value, key
+
+    def test_built_once_on_first_use(self, flat_geom, monkeypatch):
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 8)
+        assert "_p1_operators" not in vars(mesh)
+        calls, seen, build = _race_first_use(
+            monkeypatch, P1Operators, "from_quadrature",
+            lambda: mesh.p1_operators)
+        assert len(calls) == 1
+        assert len(seen) == 4 and all(ops is seen[0] for ops in seen)
+        ref = build(mesh.triangles, mesh.quadrature, mesh.n_nodes)
+        for name in ("grad", "vertex_sum"):
+            got, want = getattr(seen[0], name), getattr(ref, name)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
+        assert np.array_equal(seen[0].nodal_weights, ref.nodal_weights)
 
 
 class TestTraceCoefficients:

@@ -34,6 +34,7 @@ from elastodtn.config import default_config
 from elastodtn.verify import (
     _domain_form,
     _dtn_pairing,
+    _support_elements,
     SmoothWindow,
     SweepConfig,
     TrigPolyField,
@@ -414,36 +415,82 @@ class TestPullbackIdentity:
     def test_blocks_equal_single_block_form(self):
         # oracle: the check with every triangle sampled at once; on the
         # verify-all map the rule has 8192 triangles, so eight blocks
-        cfg = default_config()
-        _, gap = cli._gate_random(cfg)
-        model = cfg.make_model()
-        dmap = DomainMap(f0=model.f0, f_eta=sample_surface(model, 0),
-                         cutoff=make_cutoff(cfg.auto_delta(gap), gap),
-                         epsilon_margin=cfg.epsilon_margin)
-        src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
-        p = cfg.make_params()
-        args = dict(nx=64, ny=64, source=src, n_max=8, seed=cfg.seed)
-        got = pullback_identity_check(dmap, p, 2, **args)
-        expect = _single_block_pullback_check(dmap, p, 2, **args)
-        assert set(got) == set(expect)
-        for key, value in got.items():
-            assert type(value) is float, key
-            assert abs(value - expect[key]) <= 1e-12 * abs(expect[key]), key
+        _assert_equals_all_triangle_form(*_verify_all_case())
+
+    def test_support_restriction_on_second_seed(self):
+        # the same oracle on another sampled surface and test-field seed;
+        # the sums skip or group the triangles differently, so the
+        # discrepancies (differences of O(1) integrals near 3e-8) agree to
+        # 1e-12 of the integrals, not bitwise
+        _assert_equals_all_triangle_form(*_verify_all_case(index=3, seed=7),
+                                         relative_to_integrals=True)
+
+    def test_skipped_triangles_carry_zero_window(self):
+        # every triangle the check skips has chi = chi' = 0 at all of its
+        # 7 points, on both sides, so each skipped term is an exact zero
+        dmap, _, args = _verify_all_case()
+        nx, ny = args["nx"], args["ny"]
+        _, window = _pullback_window(dmap)
+        h = dmap.f0.sup() + dmap.cutoff.gap
+        mapped = build_mesh(dmap.f_eta, h, nx, ny).quadrature.points
+        pulled = map_quadrature(build_mesh(dmap.f0, h, nx, ny).quadrature,
+                                dmap).points
+        for points in (mapped, pulled):
+            kept = _support_elements(points, window.support)
+            skipped = np.setdiff1d(np.arange(points.shape[0]), kept)
+            assert 0 < skipped.size < points.shape[0]
+            x2 = points[skipped, :, 1]
+            assert np.all(window.value(x2) == 0.0)
+            assert np.all(window.d1(x2) == 0.0)
 
 
-def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
-                                 seed):
-    """pullback_identity_check with each side's test fields sampled on all
-    of its triangles at once."""
-    h = dmap.f0.sup() + dmap.cutoff.gap
-    mesh_ref = build_mesh(dmap.f0, h, nx, ny)
+def _verify_all_case(index=0, seed=None):
+    """(dmap, params, keyword arguments) of verify-all's pullback check on
+    the default config, with another sampled surface or seed if given."""
+    cfg = default_config()
+    _, gap = cli._gate_random(cfg)
+    model = cfg.make_model()
+    dmap = DomainMap(f0=model.f0, f_eta=sample_surface(model, index),
+                     cutoff=make_cutoff(cfg.auto_delta(gap), gap),
+                     epsilon_margin=cfg.epsilon_margin)
+    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    return dmap, cfg.make_params(), dict(
+        nx=64, ny=64, source=src, n_max=8,
+        seed=cfg.seed if seed is None else seed)
+
+
+def _assert_equals_all_triangle_form(dmap, p, args,
+                                     relative_to_integrals=False):
+    """The check's discrepancies agree with the all-triangle oracle's to
+    1e-12 of their own size, or of the largest integral they compare."""
+    got = pullback_identity_check(dmap, p, 2, **args)
+    expect, integrals = _single_block_pullback_check(dmap, p, 2, **args)
+    assert set(got) == set(expect)
+    for key, value in got.items():
+        assert type(value) is float, key
+        scale = integrals if relative_to_integrals else abs(expect[key])
+        assert abs(value - expect[key]) <= 1e-12 * scale, key
+
+
+def _pullback_window(dmap):
+    """The test fields' window of the pullback check."""
     per = dmap.f0.period
     x = np.linspace(0.0, per, 2048, endpoint=False)
     band_lo = max(float(np.max(dmap.f0.f(x))) + dmap.cutoff.delta,
                   float(np.max(dmap.f_eta.f(x))))
     band_hi = float(np.min(dmap.f0.f(x))) + dmap.cutoff.ramp_end
     margin = 0.05 * (band_hi - band_lo)
-    window = SmoothWindow(band_lo + margin, band_hi - margin)
+    return band_lo, SmoothWindow(band_lo + margin, band_hi - margin)
+
+
+def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
+                                 seed):
+    """pullback_identity_check with each side's test fields sampled on all
+    of its triangles at once: (its result, the largest integral compared)."""
+    h = dmap.f0.sup() + dmap.cutoff.gap
+    mesh_ref = build_mesh(dmap.f0, h, nx, ny)
+    per = dmap.f0.period
+    band_lo, window = _pullback_window(dmap)
 
     def field(s):
         return TrigPolyField(per, window, seed=seed * 1000 + s, x2_ref=band_lo)
@@ -475,8 +522,9 @@ def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
         g.reshape(mq.detj.shape + (2, 2)))).reshape(-1, 2, 2))
     b_disc, g_disc = (max(abs(a - b) for a, b in zip(left, right))
                       for left, right in zip(lhs, rhs))
+    integrals = max(abs(t) for terms in lhs + rhs for t in terms)
     return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
-            "max_discrepancy": max(b_disc, g_disc)}
+            "max_discrepancy": max(b_disc, g_disc)}, integrals
 
 
 def _sampled_map(surface_model, index=1):
@@ -534,6 +582,13 @@ class TestTrigPolyField:
                     <= 1e-13 * np.max(np.abs(ref_val)))
             assert (np.max(np.abs(grad - ref_grad))
                     <= 1e-13 * np.max(np.abs(ref_grad)))
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_values_equal_sample_values(self, surface_model, mapped):
+        basis = self._field().basis(self._points(surface_model, mapped))
+        for seed in (3, 4):
+            f = self._field(seed)
+            assert np.array_equal(f.values(basis), f.sample(basis)[0])
 
     def test_gradient_equals_central_differences(self, surface_model):
         pts = self._points(surface_model, True).reshape(-1, 2)
