@@ -129,7 +129,9 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     system = assemble_B(mesh, p, cfg.auto_n_max())
-    sol = solve(system, assemble_load(mesh, src),
+    load = assemble_load(mesh, src, src.support_elements(
+        mesh.quadrature.points))
+    sol = solve(system, load,
                 metadata={"omega": p.omega, "n_max": system.n_max})
     # the node coordinates' text, shared with mesh.txt, then the (re, im)
     # view of the complex (n_nodes, 2) values: re_u1 im_u1 re_u2 im_u2
@@ -239,9 +241,10 @@ def _deterministic_anchor(cfg: RunConfig, p, mesh, profile) -> float:
     It runs as a task of the ensemble's pool, so BLAS is pinned as for the
     samples and checks.csv does not depend on the BLAS thread setting."""
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    elems = src.support_elements(mesh.quadrature.points)
     system = assemble_B(mesh, p, cfg.auto_n_max())
-    sol = solve(system, assemble_load(mesh, src))
-    gn = verify.source_norms(mesh, src)["h1"]
+    sol = solve(system, assemble_load(mesh, src, elems))
+    gn = verify.source_norms(mesh, src, elems)["h1"]
     denom = ((profile.h + 2.0 - profile.m) ** 2
              * (profile.c4 + profile.c5 + profile.c6) ** 2 * gn ** 2)
     return sol.norms["h1"] ** 2 / denom
@@ -285,8 +288,9 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     # solve-based checks
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    elems = src.support_elements(mesh.quadrature.points)
     system = assemble_B(mesh, p, cfg.auto_n_max())
-    load = assemble_load(mesh, src)
+    load = assemble_load(mesh, src, elems)
     sol = solve(system, load, metadata={"omega": p.omega,
                                         "n_max": system.n_max})
     a = system.full_matrix()
@@ -294,7 +298,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     free = mesh.free_nodes
     xvec[0::2] = sol.values[free, 0]
     xvec[1::2] = sol.values[free, 1]
-    gl2 = verify.source_norms(mesh, src)["l2"]
+    gl2 = verify.source_norms(mesh, src, elems)["l2"]
     res_inf = float(np.max(np.abs(a @ xvec - load)))
     checks.append(["galerkin_residual", res_inf, 1e-9 * gl2,
                    res_inf <= 1e-9 * gl2, 0.0])

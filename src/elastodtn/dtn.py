@@ -199,6 +199,13 @@ def _max_entry_norm(mats: np.ndarray) -> np.ndarray:
     return np.max(np.abs(mats), axis=(-2, -1))
 
 
+def _positive_definite_2x2(h: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian 2x2 matrix of h (..., 2, 2) is positive
+    definite: exactly when its trace and its determinant are positive."""
+    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    return (a + d > 0.0) & (a * d - (b.real ** 2 + b.imag ** 2) > 0.0)
+
+
 def symbol_bound_check(p: ElasticParams, xi_grid) -> dict:
     """Numerical sweep of the symbol-bound properties.
 
@@ -213,11 +220,8 @@ def symbol_bound_check(p: ElasticParams, xi_grid) -> dict:
     c_of_omega = float(np.max(norms / (1.0 + xi ** 2)))
 
     evan = np.abs(xi) > p.k_s
-    neg_def_ok = True
-    if np.any(evan):
-        herm = 0.5 * (mats[evan] + np.conj(np.swapaxes(mats[evan], -1, -2)))
-        eigs = np.linalg.eigvalsh(-herm)
-        neg_def_ok = bool(np.all(eigs > 0.0))
+    herm = 0.5 * (mats[evan] + np.conj(np.swapaxes(mats[evan], -1, -2)))
+    neg_def_ok = bool(np.all(_positive_definite_2x2(-herm)))
 
     interior = np.abs(xi) <= p.k_s
     interior_ratio = float(np.max(norms[interior]) / p.omega) if np.any(interior) else 0.0

@@ -19,11 +19,20 @@ C = inv(J) inv(J)^T det(J), gradients become invJ^T-transformed gradients and
 all terms pick up det(J); all evaluated by the mesh's degree-5 (7-point)
 rule.  `map_quadrature` evaluates the map once per sample at those points;
 the resulting `MappedQuadrature` is the only place the factors are formed.
+
+Every LU factorization and triangular solve runs with every loaded OpenBLAS
+pinned to one thread (`_single_thread_blas`): SuperLU calls BLAS on each
+supernode, and with more threads the factorization is slower and its
+factors (so the solution's bytes) depend on the thread setting.  Other
+BLAS vendors are left as they are.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -346,10 +355,15 @@ def _weighted_load(weights: np.ndarray, g_values) -> np.ndarray:
     return -np.matmul(DEGREE5_RULE[0].T, weights[:, :, None] * gv).view(complex)
 
 
-def assemble_load(mesh: Mesh, g) -> np.ndarray:
-    """Free-dof load vector with entries -int g . phi_i (7-point rule)."""
-    q = mesh.quadrature
-    return _scatter_load(mesh, _weighted_load(q.weights, g(q.points)))
+def assemble_load(mesh: Mesh, g, elems=None) -> np.ndarray:
+    """Free-dof load vector with entries -int g . phi_i (7-point rule).
+
+    g is integrated on the triangles `elems` of the mesh only (all when
+    None), so a source that vanishes elsewhere (`support_elements` of the
+    rule's points) is evaluated on those alone.
+    """
+    q = mesh.quadrature if elems is None else mesh.quadrature.take(elems)
+    return _scatter_load(mesh, _weighted_load(q.weights, g(q.points)), elems)
 
 
 def assemble_load_transformed(mesh_ref: Mesh, g_values, mq: MappedQuadrature,
@@ -376,6 +390,81 @@ def _scatter_load(mesh: Mesh, contrib: np.ndarray, elems=None) -> np.ndarray:
     out.real = _sum_at(dofs, c.real, pat.n_dofs)
     out.imag = _sum_at(dofs, c.imag, pat.n_dofs)
     return out
+
+
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads")
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process; empty where the memory map cannot be read (non-Linux) or no
+    OpenBLAS is loaded (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {parts[5].strip() for parts in
+                     (line.split(maxsplit=5) for line in fh)
+                     if len(parts) == 6}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths
+                       if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+class _SingleThreadBlas:
+    """Context manager pinning every loaded OpenBLAS to one thread.
+
+    The thread count is process-wide, so overlapping blocks share one pin:
+    the first to enter saves each library's count and the last to leave
+    restores it, also when the block raises.  The libraries are found by
+    one scan of the memory map, on the first entry; numpy and scipy load
+    theirs on import, before any factorization.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list = []
+        self._controls: list | None = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                if self._controls is None:
+                    self._controls = _openblas_thread_controls()
+                self._saved = [(setter, getter()) for getter, setter
+                               in self._controls]
+                for setter, _ in self._saved:
+                    setter(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for setter, count in self._saved:
+                    setter(count)
+                self._saved = []
+        return False
+
+
+_single_thread_blas = _SingleThreadBlas()
 
 
 _RESIDUAL_GATE = 1e-10  # relative residual every returned solution meets
@@ -424,19 +513,21 @@ def _refined_solve(a: sp.csc_matrix, b: np.ndarray):
 
 def _lu_solve(a: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, dict]:
     """x with A x = b for a nonzero b, and its solver health (the metadata
-    keys `solve` documents); raises SolveError above the residual gate."""
-    refined = _refined_solve(a, b)
-    if refined is not None and refined[1] <= _RESIDUAL_GATE:
-        x, rel, steps, nnz_lu = refined
-        dtype = "complex64"
-    else:
-        try:
-            lu = _factor(a)
-        except RuntimeError as exc:  # singular factorization
-            raise SolveError(f"factorization failed: {exc}") from exc
-        x = lu.solve(b)
-        rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
-        steps, nnz_lu, dtype = 0, lu.nnz, "complex128"
+    keys `solve` documents); raises SolveError above the residual gate.
+    Runs with OpenBLAS pinned to one thread."""
+    with _single_thread_blas:
+        refined = _refined_solve(a, b)
+        if refined is not None and refined[1] <= _RESIDUAL_GATE:
+            x, rel, steps, nnz_lu = refined
+            dtype = "complex64"
+        else:
+            try:
+                lu = _factor(a)
+            except RuntimeError as exc:  # singular factorization
+                raise SolveError(f"factorization failed: {exc}") from exc
+            x = lu.solve(b)
+            rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+            steps, nnz_lu, dtype = 0, lu.nnz, "complex128"
     if rel > _RESIDUAL_GATE:
         raise SolveError(
             f"relative residual {rel:.3e} exceeds {_RESIDUAL_GATE:g} "
@@ -452,6 +543,8 @@ def solve(system: SparseSystem, load: np.ndarray,
     A is factored in complex64 and the solution refined with complex128
     residuals.  When the complex64 factorization fails or refinement ends
     above the 1e-10 gate, A is factored in complex128 and solved once.
+    Factorizations and solves run on one OpenBLAS thread, so the solution
+    does not depend on the BLAS thread setting.
 
     The solution's metadata gains the solver health of a nonzero load:
     `residual` (relative), `nnz_lu` (fill of the LU factors), `factor_dtype`

@@ -146,6 +146,19 @@ def _read_only(a, maxval: int) -> np.ndarray:
     return out
 
 
+# (di, dj) from a node to each node it shares a triangle with, itself
+# included; the vertices (di, dj) of build_mesh's two triangles of a quad
+# from its lower-left node; and, per triangle parity, the offset index of
+# each vertex pair (p, q).
+_COUPLING_OFFSETS = np.array([(-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0),
+                              (0, 1), (1, 1)])
+_TRIANGLE_VERTICES = np.array([[(0, 0), (1, 0), (1, 1)],
+                               [(0, 0), (1, 1), (0, 1)]])
+_PAIR_OFFSET = np.array([[[_COUPLING_OFFSETS.tolist().index((q - p).tolist())
+                           for q in tri] for p in tri]
+                         for tri in _TRIANGLE_VERTICES])
+
+
 @dataclass(frozen=True)
 class DofPattern:
     """Free-dof numbering and the CSR pattern of the domain matrix.
@@ -165,56 +178,71 @@ class DofPattern:
     slots: np.ndarray      # (nt, 36) CSR data position of element entry (i, j)
 
     @classmethod
-    def from_topology(cls, triangles, surface_nodes, top_nodes,
-                      n_nodes: int) -> DofPattern:
-        # free-node position of each node, -1 on the surface
-        pos = np.ones(n_nodes, dtype=np.int64)
-        pos[surface_nodes] = 0
-        pos = np.cumsum(pos) - 1
-        pos[surface_nodes] = -1
-        nf = int(pos.max() + 1)
+    def for_strip(cls, nx: int, ny: int) -> DofPattern:
+        """The pattern of the `build_mesh` strip with nx columns and ny
+        rows of quads, in closed form.
+
+        Node (i, j) has id j nx + i; the free ones (rows j >= 1) sit at
+        free position (j - 1) nx + i.  Every triangle edge joins nodes at
+        one of the offsets `_COUPLING_OFFSETS`, so node r couples to the
+        free nodes among those seven: sorting each node's seven candidate
+        columns (duplicates at nx = 2) gives its CSR row, and the rank of
+        each offset in it locates every element entry.
+        """
+        nf = nx * ny
         n = 2 * nf
-
-        def dofs_of(nodes):
-            d = np.stack([2 * pos[nodes], 2 * pos[nodes] + 1], axis=-1)
-            return np.where(d >= 0, d, n).reshape(nodes.shape[:-1] + (-1,))
-
-        elem_dofs = _read_only(dofs_of(triangles), n)
-        top_dofs = _read_only(dofs_of(top_nodes[:, None]).ravel(), n)
-
-        # Couplings of free nodes (r, c), sorted; each is a 2x2 block whose
-        # entries (2r + a, 2c + b) sit in dof row 2r + a, which holds two
-        # columns for every node coupled to r.
-        pt = pos[triangles]                              # (nt, 3)
-        nt = pt.shape[0]
-        keep = (pt[:, :, None] >= 0) & (pt[:, None, :] >= 0)
-        pairs, inverse = np.unique((pt[:, :, None] * nf + pt[:, None, :])
-                                   [keep], return_inverse=True)
-        r, c = np.divmod(pairs, nf)
-        row_len = np.bincount(r, minlength=nf)
+        di, dj = _COUPLING_OFFSETS.T
+        rows = np.arange(1, ny + 1)[:, None, None] + dj          # (ny, 1, 7)
+        cand = np.where((rows >= 1) & (rows <= ny),
+                        (rows - 1) * nx + (np.arange(nx)[:, None] + di) % nx,
+                        nf).reshape(nf, -1)   # missing couplings sort last
+        order = np.argsort(cand, axis=1, kind="stable")
+        col = np.take_along_axis(cand, order, axis=1)
+        new = col < nf
+        new[:, 1:] &= col[:, 1:] != col[:, :-1]
+        rank_sorted = np.cumsum(new, axis=1) - 1
+        rank = np.empty_like(rank_sorted)       # rank of each offset
+        np.put_along_axis(rank, order, rank_sorted, axis=1)
+        row_len = rank_sorted[:, -1] + 1
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.repeat(2 * row_len, 2), out=indptr[1:])
         nnz = int(indptr[-1])
-        rank = np.arange(pairs.size) - (np.cumsum(row_len) - row_len)[r]
-        first = indptr[2 * r] + 2 * rank                 # slot of (2r, 2c)
-        stride = 2 * row_len[r]                          # to (2r + 1, 2c)
-
-        # the same per node pair of each triangle; dropped pairs point at
-        # nnz and nnz + 1
+        # dof rows 2r and 2r + 1 both list columns 2c, 2c + 1 for each c
         itype = _index_dtype(nnz + 1)
-        first_t = np.full((nt, 3, 3), nnz, dtype=itype)
-        stride_t = np.zeros((nt, 3, 3), dtype=itype)
-        first_t[keep] = first[inverse]
-        stride_t[keep] = stride[inverse]
-        indices = np.empty(nnz, dtype=itype)
+        shape = (nf, 2, col.shape[1], 2)
+        cols = np.stack([2 * col, 2 * col + 1], axis=-1).astype(itype)
+        indices = np.broadcast_to(cols[:, None], shape)[
+            np.broadcast_to(new[:, None, :, None], shape)]
+        # slot of (2r, 2c) for each offset, and the stride to (2r + 1, 2c)
+        first = indptr[0:-1:2, None] + 2 * rank
+        stride = 2 * row_len
+
+        # free positions (-1 on the surface) of the vertices of triangle
+        # 2 (i ny + j) + parity, build_mesh's triangles of quad (i, j)
+        vi, vj = _TRIANGLE_VERTICES[..., 0], _TRIANGLE_VERTICES[..., 1]
+        vrow = np.arange(ny)[:, None, None] + vj - 1            # (ny, 2, 3)
+        vcol = (np.arange(nx)[:, None, None, None] + vi) % nx   # (nx, 1, 2, 3)
+        pt = np.where(vrow >= 0, vrow * nx + vcol, -1).reshape(-1, 3)
+        nt = pt.shape[0]
+        keep = (pt[:, :, None] >= 0) & (pt[:, None, :] >= 0)
+        parity = np.tile([0, 1], nt // 2)
+        row = np.where(pt >= 0, pt, 0)
+        first_t = np.where(keep, first[row[:, :, None],
+                                       _PAIR_OFFSET[parity]], nnz)
+        stride_t = np.where(keep, stride[row][:, :, None], 0)
         slots = np.empty((nt, 3, 2, 3, 2), dtype=itype)
         for a in range(2):
             for b in range(2):
-                indices[first + a * stride + b] = 2 * c + b
                 slots[:, :, a, :, b] = first_t + (a * stride_t + b)
+
+        def dofs_of(pos):
+            d = np.stack([2 * pos, 2 * pos + 1], axis=-1)
+            return np.where(d >= 0, d, n).reshape(pos.shape[:-1] + (-1,))
+
         return cls(n_dofs=n,
-                   elem_dofs=elem_dofs,
-                   top_dofs=top_dofs,
+                   elem_dofs=_read_only(dofs_of(pt), n),
+                   top_dofs=_read_only(dofs_of(
+                       (ny - 1) * nx + np.arange(nx)[:, None]).ravel(), n),
                    indptr=_read_only(indptr, nnz),
                    indices=_read_only(indices, n),
                    slots=_read_only(slots.reshape(nt, 36), nnz + 1))
@@ -272,9 +300,8 @@ class Mesh:
     @property
     def pattern(self) -> DofPattern:
         """Free-dof numbering and assembly pattern, built on first use."""
-        return _built_once(self, "_pattern", lambda: DofPattern.from_topology(
-            self.triangles, self.surface_nodes, self.top_nodes,
-            self.n_nodes))
+        return _built_once(self, "_pattern",
+                           lambda: DofPattern.for_strip(self.nx, self.ny))
 
     @property
     def p1_operators(self) -> P1Operators:

@@ -7,20 +7,15 @@ and the physical-strip norm of the pushforward, obtained by change of
 variables on the same quadrature points.  Samples are pure functions of
 (seed, index), so ensembles are reproducible bit for bit at any parallelism.
 
-The sample loop runs with every loaded OpenBLAS pinned to one thread: the
-sample threads then do not oversubscribe the cores, and the LU factors (so
-the ensemble's bytes) do not depend on the BLAS thread setting.  A caller's
-extra solve (the CLI's deterministic anchor) can run as one more task of
-the same pool, under the same pin.  Other BLAS vendors are left as they
-are.
+The sample loop runs under `fem`'s OpenBLAS pin (one thread), held once
+for the whole pool: the sample threads then do not oversubscribe the cores,
+and every solve inside nests in the same pin.  A caller's extra solve (the
+CLI's deterministic anchor) can run as one more task of the same pool.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -32,6 +27,7 @@ from .errors import ElastoDtnError, EnsembleError, ParameterError
 from .fem import (
     FieldSolution,
     MappedQuadrature,
+    _single_thread_blas,
     assemble_B_transformed,
     assemble_load_transformed,
     map_quadrature,
@@ -58,76 +54,6 @@ __all__ = [
     "random_input_moments",
     "default_n_max",
 ]
-
-
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads")
-
-
-def _openblas_thread_controls() -> list:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process; empty where the memory map cannot be read (non-Linux) or no
-    OpenBLAS is loaded (MKL, Accelerate)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {parts[5].strip() for parts in
-                     (line.split(maxsplit=5) for line in fh)
-                     if len(parts) == 6}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(p for p in paths
-                       if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            getter = getattr(lib, name.replace("_set_", "_get_"), None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((getter, setter))
-                break
-    return controls
-
-
-class _SingleThreadBlas:
-    """Context manager pinning every loaded OpenBLAS to one thread.
-
-    The thread count is process-wide, so overlapping blocks share one pin:
-    the first to enter saves each library's count and the last to leave
-    restores it, also when the block raises.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved: list = []
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = [(setter, getter()) for getter, setter
-                               in _openblas_thread_controls()]
-                for setter, _ in self._saved:
-                    setter(1)
-            self._depth += 1
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for setter, count in self._saved:
-                    setter(count)
-                self._saved = []
-        return False
-
-
-_single_thread_blas = _SingleThreadBlas()
 
 
 def _norm_equivalence_kappa(mq: MappedQuadrature) -> float:

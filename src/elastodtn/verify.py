@@ -120,13 +120,22 @@ class SmoothStep:
         return np.clip((np.asarray(x, dtype=float) - self.lo) / self.width, 0.0, 1.0)
 
     def value(self, x):
+        return self._value(self._t(x))
+
+    def d1(self, x):
+        return self._d1(self._t(x))
+
+    def value_d1(self, x):
+        """(value, d1) from one clip of the parameter."""
         t = self._t(x)
+        return self._value(t), self._d1(t)
+
+    def _value(self, t):
         if self.order == 5:
             return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
         return t ** 4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
-    def d1(self, x):
-        t = self._t(x)
+    def _d1(self, t):
         if self.order == 5:
             return 30.0 * t ** 2 * (t - 1.0) ** 2 / self.width
         return 140.0 * t ** 3 * (1.0 - t) ** 3 / self.width
@@ -154,6 +163,14 @@ class SmoothWindow:
     def d1(self, x):
         return (self.up.d1(x) * (1.0 - self.down.value(x))
                 - self.up.value(x) * self.down.d1(x))
+
+    def value_d1(self, x):
+        """(value, d1), bitwise those of `value` and `d1`, from one
+        evaluation of each step."""
+        up, dup = self.up.value_d1(x)
+        down, ddown = self.down.value_d1(x)
+        rest = 1.0 - down
+        return up * rest, dup * rest - up * ddown
 
     def d2(self, x):
         return (self.up.d2(x) * (1.0 - self.down.value(x))
@@ -462,9 +479,10 @@ def poincare_check(field: FieldSolution) -> float:
     return l2 / d2
 
 
-def source_norms(mesh: Mesh, g: SourceField) -> dict:
-    """L2 and H1 norms of an analytic source by degree-5 quadrature."""
-    q = mesh.quadrature
+def source_norms(mesh: Mesh, g: SourceField, elems=None) -> dict:
+    """L2 and H1 norms of an analytic source by degree-5 quadrature, on the
+    triangles `elems` only (all when None; where g vanishes elsewhere)."""
+    q = mesh.quadrature if elems is None else mesh.quadrature.take(elems)
     l2_sq = _source_l2_sq(q, g)
     semi_sq = float(q.integral(
         np.abs(np.asarray(g.grad(q.points), dtype=complex)) ** 2))
@@ -589,7 +607,7 @@ class TrigPolyField:
             e[n + k + 1] = e[n + k] * e1
         e[:n] = np.conj(e[:n:-1])
         return (e, *(np.repeat(a, 2) for a in
-                     (x2 - self.x2_ref, self.chi.value(x2), self.chi.d1(x2))))
+                     (x2 - self.x2_ref, *self.chi.value_d1(x2))))
 
     def values(self, basis) -> np.ndarray:
         """Values (nq, 2) alone at the points of a basis, bitwise those of

@@ -6,6 +6,7 @@ One periodic cell of width 1 with a surface near x2 = 0.3 (declared envelope
 
 import pytest
 
+from elastodtn import fem
 from elastodtn.model import (
     Geometry,
     RandomSurfaceModel,
@@ -52,3 +53,19 @@ def surface_model():
     return RandomSurfaceModel(
         f0=flat_surface(0.3, 0.2, 0.4, 1.0), mode_count=2,
         amplitudes=(0.02, 0.01), phases=(0.0, 1.3), M0=0.3, seed=42)
+
+
+@pytest.fixture
+def openblas_at_two():
+    """Every loaded OpenBLAS at 2 threads, so a missing pin or a missing
+    restore is visible; the original counts are restored afterwards."""
+    controls = fem._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    assert [get() for get, _ in controls] == [2] * len(controls)
+    yield controls
+    for (_, set_threads), count in zip(controls, before):
+        set_threads(count)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from elastodtn.dtn import (
     TraceCoefficients,
+    _positive_definite_2x2,
     apply_dtn,
     gamma,
     helmholtz_split,
@@ -236,6 +237,34 @@ class TestSymbolBounds:
         p = make_params(1.0, 1.0, 2.0)
         rep = symbol_bound_check(p, sweep_grid(p, 1000))
         assert rep["neg_def_ok"]
+
+    def test_definiteness_closed_form_equals_eigvalsh(self):
+        gen = np.random.default_rng(5)
+        n = 400
+        a = gen.standard_normal((n, 2, 2)) + 1j * gen.standard_normal(
+            (n, 2, 2))
+        gram = a @ np.conj(np.swapaxes(a, -1, -2))      # PSD, full rank
+        # positive definite, indefinite and negative definite members: a
+        # shift by 0.1, -0.5 or -1.5 times the trace moves neither
+        # eigenvalue past 0, the smaller one, or both
+        shift = gen.choice([0.1, -0.5, -1.5], size=n)[:, None, None]
+        h = gram + shift * np.trace(gram, axis1=1, axis2=2).real[
+            :, None, None] * np.eye(2)
+        # exactly singular members (eigvalsh's smaller eigenvalue is 0 or
+        # below) and the zero matrix
+        singular = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 0]],
+                             [[1, 1j], [-1j, 1]], [[4, 2], [2, 1]],
+                             [[2, 2 + 2j], [2 - 2j, 4]],
+                             [[9, 3 - 6j], [3 + 6j, 5]]], dtype=complex)
+        h = np.concatenate([h, singular, -singular])
+        eigs = np.linalg.eigvalsh(h)
+        expect = eigs[:, 0] > 0.0
+        got = _positive_definite_2x2(h)
+        assert 0 < np.count_nonzero(expect) < n
+        assert np.any((eigs[:n, 0] < 0.0) & (eigs[:n, 1] > 0.0))
+        assert np.any(eigs[:n, 1] < 0.0)
+        assert not np.any(got[n:])
+        assert np.array_equal(got, expect)
 
     def test_interior_ratio_uniform_in_omega(self):
         ratios = []

@@ -1,9 +1,12 @@
 """Mesh construction, element integrals, assembly, DtN block, solve, norms."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,15 +36,19 @@ from elastodtn.mesh import (
     DofPattern,
     P1Operators,
     Quadrature,
+    _index_dtype,
+    _read_only,
     build_mesh,
 )
 from elastodtn.model import (
     DomainMap,
     RandomSurfaceModel,
+    SourceSpec,
     cosine_surface,
     flat_surface,
     make_cutoff,
     make_params,
+    make_source,
     sample_surface,
     sawtooth_surface,
 )
@@ -450,14 +457,82 @@ class TestAssemblyPattern:
     def test_pattern_built_once_on_first_use(self, flat_geom, monkeypatch):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 8)
         assert "_pattern" not in vars(mesh)   # build_mesh does not build it
-        calls, seen, build = _race_first_use(
-            monkeypatch, DofPattern, "from_topology", lambda: mesh.pattern)
+        calls, seen, _ = _race_first_use(
+            monkeypatch, DofPattern, "for_strip", lambda: mesh.pattern)
         assert len(calls) == 1
         assert len(seen) == 4 and all(pat is seen[0] for pat in seen)
-        ref = build(mesh.triangles, mesh.surface_nodes, mesh.top_nodes,
-                    mesh.n_nodes)
-        for name in ("elem_dofs", "top_dofs", "indptr", "indices", "slots"):
-            assert np.array_equal(getattr(seen[0], name), getattr(ref, name))
+        _assert_same_pattern(seen[0], _pattern_from_topology(mesh))
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (2, 5), (4, 3),
+                                        (24, 16), (64, 96)])
+    @pytest.mark.parametrize("kind", ["flat", "wavy"])
+    def test_closed_form_equals_topology_oracle(self, flat_geom, wavy_geom,
+                                                kind, nx, ny):
+        geom = flat_geom if kind == "flat" else wavy_geom
+        mesh = build_mesh(geom.surface, geom.h, nx, ny)
+        _assert_same_pattern(mesh.pattern, _pattern_from_topology(mesh))
+
+
+def _pattern_from_topology(mesh) -> DofPattern:
+    """Oracle: the pattern of any triangulation, from the sorted distinct
+    node pairs of its triangles (one global sort)."""
+    triangles, surface_nodes = mesh.triangles, mesh.surface_nodes
+    # free-node position of each node, -1 on the surface
+    pos = np.ones(mesh.n_nodes, dtype=np.int64)
+    pos[surface_nodes] = 0
+    pos = np.cumsum(pos) - 1
+    pos[surface_nodes] = -1
+    nf = int(pos.max() + 1)
+    n = 2 * nf
+
+    def dofs_of(nodes):
+        d = np.stack([2 * pos[nodes], 2 * pos[nodes] + 1], axis=-1)
+        return np.where(d >= 0, d, n).reshape(nodes.shape[:-1] + (-1,))
+
+    # Couplings of free nodes (r, c), sorted; each is a 2x2 block whose
+    # entries (2r + a, 2c + b) sit in dof row 2r + a, which holds two
+    # columns for every node coupled to r.
+    pt = pos[triangles]                              # (nt, 3)
+    nt = pt.shape[0]
+    keep = (pt[:, :, None] >= 0) & (pt[:, None, :] >= 0)
+    pairs, inverse = np.unique((pt[:, :, None] * nf + pt[:, None, :])
+                               [keep], return_inverse=True)
+    r, c = np.divmod(pairs, nf)
+    row_len = np.bincount(r, minlength=nf)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.repeat(2 * row_len, 2), out=indptr[1:])
+    nnz = int(indptr[-1])
+    rank = np.arange(pairs.size) - (np.cumsum(row_len) - row_len)[r]
+    first = indptr[2 * r] + 2 * rank                 # slot of (2r, 2c)
+    stride = 2 * row_len[r]                          # to (2r + 1, 2c)
+
+    # the same per node pair of each triangle; dropped pairs point at
+    # nnz and nnz + 1
+    itype = _index_dtype(nnz + 1)
+    first_t = np.full((nt, 3, 3), nnz, dtype=itype)
+    stride_t = np.zeros((nt, 3, 3), dtype=itype)
+    first_t[keep] = first[inverse]
+    stride_t[keep] = stride[inverse]
+    indices = np.empty(nnz, dtype=itype)
+    slots = np.empty((nt, 3, 2, 3, 2), dtype=itype)
+    for a in range(2):
+        for b in range(2):
+            indices[first + a * stride + b] = 2 * c + b
+            slots[:, :, a, :, b] = first_t + (a * stride_t + b)
+    return DofPattern(n_dofs=n,
+                      elem_dofs=_read_only(dofs_of(triangles), n),
+                      top_dofs=_read_only(
+                          dofs_of(mesh.top_nodes[:, None]).ravel(), n),
+                      indptr=_read_only(indptr, nnz),
+                      indices=_read_only(indices, n),
+                      slots=_read_only(slots.reshape(nt, 36), nnz + 1))
+
+
+def _assert_same_pattern(got: DofPattern, expect: DofPattern):
+    assert got.n_dofs == expect.n_dofs
+    for name in ("elem_dofs", "top_dofs", "indptr", "indices", "slots"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _race_first_use(monkeypatch, cls, builder, first_use):
@@ -559,6 +634,28 @@ class TestLoads:
         free_pos = int(np.searchsorted(mesh.free_nodes, node))
         assert load[2 * free_pos] == pytest.approx(expect, rel=1e-12)
         assert load[2 * free_pos + 1] == 0.0
+
+    @pytest.mark.parametrize("center", [(0.5, 0.8), (0.02, 0.8)])
+    @pytest.mark.parametrize("kind", ["flat", "wavy"])
+    def test_support_restricted_load_and_norms(self, flat_geom, wavy_geom,
+                                               kind, center):
+        # (0.02, 0.8): the disk straddles the seam x1 = 0
+        from elastodtn.verify import source_norms
+        geom = flat_geom if kind == "flat" else wavy_geom
+        mesh = build_mesh(geom.surface, geom.h, 32, 48)
+        src = make_source(SourceSpec(center=center, radius=0.15,
+                                     amplitude=(1.0, 0.5j), period=1.0),
+                          None, f_max=0.4, h=geom.h)
+        elems = src.support_elements(mesh.quadrature.points)
+        assert 0 < elems.size < mesh.triangles.shape[0] // 4
+        x1 = mesh.quadrature.points[elems, :, 0]
+        assert (np.any(x1 < 0.1) and np.any(x1 > 0.9)) == (center[0] < 0.1)
+        full = assemble_load(mesh, src)
+        assert np.array_equal(assemble_load(mesh, src, elems), full)
+        assert np.count_nonzero(full) < full.size // 4   # a local source
+        expect = source_norms(mesh, src)
+        for key, value in source_norms(mesh, src, elems).items():
+            assert value == pytest.approx(expect[key], rel=1e-14, abs=0.0)
 
 
 class TestSolve:
@@ -715,6 +812,102 @@ class TestRefinedSolve:
         _, health = fem._lu_solve(a, b)
         assert health["factor_dtype"] == "complex128"
         assert health["residual"] <= 1e-10
+
+
+def _blas_threads(controls) -> list:
+    return [get() for get, _ in controls]
+
+
+def _solve_subprocess(tmp_path, blas_threads: str) -> dict:
+    """solution.csv and norms.csv of a CLI solve at 64x96 (omega 2) with
+    the given OPENBLAS_NUM_THREADS."""
+    root = Path(__file__).resolve().parent.parent
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("[discretization]\nnx = 64\nny = 96\n")
+    out = tmp_path / f"blas{blas_threads}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "elastodtn.cli", "solve", "--config",
+         str(cfg), "--out", str(out)],
+        env=env, cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {name: (out / name).read_bytes()
+            for name in ("solution.csv", "norms.csv")}
+
+
+class TestBlasPin:
+    """Every factorization and triangular solve runs with OpenBLAS pinned
+    to one thread, so a solve's bytes do not depend on the BLAS setting."""
+
+    def test_solve_bytes_independent_of_blas_threads(self, tmp_path):
+        one = _solve_subprocess(tmp_path, "1")
+        two = _solve_subprocess(tmp_path, "2")
+        assert one["solution.csv"].count(b"\n") == 64 * 97 + 1
+        assert one["solution.csv"] == two["solution.csv"]
+        assert one["norms.csv"].count(b"\n") == 2
+        assert one["norms.csv"] == two["norms.csv"]
+
+    def test_factor_pinned_and_counts_restored(self, openblas_at_two,
+                                               monkeypatch, flat_geom,
+                                               params2, bump):
+        controls = openblas_at_two
+        seen = []
+        factor = fem._factor
+
+        def recording_factor(a):
+            seen.append(_blas_threads(controls))
+            return factor(a)
+
+        monkeypatch.setattr(fem, "_factor", recording_factor)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 24)
+        system = assemble_B(mesh, params2, 8)
+        sol = solve(system, assemble_load(mesh, bump))
+        assert sol.metadata["factor_dtype"] == "complex64"
+        assert seen == [[1] * len(controls)]
+        assert _blas_threads(controls) == [2] * len(controls)
+
+    def test_counts_restored_when_factorization_raises(
+            self, openblas_at_two, monkeypatch, flat_geom, params2, bump):
+        controls = openblas_at_two
+        seen = []
+
+        def failing_factor(a):
+            seen.append((a.dtype, _blas_threads(controls)))
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fem, "_factor", failing_factor)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
+        system = assemble_B(mesh, params2, 4)
+        with pytest.raises(SolveError, match="factorization failed"):
+            solve(system, assemble_load(mesh, bump))
+        # the complex64 attempt and the complex128 fallback, both pinned
+        assert seen == [(np.complex64, [1] * len(controls)),
+                        (np.complex128, [1] * len(controls))]
+        assert _blas_threads(controls) == [2] * len(controls)
+
+    def test_handles_scanned_once(self, monkeypatch, flat_geom, params2,
+                                  bump):
+        scans = []
+        scan = fem._openblas_thread_controls
+
+        def counting_scan():
+            scans.append(1)
+            return scan()
+
+        monkeypatch.setattr(fem, "_openblas_thread_controls", counting_scan)
+        monkeypatch.setattr(fem._single_thread_blas, "_controls", None)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
+        system = assemble_B(mesh, params2, 4)
+        load = assemble_load(mesh, bump)
+        for _ in range(3):
+            solve(system, load)
+        with fem._single_thread_blas:
+            with fem._single_thread_blas:
+                pass
+        assert scans == [1]
 
 
 class TestNorms:

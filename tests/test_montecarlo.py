@@ -240,22 +240,6 @@ def _blas_threads(controls) -> list:
     return [get() for get, _ in controls]
 
 
-@pytest.fixture
-def openblas_at_two():
-    """Every loaded OpenBLAS at 2 threads, so a missing pin or a missing
-    restore is visible; the original counts are restored afterwards."""
-    controls = montecarlo._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded in this process")
-    before = _blas_threads(controls)
-    for _, set_threads in controls:
-        set_threads(2)
-    assert _blas_threads(controls) == [2] * len(controls)
-    yield controls
-    for (_, set_threads), count in zip(controls, before):
-        set_threads(count)
-
-
 class TestDeterminismContract:
     """ensemble.csv and checks.csv are byte-identical at any parallelism and
     any OpenBLAS thread setting: the samples and the anchor solve run with
@@ -339,8 +323,8 @@ class TestDeterminismContract:
 
     def test_nested_pins_restore_once(self, openblas_at_two):
         controls = openblas_at_two
-        with montecarlo._single_thread_blas:
-            with montecarlo._single_thread_blas:
+        with fem._single_thread_blas:
+            with fem._single_thread_blas:
                 assert _blas_threads(controls) == [1] * len(controls)
             assert _blas_threads(controls) == [1] * len(controls)
         assert _blas_threads(controls) == [2] * len(controls)
@@ -350,9 +334,12 @@ class TestDeterminismContract:
         def unreadable(*args, **kwargs):
             raise PermissionError("memory map not readable")
 
-        monkeypatch.setattr(montecarlo, "open", unreadable, raising=False)
-        assert montecarlo._openblas_thread_controls() == []
-        with montecarlo._single_thread_blas:
+        monkeypatch.setattr(fem, "open", unreadable, raising=False)
+        # forget the handles of the process's one scan, so the pin scans
+        # the unreadable map again
+        monkeypatch.setattr(fem._single_thread_blas, "_controls", None)
+        assert fem._openblas_thread_controls() == []
+        with fem._single_thread_blas:
             assert _blas_threads(openblas_at_two) == [2] * len(
                 openblas_at_two)
         assert _blas_threads(openblas_at_two) == [2] * len(openblas_at_two)

@@ -370,7 +370,7 @@ class TestPullbackIdentity:
         def refuse(*args):
             raise AssertionError("the check built an assembly pattern")
 
-        monkeypatch.setattr(DofPattern, "from_topology", refuse)
+        monkeypatch.setattr(DofPattern, "for_strip", refuse)
         r = pullback_identity_check(_sampled_map(surface_model), params2, 1,
                                     nx=24, ny=24, n_max=8, seed=4)
         assert r["max_discrepancy"] < 1e-4
@@ -589,6 +589,19 @@ class TestTrigPolyField:
         for seed in (3, 4):
             f = self._field(seed)
             assert np.array_equal(f.values(basis), f.sample(basis)[0])
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_basis_window_equals_value_d1_form(self, surface_model, mapped):
+        pts = self._points(surface_model, mapped)
+        f = self._field()
+        x2 = pts.reshape(-1, 2)[:, 1]
+        _, z, ch, dch = f.basis(pts)
+        # points below, on the ramps of, and inside the plateau
+        assert np.any(ch == 0.0) and np.any(ch == 1.0)
+        assert np.any((ch > 0.0) & (ch < 1.0))
+        assert np.array_equal(z, np.repeat(x2 - f.x2_ref, 2))
+        assert np.array_equal(ch, np.repeat(f.chi.value(x2), 2))
+        assert np.array_equal(dch, np.repeat(f.chi.d1(x2), 2))
 
     def test_gradient_equals_central_differences(self, surface_model):
         pts = self._points(surface_model, True).reshape(-1, 2)
