@@ -265,6 +265,9 @@ def _validate(cfg: RunConfig) -> None:
          "source.amplitude_re", "amplitude needs two components")
     need(cfg.nx >= 2 and cfg.ny >= 2, "discretization.nx", "nx, ny must be >= 2")
     need(cfg.n_max >= 0, "discretization.n_max", "must be >= 0 (0 = auto)")
+    nyquist = (cfg.nx - 1) // 2
+    need(cfg.n_max <= nyquist, "discretization.n_max",
+         f"{cfg.n_max} exceeds the Nyquist index (nx - 1) // 2 = {nyquist}")
     need(cfg.command in _COMMANDS, "run.command",
          f"must be one of {', '.join(_COMMANDS)}")
     need(cfg.N >= 1, "run.N", "must be >= 1")

@@ -211,31 +211,18 @@ def transformed_element_matrices(mq: MappedQuadrature, lam: float, mu: float):
 class SparseSystem:
     """Assembled complex system: sparse domain part minus a dense DtN block.
 
-    The DtN block couples only the top-node dofs; `top_dofs` lists their
-    positions inside the free-dof vector.
+    `matrix` is the whole system in CSC, the only matrix held.  The DtN
+    block couples only the top-node dofs; `top_dofs` lists their positions
+    inside the free-dof vector.
     """
 
     dimension: int
-    entries: sp.csr_matrix            # domain part (stiffness - omega^2 mass)
+    matrix: sp.csc_matrix             # domain part minus the DtN block
     dtn_block: np.ndarray             # (2*nx, 2*nx) complex
     top_dofs: np.ndarray              # (2*nx,) indices into the free vector
     mesh: Mesh
     params: ElasticParams
     n_max: int
-
-    def full_matrix(self) -> sp.csc_matrix:
-        """Domain part minus the DtN block, as CSC for factorization."""
-        i = np.repeat(self.top_dofs, self.top_dofs.size)
-        j = np.tile(self.top_dofs, self.top_dofs.size)
-        dtn = sp.coo_matrix((self.dtn_block.ravel(), (i, j)),
-                            shape=(self.dimension, self.dimension))
-        return (self.entries - dtn).tocsc()
-
-    def dtn_full(self) -> np.ndarray:
-        """DtN block scattered to the full free dimension (for inspection)."""
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        out[np.ix_(self.top_dofs, self.top_dofs)] = self.dtn_block
-        return out
 
 
 @dataclass(frozen=True)
@@ -335,12 +322,19 @@ def _domain_matrix(mesh: Mesh, p: ElasticParams,
 
 def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
                    domain: sp.csr_matrix) -> SparseSystem:
+    """The system holding the domain matrix minus the DtN block as one CSC
+    matrix; the subtraction leaves out entries that come out exactly zero."""
     n_eff = _effective_n_max(mesh, n_max)
+    block = _dtn_block(mesh, p, n_eff)
+    top = mesh.pattern.top_dofs
+    dtn = sp.coo_matrix((block.ravel(), (np.repeat(top, top.size),
+                                         np.tile(top, top.size))),
+                        shape=domain.shape)
     return SparseSystem(
         dimension=domain.shape[0],
-        entries=domain,
-        dtn_block=_dtn_block(mesh, p, n_eff),
-        top_dofs=mesh.pattern.top_dofs,
+        matrix=(domain - dtn).tocsc(),
+        dtn_block=block,
+        top_dofs=top,
         mesh=mesh,
         params=p,
         n_max=n_eff,
@@ -488,8 +482,9 @@ def _refined_solve(a: sp.csc_matrix, b: np.ndarray):
     step that fails to halve it (that step is kept only if it lowered it),
     or after `_REFINE_MAX_STEPS` steps.
     """
-    try:
-        lu = _factor(a.astype(np.complex64))
+    try:  # the complex64 copy of A shares its index arrays
+        lu = _factor(sp.csc_matrix(
+            (a.data.astype(np.complex64), a.indices, a.indptr), shape=a.shape))
     except RuntimeError:  # singular in single precision
         return None
     bnorm = np.linalg.norm(b)
@@ -557,7 +552,7 @@ def solve(system: SparseSystem, load: np.ndarray,
             f"load has shape {b.shape}, expected ({system.dimension},)")
     health = {}
     if np.any(b):
-        x, health = _lu_solve(system.full_matrix(), b)
+        x, health = _lu_solve(system.matrix, b)
     else:
         x = np.zeros_like(b)
 

@@ -347,9 +347,11 @@ class Mesh:
 
     def node_text(self) -> np.ndarray:
         """(n_nodes, 2) object array of the shortest repr of each node
-        coordinate: the text of the node records."""
-        return np.array(list(map(repr, self.nodes.ravel().tolist())),
-                        dtype=object).reshape(self.nodes.shape)
+        coordinate: the text of the node records.  Every row of nodes has
+        the same nx abscissae, so those are formatted once."""
+        x1 = list(map(repr, self.nodes[:self.nx, 0].tolist()))
+        x2 = list(map(repr, self.nodes[:, 1].tolist()))
+        return np.array([x1 * (self.ny + 1), x2], dtype=object).T
 
     def dump(self, node_text: np.ndarray | None = None) -> str:
         """Tab-separated plain-text listing: nodes, triangles, tagged edges.

@@ -144,7 +144,7 @@ def test_criterion_04_mms_convergence():
     system = assemble_B(mesh, p, 8)
     load = assemble_load(mesh, manufactured_source(field, p))
     sol = solve(system, load)
-    a = system.full_matrix()
+    a = system.matrix
     x = np.empty(system.dimension, dtype=complex)
     x[0::2] = sol.values[mesh.free_nodes, 0]
     x[1::2] = sol.values[mesh.free_nodes, 1]

@@ -85,6 +85,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="source.center"):
             load_config(path)
 
+    def test_explicit_n_max_past_nyquist_rejected(self, tmp_path):
+        # nx = 32 resolves modes up to (32 - 1) // 2 = 15
+        path = _write(tmp_path / "a.cfg", "[discretization]\nn_max = 15\n")
+        assert load_config(path).auto_n_max() == 15
+        path = _write(tmp_path / "b.cfg", "[discretization]\nn_max = 16\n")
+        with pytest.raises(ConfigError,
+                           match=r"discretization.n_max: 16 .* = 15"):
+            load_config(path)
+
+    def test_auto_n_max_keeps_the_cap(self, tmp_path):
+        # the automatic value at omega 24 is 16, past Nyquist at nx = 32:
+        # accepted, and the assembly caps it
+        path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
+        cfg = load_config(path)
+        assert cfg.auto_n_max() == 16
+        mesh = build_mesh(cfg.make_geometry().surface, cfg.h, cfg.nx, cfg.ny)
+        assert assemble_B(mesh, cfg.make_params(), 16).n_max == 15
+
 
 class TestSolveCommand:
     def test_artifacts_and_determinism(self, tmp_path):

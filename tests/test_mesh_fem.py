@@ -95,6 +95,17 @@ class TestMesh:
         assert sum(ln.startswith("tri\t") for ln in lines) == 8
         assert any("PERIODIC_PAIR" in ln for ln in lines)
 
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (24, 16), (128, 192)])
+    @pytest.mark.parametrize("kind", ["flat", "wavy"])
+    def test_node_text_equals_per_node_repr(self, flat_geom, wavy_geom,
+                                            kind, nx, ny):
+        geom = flat_geom if kind == "flat" else wavy_geom
+        mesh = build_mesh(geom.surface, geom.h, nx, ny)
+        expect = list(map(repr, mesh.nodes.ravel().tolist()))
+        text = mesh.node_text()
+        assert text.shape == mesh.nodes.shape
+        assert text.ravel().tolist() == expect
+
 
 def _monomial_integral(verts, a: int, b: int) -> Fraction:
     """Exact int_T x^a y^b over a triangle with rational vertices, via
@@ -202,14 +213,13 @@ class TestElementMatrices:
 class TestAssembly:
     def test_domain_block_conjugate_symmetric(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
-        system = assemble_B(mesh, params2, 8)
-        a = system.entries
+        a = _domain_part(mesh, params2)
         assert abs(a - a.conj().T).max() < 1e-12 * abs(a).max()
 
     def test_elastostatic_limit_positive_energy(self, flat_geom):
         p = make_params(1.0, 1.0, 1e-3)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
-        a = assemble_B(mesh, p, 8).full_matrix()
+        a = assemble_B(mesh, p, 8).matrix
         gen = np.random.default_rng(3)
         for _ in range(10):
             v = gen.standard_normal(a.shape[0]) \
@@ -223,8 +233,8 @@ class TestAssembly:
         sys_a = assemble_B(mesh, params2, 8)
         sys_b = assemble_B_transformed(
             mesh, params2, map_quadrature(mesh.quadrature, ident), 8)
-        diff = abs(sys_a.entries - sys_b.entries).max()
-        assert diff < 1e-14 * abs(sys_a.entries).max()
+        diff = abs(sys_a.matrix - sys_b.matrix).max()
+        assert diff < 1e-14 * abs(sys_a.matrix).max()
         assert np.array_equal(sys_a.dtn_block, sys_b.dtn_block)
 
     def test_flat_shift_element_against_hand_factors(self):
@@ -310,12 +320,56 @@ class TestAssembly:
     def test_dtn_block_touches_only_top_dofs(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 6)
         system = assemble_B(mesh, params2, 3)
-        full = system.dtn_full()
+        full = (_domain_part(mesh, params2) - system.matrix).toarray()
         mask = np.zeros(system.dimension, dtype=bool)
         mask[system.top_dofs] = True
         assert np.all(full[~mask, :] == 0.0)
         assert np.all(full[:, ~mask] == 0.0)
         assert np.any(full[np.ix_(mask, mask)] != 0.0)
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (2, 5), (4, 3),
+                                        (24, 16), (64, 96)])
+    @pytest.mark.parametrize("kind", ["flat", "wavy"])
+    def test_matrix_equals_csr_minus_coo_oracle(self, flat_geom, wavy_geom,
+                                                kind, nx, ny):
+        geom = flat_geom if kind == "flat" else wavy_geom
+        p = make_params(1.0, 1.0, 8.0)
+        mesh = build_mesh(geom.surface, geom.h, nx, ny)
+        system = assemble_B(mesh, p, default_n_max(p, mesh.period))
+        _assert_same_csc(system.matrix,
+                         _csr_minus_coo_oracle(system, _domain_part(mesh, p)))
+
+    def test_transformed_matrix_equals_csr_minus_coo_oracle(
+            self, flat_geom, surface_model):
+        p = make_params(1.0, 1.0, 8.0)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 16)
+        mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
+        system = assemble_B_transformed(mesh, p, mq, 8)
+        domain = fem._domain_matrix(
+            mesh, p, lambda: transformed_element_matrices(mq, p.lam, p.mu))
+        _assert_same_csc(system.matrix, _csr_minus_coo_oracle(system, domain))
+
+
+def _domain_part(mesh, p):
+    """The CSR domain matrix (stiffness - omega^2 mass) of assemble_B."""
+    return fem._domain_matrix(
+        mesh, p, lambda: element_matrices(mesh.quadrature, p.lam, p.mu))
+
+
+def _csr_minus_coo_oracle(system, domain):
+    """The system matrix built the way it was before one CSC was stored:
+    the CSR domain part minus the DtN block as COO, converted to CSC."""
+    top = system.top_dofs
+    dtn = sp.coo_matrix((system.dtn_block.ravel(),
+                         (np.repeat(top, top.size), np.tile(top, top.size))),
+                        shape=(system.dimension, system.dimension))
+    return (domain - dtn).tocsc()
+
+
+def _assert_same_csc(a, b):
+    assert a.format == b.format == "csc" and a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def _assert_system_structure(geom, model, nx, ny, omega, mapped):
@@ -333,7 +387,7 @@ def _assert_system_structure(geom, model, nx, ny, omega, mapped):
             mesh, p, map_quadrature(mesh.quadrature, dmap), n_max)
     else:
         system = assemble_B(mesh, p, n_max)
-    a = system.full_matrix()
+    a = system.matrix
     assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
     b = system.dtn_block
     eigs = np.linalg.eigvalsh((b - b.conj().T) / 2j)
@@ -679,7 +733,7 @@ class TestSolve:
         system = assemble_B(mesh, params2, 8)
         load = assemble_load(mesh, bump)
         sol = solve(system, load)
-        a = system.full_matrix()
+        a = system.matrix
         x = np.empty(system.dimension, dtype=complex)
         x[0::2] = sol.values[mesh.free_nodes, 0]
         x[1::2] = sol.values[mesh.free_nodes, 1]
@@ -698,7 +752,7 @@ class TestSolve:
         system = assemble_B(mesh, params2, 8)
         load = assemble_load(mesh, bump)
         sol = solve(system, load)
-        a = system.full_matrix()
+        a = system.matrix
         x = np.empty(system.dimension, dtype=complex)
         x[0::2] = sol.values[mesh.free_nodes, 0]
         x[1::2] = sol.values[mesh.free_nodes, 1]
@@ -712,7 +766,7 @@ class TestSolve:
         system = assemble_B(mesh, p, default_n_max(p, mesh.period))
         load = assemble_load(mesh, bump)
         sol = solve(system, load)
-        lu = spla.splu(system.full_matrix())
+        lu = spla.splu(system.matrix)
         assert sol.metadata["nnz_lu"] < 0.7 * lu.nnz
         x = lu.solve(load)
         values = np.zeros((mesh.n_nodes, 2), dtype=complex)
@@ -733,7 +787,7 @@ class TestSolve:
         x = np.empty(system.dimension, dtype=complex)
         x[0::2] = sol.values[mesh.free_nodes, 0]
         x[1::2] = sol.values[mesh.free_nodes, 1]
-        a = system.full_matrix()
+        a = system.matrix
         rel = np.linalg.norm(a @ x - load) / np.linalg.norm(load)
         assert rel <= 1e-10
         assert sol.metadata["omega"] == omega
@@ -744,7 +798,7 @@ class TestSolve:
 def _double_solve(system, load):
     """Oracle: one plain complex128 LU solve, as a FieldSolution."""
     mesh = system.mesh
-    x = spla.splu(system.full_matrix(), permc_spec="MMD_AT_PLUS_A").solve(load)
+    x = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A").solve(load)
     values = np.zeros((mesh.n_nodes, 2), dtype=complex)
     values[mesh.free_nodes, 0] = x[0::2]
     values[mesh.free_nodes, 1] = x[1::2]
@@ -812,6 +866,27 @@ class TestRefinedSolve:
         _, health = fem._lu_solve(a, b)
         assert health["factor_dtype"] == "complex128"
         assert health["residual"] <= 1e-10
+
+    def test_complex64_matrix_shares_index_arrays(self, monkeypatch,
+                                                  wavy_geom, params2, bump):
+        seen = []
+        factor = fem._factor
+
+        def recording_factor(a):
+            seen.append(a)
+            return factor(a)
+
+        monkeypatch.setattr(fem, "_factor", recording_factor)
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 16, 24)
+        system = assemble_B(mesh, params2, 8)
+        sol = solve(system, assemble_load(mesh, bump))
+        assert sol.metadata["factor_dtype"] == "complex64"
+        [a32] = seen
+        a = system.matrix
+        assert a32.dtype == np.complex64 and a32.nnz == a.nnz
+        assert np.shares_memory(a32.indices, a.indices)
+        assert np.shares_memory(a32.indptr, a.indptr)
+        assert np.array_equal(a32.data, a.data.astype(np.complex64))
 
 
 def _blas_threads(controls) -> list:

@@ -333,6 +333,25 @@ class TestOmegaSweep:
         s2 = omega_sweep(self._config(flat_geom, g2, omegas))
         assert s1.ratios == s2.ratios
 
+    def test_one_load_equals_per_omega_all_triangle_form(self, wavy_geom,
+                                                          bump):
+        # oracle: the all-triangle load and norms, integrated per omega
+        omegas = (2.0, 3.0, 5.0)
+        config = self._config(wavy_geom, bump, omegas)
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 48, 64)
+        elems = bump.support_elements(mesh.quadrature.points)
+        assert 0 < elems.size < mesh.triangles.shape[0]
+        full_load = assemble_load(mesh, bump)
+        assert np.array_equal(assemble_load(mesh, bump, elems), full_load)
+        gn = source_norms(mesh, bump)["h1"]
+        expect = []
+        for om in omegas:
+            system = assemble_B(mesh, make_params(1.0, 1.0, om), 16)
+            expect.append(solve(system, assemble_load(mesh, bump))
+                          .norms["h1"] / gn)
+        ratios = omega_sweep(config).ratios
+        assert ratios == pytest.approx(expect, rel=1e-14, abs=0.0)
+
     def test_zero_source_rejected(self, flat_geom, source_spec):
         spec0 = SourceSpec(center=source_spec.center,
                            radius=source_spec.radius,
