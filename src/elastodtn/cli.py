@@ -129,10 +129,10 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     system = assemble_B(mesh, p, cfg.auto_n_max())
-    load = assemble_load(mesh, src, src.support_elements(
-        mesh.quadrature.points))
-    sol = solve(system, load,
-                metadata={"omega": p.omega, "n_max": system.n_max})
+    load = assemble_load(mesh, src, src.support_elements(mesh.quadrature))
+    sol = solve(system, load, metadata={
+        "omega": p.omega, "n_max": system.n_max,
+        "n_max_requested": system.n_max_requested})
     # the node coordinates' text, shared with mesh.txt, then the (re, im)
     # view of the complex (n_nodes, 2) values: re_u1 im_u1 re_u2 im_u2
     xy = mesh.node_text()
@@ -241,7 +241,7 @@ def _deterministic_anchor(cfg: RunConfig, p, mesh, profile) -> float:
     It runs as a task of the ensemble's pool, so BLAS is pinned as for the
     samples and checks.csv does not depend on the BLAS thread setting."""
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
-    elems = src.support_elements(mesh.quadrature.points)
+    elems = src.support_elements(mesh.quadrature)
     system = assemble_B(mesh, p, cfg.auto_n_max())
     sol = solve(system, assemble_load(mesh, src, elems))
     gn = verify.source_norms(mesh, src, elems)["h1"]
@@ -288,11 +288,12 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     # solve-based checks
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
-    elems = src.support_elements(mesh.quadrature.points)
+    elems = src.support_elements(mesh.quadrature)
     system = assemble_B(mesh, p, cfg.auto_n_max())
     load = assemble_load(mesh, src, elems)
-    sol = solve(system, load, metadata={"omega": p.omega,
-                                        "n_max": system.n_max})
+    sol = solve(system, load, metadata={
+        "omega": p.omega, "n_max": system.n_max,
+        "n_max_requested": system.n_max_requested})
     xvec = np.empty(system.dimension, dtype=complex)
     free = mesh.free_nodes
     xvec[0::2] = sol.values[free, 0]

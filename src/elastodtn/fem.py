@@ -61,34 +61,34 @@ __all__ = [
 ]
 
 
-def _elastic_element_matrices(gij: np.ndarray, mm: np.ndarray, lam: float,
-                              mu: float):
-    """Element (stiffness, mass), shape (nt, 6, 6), from the gradient
-    products gij (nt, 6, 6), int grad_i[a] grad_j[b] at [2i + a, 2j + b],
-    and the scalar mass blocks mm (nt, 3, 3); the local dof layout is
-    (vertex k, component a) -> 2k + a."""
-    nt = gij.shape[0]
-    k = (lam + mu) * gij.reshape(nt, 3, 2, 3, 2)
-    gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
-    m = np.zeros((nt, 3, 2, 3, 2))
-    for a in range(2):
-        k[:, :, a, :, a] += mu * gg
-        m[:, :, a, :, a] = mm
-    return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
+def _element_array(gij: np.ndarray, mm: np.ndarray,
+                   p: ElasticParams) -> np.ndarray:
+    """Element blocks k - omega^2 m, shape (nt, 6, 6), of the stiffness k
+    and the mass m, from the gradient products gij (nt, 6, 6), int
+    grad_i[a] grad_j[b] at [2i + a, 2j + b], and the scalar mass blocks mm
+    (nt, 3, 3); the local dof layout is (vertex k, component a) -> 2k + a.
 
-
-def element_matrices(quad: Quadrature, lam: float, mu: float):
-    """Vectorized (stiffness, mass) element matrices, shape (nt, 6, 6).
-
-    Exact for P1: the gradients are constant and the mass has the closed
-    form area (1 + d_ij) / 12.
+    One array: (lam + mu) gij, then mu grad_i . grad_j and -omega^2 mm
+    added on the diagonal component blocks.
     """
+    nt = gij.shape[0]
+    e = (p.lam + p.mu) * gij.reshape(nt, 3, 2, 3, 2)
+    gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
+    for a in range(2):
+        e[:, :, a, :, a] += p.mu * gg
+        e[:, :, a, :, a] += -p.omega ** 2 * mm
+    return e.reshape(nt, 6, 6)
+
+
+def _element_blocks(quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
+    """(gij, mm) of `_element_array` on the plain rule, exact for P1: the
+    gradients are constant and the mass has the closed form
+    area (1 + d_ij) / 12."""
     area = quad.area
     g = quad.grads.reshape(-1, 6)
     gij = (area[:, None] * g)[:, :, None] * g[:, None, :]
     m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _elastic_element_matrices(gij, area[:, None, None] * m_scalar,
-                                     lam, mu)
+    return gij, area[:, None, None] * m_scalar
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,12 @@ class MappedQuadrature:
     def integral(self, f):
         """Integral over the image strip of point values f (nt, 7, ...)."""
         return _weighted_sum(self.weights, f)
+
+    def x2_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (nt,): the x2 range of each triangle's mapped
+        points."""
+        x2 = self.points[..., 1]
+        return x2.min(axis=1), x2.max(axis=1)
 
     def take(self, elems) -> MappedQuadrature:
         """The mapped rule on the triangles `elems` only."""
@@ -197,16 +203,6 @@ def map_quadrature(quad: Quadrature, dmap: DomainMap) -> MappedQuadrature:
                             points=dmap.apply(quad.points, surface))
 
 
-def transformed_element_matrices(mq: MappedQuadrature, lam: float, mu: float):
-    """Element (stiffness, mass) for the pulled-back form, shape (nt, 6, 6).
-
-    Gradients transform as G = inv(J)^T grad(phi); every term carries det J
-    through the weights.  The blocks are kept on `mq` (`element_blocks`,
-    `h1_blocks`).
-    """
-    return _elastic_element_matrices(*mq.element_blocks, lam, mu)
-
-
 @dataclass(frozen=True)
 class SparseSystem:
     """Assembled complex system: sparse domain part minus a dense DtN block.
@@ -222,7 +218,8 @@ class SparseSystem:
     top_dofs: np.ndarray              # (2*nx,) indices into the free vector
     mesh: Mesh
     params: ElasticParams
-    n_max: int
+    n_max: int                        # DtN modes |n| <= n_max in the block
+    n_max_requested: int              # n_max asked for, before the cap
 
 
 @dataclass(frozen=True)
@@ -250,12 +247,12 @@ def _sum_at(positions: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
                        minlength=n)[:n]
 
 
-def _scatter_elements(mesh: Mesh, elem: np.ndarray) -> sp.csr_matrix:
-    """Sum (nt, 6, 6) element blocks into the complex free-dof CSR matrix."""
+def _scatter_elements(mesh: Mesh, elem: np.ndarray) -> sp.csc_matrix:
+    """Sum (nt, 6, 6) element blocks into the complex free-dof CSC matrix."""
     pat = mesh.pattern
     data = np.zeros(pat.indices.size, dtype=complex)
     data.real = _sum_at(pat.slots, elem, data.size)
-    return sp.csr_matrix((data, pat.indices, pat.indptr),
+    return sp.csc_matrix((data, pat.indices, pat.indptr),
                          shape=(pat.n_dofs, pat.n_dofs))
 
 
@@ -291,37 +288,36 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
 def assemble_B(mesh: Mesh, p: ElasticParams, n_max: int) -> SparseSystem:
     """Assemble the reference form: exact P1 element integrals + DtN block."""
     return _finish_system(mesh, p, n_max, _domain_matrix(
-        mesh, p, lambda: element_matrices(mesh.quadrature, p.lam, p.mu)))
+        mesh, p, lambda: _element_blocks(mesh.quadrature)))
 
 
 def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
                            mq: MappedQuadrature, n_max: int) -> SparseSystem:
     """Assemble the pulled-back form on the reference mesh, with the map
-    factors of `mq` (built on mesh_ref.quadrature).
+    factors of `mq` (built on mesh_ref.quadrature): gradients transform as
+    G = inv(J)^T grad(phi) and every term carries det J through the weights
+    (`MappedQuadrature.element_blocks`).
 
     The map fixes the top line, so the DtN block is identical to assemble_B.
     """
     return _finish_system(mesh_ref, p, n_max, _domain_matrix(
-        mesh_ref, p, lambda: transformed_element_matrices(mq, p.lam, p.mu)))
+        mesh_ref, p, lambda: mq.element_blocks))
 
 
 def _domain_matrix(mesh: Mesh, p: ElasticParams,
-                   element_blocks) -> sp.csr_matrix:
-    """The domain matrix from the element blocks k - omega^2 m, with
-    (k, m) = element_blocks(), formed in the memory of m.
+                   element_blocks) -> sp.csc_matrix:
+    """The CSC domain matrix: the `_element_array` k - omega^2 m of the
+    blocks (gij, mm) = element_blocks(), summed into the mesh's pattern.
 
     The blocks are made after the mesh's pattern exists: a first use builds
     the pattern, and its temporaries then do not add to the blocks' memory.
     """
     mesh.pattern
-    k, m = element_blocks()
-    m *= -p.omega ** 2
-    m += k
-    return _scatter_elements(mesh, m)
+    return _scatter_elements(mesh, _element_array(*element_blocks(), p))
 
 
 def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
-                   domain: sp.csr_matrix) -> SparseSystem:
+                   domain: sp.csc_matrix) -> SparseSystem:
     """The system holding the domain matrix minus the DtN block as one CSC
     matrix; the subtraction leaves out entries that come out exactly zero."""
     n_eff = _effective_n_max(mesh, n_max)
@@ -332,12 +328,13 @@ def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
                         shape=domain.shape)
     return SparseSystem(
         dimension=domain.shape[0],
-        matrix=(domain - dtn).tocsc(),
+        matrix=domain - dtn,
         dtn_block=block,
         top_dofs=top,
         mesh=mesh,
         params=p,
         n_max=n_eff,
+        n_max_requested=int(n_max),
     )
 
 
@@ -354,7 +351,7 @@ def assemble_load(mesh: Mesh, g, elems=None) -> np.ndarray:
 
     g is integrated on the triangles `elems` of the mesh only (all when
     None), so a source that vanishes elsewhere (`support_elements` of the
-    rule's points) is evaluated on those alone.
+    mesh's rule) is evaluated, and the rule's points made, on those alone.
     """
     q = mesh.quadrature if elems is None else mesh.quadrature.take(elems)
     return _scatter_load(mesh, _weighted_load(q.weights, g(q.points)), elems)

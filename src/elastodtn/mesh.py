@@ -10,12 +10,14 @@ Each quad splits into two counterclockwise triangles; with increasing row
 heights this yields positive areas for any Lipschitz surface profile.
 
 Every mesh carries its degree-5 quadrature (a `Quadrature`): the P1
-geometry and the 7-point rule on each triangle, its free-dof assembly
+geometry of each triangle and its 7-point rule, its free-dof assembly
 pattern (a `DofPattern`) and the sparse operators of its P1 gradients and
-norms (`P1Operators`).  The pattern, the operators and the distinct
-abscissae of the rule's points are built on first use, under a lock, so a
-mesh that is never assembled (or never mapped) does not pay for them;
-afterwards they are only read, so concurrent ensemble samples can share
+norms (`P1Operators`).  The rule's points and weights on the whole mesh,
+their distinct abscissae, the pattern and the operators are built on first
+use, under a lock, so a mesh that is never assembled (or never integrated
+over as a whole, or never mapped) does not pay for them: a plain solve
+evaluates the rule only on the triangles whose x2 range meets its source's.
+Afterwards they are only read, so concurrent ensemble samples can share
 them.
 """
 
@@ -58,12 +60,13 @@ DEGREE5_RULE = (
 )
 
 
-_BUILD_LOCK = threading.Lock()
+_BUILD_LOCK = threading.RLock()
 
 
 def _built_once(owner, name: str, build):
     """owner's attribute `name`, made by build() on first use.  Concurrent
-    first users wait for one build and share it."""
+    first users wait for one build and share it; a build may make another
+    attribute on first use (the lock is reentrant)."""
     try:
         return owner.__dict__[name]
     except KeyError:
@@ -83,12 +86,17 @@ def _weighted_sum(weights: np.ndarray, f) -> complex | float:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Degree-5 rule on each triangle of a (nt, 3, 2) coordinate array."""
+    """Degree-5 rule on each triangle of a (nt, 3, 2) coordinate array.
 
+    The P1 geometry is formed at once, the rule's `points` and `weights` on
+    first use.  The rows of those arrays do not depend on the other
+    triangles, so a rule from `take` evaluates the same rows on its
+    triangles alone.
+    """
+
+    coords: np.ndarray     # (nt, 3, 2) vertex coordinates (not copied)
     area: np.ndarray       # (nt,) signed area
     grads: np.ndarray      # (nt, 3, 2) constant P1 gradients
-    points: np.ndarray     # (nt, 7, 2)
-    weights: np.ndarray    # (nt, 7) rule weight times area
 
     @classmethod
     def from_coords(cls, coords) -> Quadrature:
@@ -99,12 +107,28 @@ class Quadrature:
         c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
                      axis=1)
         area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
-        bary, wts = DEGREE5_RULE
-        area = 0.5 * area2
-        return cls(area=area,
-                   grads=np.stack([b, c], axis=2) / area2[:, None, None],
-                   points=bary @ coords,
-                   weights=wts[None, :] * area[:, None])
+        return cls(coords=coords, area=0.5 * area2,
+                   grads=np.stack([b, c], axis=2) / area2[:, None, None])
+
+    @property
+    def points(self) -> np.ndarray:
+        """(nt, 7, 2) rule points, built on first use."""
+        return _built_once(self, "_points",
+                           lambda: DEGREE5_RULE[0] @ self.coords)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(nt, 7) rule weight times area, built on first use."""
+        return _built_once(
+            self, "_weights",
+            lambda: DEGREE5_RULE[1][None, :] * self.area[:, None])
+
+    def x2_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (nt,): the x2 range of each triangle's vertices,
+        which holds its points (convex combinations of the vertices) up to
+        rounding."""
+        x2 = self.coords[..., 1]
+        return x2.min(axis=1), x2.max(axis=1)
 
     @property
     def abscissae(self) -> tuple[np.ndarray, np.ndarray]:
@@ -119,10 +143,10 @@ class Quadrature:
         return _built_once(self, "_abscissae", build)
 
     def take(self, elems) -> Quadrature:
-        """The rule on the triangles `elems` only."""
-        return Quadrature(area=self.area[elems], grads=self.grads[elems],
-                          points=self.points[elems],
-                          weights=self.weights[elems])
+        """The rule on the triangles `elems` only; its points and weights
+        are evaluated on those triangles alone."""
+        return Quadrature(coords=self.coords[elems], area=self.area[elems],
+                          grads=self.grads[elems])
 
     def interpolate(self, vertex_values) -> np.ndarray:
         """P1 interpolant at the points: (nt, 3, ...) -> (nt, 7, ...)."""
@@ -161,21 +185,23 @@ _PAIR_OFFSET = np.array([[[_COUPLING_OFFSETS.tolist().index((q - p).tolist())
 
 @dataclass(frozen=True)
 class DofPattern:
-    """Free-dof numbering and the CSR pattern of the domain matrix.
+    """Free-dof numbering and the sparsity pattern of the domain matrix.
 
     The free dofs are (node, component) pairs of the non-surface nodes:
     free node k (in node order) owns dofs 2k and 2k+1.  Local element dofs
-    follow (vertex i, component a) -> 2i + a.  `elem_dofs` and `slots` point
-    entries of surface nodes past the end (at `n_dofs`, or at `nnz` and
-    `nnz + 1`), where the scatters drop them.
+    follow (vertex i, component a) -> 2i + a.  The pattern is structurally
+    symmetric, so `indptr` and `indices` are both its CSR rows and its CSC
+    columns; the matrices are assembled in CSC.  `elem_dofs` and `slots`
+    point entries of surface nodes past the end (at `n_dofs`, or at `nnz`
+    and `nnz + 1`), where the scatters drop them.
     """
 
     n_dofs: int
     elem_dofs: np.ndarray  # (nt, 6) free-vector position of each local dof
     top_dofs: np.ndarray   # (2*nx,) dofs of the top nodes, by x1
-    indptr: np.ndarray     # (n_dofs + 1,) CSR row pointers
-    indices: np.ndarray    # (nnz,) CSR columns, sorted within each row
-    slots: np.ndarray      # (nt, 36) CSR data position of element entry (i, j)
+    indptr: np.ndarray     # (n_dofs + 1,) row (and column) pointers
+    indices: np.ndarray    # (nnz,) columns (rows), sorted within each row
+    slots: np.ndarray      # (nt, 36) CSC data position of element entry (i, j)
 
     @classmethod
     def for_strip(cls, nx: int, ny: int) -> DofPattern:
@@ -230,10 +256,14 @@ class DofPattern:
         first_t = np.where(keep, first[row[:, :, None],
                                        _PAIR_OFFSET[parity]], nnz)
         stride_t = np.where(keep, stride[row][:, :, None], 0)
+        # the CSC position of element entry (2i + a, 2j + b) is the CSR
+        # position of (2j + b, 2i + a): the vertex pairs swap
+        first_t, stride_t = first_t.transpose(0, 2, 1), \
+            stride_t.transpose(0, 2, 1)
         slots = np.empty((nt, 3, 2, 3, 2), dtype=itype)
         for a in range(2):
             for b in range(2):
-                slots[:, :, a, :, b] = first_t + (a * stride_t + b)
+                slots[:, :, a, :, b] = first_t + (b * stride_t + a)
 
         def dofs_of(pos):
             d = np.stack([2 * pos, 2 * pos + 1], axis=-1)

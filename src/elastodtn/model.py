@@ -452,12 +452,21 @@ class SourceField:
         dy = pts[..., 1] - self.center[1]
         return (dx * dx + dy * dy) / self.radius ** 2, dx, dy
 
-    def support_elements(self, points: np.ndarray) -> np.ndarray:
-        """Indices of the rows of points (n, nq, 2), such as the triangles
-        of a quadrature, with a point inside the support disk: outside
-        those rows the source and its gradient vanish."""
-        r2, _, _ = self._r2(points)
-        return np.flatnonzero(np.any(r2 < 1.0, axis=-1))
+    def support_elements(self, rule) -> np.ndarray:
+        """Indices of the triangles of a quadrature rule (a mesh's
+        `Quadrature` or a `MappedQuadrature`) with a point inside the
+        support disk: outside those the source and its gradient vanish.
+
+        Only the triangles whose x2 range (`rule.x2_range()`, padded far
+        above rounding) meets the disk's have their points tested, so a
+        plain rule evaluates its points on those alone.
+        """
+        lo, hi = rule.x2_range()
+        reach = self.radius * (1.0 + 1e-9)
+        near = np.flatnonzero((hi > self.center[1] - reach)
+                              & (lo < self.center[1] + reach))
+        r2, _, _ = self._r2(rule.take(near).points)
+        return near[np.any(r2 < 1.0, axis=-1)]
 
     def profile(self, pts: np.ndarray) -> np.ndarray:
         """Scalar bump value at points (..., 2)."""

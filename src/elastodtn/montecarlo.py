@@ -113,14 +113,14 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     mq = map_quadrature(mesh_ref.quadrature, dmap)
 
     g_eta = make_source(src, index, f_max=model.f0.f_max, h=h)
-    elems = g_eta.support_elements(mq.points)
+    elems = g_eta.support_elements(mq)
     near = mq.take(elems)
     g_values = g_eta(near.points)
     system = assemble_B_transformed(mesh_ref, p, mq, n_max)
     load = assemble_load_transformed(mesh_ref, g_values, near, elems)
-    sol = solve(system, load, metadata={"omega": p.omega,
-                                        "n_max": system.n_max,
-                                        "sample_index": index})
+    sol = solve(system, load, metadata={
+        "omega": p.omega, "n_max": system.n_max,
+        "n_max_requested": system.n_max_requested, "sample_index": index})
     return {
         "index": index,
         "u_h1_sq": sol.norms["h1"] ** 2,

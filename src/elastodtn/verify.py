@@ -542,7 +542,7 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     envelope calibrated at the smallest frequency."""
     geom = config.geom
     mesh = build_mesh(geom.surface, geom.h, config.nx, config.ny)
-    elems = config.source.support_elements(mesh.quadrature.points)
+    elems = config.source.support_elements(mesh.quadrature)
     gn = source_norms(mesh, config.source, elems)
     if gn["h1"] == 0.0:
         raise SweepError("source has zero H1 norm")

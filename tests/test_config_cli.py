@@ -122,6 +122,42 @@ class TestSolveCommand:
         assert float(nrows[0]["h1"]) > 0.0
 
 
+    def test_records_requested_and_effective_n_max(self, tmp_path,
+                                                   monkeypatch):
+        # the automatic n_max at omega 24 is 16, capped at nx = 32 to 15
+        seen = []
+        real_solve = cli.solve
+
+        def spy(system, load, metadata=None):
+            seen.append(metadata)
+            return real_solve(system, load, metadata)
+
+        monkeypatch.setattr(cli, "solve", spy)
+        path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
+        cfg = load_config(path)
+        assert (cfg.nx, cfg.ny, cfg.f0_kind) == (32, 48, "flat")
+        assert run_command(cfg, str(tmp_path / "out")) == 0
+        assert seen[0]["n_max_requested"] == 16 and seen[0]["n_max"] == 15
+
+    def test_solve_never_builds_the_whole_mesh_rule(self, tmp_path,
+                                                    monkeypatch):
+        # the solve reads the rule's points and weights only on the
+        # triangles its source meets
+        meshes = []
+        real_build = cli.build_mesh
+
+        def spy(*args):
+            meshes.append(real_build(*args))
+            return meshes[-1]
+
+        monkeypatch.setattr(cli, "build_mesh", spy)
+        cfg = default_config()
+        assert (cfg.nx, cfg.ny) == (32, 48)
+        assert run_command(cfg, str(tmp_path)) == 0
+        quad = meshes[0].quadrature
+        for name in ("_points", "_weights", "_abscissae"):
+            assert name not in vars(quad), name
+
     def test_mesh_nodes_carry_the_solution_coordinates(self, tmp_path):
         cfg = default_config()
         assert run_command(cfg, str(tmp_path)) == 0

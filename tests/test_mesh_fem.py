@@ -1,5 +1,6 @@
 """Mesh construction, element integrals, assembly, DtN block, solve, norms."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 
 from elastodtn import fem
+from elastodtn import mesh as mesh_module
 from elastodtn.dtn import symbol_matrices
 from elastodtn.errors import MeshError, SolveError
 from elastodtn.fem import (
@@ -24,12 +26,10 @@ from elastodtn.fem import (
     assemble_B_transformed,
     assemble_load,
     assemble_load_transformed,
-    element_matrices,
     map_quadrature,
     norms,
     solve,
     trace_coefficients,
-    transformed_element_matrices,
 )
 from elastodtn.mesh import (
     DEGREE5_RULE,
@@ -43,6 +43,7 @@ from elastodtn.mesh import (
 from elastodtn.model import (
     DomainMap,
     RandomSurfaceModel,
+    SourceField,
     SourceSpec,
     cosine_surface,
     flat_surface,
@@ -53,6 +54,38 @@ from elastodtn.model import (
     sawtooth_surface,
 )
 from elastodtn.montecarlo import default_n_max
+
+
+def _stiffness_and_mass(gij, mm, lam, mu):
+    """Reference element (stiffness, mass), shape (nt, 6, 6), from the
+    gradient products gij (nt, 6, 6) and the scalar mass blocks mm
+    (nt, 3, 3): the pair the assembly combines into k - omega^2 m."""
+    nt = gij.shape[0]
+    k = (lam + mu) * gij.reshape(nt, 3, 2, 3, 2)
+    gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
+    m = np.zeros((nt, 3, 2, 3, 2))
+    for a in range(2):
+        k[:, :, a, :, a] += mu * gg
+        m[:, :, a, :, a] = mm
+    return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
+
+
+def element_matrices(quad, lam, mu):
+    """(stiffness, mass) of the plain form from the assembly's blocks."""
+    return _stiffness_and_mass(*fem._element_blocks(quad), lam, mu)
+
+
+def transformed_element_matrices(mq, lam, mu):
+    """(stiffness, mass) of the pulled-back form from the assembly's
+    blocks."""
+    return _stiffness_and_mass(*mq.element_blocks, lam, mu)
+
+
+def _combined(k, m, omega):
+    """k - omega^2 m formed as the assembly once did: -omega^2 m, plus k."""
+    out = m * -omega ** 2
+    out += k
+    return out
 
 
 class TestMesh:
@@ -147,6 +180,66 @@ class TestQuadrature:
                 exact = float(_monomial_integral(verts, a, b))
                 got = float(quad.integral(x ** a * y ** b))
                 assert got == pytest.approx(exact, rel=1e-13, abs=1e-15), (a, b)
+
+
+    def test_rule_built_on_first_use_from_the_mesh_coords(self, wavy_geom):
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 12, 8)
+        quad = mesh.quadrature
+        assert quad.coords is mesh.tri_coords
+        assert "_points" not in vars(quad) and "_weights" not in vars(quad)
+        bary, wts = DEGREE5_RULE
+        assert _same_bits(quad.points, bary @ mesh.tri_coords)
+        assert _same_bits(quad.weights, wts[None, :] * quad.area[:, None])
+        assert quad.points is quad.points and quad.weights is quad.weights
+
+    def test_take_on_unbuilt_rule_equals_full_rows(self, wavy_geom):
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 24, 16)
+        full = build_mesh(wavy_geom.surface, wavy_geom.h, 24, 16).quadrature
+        nt = mesh.triangles.shape[0]
+        gen = np.random.default_rng(7)
+        for elems in (np.arange(nt), gen.choice(nt, 37, replace=False),
+                      np.array([nt - 1, 0, 5, 5]), np.array([], dtype=int),
+                      np.arange(3, nt, 11)):
+            for rule in (mesh.quadrature, full):   # unbuilt, then built
+                part = rule.take(elems)
+                assert _same_bits(part.points, full.points[elems])
+                assert _same_bits(part.weights, full.weights[elems])
+                assert _same_bits(part.area, full.area[elems])
+                assert _same_bits(part.grads, full.grads[elems])
+            assert "_points" not in vars(mesh.quadrature)
+            assert "_weights" not in vars(mesh.quadrature)
+
+    def test_abscissae_of_unbuilt_points_built_once(self, flat_geom,
+                                                    monkeypatch):
+        # the abscissae build makes the points on first use, a build
+        # inside a build: each runs once, and no thread waits on itself
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 8)
+        quad = mesh.quadrature
+        assert "_points" not in vars(quad)
+        built = []
+        built_once = mesh_module._built_once
+
+        def counting(owner, name, build):
+            def counted():
+                built.append(name)
+                return build()
+            return built_once(owner, name, counted)
+
+        monkeypatch.setattr(mesh_module, "_built_once", counting)
+        calls, seen, _ = _race_first_use(
+            monkeypatch, np, "unique", lambda: quad.abscissae)
+        assert len(calls) == 1 and built == ["_abscissae", "_points"]
+        assert len(seen) == 4 and all(a is seen[0] for a in seen)
+        xs, inverse = seen[0]
+        assert _same_bits(xs[inverse], quad.points[..., 0])
+
+
+def _same_bits(a, b) -> bool:
+    """a and b hold the same values bit for bit (zeros' signs included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
 
 
 class TestElementMatrices:
@@ -345,20 +438,23 @@ class TestAssembly:
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 16)
         mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
         system = assemble_B_transformed(mesh, p, mq, 8)
-        domain = fem._domain_matrix(
-            mesh, p, lambda: transformed_element_matrices(mq, p.lam, p.mu))
+        domain = _domain_part(mesh, p, mq.element_blocks)
         _assert_same_csc(system.matrix, _csr_minus_coo_oracle(system, domain))
 
 
-def _domain_part(mesh, p):
-    """The CSR domain matrix (stiffness - omega^2 mass) of assemble_B."""
-    return fem._domain_matrix(
-        mesh, p, lambda: element_matrices(mesh.quadrature, p.lam, p.mu))
+def _domain_part(mesh, p, blocks=None):
+    """The CSR domain matrix (stiffness - omega^2 mass) of assemble_B, or
+    of the form with element blocks (gij, mm), from the reference pair."""
+    gij, mm = fem._element_blocks(mesh.quadrature) if blocks is None \
+        else blocks
+    k, m = _stiffness_and_mass(gij, mm, p.lam, p.mu)
+    return fem._scatter_elements(mesh, _combined(k, m, p.omega)).tocsr()
 
 
 def _csr_minus_coo_oracle(system, domain):
-    """The system matrix built the way it was before one CSC was stored:
-    the CSR domain part minus the DtN block as COO, converted to CSC."""
+    """The system matrix built the way it was before the assembly wrote
+    CSC: the CSR domain part minus the DtN block as COO, converted to
+    CSC."""
     top = system.top_dofs
     dtn = sp.coo_matrix((system.dtn_block.ravel(),
                          (np.repeat(top, top.size), np.tile(top, top.size))),
@@ -435,6 +531,25 @@ def _einsum_plain_element_matrices(quad, lam, mu):
     return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
 
 
+def _sampled_element_array(geom, model, mesh):
+    """k - 8^2 m of the form pulled back through a sampled map."""
+    k, m = transformed_element_matrices(
+        _sampled_map_quadrature(geom, model, mesh), 1.0, 1.0)
+    return k - 8.0 ** 2 * m
+
+
+def _coo_oracle(mesh, elem):
+    """The free-dof COO matrix of the element entries, surface dofs
+    dropped."""
+    dofs = _reference_dofs(mesh)
+    rows = np.repeat(dofs[:, :, None], 6, axis=2)
+    cols = np.repeat(dofs[:, None, :], 6, axis=1)
+    keep = (rows >= 0) & (cols >= 0)
+    n = 2 * mesh.free_nodes.size
+    return sp.coo_matrix((elem[keep], (rows[keep], cols[keep])),
+                         shape=(n, n))
+
+
 def _reference_dofs(mesh):
     """(nt, 6) free-vector dof of local dof 2i + a, -1 on surface nodes."""
     pos = -np.ones(mesh.n_nodes, dtype=np.int64)
@@ -473,21 +588,43 @@ class TestAssemblyPattern:
 
     def test_scatter_equals_coo_to_csr(self, flat_geom, surface_model,
                                        mesh):
-        mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
-        k, m = transformed_element_matrices(mq, 1.0, 1.0)
-        elem = k - 8.0 ** 2 * m
-        dofs = _reference_dofs(mesh)
-        rows = np.repeat(dofs[:, :, None], 6, axis=2)
-        cols = np.repeat(dofs[:, None, :], 6, axis=1)
-        keep = (rows >= 0) & (cols >= 0)
-        n = 2 * mesh.free_nodes.size
-        ref = sp.coo_matrix((elem[keep], (rows[keep], cols[keep])),
-                            shape=(n, n)).tocsr()
-        a = fem._scatter_elements(mesh, elem)
+        elem = _sampled_element_array(flat_geom, surface_model, mesh)
+        ref = _coo_oracle(mesh, elem).tocsr()
+        a = fem._scatter_elements(mesh, elem).tocsr()
         assert a.shape == ref.shape
         assert np.array_equal(a.indptr, ref.indptr)
         assert np.array_equal(a.indices, ref.indices)
         assert _rel_gap(a.data, ref.data) <= 1e-14
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (24, 16)])
+    def test_scatter_equals_coo_to_csc(self, flat_geom, surface_model, nx,
+                                       ny):
+        # a non-symmetric element array, so a transposed slot would show
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, nx, ny)
+        elem = _sampled_element_array(flat_geom, surface_model, mesh)
+        elem = elem + np.arange(36.0).reshape(6, 6) * 1e-3
+        ref = _coo_oracle(mesh, elem).tocsc()
+        a = fem._scatter_elements(mesh, elem)
+        assert a.format == "csc" and a.shape == ref.shape
+        assert np.array_equal(a.indptr, ref.indptr)
+        assert np.array_equal(a.indices, ref.indices)
+        assert _rel_gap(a.data, ref.data) <= 1e-14
+
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 8.0, 4 * math.pi])
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_element_array_equals_stiffness_minus_mass(
+            self, flat_geom, surface_model, mesh, omega, mapped):
+        # one array, bitwise the (k, m) pair combined; k itself at omega 0
+        blocks = (_sampled_map_quadrature(flat_geom, surface_model,
+                                          mesh).element_blocks if mapped
+                  else fem._element_blocks(mesh.quadrature))
+        # make_params refuses omega 0, which only the element array reads
+        p = dataclasses.replace(make_params(1.3, 0.7, 1.0), omega=omega)
+        k, m = _stiffness_and_mass(*blocks, p.lam, p.mu)
+        got = fem._element_array(*blocks, p)
+        assert np.array_equal(got, _combined(k, m, omega))
+        if omega == 0.0:
+            assert np.array_equal(got, k)
 
     def test_top_dofs_are_top_node_components(self, mesh):
         free_pos = np.searchsorted(mesh.free_nodes, mesh.top_nodes)
@@ -561,7 +698,8 @@ def _pattern_from_topology(mesh) -> DofPattern:
     stride = 2 * row_len[r]                          # to (2r + 1, 2c)
 
     # the same per node pair of each triangle; dropped pairs point at
-    # nnz and nnz + 1
+    # nnz and nnz + 1.  The CSC position of element entry (2i + a, 2j + b)
+    # is the CSR position of (2j + b, 2i + a) in this symmetric pattern.
     itype = _index_dtype(nnz + 1)
     first_t = np.full((nt, 3, 3), nnz, dtype=itype)
     stride_t = np.zeros((nt, 3, 3), dtype=itype)
@@ -572,7 +710,8 @@ def _pattern_from_topology(mesh) -> DofPattern:
     for a in range(2):
         for b in range(2):
             indices[first + a * stride + b] = 2 * c + b
-            slots[:, :, a, :, b] = first_t + (a * stride_t + b)
+            slots[:, :, b, :, a] = (first_t + (a * stride_t + b)
+                                    ).transpose(0, 2, 1)
     return DofPattern(n_dofs=n,
                       elem_dofs=_read_only(dofs_of(triangles), n),
                       top_dofs=_read_only(
@@ -596,10 +735,10 @@ def _race_first_use(monkeypatch, cls, builder, first_use):
     calls = []
     build = getattr(cls, builder)
 
-    def slow_build(*args):
+    def slow_build(*args, **kwargs):
         calls.append(1)
         barrier_passed.wait(1.0)  # hold the build while others arrive
-        return build(*args)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(cls, builder, slow_build)
     barrier_passed = threading.Event()
@@ -610,7 +749,8 @@ def _race_first_use(monkeypatch, cls, builder, first_use):
         barrier.wait()
         seen.append(first_use())
 
-    threads = [threading.Thread(target=run) for _ in range(4)]
+    # daemon threads, so a thread left deadlocked cannot block the exit
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -653,6 +793,106 @@ class TestMapQuadrature:
         xs, inverse = quad.abscissae
         assert np.array_equal(xs[inverse], quad.points[..., 0])
         assert xs.size <= 12 * mesh.nx    # a column's points share them
+
+
+def _support_rules(model):
+    """(plain rule with its points unbuilt, the same rule built, the rule
+    pulled back through the map of sample 1 of the model) on a 24 x 16
+    mesh."""
+    h = 1.4
+    mesh = build_mesh(model.f0, h, 24, 16)
+    built = build_mesh(model.f0, h, 24, 16).quadrature
+    built.points, built.weights
+    gap = h - model.f0.sup()
+    dmap = DomainMap(f0=model.f0, f_eta=sample_surface(model, 1),
+                     cutoff=make_cutoff(gap / 8.0, gap))
+    return mesh.quadrature, built, map_quadrature(built, dmap)
+
+
+def _disk(cx, cy, r):
+    return SourceField(center=(cx, cy), radius=r, amplitude=(1.0, 0.0),
+                       period=1.0)
+
+
+def _assert_support_equals_all_points_form(src, rules):
+    """support_elements equals the rows of the rule's points with one
+    inside the disk (its form on every point), on each rule, and leaves
+    the plain rule's points unbuilt."""
+    unbuilt = rules[0]
+    for rule in rules:
+        r2, _, _ = src._r2(rule.points if rule is not unbuilt
+                           else rules[1].points)
+        expect = np.flatnonzero(np.any(r2 < 1.0, axis=-1))
+        assert np.array_equal(src.support_elements(rule), expect)
+    assert "_points" not in vars(unbuilt)
+
+
+class TestSupportElements:
+    """The support triangles from the rule's x2 ranges and the points of
+    the triangles they keep, against the test of every point."""
+
+    @pytest.mark.parametrize("kind", ["flat", "cosine"])
+    def test_disk_inside_a_triangle(self, kind):
+        rules = _support_rules(_map_family(kind))
+        coords = rules[1].coords
+        for t in (5, 123, 400):
+            cx, cy = coords[t].mean(axis=0)
+            for r in (1e-3, 0.02, 0.07):   # the centre point, then more
+                src = _disk(cx, cy, r)
+                assert src.support_elements(rules[1]).size > 0
+                _assert_support_equals_all_points_form(src, rules)
+
+    @pytest.mark.parametrize("kind", ["flat", "cosine"])
+    @pytest.mark.parametrize("cx, cy, r", [(0.01, 0.8, 0.1),
+                                           (0.995, 0.7, 0.05),
+                                           (0.0, 1.0, 0.2)])
+    def test_disk_straddling_the_seam(self, kind, cx, cy, r):
+        src = _disk(cx, cy, r)
+        rules = _support_rules(_map_family(kind))
+        x1 = rules[1].points[src.support_elements(rules[1]), :, 0]
+        assert np.any(x1 < 0.1) and np.any(x1 > 0.9)
+        _assert_support_equals_all_points_form(src, rules)
+
+    @pytest.mark.parametrize("kind", ["flat", "cosine"])
+    def test_disk_edge_through_a_vertex_row(self, kind):
+        rules = _support_rules(_map_family(kind))
+        x2 = np.unique(rules[1].coords[..., 1])
+        r = 0.125
+        found = 0
+        for y in x2[(x2 > 0.5) & (x2 < 1.2)]:
+            for cy in (y + r, y - r):       # lowest point, then highest
+                if cy - r == y or cy + r == y:
+                    found += 1
+                    for cx in (0.3, 0.5 + 1.0 / 48):
+                        _assert_support_equals_all_points_form(
+                            _disk(cx, cy, r), rules)
+        assert found > 0
+
+    def test_mapped_point_outside_its_reference_vertex_range(self):
+        # a map that moves a point above its reference triangle's vertices:
+        # the mapped rule's candidates come from its own points
+        model = RandomSurfaceModel(
+            f0=flat_surface(0.3, 0.2, 0.4, 1.0), mode_count=2,
+            amplitudes=(0.06, 0.03), phases=(0.0, 1.3), M0=1.0, seed=11)
+        rules = _support_rules(model)
+        above = rules[2].points[..., 1] - rules[1].x2_range()[1][:, None]
+        t, q = np.unravel_index(np.argmax(above), above.shape)
+        assert above[t, q] > 0.0
+        src = _disk(*rules[2].points[t, q], 0.5 * above[t, q])
+        assert t in src.support_elements(rules[2])
+        _assert_support_equals_all_points_form(src, rules)
+
+    @given(cx=st.floats(0.0, 1.0, exclude_max=True),
+           cy=st.floats(0.2, 1.5), r=st.floats(1e-4, 0.4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_disks(self, cx, cy, r):
+        for kind in ("flat", "cosine"):
+            _assert_support_equals_all_points_form(
+                _disk(cx, cy, r), _SUPPORT_RULES[kind])
+
+
+_SUPPORT_RULES = {kind: _support_rules(_map_family(kind))
+                  for kind in ("flat", "cosine")}
 
 
 class TestLoads:
@@ -700,7 +940,7 @@ class TestLoads:
         src = make_source(SourceSpec(center=center, radius=0.15,
                                      amplitude=(1.0, 0.5j), period=1.0),
                           None, f_max=0.4, h=geom.h)
-        elems = src.support_elements(mesh.quadrature.points)
+        elems = src.support_elements(mesh.quadrature)
         assert 0 < elems.size < mesh.triangles.shape[0] // 4
         x1 = mesh.quadrature.points[elems, :, 0]
         assert (np.any(x1 < 0.1) and np.any(x1 > 0.9)) == (center[0] < 0.1)

@@ -97,6 +97,22 @@ class TestRunSample:
         run_sample(surface_model, source_spec, params2, mesh_ref, 1)
         assert len(calls) == 1
 
+    def test_records_requested_and_effective_n_max(
+            self, surface_model, source_spec, params2, mesh_ref,
+            monkeypatch):
+        # nx = 24 resolves modes up to (24 - 1) // 2 = 11
+        seen = []
+        real_solve = montecarlo.solve
+
+        def spy(system, load, metadata=None):
+            seen.append(metadata)
+            return real_solve(system, load, metadata)
+
+        monkeypatch.setattr(montecarlo, "solve", spy)
+        run_sample(surface_model, source_spec, params2, mesh_ref, 1,
+                   n_max=16)
+        assert seen[0]["n_max_requested"] == 16 and seen[0]["n_max"] == 11
+
     def test_negative_index_rejected(self, surface_model, source_spec,
                                      params2, mesh_ref):
         with pytest.raises(ParameterError):
@@ -137,7 +153,7 @@ class TestSampleKernels:
                                    amplitude=(1.0, 0.5j)), None,
                         f_max=0.4, h=1.4)
         mq = _sampled_mq(surface_model, mesh_ref)
-        elems = g.support_elements(mq.points)
+        elems = g.support_elements(mq)
         assert 0 < elems.size < mq.weights.shape[0] // 4
         near = mq.take(elems)
         values = g(near.points)

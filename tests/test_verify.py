@@ -339,7 +339,7 @@ class TestOmegaSweep:
         omegas = (2.0, 3.0, 5.0)
         config = self._config(wavy_geom, bump, omegas)
         mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 48, 64)
-        elems = bump.support_elements(mesh.quadrature.points)
+        elems = bump.support_elements(mesh.quadrature)
         assert 0 < elems.size < mesh.triangles.shape[0]
         full_load = assemble_load(mesh, bump)
         assert np.array_equal(assemble_load(mesh, bump, elems), full_load)
