@@ -23,8 +23,9 @@ the resulting `MappedQuadrature` is the only place the factors are formed.
 Every LU factorization and triangular solve runs with every loaded OpenBLAS
 pinned to one thread (`_single_thread_blas`): SuperLU calls BLAS on each
 supernode, and with more threads the factorization is slower and its
-factors (so the solution's bytes) depend on the thread setting.  Other
-BLAS vendors are left as they are.
+factors (so the solution's bytes) depend on the thread setting.  GMRES,
+whose Arnoldi steps call BLAS, runs under the same pin.  Other BLAS vendors
+are left as they are.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack as _lapack
 
 from .dtn import TraceCoefficients, symbol_matrices
 from .errors import MapSingularError, SolveError
@@ -55,6 +57,8 @@ __all__ = [
     "assemble_load",
     "assemble_load_transformed",
     "solve",
+    "StripPreconditioner",
+    "strip_preconditioner",
     "norms",
     "trace_coefficients",
     "element_gradients",
@@ -459,8 +463,13 @@ _single_thread_blas = _SingleThreadBlas()
 
 
 _RESIDUAL_GATE = 1e-10  # relative residual every returned solution meets
-_REFINE_TOL = 1e-12     # refinement stops at this relative residual
+_REFINE_TOL = 1e-12     # refinement (and GMRES) stops at this residual
 _REFINE_MAX_STEPS = 10
+# Preconditioned GMRES: Krylov basis size of one cycle and the number of
+# cycles.  scipy holds restart + 1 basis vectors, so the basis is what
+# each pool thread adds to the memory of a sample.
+_GMRES_RESTART = 24
+_GMRES_MAX_CYCLES = 4
 
 
 def _factor(a: sp.csc_matrix):
@@ -524,22 +533,135 @@ def _lu_solve(a: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, dict]:
         raise SolveError(
             f"relative residual {rel:.3e} exceeds {_RESIDUAL_GATE:g} "
             "(possible discrete resonance or bad truncation)")
-    return x, {"residual": float(rel), "nnz_lu": int(nnz_lu),
+    return x, {"solver": "lu", "residual": float(rel), "nnz_lu": int(nnz_lu),
                "factor_dtype": dtype, "refinement_steps": steps}
 
 
-def solve(system: SparseSystem, load: np.ndarray,
-          metadata: dict | None = None) -> FieldSolution:
-    """Sparse LU solve; the residual must satisfy ||Ax-b|| <= 1e-10 ||b||.
+_KL = _KU = 3   # band half-widths of a strip symbol in (row j, component a)
 
-    A is factored in complex64 and the solution refined with complex128
-    residuals.  When the complex64 factorization fails or refinement ends
-    above the 1e-10 gate, A is factored in complex128 and solved once.
-    Factorizations and solves run on one OpenBLAS thread, so the solution
-    does not depend on the BLAS thread setting.
+
+@dataclass(frozen=True)
+class StripPreconditioner:
+    """The inverse of the x1-average of a strip operator, applied by FFT.
+
+    With the free dofs laid out as 2((j - 1) nx + i) + a (`DofPattern`),
+    an operator that does not vary along x1 couples x[j, i, a] to
+    x[j', i + d, b] by a matrix that depends on d alone, so a DFT along
+    x1 splits it into one 2 ny x 2 ny symbol per wavenumber k.  The
+    symbols are banded in (j, a): 3 sub- and super-diagonals, the DtN
+    block in the last 2 x 2 block.  `factors` and `pivots` are the LAPACK
+    band LU (`zgbtrf`) of the block-diagonal matrix of all nx symbols,
+    wavenumber-major, which is the band LU of each symbol in turn.  They
+    are read-only, so threads share one preconditioner.
+    """
+
+    nx: int
+    ny: int
+    factors: np.ndarray    # (2 kl + ku + 1, 2 nx ny) complex, Fortran order
+    pivots: np.ndarray     # (2 nx ny,) LAPACK row interchanges
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        """The preconditioner's inverse times r: an FFT along x1, the band
+        solve of each wavenumber's symbol, the inverse FFT."""
+        nx, ny = self.nx, self.ny
+        rhat = np.fft.fft(np.reshape(r, (ny, nx, 2)), axis=1)
+        rhs = rhat.transpose(1, 0, 2).reshape(-1, 1)
+        yhat, _ = _lapack.zgbtrs(self.factors, _KL, _KU, rhs, self.pivots,
+                                 overwrite_b=1)
+        y = np.fft.ifft(yhat.reshape(nx, ny, 2), axis=0)
+        return y.transpose(1, 0, 2).reshape(-1)
+
+
+def strip_preconditioner(system: SparseSystem) -> StripPreconditioner | None:
+    """The `StripPreconditioner` of a system on a `build_mesh` strip, or
+    None when the system's entries do not fit the band or a symbol has a
+    zero pivot.
+
+    The entries of row (j, a) and column (j', b) are summed by offset
+    d = (i' - i) mod nx; divided by nx, these sums are the x1-average of
+    the operator, exact when the mesh does not vary along x1 (a flat
+    surface).  An inverse DFT over d gives the symbols.
+    """
+    mesh = system.mesh
+    nx, ny = mesh.nx, mesh.ny
+    nb = 2 * ny                       # order of one symbol
+    a = system.matrix.tocoo()
+    row, col = a.row.astype(np.int64), a.col.astype(np.int64)
+    # (j, a) positions 2 j + a of the entries inside their symbols
+    sr, sc = 2 * (row // (2 * nx)) + row % 2, 2 * (col // (2 * nx)) + col % 2
+    if np.any(np.abs(sr - sc) > _KL):
+        return None
+    d = (col // 2 - row // 2) % nx
+    rows = 2 * _KL + _KU + 1          # LAPACK band storage, with fill rows
+    slot = (d * rows + _KL + _KU + sr - sc) * nb + sc
+    sums = np.empty(nx * rows * nb, dtype=complex)
+    sums.real = np.bincount(slot, weights=a.data.real, minlength=sums.size)
+    sums.imag = np.bincount(slot, weights=a.data.imag, minlength=sums.size)
+    symbols = np.fft.ifft(sums.reshape(nx, rows, nb), axis=0)
+    ab = np.asfortranarray(symbols.transpose(1, 0, 2).reshape(rows, nx * nb))
+    factors, pivots, info = _lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
+    if info != 0:
+        return None
+    factors.setflags(write=False)
+    pivots.setflags(write=False)
+    return StripPreconditioner(nx=nx, ny=ny, factors=factors, pivots=pivots)
+
+
+def _gmres_solve(a: sp.csc_matrix, b: np.ndarray,
+                 pre: StripPreconditioner) -> tuple[np.ndarray, dict]:
+    """x from GMRES from x0 = 0, left preconditioned, in complex128, on one
+    OpenBLAS thread (the Arnoldi steps call BLAS), and its `solver`,
+    `residual` (relative, whether or not it meets the gate) and
+    `iterations`."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    m = spla.LinearOperator(a.shape, matvec=pre.apply, dtype=complex)
+    with _single_thread_blas:
+        x, _ = spla.gmres(a, b, rtol=_REFINE_TOL, restart=_GMRES_RESTART,
+                          maxiter=_GMRES_MAX_CYCLES, M=m, callback=count,
+                          callback_type="pr_norm")
+        rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+    return x, {"solver": "gmres", "residual": float(rel),
+               "iterations": iterations}
+
+
+def _radiated_power(x: np.ndarray, b: np.ndarray) -> float:
+    """-Im(x^H b) / |x^H b|, summed by numpy on the (re, im) float views
+    (a BLAS dot would round by the thread count); 0 when x^H b = 0."""
+    xf, bf = x.view(float).reshape(-1, 2), b.view(float).reshape(-1, 2)
+    re = np.sum(xf[:, 0] * bf[:, 0] + xf[:, 1] * bf[:, 1])
+    im = np.sum(xf[:, 0] * bf[:, 1] - xf[:, 1] * bf[:, 0])
+    mag = math.hypot(re, im)
+    return float(-im / mag) if mag > 0.0 else 0.0
+
+
+def solve(system: SparseSystem, load: np.ndarray,
+          metadata: dict | None = None,
+          preconditioner: StripPreconditioner | None = None) -> FieldSolution:
+    """Sparse solve; the residual must satisfy ||Ax-b|| <= 1e-10 ||b||.
+
+    Without a preconditioner, A is factored in complex64 and the solution
+    refined with complex128 residuals.  When the complex64 factorization
+    fails or refinement ends above the 1e-10 gate, A is factored in
+    complex128 and solved once.
+
+    With a `StripPreconditioner` (of a nearby operator on the same strip),
+    GMRES runs first, in complex128 with at most `_GMRES_MAX_CYCLES` cycles
+    of `_GMRES_RESTART` steps; its x is kept when its relative residual
+    meets the gate, and the LU path above solves otherwise.
+
+    Factorizations, solves and GMRES run on one OpenBLAS thread, so the
+    solution does not depend on the BLAS thread setting.
 
     The solution's metadata gains the solver health of a nonzero load:
-    `residual` (relative), `nnz_lu` (fill of the LU factors), `factor_dtype`
+    `solver` ("lu" or "gmres"), `residual` (relative) and `radiated_power`
+    (-Im(x^H b) / |x^H b|, positive when the field radiates through the
+    top); `iterations` when GMRES ran (also when it fell back to LU); and
+    on the LU path `nnz_lu` (fill of the LU factors), `factor_dtype`
     ("complex64" or "complex128") and `refinement_steps` (0 on the
     complex128 path).
     """
@@ -549,7 +671,13 @@ def solve(system: SparseSystem, load: np.ndarray,
             f"load has shape {b.shape}, expected ({system.dimension},)")
     health = {}
     if np.any(b):
-        x, health = _lu_solve(system.matrix, b)
+        if preconditioner is not None:
+            x, health = _gmres_solve(system.matrix, b, preconditioner)
+        # no GMRES, or GMRES above the gate (a NaN residual included)
+        if not health.get("residual", math.inf) <= _RESIDUAL_GATE:
+            x, lu_health = _lu_solve(system.matrix, b)
+            health.update(lu_health)
+        health["radiated_power"] = _radiated_power(x, b)
     else:
         x = np.zeros_like(b)
 

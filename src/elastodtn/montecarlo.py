@@ -7,6 +7,12 @@ and the physical-strip norm of the pushforward, obtained by change of
 variables on the same quadrature points.  Samples are pure functions of
 (seed, index), so ensembles are reproducible bit for bit at any parallelism.
 
+Every sample is a small perturbation of the reference operator, so its
+system is solved by GMRES preconditioned with the reference strip operator
+(`fem.StripPreconditioner`), built once per ensemble and shared read-only
+by the samples; `fem.solve` falls back to its LU when GMRES misses the
+residual gate.
+
 The sample loop runs under `fem`'s OpenBLAS pin (one thread), held once
 for the whole pool: the sample threads then do not oversubscribe the cores,
 and every solve inside nests in the same pin.  A caller's extra solve (the
@@ -27,11 +33,14 @@ from .errors import ElastoDtnError, EnsembleError, ParameterError
 from .fem import (
     FieldSolution,
     MappedQuadrature,
+    StripPreconditioner,
     _single_thread_blas,
+    assemble_B,
     assemble_B_transformed,
     assemble_load_transformed,
     map_quadrature,
     solve,
+    strip_preconditioner,
 )
 from .mesh import Mesh
 from .model import (
@@ -50,6 +59,7 @@ __all__ = [
     "EnsembleResult",
     "run_sample",
     "run_ensemble",
+    "reference_preconditioner",
     "meansquare_envelope_check",
     "random_input_moments",
     "default_n_max",
@@ -89,22 +99,44 @@ def pullback_source_h1_sq(g, mq: MappedQuadrature, values) -> float:
                  + mq.quad.integral(np.abs(dg) ** 2))
 
 
+def _sample_n_max(model: RandomSurfaceModel, p: ElasticParams,
+                  n_max: int | None) -> int:
+    return default_n_max(p, model.f0.period) if n_max is None else n_max
+
+
+def reference_preconditioner(mesh_ref: Mesh, p: ElasticParams,
+                             n_max: int) -> StripPreconditioner | None:
+    """The `StripPreconditioner` of the reference system on mesh_ref (None
+    when it cannot be built: the samples then solve by LU).  Built on one
+    OpenBLAS thread, so its bytes do not depend on the caller's pin."""
+    with _single_thread_blas:
+        return strip_preconditioner(assemble_B(mesh_ref, p, n_max))
+
+
+_OWN = object()   # run_sample's default: build its own preconditioner
+
+
 def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                mesh_ref: Mesh, index: int, *, delta: float | None = None,
                epsilon_margin: float = 0.05,
-               n_max: int | None = None) -> dict:
+               n_max: int | None = None, preconditioner=_OWN) -> dict:
     """Solve one draw of the random problem; returns the per-sample record.
 
     The source enters (load and norm) only through the triangles where it
-    does not vanish."""
+    does not vanish.  The system is solved with `preconditioner` (see
+    `fem.solve`; None solves by LU); when it is not given, the sample
+    builds its own `reference_preconditioner`, the one `run_ensemble`
+    shares.  The record's `solver` and `iterations` (0 when GMRES did not
+    run) come from the solve's metadata."""
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     h = mesh_ref.h
     gap = h - model.f0.sup()
     if delta is None:
         delta = gap / 8.0
-    if n_max is None:
-        n_max = default_n_max(p, model.f0.period)
+    n_max = _sample_n_max(model, p, n_max)
+    if preconditioner is _OWN:
+        preconditioner = reference_preconditioner(mesh_ref, p, n_max)
     f_eta = sample_surface(model, index)
     cutoff = make_cutoff(delta, gap)
     dmap = DomainMap(f0=model.f0, f_eta=f_eta, cutoff=cutoff,
@@ -120,7 +152,8 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     load = assemble_load_transformed(mesh_ref, g_values, near, elems)
     sol = solve(system, load, metadata={
         "omega": p.omega, "n_max": system.n_max,
-        "n_max_requested": system.n_max_requested, "sample_index": index})
+        "n_max_requested": system.n_max_requested, "sample_index": index},
+        preconditioner=preconditioner)
     return {
         "index": index,
         "u_h1_sq": sol.norms["h1"] ** 2,
@@ -128,6 +161,8 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
         "g_h1_sq": pullback_source_h1_sq(g_eta, near, g_values),
         "min_detJ": min_detj,
         "kappa": _norm_equivalence_kappa(mq),
+        "solver": sol.metadata.get("solver"),
+        "iterations": sol.metadata.get("iterations", 0),
     }
 
 
@@ -149,7 +184,8 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                  **sample_kwargs) -> EnsembleResult:
     """N independent samples with indices 0..N-1; aggregation is an ordered
     reduction, so the result is independent of scheduling.  The samples run
-    with OpenBLAS pinned to one thread (see the module docstring).
+    with OpenBLAS pinned to one thread and share one
+    `reference_preconditioner` (see the module docstring).
 
     `anchor`, a function of no arguments, runs as one more task of the
     pool, ahead of the samples, so it overlaps them while at most
@@ -161,12 +197,16 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     results: dict[int, dict] = {}
     failures: dict[int, str] = {}
 
-    def task(i):
-        return run_sample(model, src, p, mesh_ref, i, **sample_kwargs)
-
     with _single_thread_blas, \
             ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
         extra = pool.submit(anchor) if anchor is not None else None
+        pre = reference_preconditioner(
+            mesh_ref, p, _sample_n_max(model, p, sample_kwargs.get("n_max")))
+
+        def task(i):
+            return run_sample(model, src, p, mesh_ref, i, preconditioner=pre,
+                              **sample_kwargs)
+
         futs = {i: pool.submit(task, i) for i in range(N)}
         for i, fut in futs.items():
             try:

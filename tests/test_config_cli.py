@@ -128,9 +128,9 @@ class TestSolveCommand:
         seen = []
         real_solve = cli.solve
 
-        def spy(system, load, metadata=None):
+        def spy(system, load, metadata=None, **kwargs):
             seen.append(metadata)
-            return real_solve(system, load, metadata)
+            return real_solve(system, load, metadata, **kwargs)
 
         monkeypatch.setattr(cli, "solve", spy)
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")

@@ -104,9 +104,9 @@ class TestRunSample:
         seen = []
         real_solve = montecarlo.solve
 
-        def spy(system, load, metadata=None):
+        def spy(system, load, metadata=None, **kwargs):
             seen.append(metadata)
-            return real_solve(system, load, metadata)
+            return real_solve(system, load, metadata, **kwargs)
 
         monkeypatch.setattr(montecarlo, "solve", spy)
         run_sample(surface_model, source_spec, params2, mesh_ref, 1,

@@ -1,0 +1,316 @@
+"""The reference strip preconditioner, the GMRES path of `fem.solve` with
+its LU fallback, and the radiated power every solve records."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from elastodtn import cli, fem, montecarlo
+from elastodtn.config import default_config
+from elastodtn.dtn import default_n_max
+from elastodtn.fem import (
+    assemble_B,
+    assemble_load,
+    solve,
+    strip_preconditioner,
+)
+from elastodtn.mesh import build_mesh
+from elastodtn.model import (
+    RandomSurfaceModel,
+    cosine_surface,
+    flat_surface,
+    make_params,
+    make_source,
+)
+from elastodtn.montecarlo import (
+    reference_preconditioner,
+    run_ensemble,
+    run_sample,
+)
+
+FLAT = flat_surface(0.3, 0.2, 0.4, 1.0)
+WAVY = cosine_surface(0.3, [0.04], [1], [0.0], 0.2, 0.4, 1.0)
+
+
+def _model(f0):
+    return RandomSurfaceModel(f0=f0, mode_count=2, amplitudes=(0.02, 0.01),
+                              phases=(0.0, 1.3), M0=0.3, seed=42)
+
+
+def _random(n, seed=0):
+    gen = np.random.default_rng(seed)
+    return gen.standard_normal(n) + 1j * gen.standard_normal(n)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _captured_sample(model, spec, p, mesh, index, monkeypatch, **kwargs):
+    """(system, load, solution) of run_sample's solve."""
+    seen = []
+    real_solve = montecarlo.solve
+
+    def spy(system, load, metadata=None, **kw):
+        sol = real_solve(system, load, metadata, **kw)
+        seen.append((system, load, sol))
+        return sol
+
+    monkeypatch.setattr(montecarlo, "solve", spy)
+    run_sample(model, spec, p, mesh, index, **kwargs)
+    monkeypatch.undo()
+    return seen[0]
+
+
+class TestSymbols:
+    """On a flat strip the x1-average is the operator itself, so the
+    preconditioner inverts it."""
+
+    @pytest.mark.parametrize("nx, ny, omega, n_max", [
+        (2, 3, 2.0, 4), (3, 4, 8.0, 4), (3, 5, 2.0, 0), (8, 6, 2.0, 16),
+        (8, 12, 24.0, 3), (64, 8, 8.0, 0), (64, 12, 24.0, 40)])
+    def test_inverts_flat_reference(self, nx, ny, omega, n_max):
+        # nx = 2 and 3 make the offsets -1 and +1 (and 0 at nx = 2) alias
+        p = make_params(1.0, 1.0, omega)
+        system = assemble_B(build_mesh(FLAT, 1.4, nx, ny), p,
+                            n_max or default_n_max(p, 1.0))
+        pre = strip_preconditioner(system)
+        assert pre is not None
+        for seed in range(3):
+            x = _random(system.dimension, seed)
+            assert _rel(pre.apply(system.matrix @ x), x) <= 1e-12
+
+    def test_factors_read_only(self, params2):
+        pre = strip_preconditioner(assemble_B(build_mesh(FLAT, 1.4, 8, 6),
+                                              params2, 3))
+        assert not pre.factors.flags.writeable
+        assert not pre.pivots.flags.writeable
+        assert pre.factors.flags.f_contiguous
+
+    def test_zero_pivot_leaves_none(self, params2):
+        # every (row 1, component 0) column zero: each symbol's first
+        # column vanishes
+        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2, 3)
+        keep = np.ones(system.dimension)
+        keep[0:16:2] = 0.0
+        system = replace(system, matrix=sp.csc_matrix(
+            system.matrix @ sp.diags(keep)))
+        assert strip_preconditioner(system) is None
+
+    def test_entry_outside_band_leaves_none(self, params2):
+        # a coupling between the first and the last row of nodes
+        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2, 3)
+        n = system.dimension
+        extra = sp.csc_matrix(([1.0 + 0j], ([0], [n - 2])), shape=(n, n))
+        system = replace(system, matrix=sp.csc_matrix(system.matrix + extra))
+        assert strip_preconditioner(system) is None
+
+
+class TestGmresPath:
+    @pytest.mark.parametrize("f0", [FLAT, WAVY], ids=["flat", "cosine"])
+    @pytest.mark.parametrize("omega", [2.0, 8.0, 24.0])
+    def test_matches_lu_on_samples(self, f0, omega, source_spec,
+                                   monkeypatch):
+        p = make_params(1.0, 1.0, omega)
+        mesh = build_mesh(f0, 1.4, 32, 48)
+        system, load, sol = _captured_sample(_model(f0), source_spec, p,
+                                             mesh, 1, monkeypatch)
+        lu = solve(system, load)
+        meta = sol.metadata
+        assert meta["solver"] == "gmres"
+        assert 1 <= meta["iterations"] <= (fem._GMRES_RESTART
+                                           * fem._GMRES_MAX_CYCLES)
+        assert meta["residual"] <= 1e-10
+        assert "nnz_lu" not in meta and "factor_dtype" not in meta
+        assert lu.metadata["solver"] == "lu"
+        assert "iterations" not in lu.metadata
+        assert _rel(sol.values, lu.values) <= 1e-11
+        assert abs(meta["radiated_power"]
+                   - lu.metadata["radiated_power"]) <= 1e-10
+
+    def test_sample_without_preconditioner_takes_lu(self, source_spec,
+                                                    params2):
+        mesh = build_mesh(FLAT, 1.4, 24, 32)
+        rec = run_sample(_model(FLAT), source_spec, params2, mesh, 1,
+                         preconditioner=None)
+        assert (rec["solver"], rec["iterations"]) == ("lu", 0)
+        shared = run_sample(_model(FLAT), source_spec, params2, mesh, 1)
+        assert shared["solver"] == "gmres" and shared["iterations"] > 0
+        assert shared["u_h1_sq"] == pytest.approx(rec["u_h1_sq"], rel=1e-11)
+
+
+class TestFallback:
+    """A GMRES solve that misses the gate ends on the unchanged LU path."""
+
+    def _plain_and_preconditioned(self, source_spec, omega, pre):
+        p = make_params(1.0, 1.0, omega)
+        mesh = build_mesh(FLAT, 1.4, 32, 48)
+        src = make_source(source_spec, None, f_max=0.4, h=1.4)
+        system = assemble_B(mesh, p, default_n_max(p, 1.0))
+        load = assemble_load(mesh, src)
+        return solve(system, load), solve(system, load,
+                                          preconditioner=pre(mesh, p))
+
+    def test_preconditioner_of_another_omega(self, source_spec):
+        plain, sol = self._plain_and_preconditioned(
+            source_spec, 24.0, lambda mesh, p: reference_preconditioner(
+                mesh, make_params(1.0, 1.0, 2.0), default_n_max(p, 1.0)))
+        assert sol.metadata["solver"] == "lu"
+        assert sol.metadata["iterations"] == (fem._GMRES_RESTART
+                                              * fem._GMRES_MAX_CYCLES)
+        assert sol.values.tobytes() == plain.values.tobytes()
+        for key in ("residual", "nnz_lu", "factor_dtype",
+                    "refinement_steps", "radiated_power"):
+            assert sol.metadata[key] == plain.metadata[key]
+
+    def test_one_iteration_cap(self, source_spec, monkeypatch):
+        monkeypatch.setattr(fem, "_GMRES_RESTART", 1)
+        monkeypatch.setattr(fem, "_GMRES_MAX_CYCLES", 1)
+        plain, sol = self._plain_and_preconditioned(
+            source_spec, 8.0, lambda mesh, p: reference_preconditioner(
+                mesh, make_params(1.0, 1.0, 2.0), default_n_max(p, 1.0)))
+        assert (sol.metadata["solver"], sol.metadata["iterations"]) \
+            == ("lu", 1)
+        assert sol.values.tobytes() == plain.values.tobytes()
+
+
+ENSEMBLE_CFG = """\
+[physics]
+omega = 8.0
+
+[surface_model]
+mode_count = 2
+amplitudes = 0.02, 0.01
+phases = 0.0, 1.3
+M0 = 0.3
+seed = 2024
+
+[source]
+jitter_center = 0.05
+jitter_amplitude = 0.1
+jitter_seed = 7
+
+[discretization]
+nx = 32
+ny = 48
+
+[run]
+N = 4
+"""
+
+
+class TestDeterminism:
+    def test_cli_bytes_on_gmres_path(self, tmp_path, monkeypatch):
+        solvers = []
+        real_solve = montecarlo.solve
+
+        def spy(system, load, metadata=None, **kw):
+            sol = real_solve(system, load, metadata, **kw)
+            solvers.append(sol.metadata["solver"])
+            return sol
+
+        monkeypatch.setattr(montecarlo, "solve", spy)
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text(ENSEMBLE_CFG)
+        out = {}
+        for workers in (1, 2, 4):
+            d = tmp_path / f"p{workers}"
+            assert cli.main(["ensemble", "--config", str(cfg), "--out",
+                             str(d), "--parallelism", str(workers)]) == 0
+            out[workers] = (d / "ensemble.csv").read_bytes()
+        assert solvers == ["gmres"] * 12
+        assert out[1].count(b"\n") == 5
+        assert out[1] == out[2] == out[4]
+
+    def test_records_independent_of_blas_threads(self, openblas_at_two,
+                                                 source_spec):
+        p = make_params(1.0, 1.0, 8.0)
+        mesh = build_mesh(FLAT, 1.4, 32, 48)
+        runs = [run_ensemble(_model(FLAT), source_spec, p, mesh, 3,
+                             parallelism=w).per_sample for w in (1, 2)]
+        for _, set_threads in openblas_at_two:
+            set_threads(1)
+        runs.append(run_ensemble(_model(FLAT), source_spec, p, mesh, 3,
+                                 parallelism=2).per_sample)
+        assert all(r["solver"] == "gmres" for r in runs[0])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_gmres_pinned_and_counts_restored(self, openblas_at_two,
+                                              source_spec, params2):
+        controls = openblas_at_two
+        mesh = build_mesh(FLAT, 1.4, 16, 24)
+        system = assemble_B(mesh, params2, 8)
+        pre = reference_preconditioner(mesh, make_params(1.0, 1.0, 2.5), 8)
+        seen = []
+
+        class Recording:
+            def apply(self, r):
+                seen.append(_blas_threads(controls))
+                return pre.apply(r)
+
+        src = make_source(source_spec, None, f_max=0.4, h=1.4)
+        sol = solve(system, assemble_load(mesh, src),
+                    preconditioner=Recording())
+        assert sol.metadata["solver"] == "gmres"
+        assert len(seen) > 2
+        assert seen == [[1] * len(controls)] * len(seen)
+        assert _blas_threads(controls) == [2] * len(controls)
+
+    def test_reference_preconditioner_built_pinned(
+            self, openblas_at_two, monkeypatch, params2):
+        controls = openblas_at_two
+        seen = []
+        build = montecarlo.strip_preconditioner
+
+        def recording(system):
+            seen.append(_blas_threads(controls))
+            return build(system)
+
+        monkeypatch.setattr(montecarlo, "strip_preconditioner", recording)
+        assert reference_preconditioner(build_mesh(FLAT, 1.4, 8, 6),
+                                        params2, 3) is not None
+        assert seen == [[1] * len(controls)]
+        assert _blas_threads(controls) == [2] * len(controls)
+
+
+def _blas_threads(controls) -> list:
+    return [get() for get, _ in controls]
+
+
+def _default_solve(omega):
+    """The default flat config at 64 x 96, source amplitude (1, 0)."""
+    cfg = replace(default_config(), omega=omega, nx=64, ny=96)
+    assert cfg.amplitude_re == (1.0, 0.0) and cfg.amplitude_im == (0.0, 0.0)
+    p = cfg.make_params()
+    geom = cfg.make_geometry()
+    mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
+    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    return solve(assemble_B(mesh, p, cfg.auto_n_max()),
+                 assemble_load(mesh, src))
+
+
+class TestRadiatedPower:
+    @pytest.mark.parametrize("omega, expected", [(2.0, 0.80), (8.0, 0.43),
+                                                 (16.0, 0.76)])
+    def test_positive_with_the_dtn(self, omega, expected):
+        rp = _default_solve(omega).metadata["radiated_power"]
+        assert rp == pytest.approx(expected, abs=0.01)
+
+    def test_zero_without_the_dtn(self, monkeypatch):
+        block = fem._dtn_block
+        monkeypatch.setattr(fem, "_dtn_block",
+                            lambda *a: np.zeros_like(block(*a)))
+        assert abs(_default_solve(8.0).metadata["radiated_power"]) <= 1e-12
+
+    def test_negative_with_incoming_dtn(self, monkeypatch):
+        block = fem._dtn_block
+        monkeypatch.setattr(fem, "_dtn_block", lambda *a: np.conj(block(*a)))
+        for omega in (2.0, 8.0):
+            assert _default_solve(omega).metadata["radiated_power"] < -0.1
+
+    def test_not_recorded_for_zero_load(self, params2):
+        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2, 3)
+        sol = solve(system, np.zeros(system.dimension))
+        assert "radiated_power" not in sol.metadata

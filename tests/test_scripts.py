@@ -2,6 +2,7 @@
 and the ensemble study runs end to end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,9 @@ def test_ensemble_study_runs():
                        timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "ok=True" in proc.stdout
+    # the solver line: GMRES on both samples, no fallback to LU
+    match = re.search(r"gmres iterations (\d+)-(\d+)  lu fallbacks (\d+)/2",
+                      proc.stdout)
+    assert match, proc.stdout
+    lo, hi, fallbacks = map(int, match.groups())
+    assert 1 <= lo <= hi and fallbacks == 0
