@@ -34,9 +34,12 @@ def main() -> None:
     sw = omega_sweep(SweepConfig(lam=1.0, mu=1.0, omegas=omegas, geom=geom,
                                  source=src, nx=args.nx, ny=args.ny,
                                  n_max=16))
-    print(f"{'omega':>10s} {'ratio':>12s} {'envelope':>12s}")
-    for om, r, env in zip(sw.omegas, sw.ratios, sw.profile_envelope):
-        print(f"{om:10.4f} {r:12.6g} {env:12.6g}")
+    print(f"{'omega':>10s} {'ratio':>12s} {'envelope':>12s} "
+          f"{'solver':>7s} {'iters':>5s}")
+    for om, r, env, s in zip(sw.omegas, sw.ratios, sw.profile_envelope,
+                             sw.solves):
+        print(f"{om:10.4f} {r:12.6g} {env:12.6g} {s['solver']:>7s} "
+              f"{s['iterations']:5d}")
     print(f"fitted slope (top half): {sw.fitted_slope:.4f}  (bound: 3)")
 
 

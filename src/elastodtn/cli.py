@@ -214,9 +214,9 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
     l0 = model.f0.lipschitz + min(model.M0, model.norm_bound)
     profile = bound_profile(p.omega, cfg.h, cfg.m, l0)
     # the anchor solve (when the constant is not given) runs in the
-    # ensemble's pool, overlapping the samples
+    # ensemble's pool on its reference system, overlapping the samples
     anchor = None if cfg.calibrated_c > 0.0 else functools.partial(
-        _deterministic_anchor, cfg, p, mesh, profile)
+        _deterministic_anchor, cfg, profile)
     res = montecarlo.run_ensemble(
         model, spec, p, mesh, cfg.N, parallelism=cfg.parallelism,
         anchor=anchor, delta=cfg.auto_delta(gap),
@@ -236,13 +236,14 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
     return 0 if check["ok"] else 1
 
 
-def _deterministic_anchor(cfg: RunConfig, p, mesh, profile) -> float:
-    """Envelope constant calibrated on the unperturbed deterministic solve.
-    It runs as a task of the ensemble's pool, so BLAS is pinned as for the
-    samples and checks.csv does not depend on the BLAS thread setting."""
+def _deterministic_anchor(cfg: RunConfig, profile, system) -> float:
+    """Envelope constant calibrated on the unperturbed deterministic solve
+    of the ensemble's reference system, by LU.  It runs in the ensemble's
+    pool, so BLAS is pinned as for the samples and checks.csv does not
+    depend on the BLAS thread setting."""
+    mesh = system.mesh
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     elems = src.support_elements(mesh.quadrature)
-    system = assemble_B(mesh, p, cfg.auto_n_max())
     sol = solve(system, assemble_load(mesh, src, elems))
     gn = verify.source_norms(mesh, src, elems)["h1"]
     denom = ((profile.h + 2.0 - profile.m) ** 2

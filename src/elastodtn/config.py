@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,9 +128,20 @@ class RunConfig:
                           amplitude=amp, period=self.period, jitter=jitter)
 
     def auto_n_max(self, omega: float | None = None) -> int:
+        """The configured n_max, or the automatic value (`default_n_max`)
+        when it is 0.  The assembly caps n_max at the Nyquist index
+        (nx - 1) // 2; an automatic value past it warns (RuntimeWarning),
+        an explicit one is rejected by `load_config`."""
         if self.n_max > 0:
             return self.n_max
-        return default_n_max(self.make_params(omega), self.period)
+        n_max = default_n_max(self.make_params(omega), self.period)
+        nyquist = (self.nx - 1) // 2
+        if n_max > nyquist:
+            warnings.warn(
+                f"automatic n_max {n_max} exceeds the Nyquist index "
+                f"(nx - 1) // 2 = {nyquist}; the DtN block uses {nyquist}",
+                RuntimeWarning, stacklevel=2)
+        return n_max
 
     def auto_delta(self, gap: float) -> float:
         return self.delta if self.delta > 0.0 else gap / 8.0

@@ -24,8 +24,8 @@ Every LU factorization and triangular solve runs with every loaded OpenBLAS
 pinned to one thread (`_single_thread_blas`): SuperLU calls BLAS on each
 supernode, and with more threads the factorization is slower and its
 factors (so the solution's bytes) depend on the thread setting.  GMRES,
-whose Arnoldi steps call BLAS, runs under the same pin.  Other BLAS vendors
-are left as they are.
+whose Arnoldi steps call BLAS, and the band LU of a `StripPreconditioner`
+run under the same pin.  Other BLAS vendors are left as they are.
 """
 
 from __future__ import annotations
@@ -580,7 +580,9 @@ def strip_preconditioner(system: SparseSystem) -> StripPreconditioner | None:
     The entries of row (j, a) and column (j', b) are summed by offset
     d = (i' - i) mod nx; divided by nx, these sums are the x1-average of
     the operator, exact when the mesh does not vary along x1 (a flat
-    surface).  An inverse DFT over d gives the symbols.
+    surface).  An inverse DFT over d gives the symbols.  The band LU runs
+    on one OpenBLAS thread, so the factors do not depend on the caller's
+    thread setting.
     """
     mesh = system.mesh
     nx, ny = mesh.nx, mesh.ny
@@ -599,7 +601,8 @@ def strip_preconditioner(system: SparseSystem) -> StripPreconditioner | None:
     sums.imag = np.bincount(slot, weights=a.data.imag, minlength=sums.size)
     symbols = np.fft.ifft(sums.reshape(nx, rows, nb), axis=0)
     ab = np.asfortranarray(symbols.transpose(1, 0, 2).reshape(rows, nx * nb))
-    factors, pivots, info = _lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
+    with _single_thread_blas:
+        factors, pivots, info = _lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info != 0:
         return None
     factors.setflags(write=False)

@@ -15,14 +15,17 @@ residual gate.
 
 The sample loop runs under `fem`'s OpenBLAS pin (one thread), held once
 for the whole pool: the sample threads then do not oversubscribe the cores,
-and every solve inside nests in the same pin.  A caller's extra solve (the
-CLI's deterministic anchor) can run as one more task of the same pool.
+and every solve inside nests in the same pin.  The reference system is
+assembled once, by the first task of the pool, which builds the
+preconditioner from it and then runs a caller's extra solve on it (the
+CLI's deterministic anchor); the samples map and assemble meanwhile and
+wait for the preconditioner only before their solve.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -33,6 +36,7 @@ from .errors import ElastoDtnError, EnsembleError, ParameterError
 from .fem import (
     FieldSolution,
     MappedQuadrature,
+    SparseSystem,
     StripPreconditioner,
     _single_thread_blas,
     assemble_B,
@@ -107,10 +111,8 @@ def _sample_n_max(model: RandomSurfaceModel, p: ElasticParams,
 def reference_preconditioner(mesh_ref: Mesh, p: ElasticParams,
                              n_max: int) -> StripPreconditioner | None:
     """The `StripPreconditioner` of the reference system on mesh_ref (None
-    when it cannot be built: the samples then solve by LU).  Built on one
-    OpenBLAS thread, so its bytes do not depend on the caller's pin."""
-    with _single_thread_blas:
-        return strip_preconditioner(assemble_B(mesh_ref, p, n_max))
+    when it cannot be built: the samples then solve by LU)."""
+    return strip_preconditioner(assemble_B(mesh_ref, p, n_max))
 
 
 _OWN = object()   # run_sample's default: build its own preconditioner
@@ -124,10 +126,11 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
 
     The source enters (load and norm) only through the triangles where it
     does not vanish.  The system is solved with `preconditioner` (see
-    `fem.solve`; None solves by LU); when it is not given, the sample
-    builds its own `reference_preconditioner`, the one `run_ensemble`
-    shares.  The record's `solver` and `iterations` (0 when GMRES did not
-    run) come from the solve's metadata."""
+    `fem.solve`; None solves by LU), which may be a `Future` of one, waited
+    for just before the solve; when it is not given, the sample builds its
+    own `reference_preconditioner`, the one `run_ensemble` shares.  The
+    record's `solver` and `iterations` (0 when GMRES did not run) come from
+    the solve's metadata."""
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     h = mesh_ref.h
@@ -150,6 +153,8 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     g_values = g_eta(near.points)
     system = assemble_B_transformed(mesh_ref, p, mq, n_max)
     load = assemble_load_transformed(mesh_ref, g_values, near, elems)
+    if isinstance(preconditioner, Future):
+        preconditioner = preconditioner.result()
     sol = solve(system, load, metadata={
         "omega": p.omega, "n_max": system.n_max,
         "n_max_requested": system.n_max_requested, "sample_index": index},
@@ -175,44 +180,55 @@ class EnsembleResult:
     mean_u_sq: float
     mean_g_sq: float
     se_u_sq: float
-    anchor: Any = None     # value of run_ensemble's `anchor` task, if any
+    anchor: Any = None     # value of run_ensemble's `anchor`, if any
 
 
 def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                  mesh_ref: Mesh, N: int, parallelism: int = 1,
-                 anchor: Callable[[], Any] | None = None,
+                 anchor: Callable[[SparseSystem], Any] | None = None,
                  **sample_kwargs) -> EnsembleResult:
     """N independent samples with indices 0..N-1; aggregation is an ordered
     reduction, so the result is independent of scheduling.  The samples run
     with OpenBLAS pinned to one thread and share one
     `reference_preconditioner` (see the module docstring).
 
-    `anchor`, a function of no arguments, runs as one more task of the
-    pool, ahead of the samples, so it overlaps them while at most
+    `anchor`, a function of the reference system (the one the
+    preconditioner is built from), runs in the pool's first task, after
+    the preconditioner is built, so it overlaps the samples while at most
     `parallelism` tasks (and factorizations) are alive; its value is the
     result's `anchor`, and an error it raises propagates unchanged.
+    Tasks wait only for the first, which was started before them, so no
+    worker count deadlocks.
     """
     if N < 1:
         raise ParameterError("N must be >= 1")
+    n_max = _sample_n_max(model, p, sample_kwargs.pop("n_max", None))
     results: dict[int, dict] = {}
     failures: dict[int, str] = {}
+    pre: Future = Future()
+
+    def reference():
+        try:
+            system = assemble_B(mesh_ref, p, n_max)
+            pre.set_result(strip_preconditioner(system))
+        except BaseException as exc:   # the samples waiting on pre raise it
+            pre.set_exception(exc)
+            raise
+        return anchor(system) if anchor is not None else None
 
     with _single_thread_blas, \
             ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        extra = pool.submit(anchor) if anchor is not None else None
-        pre = reference_preconditioner(
-            mesh_ref, p, _sample_n_max(model, p, sample_kwargs.get("n_max")))
-
-        def task(i):
-            return run_sample(model, src, p, mesh_ref, i, preconditioner=pre,
-                              **sample_kwargs)
-
-        futs = {i: pool.submit(task, i) for i in range(N)}
+        first = pool.submit(reference)
+        futs = {i: pool.submit(run_sample, model, src, p, mesh_ref, i,
+                               n_max=n_max, preconditioner=pre,
+                               **sample_kwargs)
+                for i in range(N)}
         for i, fut in futs.items():
             try:
                 results[i] = fut.result()
             except ElastoDtnError as exc:
                 failures[i] = str(exc)
+    anchored = first.result()   # its error first: the samples wait on it
     if failures:
         detail = "; ".join(f"{i}: {msg}" for i, msg in sorted(failures.items()))
         raise EnsembleError(f"samples failed: {detail}")
@@ -225,7 +241,7 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     return EnsembleResult(sample_count=N, per_sample=per_sample,
                           mean_u_sq=mean_u, mean_g_sq=float(np.mean(g_sq)),
                           se_u_sq=se,
-                          anchor=extra.result() if extra is not None else None)
+                          anchor=anchored)
 
 
 def meansquare_envelope_check(res: EnsembleResult, profile: BoundProfile,

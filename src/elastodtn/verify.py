@@ -31,6 +31,7 @@ from .fem import (
     assemble_load_transformed,
     map_quadrature,
     solve,
+    strip_preconditioner,
     trace_coefficients,
 )
 from .mesh import Mesh, build_mesh
@@ -202,31 +203,30 @@ class UpgoingModesField:
             self.modes.append((xi, complex(gamma(xi, p.k_p)), complex(c)))
 
     def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        ch = self.chi.value(x2)
-        out = np.zeros(pts.shape[:-1] + (2,), dtype=complex)
-        for xi, g, c in self.modes:
-            e = np.exp(1j * (xi * x1 + g * x2))
-            out[..., 0] += c * xi * ch * e
-            out[..., 1] += c * g * ch * e
-        return out
+        return self.value_grad(pts)[0]
 
     def grad(self, pts):
         """(..., 2, 2) with [a, b] = d u_a / d x_b."""
+        return self.value_grad(pts)[1]
+
+    def value_grad(self, pts):
+        """(value, grad) from one evaluation of the step and of each
+        mode's exponential."""
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
-        ch = self.chi.value(x2)
-        dch = self.chi.d1(x2)
-        out = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
+        ch, dch = self.chi.value_d1(x2)
+        val = np.zeros(pts.shape[:-1] + (2,), dtype=complex)
+        grad = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
         for xi, g, c in self.modes:
             e = np.exp(1j * (xi * x1 + g * x2))
+            val[..., 0] += c * xi * ch * e
+            val[..., 1] += c * g * ch * e
             comp = np.stack([np.full_like(e, xi), np.full_like(e, g)], axis=-1)
             d1 = 1j * xi * ch * e
             d2 = (dch + 1j * g * ch) * e
-            out[..., 0] += c * comp * d1[..., None]
-            out[..., 1] += c * comp * d2[..., None]
-        return out
+            grad[..., 0] += c * comp * d1[..., None]
+            grad[..., 1] += c * comp * d2[..., None]
+        return val, grad
 
     def source(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -336,9 +336,9 @@ def _field_errors(mesh: Mesh, sol_values: np.ndarray, field) -> tuple[float, flo
     q = mesh.quadrature
     uh = q.interpolate(np.asarray(sol_values, dtype=complex)[mesh.triangles])
     guh = fem.element_gradients(mesh, sol_values)           # (nt, 2, 2)
-    l2_sq = float(q.integral(np.abs(uh - field.value(q.points)) ** 2))
-    semi_sq = float(q.integral(
-        np.abs(guh[:, None, :, :] - field.grad(q.points)) ** 2))
+    u, du = field.value_grad(q.points)
+    l2_sq = float(q.integral(np.abs(uh - u) ** 2))
+    semi_sq = float(q.integral(np.abs(guh[:, None, :, :] - du) ** 2))
     return math.sqrt(l2_sq + semi_sq), math.sqrt(l2_sq)
 
 
@@ -362,7 +362,12 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
                     n_max: int = 64, field: UpgoingModesField | None = None):
     """Error table over dyadic refinements for the manufactured problem.
 
-    Returns a list of {mesh_size, h1_error, l2_error} dicts, coarse to fine.
+    Returns a list of {mesh_size, h1_error, l2_error, solver, iterations}
+    dicts, coarse to fine.  Each level solves by GMRES preconditioned with
+    its own strip operator (`fem.strip_preconditioner`; the LU when GMRES
+    misses the residual gate) and integrates the load only on the
+    triangles with a rule point inside the step's band: the source is
+    exactly zero elsewhere.
     """
     if levels < 3:
         raise MmsError("need at least 3 refinement levels")
@@ -378,13 +383,28 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
     for lev in range(levels):
         mesh = build_mesh(geom.surface, geom.h, nx0 * 2 ** lev, ny0 * 2 ** lev)
         system = assemble_B(mesh, p, n_max)
-        load = assemble_load(mesh, g)
-        sol = solve(system, load, metadata={"omega": p.omega,
-                                            "n_max": system.n_max})
+        band = _support_elements(mesh.quadrature.points,
+                                 (field.chi.lo, field.chi.hi))
+        sol = _strip_solve(system, assemble_load(mesh, g, band))
         h1_err, l2_err = _field_errors(mesh, sol.values, field)
         table.append({"mesh_size": mesh.meshsize(),
-                      "h1_error": h1_err, "l2_error": l2_err})
+                      "h1_error": h1_err, "l2_error": l2_err,
+                      **_solver_record(sol)})
     return table
+
+
+def _strip_solve(system, load) -> FieldSolution:
+    """`solve` by GMRES preconditioned with the system's own strip
+    operator, the exact inverse on a flat strip."""
+    return solve(system, load, metadata={"omega": system.params.omega,
+                                         "n_max": system.n_max},
+                 preconditioner=strip_preconditioner(system))
+
+
+def _solver_record(sol: FieldSolution) -> dict:
+    """The solve's `solver` and GMRES `iterations` (0 when it did not run)."""
+    return {"solver": sol.metadata["solver"],
+            "iterations": sol.metadata.get("iterations", 0)}
 
 
 def convergence_slopes(table, key: str) -> list[float]:
@@ -535,11 +555,14 @@ class SweepResult:
     ratios: list[float]
     fitted_slope: float
     profile_envelope: list[float]
+    solves: list[dict]     # per frequency: the solve's solver, iterations
 
 
 def omega_sweep(config: SweepConfig) -> SweepResult:
     """||u||_H1 / ||g||_H1 across frequencies, with the anchored omega^3
-    envelope calibrated at the smallest frequency."""
+    envelope calibrated at the smallest frequency.  Each frequency solves
+    by GMRES preconditioned with its own strip operator (the LU when GMRES
+    misses the residual gate)."""
     geom = config.geom
     mesh = build_mesh(geom.surface, geom.h, config.nx, config.ny)
     elems = config.source.support_elements(mesh.quadrature)
@@ -547,12 +570,13 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     if gn["h1"] == 0.0:
         raise SweepError("source has zero H1 norm")
     load = assemble_load(mesh, config.source, elems)  # the same at every omega
-    ratios = []
+    ratios, solves = [], []
     for om in config.omegas:
-        p = make_params(config.lam, config.mu, om)
-        system = assemble_B(mesh, p, config.n_max)
-        sol = solve(system, load, metadata={"omega": om, "n_max": system.n_max})
+        system = assemble_B(mesh, make_params(config.lam, config.mu, om),
+                            config.n_max)
+        sol = _strip_solve(system, load)
         ratios.append(sol.norms["h1"] / gn["h1"])
+        solves.append(_solver_record(sol))
     omegas = [float(o) for o in config.omegas]
     lo = np.log(omegas)
     lr = np.log(ratios)
@@ -561,7 +585,7 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     c_hat = ratios[0] / omegas[0] ** 3
     envelope = [c_hat * om ** 3 for om in omegas]
     return SweepResult(omegas=omegas, ratios=ratios, fitted_slope=slope,
-                       profile_envelope=envelope)
+                       profile_envelope=envelope, solves=solves)
 
 
 # ---------------------------------------------------------------------------

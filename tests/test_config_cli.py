@@ -1,6 +1,7 @@
 """Config parsing/validation, artifact schemas, exit codes, determinism."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,12 @@ class TestLoadConfig:
         # one rule for the CLI commands and the ensemble: smallest n with
         # |xi_n| >= 4 k_s, floored at 8
         cfg = RunConfig(period=period)
-        assert cfg.auto_n_max(omega) == expect
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cfg.auto_n_max(omega) == expect
+        # the value passes the Nyquist index 15 of nx = 32: it warns
+        assert [w.category for w in caught] == \
+            [RuntimeWarning] * (expect > 15)
         assert default_n_max(cfg.make_params(omega), period) == expect
 
     def test_resolved_text_byte_stable(self, tmp_path):
@@ -96,10 +102,12 @@ class TestLoadConfig:
 
     def test_auto_n_max_keeps_the_cap(self, tmp_path):
         # the automatic value at omega 24 is 16, past Nyquist at nx = 32:
-        # accepted, and the assembly caps it
+        # accepted with a warning naming both, and the assembly caps it
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
         cfg = load_config(path)
-        assert cfg.auto_n_max() == 16
+        with pytest.warns(RuntimeWarning,
+                          match=r"automatic n_max 16 .* = 15"):
+            assert cfg.auto_n_max() == 16
         mesh = build_mesh(cfg.make_geometry().surface, cfg.h, cfg.nx, cfg.ny)
         assert assemble_B(mesh, cfg.make_params(), 16).n_max == 15
 
@@ -136,7 +144,8 @@ class TestSolveCommand:
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
         cfg = load_config(path)
         assert (cfg.nx, cfg.ny, cfg.f0_kind) == (32, 48, "flat")
-        assert run_command(cfg, str(tmp_path / "out")) == 0
+        with pytest.warns(RuntimeWarning, match="automatic n_max 16"):
+            assert run_command(cfg, str(tmp_path / "out")) == 0
         assert seen[0]["n_max_requested"] == 16 and seen[0]["n_max"] == 15
 
     def test_solve_never_builds_the_whole_mesh_rule(self, tmp_path,

@@ -291,20 +291,21 @@ class TestDeterminismContract:
         controls = openblas_at_two
         seen = []
 
-        def anchor():
+        def anchor(system):
             seen.append((_blas_threads(controls),
-                         threading.current_thread() is threading.main_thread()))
+                         threading.current_thread() is threading.main_thread(),
+                         system.mesh is mesh_ref))
             return 0.25
 
         res = run_ensemble(surface_model, source_spec, params2, mesh_ref, 2,
                            parallelism=parallelism, anchor=anchor)
         assert res.anchor == 0.25
-        assert seen == [([1] * len(controls), False)]
+        assert seen == [([1] * len(controls), False, True)]
         assert _blas_threads(controls) == [2] * len(controls)
 
     def test_anchor_error_propagates(self, surface_model, source_spec,
                                      params2, mesh_ref):
-        def anchor():
+        def anchor(system):
             raise SolveError("anchor failed")
 
         with pytest.raises(SolveError, match="anchor failed"):
@@ -328,6 +329,54 @@ class TestDeterminismContract:
                      parallelism=parallelism)
         assert seen == [[1] * len(controls)] * 2
         assert _blas_threads(controls) == [2] * len(controls)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_reference_error_propagates(self, monkeypatch, surface_model,
+                                        source_spec, params2, mesh_ref,
+                                        parallelism):
+        # the samples wait on the reference task's preconditioner: its
+        # error reaches them and the caller, and nothing deadlocks
+        def failing(*args):
+            raise SolveError("reference failed")
+
+        monkeypatch.setattr(montecarlo, "assemble_B", failing)
+        raised = []
+
+        def run():
+            try:
+                run_ensemble(surface_model, source_spec, params2, mesh_ref,
+                             3, parallelism=parallelism,
+                             anchor=lambda system: 0.0)
+            except SolveError as exc:
+                raised.append(str(exc))
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert raised == ["reference failed"]
+
+    def test_more_workers_than_cores_with_fast_switching(
+            self, surface_model, source_spec, params2, mesh_ref):
+        serial = run_ensemble(surface_model, source_spec, params2, mesh_ref,
+                              6, anchor=lambda system: system.dimension)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: results.append(
+                run_ensemble(surface_model, source_spec, params2, mesh_ref,
+                             6, parallelism=2 * os.cpu_count(),
+                             anchor=lambda system: system.dimension)),
+                daemon=True)
+            worker.start()
+            worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert results[0].per_sample == serial.per_sample
+        assert results[0].anchor == serial.anchor == 2 * mesh_ref.nx \
+            * mesh_ref.ny
 
     def test_counts_restored_after_failed_ensemble(
             self, openblas_at_two, surface_model, source_spec, params2,

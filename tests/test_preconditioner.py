@@ -18,17 +18,20 @@ from elastodtn.fem import (
 )
 from elastodtn.mesh import build_mesh
 from elastodtn.model import (
+    Geometry,
     RandomSurfaceModel,
     cosine_surface,
     flat_surface,
     make_params,
     make_source,
+    sawtooth_surface,
 )
 from elastodtn.montecarlo import (
     reference_preconditioner,
     run_ensemble,
     run_sample,
 )
+from elastodtn.verify import SweepConfig, omega_sweep
 
 FLAT = flat_surface(0.3, 0.2, 0.4, 1.0)
 WAVY = cosine_surface(0.3, [0.04], [1], [0.0], 0.2, 0.4, 1.0)
@@ -139,6 +142,47 @@ class TestGmresPath:
         shared = run_sample(_model(FLAT), source_spec, params2, mesh, 1)
         assert shared["solver"] == "gmres" and shared["iterations"] > 0
         assert shared["u_h1_sq"] == pytest.approx(rec["u_h1_sq"], rel=1e-11)
+
+
+class TestReferenceSystem:
+    def test_one_assembly_per_ensemble_command(self, tmp_path, monkeypatch):
+        # the anchor and the preconditioner share the reference system
+        calls = []
+        real = montecarlo.assemble_B
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "assemble_B", counting)
+        monkeypatch.setattr(cli, "assemble_B", counting)
+        cfg = tmp_path / "ens.cfg"
+        cfg.write_text(ENSEMBLE_CFG)
+        for workers in (1, 2):
+            calls.clear()
+            assert cli.main(["ensemble", "--config", str(cfg), "--out",
+                             str(tmp_path / f"p{workers}"), "--parallelism",
+                             str(workers)]) == 0
+            assert len(calls) == 1
+
+
+class TestRoughSurfaces:
+    """The sweep on rough surfaces, each frequency preconditioned with its
+    own strip operator (an x1-average, no longer the exact inverse): GMRES
+    meets the residual gate with no LU fallback."""
+
+    @pytest.mark.parametrize("surface", [
+        WAVY, sawtooth_surface(0.3, 0.05, 0.2, 0.4, 1.0)],
+        ids=["cosine", "sawtooth"])
+    def test_sweep_takes_gmres(self, surface, bump, record_property):
+        sweep = omega_sweep(SweepConfig(
+            lam=1.0, mu=1.0, omegas=(2.0, 8.0, 16.0, 24.0),
+            geom=Geometry(surface=surface, h=1.4), source=bump,
+            nx=32, ny=48, n_max=15))
+        iterations = [s["iterations"] for s in sweep.solves]
+        record_property("gmres_iterations", iterations)
+        assert [s["solver"] for s in sweep.solves] == ["gmres"] * 4
+        assert all(3 <= n <= 2 * fem._GMRES_RESTART for n in iterations)
 
 
 class TestFallback:
@@ -258,17 +302,36 @@ class TestDeterminism:
         assert seen == [[1] * len(controls)] * len(seen)
         assert _blas_threads(controls) == [2] * len(controls)
 
+    @pytest.mark.parametrize("command", ["mms", "sweep-omega"])
+    def test_strip_solved_commands_independent_of_blas_threads(
+            self, openblas_at_two, tmp_path, command):
+        # on a rough surface, where GMRES iterates
+        cfg = replace(default_config(), command=command, f0_kind="cosine",
+                      f0_amplitudes=(0.04,), f0_modes=(1,), f0_phases=(0.0,),
+                      omega_list=(2.0, 8.0, 16.0))
+        outs = []
+        for threads in (2, 1):
+            for _, set_threads in openblas_at_two:
+                set_threads(threads)
+            out = tmp_path / f"blas{threads}"
+            assert cli.run_command(cfg, str(out)) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(outs[0]) >= 3
+        assert outs[0] == outs[1]
+
     def test_reference_preconditioner_built_pinned(
             self, openblas_at_two, monkeypatch, params2):
+        # the pin is held inside fem.strip_preconditioner, around its
+        # band LU, so every caller's preconditioner is built pinned
         controls = openblas_at_two
         seen = []
-        build = montecarlo.strip_preconditioner
+        factor = fem._lapack.zgbtrf
 
-        def recording(system):
+        def recording(*args, **kwargs):
             seen.append(_blas_threads(controls))
-            return build(system)
+            return factor(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "strip_preconditioner", recording)
+        monkeypatch.setattr(fem._lapack, "zgbtrf", recording)
         assert reference_preconditioner(build_mesh(FLAT, 1.4, 8, 6),
                                         params2, 3) is not None
         assert seen == [[1] * len(controls)]

@@ -14,6 +14,7 @@ from elastodtn.fem import (
     map_quadrature,
     norms,
     solve,
+    strip_preconditioner,
 )
 from elastodtn import fem
 from elastodtn.mesh import DofPattern, build_mesh
@@ -164,6 +165,50 @@ class TestMmsConvergence:
         table = mms_convergence(p, _mms_geometry("flat"), 3, n_max=8)
         errs = [row["h1_error"] for row in table]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_flat_levels_take_gmres(self):
+        # the strip operator is the exact inverse on a flat strip
+        table = mms_convergence(make_params(1.0, 1.0, 4.0),
+                                _mms_geometry("flat"), 3, nx0=8, ny0=8,
+                                n_max=8)
+        assert [row["solver"] for row in table] == ["gmres"] * 3
+        assert all(1 <= row["iterations"] <= 2 for row in table)
+
+    def test_band_load_equals_all_triangle_load(self):
+        # the manufactured source is exactly zero off the step's band
+        p = make_params(1.0, 1.0, 4.0)
+        geom = _mms_geometry("cosine")
+        field = default_mms_field(p, geom)
+        mesh = build_mesh(geom.surface, geom.h, 32, 40)
+        band = _support_elements(mesh.quadrature.points,
+                                 (field.chi.lo, field.chi.hi))
+        assert 0 < band.size < mesh.triangles.shape[0]
+        g = manufactured_source(field, p)
+        assert assemble_load(mesh, g, band).tobytes() == \
+            assemble_load(mesh, g).tobytes()
+
+    def test_value_grad_equals_per_mode_form(self, params2):
+        field = default_mms_field(params2, _mms_geometry("flat"))
+        gen = np.random.default_rng(3)
+        pts = np.stack([gen.uniform(0.0, 3.0, (50, 7)),
+                        gen.uniform(0.2, 1.25, (50, 7))], axis=-1)
+        x1, x2 = pts[..., 0], pts[..., 1]
+        ch, dch = field.chi.value(x2), field.chi.d1(x2)
+        value = np.zeros(pts.shape[:-1] + (2,), dtype=complex)
+        grad = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
+        for xi, g, c in field.modes:
+            e = np.exp(1j * (xi * x1 + g * x2))
+            value[..., 0] += c * xi * ch * e
+            value[..., 1] += c * g * ch * e
+            comp = np.stack([np.full_like(e, xi), np.full_like(e, g)],
+                            axis=-1)
+            grad[..., 0] += c * comp * (1j * xi * ch * e)[..., None]
+            grad[..., 1] += c * comp * ((dch + 1j * g * ch) * e)[..., None]
+        u, du = field.value_grad(pts)
+        assert u.tobytes() == value.tobytes()
+        assert du.tobytes() == grad.tobytes()
+        assert field.value(pts).tobytes() == value.tobytes()
+        assert field.grad(pts).tobytes() == grad.tobytes()
 
     def test_level_count_validated(self):
         with pytest.raises(MmsError):
@@ -347,10 +392,27 @@ class TestOmegaSweep:
         expect = []
         for om in omegas:
             system = assemble_B(mesh, make_params(1.0, 1.0, om), 16)
-            expect.append(solve(system, assemble_load(mesh, bump))
+            expect.append(solve(system, assemble_load(mesh, bump),
+                                preconditioner=strip_preconditioner(system))
                           .norms["h1"] / gn)
         ratios = omega_sweep(config).ratios
         assert ratios == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+    def test_flat_frequencies_take_gmres(self, flat_geom, bump):
+        sw = omega_sweep(self._config(flat_geom, bump, (2.0, 8.0, 16.0)))
+        assert [s["solver"] for s in sw.solves] == ["gmres"] * 3
+        assert all(1 <= s["iterations"] <= 2 for s in sw.solves)
+
+    def test_ratios_match_lu(self, wavy_geom, bump):
+        omegas = (2.0, 5.0, 11.0)
+        sw = omega_sweep(self._config(wavy_geom, bump, omegas))
+        assert [s["solver"] for s in sw.solves] == ["gmres"] * 3
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 48, 64)
+        load = assemble_load(mesh, bump)
+        gn = source_norms(mesh, bump)["h1"]
+        lu = [solve(assemble_B(mesh, make_params(1.0, 1.0, om), 16), load)
+              .norms["h1"] / gn for om in omegas]
+        assert sw.ratios == pytest.approx(lu, rel=1e-10, abs=0.0)
 
     def test_zero_source_rejected(self, flat_geom, source_spec):
         spec0 = SourceSpec(center=source_spec.center,
