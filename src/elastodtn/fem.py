@@ -274,7 +274,8 @@ def _sinc2(t: np.ndarray) -> np.ndarray:
 
 def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
     """Dense coupling on top dofs realizing int_top (DtN u_h) . conj(v_h):
-    sum_n c_n kron(w_n w_n^H, M(xi_n)) with w_n = exp(i xi_n x_top)."""
+    sum_n c_n kron(w_n w_n^H, M(xi_n)) with w_n = exp(i xi_n x_top), formed
+    on one OpenBLAS thread (on more, this small product can stall for ms)."""
     nx = mesh.nx
     per = mesh.period
     xk = mesh.nodes[mesh.top_nodes, 0]
@@ -282,9 +283,10 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
     xis = 2.0 * math.pi * ns / per
     m = symbol_matrices(xis, p)                        # (n_modes, 2, 2)
     w = np.exp(1j * np.outer(xis, xk))                 # (n_modes, nx)
-    c = per * _sinc2(math.pi * ns / nx) ** 2 / nx ** 2
-    cwm = (c[:, None] * w)[:, :, None, None] * m[:, None]   # c_n w_n[i] M_n
-    block = cwm.reshape(ns.size, 4 * nx).T @ np.conj(w)     # (i a b, j)
+    with _single_thread_blas:
+        c = per * _sinc2(math.pi * ns / nx) ** 2 / nx ** 2
+        cwm = (c[:, None] * w)[:, :, None, None] * m[:, None]  # c w_n[i] M_n
+        block = cwm.reshape(ns.size, 4 * nx).T @ np.conj(w)   # (i a b, j)
     return block.reshape(nx, 2, 2, nx).transpose(0, 1, 3, 2).reshape(
         2 * nx, 2 * nx)
 

@@ -127,9 +127,13 @@ class SmoothStep:
         return self._d1(self._t(x))
 
     def value_d1(self, x):
-        """(value, d1) from one clip of the parameter."""
-        t = self._t(x)
-        return self._value(t), self._d1(t)
+        """(value, d1) from one clip of the parameter; the polynomials only
+        where 0 < t < 1, as at t = 0 and 1 they are exactly 0 or 1 and 0."""
+        t = np.asarray(self._t(x))
+        ramp = (t > 0.0) & (t < 1.0)
+        val, d1 = np.where(t == 1.0, 1.0, 0.0), np.zeros_like(t)
+        val[ramp], d1[ramp] = self._value(t[ramp]), self._d1(t[ramp])
+        return val, d1
 
     def _value(self, t):
         if self.order == 5:
@@ -149,8 +153,8 @@ class SmoothStep:
 
 
 class SmoothWindow:
-    """C^3 window: 0 outside (lo, hi), 1 on the middle plateau.  `value`,
-    `d1` and `d2` are exactly 0 outside the open `support` (lo, hi)."""
+    """C^3 window: 0 outside (lo, hi), 1 on the middle plateau.  `value`
+    and `d1` are exactly 0 outside the open `support` (lo, hi)."""
 
     def __init__(self, lo: float, hi: float, ramp_fraction: float = 0.35):
         self.support = (float(lo), float(hi))
@@ -172,11 +176,6 @@ class SmoothWindow:
         down, ddown = self.down.value_d1(x)
         rest = 1.0 - down
         return up * rest, dup * rest - up * ddown
-
-    def d2(self, x):
-        return (self.up.d2(x) * (1.0 - self.down.value(x))
-                - 2.0 * self.up.d1(x) * self.down.d1(x)
-                - self.up.value(x) * self.down.d2(x))
 
 
 class UpgoingModesField:
@@ -594,11 +593,8 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
 
 class TrigPolyField:
     """Random smooth periodic test field: a vertical C^2 window times a small
-    trigonometric polynomial in x1 with quadratic x2 modulation.
-
-    `basis(pts)` holds what depends on the points alone; every field with
-    the same period, window, x2_ref and harmonic count samples from it.
-    """
+    trigonometric polynomial in x1 with quadratic x2 modulation,
+    u_a = chi(x2) sum_p (x2 - x2_ref)^p A_{a,p}(x1)."""
 
     def __init__(self, period: float, chi, seed: int,
                  n_harmonics: int = 2, x2_ref: float = 0.0):
@@ -617,13 +613,9 @@ class TrigPolyField:
         self._coef = self.coef.transpose(2, 0, 1).reshape(6, ks.size)
         self._coef_dx = (2j * math.pi / self.period) * ks * self._coef
 
-    def basis(self, pts) -> tuple:
-        """(e, z, chi, chi') at the flattened points: the harmonics e
-        (nk, nq) for k = -n..n as powers of exp(2 pi i x1 / period) with
-        e_{-k} = conj(e_k); z = x2 - x2_ref and the window, each (2 nq,),
-        every value twice to scale the (re, im) float view of complex rows."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        x1, x2 = pts[:, 0], pts[:, 1]
+    def rows(self, x1) -> np.ndarray:
+        """(6, 2, n): [p, a] is A_{a,p} and [3 + p, a] its x1-derivative at
+        x1, from exp(2 pi i k x1 / period) as powers, e_{-k} = conj(e_k)."""
         n = self.n_harmonics
         e = np.empty((2 * n + 1, x1.size), dtype=complex)
         e[n] = 1.0
@@ -631,34 +623,14 @@ class TrigPolyField:
         for k in range(n):
             e[n + k + 1] = e[n + k] * e1
         e[:n] = np.conj(e[:n:-1])
-        return (e, *(np.repeat(a, 2) for a in
-                     (x2 - self.x2_ref, *self.chi.value_d1(x2))))
+        return np.concatenate([self._coef @ e, self._coef_dx @ e]).reshape(
+            6, 2, -1)
 
-    def values(self, basis) -> np.ndarray:
-        """Values (nq, 2) alone at the points of a basis, bitwise those of
-        `sample`."""
-        e, z, ch, _ = basis
-        val = _z_poly((self._coef @ e).view(float), z)
-        val *= ch
-        return val.view(complex).T
-
-    def sample(self, basis) -> tuple[np.ndarray, np.ndarray]:
-        """Values (nq, 2) and gradients (nq, 2, 2), [a, b] = d u_a / d x_b,
-        at the points of a basis, as views of component-major arrays."""
-        e, z, ch, dch = basis
-        t = (self._coef @ e).view(float)                  # (6, 2 nq)
-        val = _z_poly(t, z)
-        grad = np.empty((2, 2, z.size))                   # (b, a, 2 nq)
-        grad[1] = ch * (t[2:4] + 2.0 * z * t[4:6]) + dch * val
-        del t  # release it before the x1-derivative's rows are formed
-        grad[0] = ch * _z_poly((self._coef_dx @ e).view(float), z)
-        val *= ch
-        return val.view(complex).T, grad.view(complex).transpose(2, 1, 0)
-
-
-def _z_poly(t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_p t[(p, a)] z^p on the (re, im) float view of coefficient rows."""
-    return t[0:2] + z * (t[2:4] + z * t[4:6])
+    def values(self, pts) -> np.ndarray:
+        """Values (n, 2) at the flattened points."""
+        x1, x2 = np.asarray(pts, dtype=float).reshape(-1, 2).T
+        a, z = self.rows(x1), x2 - self.x2_ref
+        return (self.chi.value(x2) * (a[0] + z * (a[1] + z * a[2]))).T
 
 
 def _dtn_pairing(u_top: np.ndarray, v_top: np.ndarray, period: float,
@@ -674,28 +646,62 @@ def _dtn_pairing(u_top: np.ndarray, v_top: np.ndarray, period: float,
     return complex(period * np.sum(beta * beta * pair))
 
 
-def _domain_form(p: ElasticParams, rule, u, v) -> complex:
-    """Domain part of B(u, v) by the quadrature rule from the samples
-    (values, gradients) of u and v at its points."""
-    uv, ug = u
-    vv, vg = (np.conj(a) for a in v)
-    div_u = ug[:, 0, 0] + ug[:, 1, 1]
-    div_v = vg[:, 0, 0] + vg[:, 1, 1]
-    integrand = (p.mu * np.sum(ug * vg, axis=(1, 2))
-                 + (p.lam + p.mu) * div_u * div_v
-                 - p.omega ** 2 * np.sum(uv * vv, axis=1))
-    return complex(rule.integral(integrand))
-
-
-_PULLBACK_BLOCK = 1024  # triangles sampled at once by pullback_identity_check
+_PULLBACK_BLOCK = 1024  # triangles summed at once by _abscissa_tables
 
 
 def _support_elements(points: np.ndarray, support) -> np.ndarray:
     """The triangles with a point (nt, 7, 2) whose x2 lies strictly inside
     the open interval `support`."""
-    lo, hi = support
     x2 = points[..., 1]
-    return np.flatnonzero(((x2 > lo) & (x2 < hi)).any(axis=1))
+    return np.flatnonzero(((x2 > support[0]) & (x2 < support[1])).any(axis=1))
+
+
+def _abscissa_tables(rule, gradient, p: ElasticParams, window, x2_ref: float,
+                     source):
+    """(xs, kernel, load): one side of the pullback check as sums over the
+    rule's points at each distinct abscissa xs.  A test field's values and
+    gradients after `gradient` (a 2x2 per point, from the unit gradients)
+    are linear in its rows R = `TrigPolyField.rows(xs)`, with coefficients
+    from chi, chi' and z = x2 - x2_ref.  The form is the sum of
+    R_u[r, a] conj(R_v[s, b]) kernel[a, r, b, s], the load pairing that of
+    -load[p, a] conj(R_v[p, a]); the sums go per block of triangles."""
+    parts = []
+    for s in range(0, rule.weights.shape[0], _PULLBACK_BLOCK):
+        blk = rule.take(slice(s, s + _PULLBACK_BLOCK))
+        pts = blk.points.reshape(-1, 2).T
+        order = np.argsort(pts[0], kind="stable")
+        x1, x2 = pts.take(order, axis=1)
+        first = np.flatnonzero(np.r_[True, x1[1:] != x1[:-1]])
+        w = blk.weights.ravel()[order]
+        ch, dch = window.value_d1(x2)
+        zp = np.stack([np.ones_like(x2), x2 - x2_ref, (x2 - x2_ref) ** 2])
+        phi, psi = ch * zp, dch * zp          # chi z^p and its x2-derivative
+        psi[1:] += np.array([[1.0], [2.0]]) * phi[:2]
+        # mt[2 b' + b]: entry b of the transformed unit gradient e_b', so the
+        # transformed gradient is G_ab = sum_r coef[b, r] R[r, a]
+        mt = gradient(blk, np.broadcast_to(np.eye(2), blk.weights.shape + (
+            2, 2))).reshape(-1, 4).T.take(order, axis=1)
+        coef = np.concatenate([mt[2:, None] * psi, mt[:2, None] * phi],
+                              axis=1).reshape(12, -1)
+        live = np.flatnonzero(coef.any(axis=1))  # rows zeroed by mt add none
+        coef = coef[live]
+        gram = np.zeros((12, 12, first.size))
+        for k, j in enumerate(live):
+            gram[j, live[k:]] = gram[live[k:], j] = np.add.reduceat(
+                w * coef[k] * coef[k:], first, axis=1)
+        g = source(blk.points).reshape(-1, 2).T.take(order, axis=1)
+        parts.append((x1[first], gram, *(np.add.reduceat(
+            (w * phi)[:, None] * b, first, axis=-1) for b in (phi, g))))
+    xs, gram, mass, load = (np.concatenate(a, axis=-1) for a in zip(*parts))
+    order = np.argsort(xs, kind="stable")
+    first = np.flatnonzero(np.r_[True, np.diff(xs[order]) != 0.0])
+    gram, mass, load = (np.add.reduceat(a[..., order], first, axis=-1)
+                        for a in (gram, mass, load))
+    kernel = (p.lam + p.mu) * gram.reshape(2, 6, 2, 6, -1)    # div u div v
+    for a in range(2):
+        kernel[a, :, a] += p.mu * (gram[:6, :6] + gram[6:, 6:])
+        kernel[a, :3, a, :3] -= p.omega ** 2 * mass
+    return xs[order[first]], kernel, load
 
 
 def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
@@ -706,12 +712,10 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     reference domain for random smooth test pairs; also the load pair when a
     source is given.  Returns the max absolute discrepancies.
 
-    The mapped side samples the fields at the mapped mesh's points; the
-    reference side samples u~ = u o H analytically: values at H(y),
-    gradients invJ^T D_y(u o H).  H fixes the top line, so both sides share
-    one DtN pairing of the top-line samples: the DtN term cancels by
-    construction, and the check covers only the domain integrals and the
-    load (`_dtn_pairing` is tested against the assembled DtN block apart).
+    The mapped side evaluates the fields at the mapped rule's points, the
+    reference side u~ = u o H analytically: values at H(y), gradients
+    invJ^T D_y(u o H).  H fixes the top line, so the sides share a DtN
+    pairing, which cancels (`_dtn_pairing` is tested apart).
 
     The cutoff ramp makes det J jump across the curves x2 = f0(x1) + delta
     and x2 = f0(x1) + ramp_end; quadrature across a jump is only first-order
@@ -720,67 +724,61 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     converges at better than second order.  Each side integrates only on
     the triangles with a rule point inside the window's open support (on
     the reference side, a point whose image H(y) is inside): every term
-    on the others is an exact zero.
-    """
+    on the others is an exact zero.  Both sum per abscissa, as H fixes x1."""
+    lhs, rhs = _pullback_integrals(dmap, p, n_trials, nx, ny, source, n_max,
+                                   seed)
+    b_disc, g_disc = (max((abs(a - b) for a, b in zip(left, right)),
+                          default=0.0) for left, right in zip(lhs, rhs))
+    return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
+            "max_discrepancy": max(b_disc, g_disc)}
+
+
+def _pullback_integrals(dmap: DomainMap, p: ElasticParams, n_trials: int,
+                        nx: int, ny: int, source, n_max: int, seed: int):
+    """(forms less the DtN pairing, loads) on the mapped domain and pulled
+    back: the integrals `pullback_identity_check` compares."""
     h = dmap.f0.sup() + dmap.cutoff.gap
-    mesh_ref = build_mesh(dmap.f0, h, nx, ny)
     per = dmap.f0.period
     x = np.linspace(0.0, per, 2048, endpoint=False)
-    band_lo = max(float(np.max(dmap.f0.f(x))) + dmap.cutoff.delta,
-                  float(np.max(dmap.f_eta.f(x))))
-    band_hi = float(np.min(dmap.f0.f(x))) + dmap.cutoff.ramp_end
+    f0x, fex = dmap.f0.f(x), dmap.f_eta.f(x)
+    band_lo = max(float(np.max(f0x)) + dmap.cutoff.delta, float(np.max(fex)))
+    band_hi = float(np.min(f0x)) + dmap.cutoff.ramp_end
     margin = 0.05 * (band_hi - band_lo)
     window = SmoothWindow(band_lo + margin, band_hi - margin)
+    # H moves x2 by a (f_eta - f0), a in [0, 1]: by at most the grid maximum
+    # plus the two Lipschitz bounds times half the grid spacing
+    lo, hi = window.support
+    reach = float(np.max(np.abs(fex - f0x))) + 0.5 * (
+        dmap.f0.lipschitz + dmap.f_eta.lipschitz) * per / x.size
 
     def field(s):
         return TrigPolyField(per, window, seed=seed * 1000 + s, x2_ref=band_lo)
 
     pairs = [(field(2 * t), field(2 * t + 1)) for t in range(n_trials)]
-    loads = [field(777 + t) for t in range(n_trials)] if source is not None \
-        else []
-    family = field(0)  # builds the basis every test field samples from
-    top = family.basis(np.stack([mesh_ref.nodes[mesh_ref.top_nodes, 0],
-                                 np.full(nx, h)], axis=-1))
+    loads = [field(777 + t) for t in range(n_trials) if source is not None]
+    top = np.c_[np.arange(nx) * (per / nx), np.full(nx, h)]  # mesh top nodes
     dtn = [_dtn_pairing(u.values(top), v.values(top), per, p, n_max)
            for u, v in pairs]
 
-    def block_terms(blk, gradient):
-        """The domain forms and the load pairings -int g . conj(v) on the
-        triangles of the rule blk."""
-        basis = family.basis(blk.points)
-
-        def sample(f):
-            val, grad = f.sample(basis)
-            return val, gradient(blk, grad)
-
-        forms = [_domain_form(p, blk, sample(u), sample(v)) for u, v in pairs]
-        g = source(blk.points).reshape(-1, 2) if loads else None
-        return forms + [complex(-blk.integral(g * np.conj(f.values(basis))))
-                        for f in loads]
-
     def side(rule, gradient):
-        """The forms and the load pairings on one side.  They are summed
-        over the triangles with a point strictly inside the window's
-        support, where alone the test fields or their derivatives can be
-        nonzero, in blocks so that the samples' temporaries stay small."""
-        elems = _support_elements(rule.points, window.support)
-        terms = [0j] * (len(pairs) + len(loads))
-        for s in range(0, elems.size, _PULLBACK_BLOCK):
-            terms = [a + b for a, b in zip(terms, block_terms(
-                rule.take(elems[s:s + _PULLBACK_BLOCK]), gradient))]
-        return ([t - d for t, d in zip(terms, dtn)], terms[len(pairs):])
+        xs, kernel, load = _abscissa_tables(rule, gradient, p, window, band_lo,
+                                            source or np.zeros_like)
+        rows = {f: f.rows(xs) for group in pairs + [loads] for f in group}
+        forms = [complex(np.einsum("rax,sbx,arbsx->", rows[u], np.conj(
+            rows[v]), kernel)) - d for (u, v), d in zip(pairs, dtn)]
+        return forms, [complex(-np.sum(load * np.conj(rows[f][:3])))
+                       for f in loads]
 
-    # each side keeps only its own rule alive
-    lhs = side(build_mesh(dmap.f_eta, h, nx, ny).quadrature,
-               lambda blk, g: g)
-    mq = map_quadrature(mesh_ref.quadrature, dmap)
-    del mesh_ref
-    rhs = side(mq, lambda blk, g: blk.physical_gradient(blk.pullback_gradient(
-        g.reshape(blk.detj.shape + (2, 2)))).reshape(-1, 2, 2))
-    b_disc, g_disc = (max((abs(a - b) for a, b in zip(left, right)),
-                          default=0.0) for left, right in zip(lhs, rhs))
-    return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
-            "max_discrepancy": max(b_disc, g_disc)}
+    def inside(rule, pad=0.0):  # on the triangles meeting (lo - pad, hi + pad)
+        return rule.take(_support_elements(rule.points, (lo - pad, hi + pad)))
+
+    # one rule alive at a time; map only the triangles within reach
+    lhs = side(inside(build_mesh(dmap.f_eta, h, nx, ny).quadrature),
+               lambda rule, g: g)
+    rhs = side(inside(map_quadrature(inside(build_mesh(
+        dmap.f0, h, nx, ny).quadrature, reach), dmap)),
+               lambda mq, g: mq.physical_gradient(mq.pullback_gradient(g)))
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

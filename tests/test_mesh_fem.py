@@ -1184,6 +1184,28 @@ class TestBlasPin:
         assert seen == [[1] * len(controls)]
         assert _blas_threads(controls) == [2] * len(controls)
 
+    def test_dtn_block_pinned_and_bytes_independent_of_blas_threads(
+            self, openblas_at_two, monkeypatch, flat_geom, params2):
+        # the pin is held around the block's product, which the mode
+        # weights (from fem._sinc2) start
+        controls = openblas_at_two
+        seen = []
+        sinc2 = fem._sinc2
+
+        def recording(t):
+            seen.append(_blas_threads(controls))
+            return sinc2(t)
+
+        monkeypatch.setattr(fem, "_sinc2", recording)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 64, 8)
+        blocks = [fem._dtn_block(mesh, params2, 31).tobytes()]
+        assert seen == [[1] * len(controls)]
+        assert _blas_threads(controls) == [2] * len(controls)
+        for _, set_threads in controls:
+            set_threads(1)
+        blocks.append(fem._dtn_block(mesh, params2, 31).tobytes())
+        assert blocks[0] == blocks[1]
+
     def test_counts_restored_when_factorization_raises(
             self, openblas_at_two, monkeypatch, flat_geom, params2, bump):
         controls = openblas_at_two

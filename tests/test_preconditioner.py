@@ -319,6 +319,20 @@ class TestDeterminism:
         assert len(outs[0]) >= 3
         assert outs[0] == outs[1]
 
+    def test_verify_all_checks_independent_of_blas_threads(
+            self, openblas_at_two, tmp_path):
+        outs = []
+        for threads in (2, 1):
+            for _, set_threads in openblas_at_two:
+                set_threads(threads)
+            out = tmp_path / f"blas{threads}"
+            assert cli.run_command(replace(default_config(),
+                                           command="verify-all"),
+                                   str(out)) == 0
+            outs.append((out / "checks.csv").read_bytes())
+        assert outs[0].count(b"\n") == 12
+        assert outs[0] == outs[1]
+
     def test_reference_preconditioner_built_pinned(
             self, openblas_at_two, monkeypatch, params2):
         # the pin is held inside fem.strip_preconditioner, around its

@@ -1,5 +1,6 @@
 """Manufactured solutions, inequality checks, sweeps, pullback, continuity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,10 +33,12 @@ from elastodtn.model import (
 from elastodtn.dtn import TraceCoefficients, gamma, projection_matrices, symbol_matrices
 from elastodtn import cli
 from elastodtn.config import default_config
+from elastodtn import verify
 from elastodtn.verify import (
-    _domain_form,
     _dtn_pairing,
+    _pullback_integrals,
     _support_elements,
+    SmoothStep,
     SmoothWindow,
     SweepConfig,
     TrigPolyField,
@@ -494,17 +497,93 @@ class TestPullbackIdentity:
         assert r["b_discrepancy"] > 1e-6
 
     def test_blocks_equal_single_block_form(self):
-        # oracle: the check with every triangle sampled at once; on the
-        # verify-all map the rule has 8192 triangles, so eight blocks
+        # oracle: the check with each side's test fields sampled point by
+        # point on all of its triangles at once, on the verify-all map
         _assert_equals_all_triangle_form(*_verify_all_case())
 
     def test_support_restriction_on_second_seed(self):
-        # the same oracle on another sampled surface and test-field seed;
-        # the sums skip or group the triangles differently, so the
-        # discrepancies (differences of O(1) integrals near 3e-8) agree to
-        # 1e-12 of the integrals, not bitwise
-        _assert_equals_all_triangle_form(*_verify_all_case(index=3, seed=7),
-                                         relative_to_integrals=True)
+        # the same oracle on another sampled surface and test-field seed
+        _assert_equals_all_triangle_form(*_verify_all_case(index=3, seed=7))
+
+    def test_identity_map_equals_single_block_form(self):
+        # the same oracle where H is the identity: no triangle moves
+        _assert_equals_all_triangle_form(*_verify_all_case(identity=True))
+
+    @pytest.mark.parametrize("case", [{}, {"index": 3, "seed": 7},
+                                      {"identity": True}])
+    def test_maps_only_reachable_triangles(self, monkeypatch, case):
+        # the reference side keeps the triangles that mapping every triangle
+        # would keep, with the same rows, and maps fewer triangles
+        dmap, p, args = _verify_all_case(**case)
+        rules, mapped = [], []
+        tables, map_rule = verify._abscissa_tables, verify.map_quadrature
+
+        def recording_tables(rule, *rest):
+            rules.append(rule)
+            return tables(rule, *rest)
+
+        def recording_map(quad, dm):
+            mapped.append(quad.area.size)
+            return map_rule(quad, dm)
+
+        monkeypatch.setattr(verify, "_abscissa_tables", recording_tables)
+        monkeypatch.setattr(verify, "map_quadrature", recording_map)
+        pullback_identity_check(dmap, p, 2, **args)
+        _, window = _pullback_window(dmap)
+        h = dmap.f0.sup() + dmap.cutoff.gap
+        quad = build_mesh(dmap.f0, h, args["nx"], args["ny"]).quadrature
+        full = map_rule(quad, dmap)
+        kept = _support_elements(full.points, window.support)
+        got = rules[1]
+        assert np.array_equal(got.quad.coords, quad.coords[kept])
+        for name in ("detj", "j1", "t12", "t22", "weights", "points"):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(full, name)[kept]), name
+        assert kept.size <= mapped[0] < quad.area.size
+
+    @pytest.mark.parametrize("fault", ["t12_sign", "no_detj_weights",
+                                       "fields_at_y", "no_dx_rows"])
+    def test_planted_fault_is_caught(self, params2, surface_model, bump,
+                                     monkeypatch, fault):
+        # negative controls: each fault breaks the identity at 48 x 48, or
+        # the check has become vacuous for that part of the change of
+        # variables
+        dmap = _sampled_map(surface_model)
+        args = dict(nx=48, ny=48, source=bump, n_max=8, seed=4)
+        assert pullback_identity_check(dmap, params2, 2,
+                                       **args)["max_discrepancy"] < 1e-6
+        map_rule, rows = verify.map_quadrature, TrigPolyField.rows
+        planted = {
+            "t12_sign": lambda mq: dataclasses.replace(mq, t12=-mq.t12),
+            "no_detj_weights": lambda mq: dataclasses.replace(
+                mq, weights=mq.quad.weights),
+            "fields_at_y": lambda mq: dataclasses.replace(
+                mq, points=mq.quad.points),
+        }
+        if fault in planted:
+            monkeypatch.setattr(verify, "map_quadrature",
+                                lambda quad, dm: planted[fault](
+                                    map_rule(quad, dm)))
+        else:
+            # zeroed on the reference side only, which starts when the rule
+            # is mapped: zeroed on both, the fields would just be other
+            # fields, for which the identity holds as well
+            mapped = []
+
+            def mapping(quad, dm):
+                mapped.append(1)
+                return map_rule(quad, dm)
+
+            def zeroed_rows(f, x1):
+                out = rows(f, x1)
+                if mapped:
+                    out[3:] = 0.0
+                return out
+
+            monkeypatch.setattr(verify, "map_quadrature", mapping)
+            monkeypatch.setattr(TrigPolyField, "rows", zeroed_rows)
+        r = pullback_identity_check(dmap, params2, 2, **args)
+        assert r["max_discrepancy"] > 1e-6
 
     def test_skipped_triangles_carry_zero_window(self):
         # every triangle the check skips has chi = chi' = 0 at all of its
@@ -525,13 +604,15 @@ class TestPullbackIdentity:
             assert np.all(window.d1(x2) == 0.0)
 
 
-def _verify_all_case(index=0, seed=None):
+def _verify_all_case(index=0, seed=None, identity=False):
     """(dmap, params, keyword arguments) of verify-all's pullback check on
-    the default config, with another sampled surface or seed if given."""
+    the default config, with another sampled surface or seed if given, or
+    with the identity map."""
     cfg = default_config()
     _, gap = cli._gate_random(cfg)
     model = cfg.make_model()
-    dmap = DomainMap(f0=model.f0, f_eta=sample_surface(model, index),
+    f_eta = model.f0 if identity else sample_surface(model, index)
+    dmap = DomainMap(f0=model.f0, f_eta=f_eta,
                      cutoff=make_cutoff(cfg.auto_delta(gap), gap),
                      epsilon_margin=cfg.epsilon_margin)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
@@ -540,17 +621,27 @@ def _verify_all_case(index=0, seed=None):
         seed=cfg.seed if seed is None else seed)
 
 
-def _assert_equals_all_triangle_form(dmap, p, args,
-                                     relative_to_integrals=False):
-    """The check's discrepancies agree with the all-triangle oracle's to
-    1e-12 of their own size, or of the largest integral they compare."""
+def _assert_equals_all_triangle_form(dmap, p, args):
+    """Every integral of the check, each form and each load pairing on both
+    sides, agrees with the all-triangle oracle's to 1e-13 of the largest
+    integral, and so do the discrepancies, to 1e-12 of it: the check sums
+    per abscissa and the oracle per point, so the discrepancies (differences
+    of O(1) integrals near 3e-8) agree to round-off of the integrals, not
+    bitwise."""
     got = pullback_identity_check(dmap, p, 2, **args)
-    expect, integrals = _single_block_pullback_check(dmap, p, 2, **args)
+    expect, oracle = _single_block_pullback_check(dmap, p, 2, **args)
+    integrals = max(abs(t) for side in oracle for terms in side
+                    for t in terms)
+    for side, oracle_side in zip(_pullback_integrals(dmap, p, 2, **args),
+                                 oracle):
+        for terms, oracle_terms in zip(side, oracle_side):
+            assert len(terms) == len(oracle_terms) == 2
+            for a, b in zip(terms, oracle_terms):
+                assert abs(a - b) <= 1e-13 * integrals
     assert set(got) == set(expect)
     for key, value in got.items():
         assert type(value) is float, key
-        scale = integrals if relative_to_integrals else abs(expect[key])
-        assert abs(value - expect[key]) <= 1e-12 * scale, key
+        assert abs(value - expect[key]) <= 1e-12 * integrals, key
 
 
 def _pullback_window(dmap):
@@ -564,10 +655,60 @@ def _pullback_window(dmap):
     return band_lo, SmoothWindow(band_lo + margin, band_hi - margin)
 
 
+def _basis(f, pts) -> tuple:
+    """(e, z, chi, chi') of the TrigPolyField f at the flattened points: the
+    harmonics e (nk, nq) for k = -n..n as powers of exp(2 pi i x1 / period)
+    with e_{-k} = conj(e_k); z = x2 - x2_ref and the window, each (2 nq,),
+    every value twice to scale the (re, im) float view of complex rows."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    x1, x2 = pts[:, 0], pts[:, 1]
+    n = f.n_harmonics
+    e = np.empty((2 * n + 1, x1.size), dtype=complex)
+    e[n] = 1.0
+    e1 = np.exp((2j * math.pi / f.period) * x1)
+    for k in range(n):
+        e[n + k + 1] = e[n + k] * e1
+    e[:n] = np.conj(e[:n:-1])
+    return (e, *(np.repeat(a, 2) for a in
+                 (x2 - f.x2_ref, *f.chi.value_d1(x2))))
+
+
+def _z_poly(t, z):
+    """sum_p t[(p, a)] z^p on the (re, im) float view of coefficient rows."""
+    return t[0:2] + z * (t[2:4] + z * t[4:6])
+
+
+def _sample(f, basis):
+    """Values (nq, 2) and gradients (nq, 2, 2), [a, b] = d u_a / d x_b, of
+    the TrigPolyField f at the points of a basis, point by point."""
+    e, z, ch, dch = basis
+    t = (f._coef @ e).view(float)                     # (6, 2 nq)
+    val = _z_poly(t, z)
+    grad = np.empty((2, 2, z.size))                   # (b, a, 2 nq)
+    grad[1] = ch * (t[2:4] + 2.0 * z * t[4:6]) + dch * val
+    grad[0] = ch * _z_poly((f._coef_dx @ e).view(float), z)
+    val *= ch
+    return val.view(complex).T, grad.view(complex).transpose(2, 1, 0)
+
+
+def _domain_form(p, rule, u, v) -> complex:
+    """Domain part of B(u, v) by the quadrature rule from the samples
+    (values, gradients) of u and v at its points."""
+    uv, ug = u
+    vv, vg = (np.conj(a) for a in v)
+    div_u = ug[:, 0, 0] + ug[:, 1, 1]
+    div_v = vg[:, 0, 0] + vg[:, 1, 1]
+    integrand = (p.mu * np.sum(ug * vg, axis=(1, 2))
+                 + (p.lam + p.mu) * div_u * div_v
+                 - p.omega ** 2 * np.sum(uv * vv, axis=1))
+    return complex(rule.integral(integrand))
+
+
 def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
                                  seed):
-    """pullback_identity_check with each side's test fields sampled on all
-    of its triangles at once: (its result, the largest integral compared)."""
+    """pullback_identity_check with each side's test fields sampled point by
+    point on all of its triangles at once: (its result, ((forms, loads) on
+    the mapped domain, (forms, loads) pulled back))."""
     h = dmap.f0.sup() + dmap.cutoff.gap
     mesh_ref = build_mesh(dmap.f0, h, nx, ny)
     per = dmap.f0.period
@@ -578,24 +719,23 @@ def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
 
     pairs = [(field(2 * t), field(2 * t + 1)) for t in range(n_trials)]
     loads = [field(777 + t) for t in range(n_trials)]
-    family = field(0)
-    top = family.basis(np.stack([mesh_ref.nodes[mesh_ref.top_nodes, 0],
-                                 np.full(nx, h)], axis=-1))
-    dtn = [_dtn_pairing(u.sample(top)[0], v.sample(top)[0], per, p, n_max)
-           for u, v in pairs]
+    top = _basis(field(0), np.stack([mesh_ref.nodes[mesh_ref.top_nodes, 0],
+                                     np.full(nx, h)], axis=-1))
+    dtn = [_dtn_pairing(_sample(u, top)[0], _sample(v, top)[0], per, p,
+                        n_max) for u, v in pairs]
 
     def side(rule, gradient):
-        basis = family.basis(rule.points)
+        basis = _basis(field(0), rule.points)
 
         def sample(f):
-            val, grad = f.sample(basis)
+            val, grad = _sample(f, basis)
             return val, gradient(grad)
 
         forms = [_domain_form(p, rule, sample(u), sample(v)) - d
                  for (u, v), d in zip(pairs, dtn)]
         g = source(rule.points).reshape(-1, 2)
-        return forms, [complex(-rule.integral(g * np.conj(f.sample(basis)[0])))
-                       for f in loads]
+        return forms, [complex(-rule.integral(
+            g * np.conj(_sample(f, basis)[0]))) for f in loads]
 
     lhs = side(build_mesh(dmap.f_eta, h, nx, ny).quadrature, lambda g: g)
     mq = map_quadrature(mesh_ref.quadrature, dmap)
@@ -603,9 +743,8 @@ def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
         g.reshape(mq.detj.shape + (2, 2)))).reshape(-1, 2, 2))
     b_disc, g_disc = (max(abs(a - b) for a, b in zip(left, right))
                       for left, right in zip(lhs, rhs))
-    integrals = max(abs(t) for terms in lhs + rhs for t in terms)
     return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
-            "max_discrepancy": max(b_disc, g_disc)}, integrals
+            "max_discrepancy": max(b_disc, g_disc)}, (lhs, rhs)
 
 
 def _sampled_map(surface_model, index=1):
@@ -637,6 +776,23 @@ def _trig_reference(f, pts):
     return ch * poly(t), grad
 
 
+class TestSmoothStep:
+    @pytest.mark.parametrize("order", [5, 7])
+    def test_value_d1_equals_value_and_d1(self, order):
+        # value_d1 evaluates the polynomials on the ramp alone; its values
+        # are bitwise those of value and d1, at the ramp's ends, outside it
+        # and for a scalar as well
+        step = SmoothStep(0.2, 0.6, order=order)
+        for x in (np.linspace(0.0, 1.0, 40).reshape(8, 5), 0.2, 0.4,
+                  0.6, 0.9):
+            val, d1 = step.value_d1(x)
+            assert np.shape(val) == np.shape(d1) == np.shape(step.value(x))
+            assert np.array_equal(val, step.value(x))
+            assert np.array_equal(d1, step.d1(x))
+        val, _ = step.value_d1(np.array([0.2, 0.6]))
+        assert val.tolist() == [0.0, 1.0]
+
+
 class TestTrigPolyField:
     def _field(self, seed=3):
         return TrigPolyField(1.0, SmoothWindow(0.45, 1.05), seed=seed,
@@ -654,7 +810,7 @@ class TestTrigPolyField:
         pts = self._points(surface_model, mapped)
         for seed in (3, 4):
             f = self._field(seed)
-            val, grad = f.sample(f.basis(pts))
+            val, grad = _sample(f, _basis(f, pts))
             ref_val, ref_grad = _trig_reference(f, pts)
             ref_val = ref_val.reshape(-1, 2)
             ref_grad = ref_grad.reshape(-1, 2, 2)
@@ -665,18 +821,35 @@ class TestTrigPolyField:
                     <= 1e-13 * np.max(np.abs(ref_grad)))
 
     @pytest.mark.parametrize("mapped", [False, True])
-    def test_values_equal_sample_values(self, surface_model, mapped):
-        basis = self._field().basis(self._points(surface_model, mapped))
+    def test_rows_equal_per_harmonic_form(self, surface_model, mapped):
+        # the rows times chi z^p are the values and the x1-derivatives
+        pts = self._points(surface_model, mapped).reshape(-1, 2)
         for seed in (3, 4):
             f = self._field(seed)
-            assert np.array_equal(f.values(basis), f.sample(basis)[0])
+            rows = f.rows(pts[:, 0])
+            z = pts[:, 1] - f.x2_ref
+            ch = f.chi.value(pts[:, 1])
+            ref_val, ref_grad = _trig_reference(f, pts)
+            for got, ref in ((rows[:3], ref_val),
+                             (rows[3:], ref_grad[..., 0])):
+                poly = ch * (got[0] + z * (got[1] + z * got[2]))
+                assert (np.max(np.abs(poly.T - ref))
+                        <= 1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_values_equal_sample_values(self, surface_model, mapped):
+        pts = self._points(surface_model, mapped)
+        basis = _basis(self._field(), pts)
+        for seed in (3, 4):
+            f = self._field(seed)
+            assert np.array_equal(f.values(pts), _sample(f, basis)[0])
 
     @pytest.mark.parametrize("mapped", [False, True])
     def test_basis_window_equals_value_d1_form(self, surface_model, mapped):
         pts = self._points(surface_model, mapped)
         f = self._field()
         x2 = pts.reshape(-1, 2)[:, 1]
-        _, z, ch, dch = f.basis(pts)
+        _, z, ch, dch = _basis(f, pts)
         # points below, on the ramps of, and inside the plateau
         assert np.any(ch == 0.0) and np.any(ch == 1.0)
         assert np.any((ch > 0.0) & (ch < 1.0))
@@ -688,12 +861,12 @@ class TestTrigPolyField:
         pts = self._points(surface_model, True).reshape(-1, 2)
         f = self._field()
         step = 1e-6
-        _, grad = f.sample(f.basis(pts))
+        _, grad = _sample(f, _basis(f, pts))
         for b in range(2):
             shift = np.zeros(2)
             shift[b] = step
-            fd = (f.sample(f.basis(pts + shift))[0]
-                  - f.sample(f.basis(pts - shift))[0]) / (2.0 * step)
+            fd = (_sample(f, _basis(f, pts + shift))[0]
+                  - _sample(f, _basis(f, pts - shift))[0]) / (2.0 * step)
             assert (np.max(np.abs(grad[..., b] - fd))
                     <= 1e-8 * np.max(np.abs(grad)))
 
