@@ -130,9 +130,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     system = assemble_B(mesh, p, cfg.auto_n_max())
     load = assemble_load(mesh, src, src.support_elements(mesh.quadrature))
-    sol = solve(system, load, metadata={
-        "omega": p.omega, "n_max": system.n_max,
-        "n_max_requested": system.n_max_requested})
+    sol = solve(system, load)
     # the node coordinates' text, shared with mesh.txt, then the (re, im)
     # view of the complex (n_nodes, 2) values: re_u1 im_u1 re_u2 im_u2
     xy = mesh.node_text()
@@ -292,13 +290,8 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     elems = src.support_elements(mesh.quadrature)
     system = assemble_B(mesh, p, cfg.auto_n_max())
     load = assemble_load(mesh, src, elems)
-    sol = solve(system, load, metadata={
-        "omega": p.omega, "n_max": system.n_max,
-        "n_max_requested": system.n_max_requested})
-    xvec = np.empty(system.dimension, dtype=complex)
-    free = mesh.free_nodes
-    xvec[0::2] = sol.values[free, 0]
-    xvec[1::2] = sol.values[free, 1]
+    sol = solve(system, load)
+    xvec = verify._free_vector(mesh, sol.values)
     gl2 = verify.source_norms(mesh, src, elems)["l2"]
     res_inf = float(np.max(np.abs(system.matrix @ xvec - load)))
     checks.append(["galerkin_residual", res_inf, 1e-9 * gl2,
@@ -326,7 +319,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     dmap = DomainMap(f0=model.f0, f_eta=f1, cutoff=cutoff,
                      epsilon_margin=cfg.epsilon_margin)
     pb = pullback_identity_check(dmap, p, 2, nx=64, ny=64, source=src,
-                                 n_max=8, seed=cfg.seed)
+                                 seed=cfg.seed)
     checks.append(["pullback_identity", pb["max_discrepancy"], 1e-6,
                    pb["max_discrepancy"] < 1e-6, 0.0])
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dtn import default_n_max
 from .errors import ConfigError
+from .mesh import nyquist_index
 from .model import (
     ElasticParams,
     Geometry,
@@ -28,7 +29,7 @@ from .model import (
     sawtooth_surface,
 )
 
-__all__ = ["RunConfig", "load_config", "resolved_text", "default_config"]
+__all__ = ["RunConfig", "load_config", "resolved_text"]
 
 _COMMANDS = ("solve", "mms", "sweep-omega", "ensemble", "verify-all")
 
@@ -135,7 +136,7 @@ class RunConfig:
         if self.n_max > 0:
             return self.n_max
         n_max = default_n_max(self.make_params(omega), self.period)
-        nyquist = (self.nx - 1) // 2
+        nyquist = nyquist_index(self.nx)
         if n_max > nyquist:
             warnings.warn(
                 f"automatic n_max {n_max} exceeds the Nyquist index "
@@ -277,7 +278,7 @@ def _validate(cfg: RunConfig) -> None:
          "source.amplitude_re", "amplitude needs two components")
     need(cfg.nx >= 2 and cfg.ny >= 2, "discretization.nx", "nx, ny must be >= 2")
     need(cfg.n_max >= 0, "discretization.n_max", "must be >= 0 (0 = auto)")
-    nyquist = (cfg.nx - 1) // 2
+    nyquist = nyquist_index(cfg.nx)
     need(cfg.n_max <= nyquist, "discretization.n_max",
          f"{cfg.n_max} exceeds the Nyquist index (nx - 1) // 2 = {nyquist}")
     need(cfg.command in _COMMANDS, "run.command",
@@ -312,7 +313,3 @@ def resolved_text(cfg: RunConfig) -> str:
             lines.append(f"{key} = {_fmt(getattr(cfg, name))}")
         lines.append("")
     return "\n".join(lines)
-
-
-def default_config() -> RunConfig:
-    return RunConfig()

@@ -111,74 +111,67 @@ def projection_matrices(xis, p: ElasticParams) -> tuple[np.ndarray, np.ndarray]:
 class TraceCoefficients:
     """Fourier data of a vector trace on the line x2 = height.
 
-    modes maps integer n to the coefficient of exp(i*xi_n*x1) with
-    xi_n = 2*pi*n/period; the L2 norm on one period is
-    sqrt(period * sum_n |u_n|^2).
+    coef[k] (coef is (K, 2) complex) is the coefficient of exp(i xi_k x1)
+    with xi_k = 2 pi ns[k] / period, for the integer modes ns (K,) in any
+    order; the L2 norm on one period is sqrt(period * sum |coef|^2).
     """
 
     period: float
     height: float
-    modes: dict[int, np.ndarray]
+    ns: np.ndarray
+    coef: np.ndarray
 
-    def xi(self, n: int) -> float:
-        return 2.0 * math.pi * n / self.period
+    @property
+    def xis(self) -> np.ndarray:
+        return 2.0 * math.pi * self.ns / self.period
 
-    def norm_l2(self) -> float:
-        s = sum(float(np.sum(np.abs(v) ** 2)) for v in self.modes.values())
-        return math.sqrt(self.period * s)
+    def values(self, x1) -> np.ndarray:
+        """The trace sum_k coef[k] exp(i xi_k x1) at the abscissae x1 (N,),
+        shape (N, 2)."""
+        return np.einsum("xk,ka->xa", np.exp(1j * np.outer(x1, self.xis)),
+                         self.coef)
 
 
-def apply_dtn(trace: TraceCoefficients, p: ElasticParams,
-              n_max: int) -> TraceCoefficients:
-    """Apply the DtN operator mode by mode; modes beyond n_max are dropped."""
-    out = {}
-    for n, u in trace.modes.items():
-        if abs(n) > n_max:
-            continue
-        m = symbol_matrices(trace.xi(n), p)
-        out[n] = m @ np.asarray(u, dtype=complex)
-    return TraceCoefficients(period=trace.period, height=trace.height,
-                             modes=out)
+def apply_dtn(trace: TraceCoefficients, p: ElasticParams) -> TraceCoefficients:
+    """The DtN operator applied mode by mode: M(xi_k) coef[k]."""
+    return TraceCoefficients(
+        period=trace.period, height=trace.height, ns=trace.ns,
+        coef=np.einsum("kab,kb->ka", symbol_matrices(trace.xis, p),
+                       trace.coef))
 
 
 def upward_extend(trace: TraceCoefficients, p: ElasticParams,
                   pts: np.ndarray) -> np.ndarray:
     """Upward extension u(x) at points (..., 2) with x2 >= trace.height:
 
-    u = sum_n [exp(i g_p (x2-h)) Mp + exp(i g_s (x2-h)) Ms] u_n exp(i xi_n x1).
+    u = sum_k [exp(i g_p (x2-h)) Mp + exp(i g_s (x2-h)) Ms] coef[k]
+              * exp(i xi_k x1).
     """
     pts = np.asarray(pts, dtype=float)
+    xis = trace.xis
+    x1, dz = pts[..., 0], pts[..., 1] - trace.height
     out = np.zeros(pts.shape[:-1] + (2,), dtype=complex)
-    x1 = pts[..., 0]
-    dz = pts[..., 1] - trace.height
-    for n, u in trace.modes.items():
-        xi = trace.xi(n)
-        mp, ms = projection_matrices(xi, p)
-        g_p = gamma(xi, p.k_p)
-        g_s = gamma(xi, p.k_s)
-        u = np.asarray(u, dtype=complex)
-        amp = (np.exp(1j * g_p * dz)[..., None] * (mp @ u)
-               + np.exp(1j * g_s * dz)[..., None] * (ms @ u))
-        out += amp * np.exp(1j * xi * x1)[..., None]
+    for m, k in zip(projection_matrices(xis, p), (p.k_p, p.k_s)):
+        phase = (np.multiply.outer(x1, xis)
+                 + np.multiply.outer(dz, gamma(xis, k)))
+        out += np.einsum("...k,ka->...a", np.exp(1j * phase),
+                         np.einsum("kab,kb->ka", m, trace.coef))
     return out
 
 
 def helmholtz_split(trace: TraceCoefficients,
-                    p: ElasticParams) -> tuple[dict[int, complex], dict[int, complex]]:
-    """Split the trace into compressional (P) and shear (S) scalar modes:
+                    p: ElasticParams) -> tuple[np.ndarray, np.ndarray]:
+    """Split the trace into compressional (P) and shear (S) scalar modes,
+    each (K,):
 
-    (P_n, S_n) = 1/rho * [[xi, g_s], [g_p, -xi]] (u_1, u_2).
+    (P_k, S_k) = 1/rho * [[xi, g_s], [g_p, -xi]] coef[k].
     """
-    phi, psi = {}, {}
-    for n, u in trace.modes.items():
-        xi = trace.xi(n)
-        g_p, g_s, rho = _gammas_rho(xi, p)
-        if abs(rho) < _RHO_FLOOR:
-            raise SymbolSingularError("xi^2 + gamma_p*gamma_s vanished")
-        u = np.asarray(u, dtype=complex)
-        phi[n] = complex((xi * u[0] + g_s * u[1]) / rho)
-        psi[n] = complex((g_p * u[0] - xi * u[1]) / rho)
-    return phi, psi
+    xis = trace.xis
+    g_p, g_s, rho = _gammas_rho(xis, p)
+    if np.any(np.abs(rho) < _RHO_FLOOR):
+        raise SymbolSingularError("xi^2 + gamma_p*gamma_s vanished")
+    u1, u2 = trace.coef.T
+    return (xis * u1 + g_s * u2) / rho, (g_p * u1 - xis * u2) / rho
 
 
 def traction(grad_u: np.ndarray, div_u: complex, normal, p: ElasticParams) -> np.ndarray:

@@ -44,7 +44,8 @@ from scipy.linalg import lapack as _lapack
 
 from .dtn import TraceCoefficients, symbol_matrices
 from .errors import MapSingularError, SolveError
-from .mesh import DEGREE5_RULE, Mesh, Quadrature, _weighted_sum
+from .mesh import (DEGREE5_RULE, Mesh, Quadrature, _weighted_sum,
+                   nyquist_index)
 from .model import DomainMap, ElasticParams
 
 __all__ = [
@@ -262,7 +263,7 @@ def _scatter_elements(mesh: Mesh, elem: np.ndarray) -> sp.csc_matrix:
 
 def _effective_n_max(mesh: Mesh, n_max: int) -> int:
     # Aliasing guard: the PL trace transform is injective only up to Nyquist.
-    return min(int(n_max), (mesh.nx - 1) // 2)
+    return min(int(n_max), nyquist_index(mesh.nx))
 
 
 def _sinc2(t: np.ndarray) -> np.ndarray:
@@ -645,7 +646,6 @@ def _radiated_power(x: np.ndarray, b: np.ndarray) -> float:
 
 
 def solve(system: SparseSystem, load: np.ndarray,
-          metadata: dict | None = None,
           preconditioner: StripPreconditioner | None = None) -> FieldSolution:
     """Sparse solve; the residual must satisfy ||Ax-b|| <= 1e-10 ||b||.
 
@@ -662,7 +662,9 @@ def solve(system: SparseSystem, load: np.ndarray,
     Factorizations, solves and GMRES run on one OpenBLAS thread, so the
     solution does not depend on the BLAS thread setting.
 
-    The solution's metadata gains the solver health of a nonzero load:
+    The solution's metadata holds the system's `omega`, `n_max` (the
+    effective DtN truncation) and `n_max_requested`, and the solver health
+    of a nonzero load:
     `solver` ("lu" or "gmres"), `residual` (relative) and `radiated_power`
     (-Im(x^H b) / |x^H b|, positive when the field radiates through the
     top); `iterations` when GMRES ran (also when it fell back to LU); and
@@ -692,7 +694,10 @@ def solve(system: SparseSystem, load: np.ndarray,
     values[free, 0] = x[0::2]
     values[free, 1] = x[1::2]
     sol = FieldSolution(mesh=mesh, values=values, norms={},
-                        metadata={**(metadata or {}), **health})
+                        metadata={"omega": system.params.omega,
+                                  "n_max": system.n_max,
+                                  "n_max_requested": system.n_max_requested,
+                                  **health})
     sol.norms.update(norms(sol))
     return sol
 
@@ -752,6 +757,6 @@ def trace_coefficients(mesh: Mesh, values: np.ndarray,
     top = np.asarray(values, dtype=complex)[mesh.top_nodes]   # (nx, 2)
     hat = np.fft.fft(top, axis=0) / mesh.nx
     ns = np.arange(-n_eff, n_eff + 1)
-    beta = _sinc2(math.pi * ns / mesh.nx)
-    modes = {int(n): b * hat[n % mesh.nx] for n, b in zip(ns, beta)}
-    return TraceCoefficients(period=mesh.period, height=mesh.h, modes=modes)
+    return TraceCoefficients(
+        period=mesh.period, height=mesh.h, ns=ns,
+        coef=_sinc2(math.pi * ns / mesh.nx)[:, None] * hat[ns % mesh.nx])

@@ -34,7 +34,7 @@ from .errors import MeshError
 from .model import SurfaceFn
 
 __all__ = ["Mesh", "Quadrature", "DofPattern", "P1Operators", "build_mesh",
-           "DEGREE5_RULE"]
+           "nyquist_index", "DEGREE5_RULE"]
 
 SURFACE = "SURFACE"
 TOP = "TOP"
@@ -415,6 +415,12 @@ def _records(fmt: str, *columns) -> str:
     for j, col in enumerate(columns):
         table[:, j] = col
     return ((fmt + "\n") * len(table)) % tuple(table.ravel().tolist())
+
+
+def nyquist_index(nx: int) -> int:
+    """The largest mode |n| that nx equispaced top nodes resolve,
+    (nx - 1) // 2: past it the DFT of the trace aliases."""
+    return (nx - 1) // 2
 
 
 def build_mesh(f: SurfaceFn, h: float, nx: int, ny: int) -> Mesh:

@@ -37,7 +37,6 @@ from .fem import (
     FieldSolution,
     MappedQuadrature,
     SparseSystem,
-    StripPreconditioner,
     _single_thread_blas,
     assemble_B,
     assemble_B_transformed,
@@ -63,7 +62,6 @@ __all__ = [
     "EnsembleResult",
     "run_sample",
     "run_ensemble",
-    "reference_preconditioner",
     "meansquare_envelope_check",
     "random_input_moments",
     "default_n_max",
@@ -108,13 +106,6 @@ def _sample_n_max(model: RandomSurfaceModel, p: ElasticParams,
     return default_n_max(p, model.f0.period) if n_max is None else n_max
 
 
-def reference_preconditioner(mesh_ref: Mesh, p: ElasticParams,
-                             n_max: int) -> StripPreconditioner | None:
-    """The `StripPreconditioner` of the reference system on mesh_ref (None
-    when it cannot be built: the samples then solve by LU)."""
-    return strip_preconditioner(assemble_B(mesh_ref, p, n_max))
-
-
 _OWN = object()   # run_sample's default: build its own preconditioner
 
 
@@ -128,7 +119,8 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     does not vanish.  The system is solved with `preconditioner` (see
     `fem.solve`; None solves by LU), which may be a `Future` of one, waited
     for just before the solve; when it is not given, the sample builds its
-    own `reference_preconditioner`, the one `run_ensemble` shares.  The
+    own strip preconditioner of the reference system, the one
+    `run_ensemble` shares.  The
     record's `solver` and `iterations` (0 when GMRES did not run) come from
     the solve's metadata."""
     if index < 0:
@@ -139,7 +131,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
         delta = gap / 8.0
     n_max = _sample_n_max(model, p, n_max)
     if preconditioner is _OWN:
-        preconditioner = reference_preconditioner(mesh_ref, p, n_max)
+        preconditioner = strip_preconditioner(assemble_B(mesh_ref, p, n_max))
     f_eta = sample_surface(model, index)
     cutoff = make_cutoff(delta, gap)
     dmap = DomainMap(f0=model.f0, f_eta=f_eta, cutoff=cutoff,
@@ -155,10 +147,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     load = assemble_load_transformed(mesh_ref, g_values, near, elems)
     if isinstance(preconditioner, Future):
         preconditioner = preconditioner.result()
-    sol = solve(system, load, metadata={
-        "omega": p.omega, "n_max": system.n_max,
-        "n_max_requested": system.n_max_requested, "sample_index": index},
-        preconditioner=preconditioner)
+    sol = solve(system, load, preconditioner=preconditioner)
     return {
         "index": index,
         "u_h1_sq": sol.norms["h1"] ** 2,
@@ -189,8 +178,8 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                  **sample_kwargs) -> EnsembleResult:
     """N independent samples with indices 0..N-1; aggregation is an ordered
     reduction, so the result is independent of scheduling.  The samples run
-    with OpenBLAS pinned to one thread and share one
-    `reference_preconditioner` (see the module docstring).
+    with OpenBLAS pinned to one thread and share one strip preconditioner
+    of the reference system (see the module docstring).
 
     `anchor`, a function of the reference system (the one the
     preconditioner is built from), runs in the pool's first task, after

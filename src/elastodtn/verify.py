@@ -16,10 +16,10 @@ import numpy as np
 from . import fem
 from .dtn import (
     TraceCoefficients,
+    apply_dtn,
     gamma,
     helmholtz_split,
     projection_matrices,
-    symbol_matrices,
     upward_extend,
 )
 from .errors import InternalError, MmsError, SweepError
@@ -34,7 +34,7 @@ from .fem import (
     strip_preconditioner,
     trace_coefficients,
 )
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, build_mesh, nyquist_index
 from .model import DomainMap, ElasticParams, Geometry, SourceField, make_params
 
 __all__ = [
@@ -242,17 +242,6 @@ class UpgoingModesField:
                                               + (lam + mu) * (kp2 + g * g))) * e
         return out
 
-    def trace(self, h: float, n_max: int) -> TraceCoefficients:
-        """Exact trace coefficients at height h (requires chi == 1 there)."""
-        modes = {}
-        for xi, g, c in self.modes:
-            n = round(xi * self.period / (2.0 * math.pi))
-            vec = modes.setdefault(n, np.zeros(2, dtype=complex))
-            vec += c * np.array([xi, g]) * np.exp(1j * g * h)
-        return TraceCoefficients(period=self.period, height=h,
-                                 modes={n: v for n, v in modes.items()
-                                        if abs(n) <= n_max})
-
 
 def navier_apply_fd(value_fn, p: ElasticParams, pts, step: float = 0.01):
     """mu Lap(u) + (lam+mu) grad(div u) + omega^2 u by 4th-order differences
@@ -384,20 +373,13 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
         system = assemble_B(mesh, p, n_max)
         band = _support_elements(mesh.quadrature.points,
                                  (field.chi.lo, field.chi.hi))
-        sol = _strip_solve(system, assemble_load(mesh, g, band))
+        sol = solve(system, assemble_load(mesh, g, band),
+                    preconditioner=strip_preconditioner(system))
         h1_err, l2_err = _field_errors(mesh, sol.values, field)
         table.append({"mesh_size": mesh.meshsize(),
                       "h1_error": h1_err, "l2_error": l2_err,
                       **_solver_record(sol)})
     return table
-
-
-def _strip_solve(system, load) -> FieldSolution:
-    """`solve` by GMRES preconditioned with the system's own strip
-    operator, the exact inverse on a flat strip."""
-    return solve(system, load, metadata={"omega": system.params.omega,
-                                         "n_max": system.n_max},
-                 preconditioner=strip_preconditioner(system))
 
 
 def _solver_record(sol: FieldSolution) -> dict:
@@ -416,14 +398,6 @@ def convergence_slopes(table, key: str) -> list[float]:
 # Rellich-type boundary inequality
 # ---------------------------------------------------------------------------
 
-def _dtn_apply_samples(u_hat: np.ndarray, period: float, p: ElasticParams,
-                       x_eval: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """sum_n M(xi_n) u_hat_n exp(i xi_n x) at the evaluation abscissae."""
-    xis = 2.0 * math.pi * np.asarray(ns) / period
-    tu_hat = np.einsum("nab,nb->na", symbol_matrices(xis, p), u_hat)
-    return np.einsum("xn,na->xa", np.exp(1j * np.outer(x_eval, xis)), tu_hat)
-
-
 def rellich_lhs_samples(u_vals: np.ndarray, grad_vals: np.ndarray,
                         p: ElasticParams, period: float) -> float:
     """Top-boundary integral from uniform samples of the trace and gradient.
@@ -435,9 +409,10 @@ def rellich_lhs_samples(u_vals: np.ndarray, grad_vals: np.ndarray,
     u_vals = np.asarray(u_vals, dtype=complex)
     n = u_vals.shape[0]
     x = np.arange(n) * (period / n)
-    u_hat = np.fft.fft(u_vals, axis=0) / n
-    ns = ((np.arange(n) + n // 2) % n) - n // 2
-    tu = _dtn_apply_samples(u_hat, period, p, x, ns)
+    trace = TraceCoefficients(  # the height is not read
+        period=period, height=0.0, ns=((np.arange(n) + n // 2) % n) - n // 2,
+        coef=np.fft.fft(u_vals, axis=0) / n)
+    tu = apply_dtn(trace, p).values(x)
     return float(_rellich_integrand(tu, u_vals, grad_vals, p).mean() * period)
 
 
@@ -461,14 +436,10 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams,
     """
     mesh = sol.mesh
     if n_max is None:
-        n_max = int(sol.metadata.get("n_max", (mesh.nx - 1) // 2))
+        n_max = int(sol.metadata.get("n_max", nyquist_index(mesh.nx)))
     trace = trace_coefficients(mesh, sol.values, n_max)
-    nx = mesh.nx
-    dx = mesh.period / nx
-    x_mid = (np.arange(nx) + 0.5) * dx
-    ns = np.array(sorted(trace.modes.keys()))
-    u_hat = np.array([trace.modes[n] for n in ns])
-    tu_mid = _dtn_apply_samples(u_hat, mesh.period, p, x_mid, ns)
+    dx = mesh.period / mesh.nx
+    tu_mid = apply_dtn(trace, p).values((np.arange(mesh.nx) + 0.5) * dx)
 
     top = sol.values[mesh.top_nodes]
     u_mid = 0.5 * (top + np.roll(top, -1, axis=0))
@@ -573,7 +544,7 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     for om in config.omegas:
         system = assemble_B(mesh, make_params(config.lam, config.mu, om),
                             config.n_max)
-        sol = _strip_solve(system, load)
+        sol = solve(system, load, preconditioner=strip_preconditioner(system))
         ratios.append(sol.norms["h1"] / gn["h1"])
         solves.append(_solver_record(sol))
     omegas = [float(o) for o in config.omegas]
@@ -631,19 +602,6 @@ class TrigPolyField:
         x1, x2 = np.asarray(pts, dtype=float).reshape(-1, 2).T
         a, z = self.rows(x1), x2 - self.x2_ref
         return (self.chi.value(x2) * (a[0] + z * (a[1] + z * a[2]))).T
-
-
-def _dtn_pairing(u_top: np.ndarray, v_top: np.ndarray, period: float,
-                 p: ElasticParams, n_max: int) -> complex:
-    """int_top (DtN u) . conj(v) from equispaced top samples (PL transform)."""
-    nx = u_top.shape[0]
-    ns = np.arange(-n_max, n_max + 1)
-    beta = fem._sinc2(math.pi * ns / nx)
-    uh = (np.fft.fft(u_top, axis=0) / nx)[ns % nx]
-    vh = (np.fft.fft(v_top, axis=0) / nx)[ns % nx]
-    m = symbol_matrices(2.0 * math.pi * ns / period, p)
-    pair = np.einsum("na,nab,nb->n", np.conj(vh), m, uh)
-    return complex(period * np.sum(beta * beta * pair))
 
 
 _PULLBACK_BLOCK = 1024  # triangles summed at once by _abscissa_tables
@@ -707,15 +665,18 @@ def _abscissa_tables(rule, gradient, p: ElasticParams, window, x2_ref: float,
 def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
                             nx: int = 96, ny: int = 96,
                             source: SourceField | None = None,
-                            n_max: int = 8, seed: int = 0) -> dict:
+                            seed: int = 0) -> dict:
     """Compare the form on the mapped domain with the pulled-back form on the
     reference domain for random smooth test pairs; also the load pair when a
     source is given.  Returns the max absolute discrepancies.
 
     The mapped side evaluates the fields at the mapped rule's points, the
     reference side u~ = u o H analytically: values at H(y), gradients
-    invJ^T D_y(u o H).  H fixes the top line, so the sides share a DtN
-    pairing, which cancels (`_dtn_pairing` is tested apart).
+    invJ^T D_y(u o H).  The form's DtN term is not compared: the window
+    ends below band_hi = min f0 + ramp_end, under the top line
+    h = sup f0 + gap for every map (ramp_end < gap), so the test fields
+    vanish on the top line and their DtN pairing is exactly zero on both
+    sides.
 
     The cutoff ramp makes det J jump across the curves x2 = f0(x1) + delta
     and x2 = f0(x1) + ramp_end; quadrature across a jump is only first-order
@@ -725,8 +686,7 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
     the triangles with a rule point inside the window's open support (on
     the reference side, a point whose image H(y) is inside): every term
     on the others is an exact zero.  Both sum per abscissa, as H fixes x1."""
-    lhs, rhs = _pullback_integrals(dmap, p, n_trials, nx, ny, source, n_max,
-                                   seed)
+    lhs, rhs = _pullback_integrals(dmap, p, n_trials, nx, ny, source, seed)
     b_disc, g_disc = (max((abs(a - b) for a, b in zip(left, right)),
                           default=0.0) for left, right in zip(lhs, rhs))
     return {"b_discrepancy": b_disc, "g_discrepancy": g_disc,
@@ -734,9 +694,9 @@ def pullback_identity_check(dmap: DomainMap, p: ElasticParams, n_trials: int,
 
 
 def _pullback_integrals(dmap: DomainMap, p: ElasticParams, n_trials: int,
-                        nx: int, ny: int, source, n_max: int, seed: int):
-    """(forms less the DtN pairing, loads) on the mapped domain and pulled
-    back: the integrals `pullback_identity_check` compares."""
+                        nx: int, ny: int, source, seed: int):
+    """(domain forms, loads) on the mapped domain and pulled back: the
+    integrals `pullback_identity_check` compares."""
     h = dmap.f0.sup() + dmap.cutoff.gap
     per = dmap.f0.period
     x = np.linspace(0.0, per, 2048, endpoint=False)
@@ -756,16 +716,13 @@ def _pullback_integrals(dmap: DomainMap, p: ElasticParams, n_trials: int,
 
     pairs = [(field(2 * t), field(2 * t + 1)) for t in range(n_trials)]
     loads = [field(777 + t) for t in range(n_trials) if source is not None]
-    top = np.c_[np.arange(nx) * (per / nx), np.full(nx, h)]  # mesh top nodes
-    dtn = [_dtn_pairing(u.values(top), v.values(top), per, p, n_max)
-           for u, v in pairs]
 
     def side(rule, gradient):
         xs, kernel, load = _abscissa_tables(rule, gradient, p, window, band_lo,
                                             source or np.zeros_like)
         rows = {f: f.rows(xs) for group in pairs + [loads] for f in group}
         forms = [complex(np.einsum("rax,sbx,arbsx->", rows[u], np.conj(
-            rows[v]), kernel)) - d for (u, v), d in zip(pairs, dtn)]
+            rows[v]), kernel)) for u, v in pairs]
         return forms, [complex(-np.sum(load * np.conj(rows[f][:3])))
                        for f in loads]
 
@@ -888,32 +845,22 @@ def helmholtz_field_check(sol_or_trace, p: ElasticParams, dz: float = 0.5,
     else:
         sol = sol_or_trace
         if n_max is None:
-            n_max = int(sol.metadata.get("n_max", (sol.mesh.nx - 1) // 2))
+            n_max = int(sol.metadata.get("n_max",
+                                         nyquist_index(sol.mesh.nx)))
         trace = trace_coefficients(sol.mesh, sol.values, n_max)
-    per = trace.period
-    h = trace.height
-    x1 = np.linspace(0.0, per, n_samples, endpoint=False)
-    pts = np.stack([x1, np.full_like(x1, h + dz)], axis=-1)
+    x1 = np.linspace(0.0, trace.period, n_samples, endpoint=False)
+    pts = np.stack([x1, np.full_like(x1, trace.height + dz)], axis=-1)
 
+    xis = trace.xis
+    g_p, g_s = gamma(xis, p.k_p), gamma(xis, p.k_s)
+    e = np.exp(1j * np.outer(x1, xis))                  # (n_samples, K)
+    e_p, e_s = e * np.exp(1j * g_p * dz), e * np.exp(1j * g_s * dz)
     phi, psi = helmholtz_split(trace, p)
-    u_p_a = np.zeros((n_samples, 2), dtype=complex)
-    u_s_a = np.zeros((n_samples, 2), dtype=complex)
-    u_p_b = np.zeros((n_samples, 2), dtype=complex)
-    u_s_b = np.zeros((n_samples, 2), dtype=complex)
-    for n, uhat in trace.modes.items():
-        xi = trace.xi(n)
-        g_p = gamma(xi, p.k_p)
-        g_s = gamma(xi, p.k_s)
-        e1 = np.exp(1j * xi * x1)
-        u_p_a += np.outer(e1 * np.exp(1j * g_p * dz),
-                          phi[n] * np.array([xi, g_p]))
-        u_s_a += np.outer(e1 * np.exp(1j * g_s * dz),
-                          psi[n] * np.array([g_s, -xi]))
-        mp, ms = projection_matrices(xi, p)
-        u_p_b += np.outer(e1 * np.exp(1j * g_p * dz),
-                          mp @ np.asarray(uhat, dtype=complex))
-        u_s_b += np.outer(e1 * np.exp(1j * g_s * dz),
-                          ms @ np.asarray(uhat, dtype=complex))
+    mp, ms = projection_matrices(xis, p)
+    u_p_a = e_p @ (phi[:, None] * np.stack([xis, g_p], axis=-1))
+    u_s_a = e_s @ (psi[:, None] * np.stack([g_s, -xis], axis=-1))
+    u_p_b = e_p @ np.einsum("kab,kb->ka", mp, trace.coef)
+    u_s_b = e_s @ np.einsum("kab,kb->ka", ms, trace.coef)
     total = upward_extend(trace, p, pts)
     scale = float(np.max(np.abs(total)))
     if scale == 0.0:

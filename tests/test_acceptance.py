@@ -169,8 +169,7 @@ def test_criterion_05_rellich_inequality():
             for nx, ny in ((24, 32), (48, 64), (96, 128)):
                 mesh = build_mesh(surf, 1.4, nx, ny)
                 system = assemble_B(mesh, p, 16)
-                sol = solve(system, assemble_load(mesh, src),
-                            metadata={"omega": om, "n_max": system.n_max})
+                sol = solve(system, assemble_load(mesh, src))
                 r = rellich_residual(sol, src, p)
                 tol = mesh.meshsize() * (sol.norms["h1"] ** 2
                                          + source_norms(mesh, src)["l2"]
@@ -214,8 +213,7 @@ def test_criterion_07_pullback_identity():
     f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
     cutoff = make_cutoff(0.1375, 1.1)
     ident = DomainMap(f0=f0, f_eta=f0, cutoff=cutoff)
-    r_id = pullback_identity_check(ident, p, 2, nx=48, ny=48, n_max=8,
-                                   seed=107)
+    r_id = pullback_identity_check(ident, p, 2, nx=48, ny=48, seed=107)
     ok = r_id["max_discrepancy"] < 1e-12
 
     model = RandomSurfaceModel(f0=f0, mode_count=2,
@@ -228,9 +226,9 @@ def test_criterion_07_pullback_identity():
         dmap = DomainMap(f0=f0, f_eta=sample_surface(model, idx),
                          cutoff=cutoff)
         coarse = pullback_identity_check(dmap, p, 2, nx=48, ny=48,
-                                         source=src, n_max=8, seed=idx)
+                                         source=src, seed=idx)
         fine = pullback_identity_check(dmap, p, 2, nx=96, ny=96,
-                                       source=src, n_max=8, seed=idx)
+                                       source=src, seed=idx)
         worst_coarse = max(worst_coarse, coarse["max_discrepancy"])
         decreasing = decreasing and (fine["max_discrepancy"]
                                      < coarse["max_discrepancy"])

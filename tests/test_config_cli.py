@@ -8,7 +8,7 @@ import pytest
 
 from elastodtn import cli
 from elastodtn.cli import main, run_command
-from elastodtn.config import RunConfig, default_config, load_config, resolved_text
+from elastodtn.config import RunConfig, load_config, resolved_text
 from elastodtn.errors import ConfigError
 from elastodtn.fem import assemble_B, assemble_load, solve
 from elastodtn.mesh import build_mesh
@@ -33,7 +33,7 @@ class TestLoadConfig:
 
     def test_empty_config_gives_defaults(self, tmp_path):
         cfg = load_config(_write(tmp_path / "a.cfg", ""))
-        assert cfg == default_config()
+        assert cfg == RunConfig()
 
     @pytest.mark.parametrize("omega, period, expect", [
         (0.5, 1.0, 8), (2.0, 1.0, 8), (8.0, 1.0, 8), (24.0, 1.0, 16),
@@ -114,7 +114,7 @@ class TestLoadConfig:
 
 class TestSolveCommand:
     def test_artifacts_and_determinism(self, tmp_path):
-        cfg = default_config()
+        cfg = RunConfig()
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
         assert run_command(cfg, str(out1)) == 0
@@ -136,9 +136,10 @@ class TestSolveCommand:
         seen = []
         real_solve = cli.solve
 
-        def spy(system, load, metadata=None, **kwargs):
-            seen.append(metadata)
-            return real_solve(system, load, metadata, **kwargs)
+        def spy(system, load, **kwargs):
+            sol = real_solve(system, load, **kwargs)
+            seen.append(sol.metadata)
+            return sol
 
         monkeypatch.setattr(cli, "solve", spy)
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
@@ -160,7 +161,7 @@ class TestSolveCommand:
             return meshes[-1]
 
         monkeypatch.setattr(cli, "build_mesh", spy)
-        cfg = default_config()
+        cfg = RunConfig()
         assert (cfg.nx, cfg.ny) == (32, 48)
         assert run_command(cfg, str(tmp_path)) == 0
         quad = meshes[0].quadrature
@@ -168,7 +169,7 @@ class TestSolveCommand:
             assert name not in vars(quad), name
 
     def test_mesh_nodes_carry_the_solution_coordinates(self, tmp_path):
-        cfg = default_config()
+        cfg = RunConfig()
         assert run_command(cfg, str(tmp_path)) == 0
         lines = (tmp_path / "mesh.txt").read_text().splitlines()
         nx, ny = cfg.nx, cfg.ny
@@ -199,7 +200,7 @@ class TestCsvWriter:
     """_write_csv against the csv.writer + repr writer it replaced."""
 
     def test_solution_csv_equals_reference_writer(self, tmp_path):
-        cfg = default_config()
+        cfg = RunConfig()
         assert run_command(cfg, str(tmp_path / "new")) == 0
         p, geom = cfg.make_params(), cfg.make_geometry()
         mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)

@@ -104,9 +104,10 @@ class TestRunSample:
         seen = []
         real_solve = montecarlo.solve
 
-        def spy(system, load, metadata=None, **kwargs):
-            seen.append(metadata)
-            return real_solve(system, load, metadata, **kwargs)
+        def spy(system, load, **kwargs):
+            sol = real_solve(system, load, **kwargs)
+            seen.append(sol.metadata)
+            return sol
 
         monkeypatch.setattr(montecarlo, "solve", spy)
         run_sample(surface_model, source_spec, params2, mesh_ref, 1,

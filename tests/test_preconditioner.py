@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from elastodtn import cli, fem, montecarlo
-from elastodtn.config import default_config
+from elastodtn.config import RunConfig
 from elastodtn.dtn import default_n_max
 from elastodtn.fem import (
     assemble_B,
@@ -26,11 +26,7 @@ from elastodtn.model import (
     make_source,
     sawtooth_surface,
 )
-from elastodtn.montecarlo import (
-    reference_preconditioner,
-    run_ensemble,
-    run_sample,
-)
+from elastodtn.montecarlo import run_ensemble, run_sample
 from elastodtn.verify import SweepConfig, omega_sweep
 
 FLAT = flat_surface(0.3, 0.2, 0.4, 1.0)
@@ -56,8 +52,8 @@ def _captured_sample(model, spec, p, mesh, index, monkeypatch, **kwargs):
     seen = []
     real_solve = montecarlo.solve
 
-    def spy(system, load, metadata=None, **kw):
-        sol = real_solve(system, load, metadata, **kw)
+    def spy(system, load, **kw):
+        sol = real_solve(system, load, **kw)
         seen.append((system, load, sol))
         return sol
 
@@ -199,8 +195,9 @@ class TestFallback:
 
     def test_preconditioner_of_another_omega(self, source_spec):
         plain, sol = self._plain_and_preconditioned(
-            source_spec, 24.0, lambda mesh, p: reference_preconditioner(
-                mesh, make_params(1.0, 1.0, 2.0), default_n_max(p, 1.0)))
+            source_spec, 24.0, lambda mesh, p: strip_preconditioner(
+                assemble_B(mesh, make_params(1.0, 1.0, 2.0),
+                           default_n_max(p, 1.0))))
         assert sol.metadata["solver"] == "lu"
         assert sol.metadata["iterations"] == (fem._GMRES_RESTART
                                               * fem._GMRES_MAX_CYCLES)
@@ -213,8 +210,9 @@ class TestFallback:
         monkeypatch.setattr(fem, "_GMRES_RESTART", 1)
         monkeypatch.setattr(fem, "_GMRES_MAX_CYCLES", 1)
         plain, sol = self._plain_and_preconditioned(
-            source_spec, 8.0, lambda mesh, p: reference_preconditioner(
-                mesh, make_params(1.0, 1.0, 2.0), default_n_max(p, 1.0)))
+            source_spec, 8.0, lambda mesh, p: strip_preconditioner(
+                assemble_B(mesh, make_params(1.0, 1.0, 2.0),
+                           default_n_max(p, 1.0))))
         assert (sol.metadata["solver"], sol.metadata["iterations"]) \
             == ("lu", 1)
         assert sol.values.tobytes() == plain.values.tobytes()
@@ -250,8 +248,8 @@ class TestDeterminism:
         solvers = []
         real_solve = montecarlo.solve
 
-        def spy(system, load, metadata=None, **kw):
-            sol = real_solve(system, load, metadata, **kw)
+        def spy(system, load, **kw):
+            sol = real_solve(system, load, **kw)
             solvers.append(sol.metadata["solver"])
             return sol
 
@@ -286,7 +284,8 @@ class TestDeterminism:
         controls = openblas_at_two
         mesh = build_mesh(FLAT, 1.4, 16, 24)
         system = assemble_B(mesh, params2, 8)
-        pre = reference_preconditioner(mesh, make_params(1.0, 1.0, 2.5), 8)
+        pre = strip_preconditioner(
+            assemble_B(mesh, make_params(1.0, 1.0, 2.5), 8))
         seen = []
 
         class Recording:
@@ -306,7 +305,7 @@ class TestDeterminism:
     def test_strip_solved_commands_independent_of_blas_threads(
             self, openblas_at_two, tmp_path, command):
         # on a rough surface, where GMRES iterates
-        cfg = replace(default_config(), command=command, f0_kind="cosine",
+        cfg = replace(RunConfig(), command=command, f0_kind="cosine",
                       f0_amplitudes=(0.04,), f0_modes=(1,), f0_phases=(0.0,),
                       omega_list=(2.0, 8.0, 16.0))
         outs = []
@@ -326,7 +325,7 @@ class TestDeterminism:
             for _, set_threads in openblas_at_two:
                 set_threads(threads)
             out = tmp_path / f"blas{threads}"
-            assert cli.run_command(replace(default_config(),
+            assert cli.run_command(replace(RunConfig(),
                                            command="verify-all"),
                                    str(out)) == 0
             outs.append((out / "checks.csv").read_bytes())
@@ -346,8 +345,8 @@ class TestDeterminism:
             return factor(*args, **kwargs)
 
         monkeypatch.setattr(fem._lapack, "zgbtrf", recording)
-        assert reference_preconditioner(build_mesh(FLAT, 1.4, 8, 6),
-                                        params2, 3) is not None
+        assert strip_preconditioner(assemble_B(
+            build_mesh(FLAT, 1.4, 8, 6), params2, 3)) is not None
         assert seen == [[1] * len(controls)]
         assert _blas_threads(controls) == [2] * len(controls)
 
@@ -358,7 +357,7 @@ def _blas_threads(controls) -> list:
 
 def _default_solve(omega):
     """The default flat config at 64 x 96, source amplitude (1, 0)."""
-    cfg = replace(default_config(), omega=omega, nx=64, ny=96)
+    cfg = replace(RunConfig(), omega=omega, nx=64, ny=96)
     assert cfg.amplitude_re == (1.0, 0.0) and cfg.amplitude_im == (0.0, 0.0)
     p = cfg.make_params()
     geom = cfg.make_geometry()

@@ -16,6 +16,7 @@ from elastodtn.fem import (
     norms,
     solve,
     strip_preconditioner,
+    trace_coefficients,
 )
 from elastodtn import fem
 from elastodtn.mesh import DofPattern, build_mesh
@@ -30,12 +31,17 @@ from elastodtn.model import (
     sample_surface,
     SourceSpec,
 )
-from elastodtn.dtn import TraceCoefficients, gamma, projection_matrices, symbol_matrices
+from elastodtn.dtn import (
+    TraceCoefficients,
+    apply_dtn,
+    gamma,
+    projection_matrices,
+    symbol_matrices,
+)
 from elastodtn import cli
-from elastodtn.config import default_config
+from elastodtn.config import RunConfig
 from elastodtn import verify
 from elastodtn.verify import (
-    _dtn_pairing,
     _pullback_integrals,
     _support_elements,
     SmoothStep,
@@ -260,8 +266,7 @@ class TestRellich:
             p = make_params(1.0, 1.0, om)
             mesh = build_mesh(flat_geom.surface, flat_geom.h, 48, 64)
             system = assemble_B(mesh, p, 16)
-            sol = solve(system, assemble_load(mesh, bump),
-                        metadata={"omega": om, "n_max": system.n_max})
+            sol = solve(system, assemble_load(mesh, bump))
             r = rellich_residual(sol, bump, p)
             tol = mesh.meshsize() * (sol.norms["h1"] ** 2
                                      + source_norms(mesh, bump)["l2"]
@@ -332,8 +337,7 @@ class TestTraceBound:
             p = make_params(1.0, 1.0, om)
             mesh = build_mesh(surf, 1.4, 48, 64)
             system = assemble_B(mesh, p, 16)
-            sol = solve(system, assemble_load(mesh, src),
-                        metadata={"omega": om, "n_max": system.n_max})
+            sol = solve(system, assemble_load(mesh, src))
             prof = bound_profile(om, 1.4, 0.2, surf.lipschitz)
             ratios.append(trace_bound_check(sol, src, p, prof)["ratio"])
         assert max(ratios) / min(ratios) < 10.0
@@ -350,8 +354,7 @@ class TestTraceBound:
                     if amp > 0 else flat_surface(0.3, 0.2, 0.4, 1.0))
             mesh = build_mesh(surf, 1.4, 48, 64)
             system = assemble_B(mesh, p, 16)
-            sol = solve(system, assemble_load(mesh, src),
-                        metadata={"omega": 4.0, "n_max": system.n_max})
+            sol = solve(system, assemble_load(mesh, src))
             prof = bound_profile(4.0, 1.4, 0.2, surf.lipschitz)
             ratios.append(trace_bound_check(sol, src, p, prof)["ratio"])
         assert max(ratios) / min(ratios) < 1.25
@@ -427,9 +430,8 @@ class TestOmegaSweep:
 
 
 class TestDtnPairing:
-    """The top-line pairing of the pullback check against the assembled DtN
-    block; the pullback identity itself cannot see it (both sides share
-    one pairing)."""
+    """The assembled DtN block is the pairing of the trace coefficients:
+    conj(v)^T block u = period * sum_k conj(v_k) . M(xi_k) u_k."""
 
     @pytest.mark.parametrize("omega", [2.0, 8.0])
     def test_equals_dtn_block_form(self, flat_geom, omega):
@@ -437,15 +439,22 @@ class TestDtnPairing:
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 32, 4)
         n_max = 12
         gen = np.random.default_rng(int(omega))
-        u, v = (gen.standard_normal((mesh.nx, 2))
-                + 1j * gen.standard_normal((mesh.nx, 2)) for _ in range(2))
-        expect = np.conj(v).ravel() @ fem._dtn_block(mesh, p, n_max) \
-            @ u.ravel()
-        got = _dtn_pairing(u, v, mesh.period, p, n_max)
-        assert abs(got - expect) <= 1e-13 * abs(expect)
+        u, v = (np.zeros((mesh.n_nodes, 2), dtype=complex) for _ in range(2))
+        for vals in (u, v):
+            vals[mesh.top_nodes] = (gen.standard_normal((mesh.nx, 2))
+                                    + 1j * gen.standard_normal((mesh.nx, 2)))
+        expect = np.conj(v[mesh.top_nodes]).ravel() \
+            @ fem._dtn_block(mesh, p, n_max) @ u[mesh.top_nodes].ravel()
+
+        def pairing(a, b):
+            tr_a = trace_coefficients(mesh, a, n_max)
+            tr_b = trace_coefficients(mesh, b, n_max)
+            return mesh.period * np.sum(np.conj(tr_b.coef)
+                                        * apply_dtn(tr_a, p).coef)
+
+        assert abs(pairing(u, v) - expect) <= 1e-13 * abs(expect)
         # negative control: the pairing is not symmetric in (u, v)
-        swapped = _dtn_pairing(v, u, mesh.period, p, n_max)
-        assert abs(swapped - expect) > 1e-3 * abs(expect)
+        assert abs(pairing(v, u) - expect) > 1e-3 * abs(expect)
 
 
 class TestPullbackIdentity:
@@ -456,13 +465,13 @@ class TestPullbackIdentity:
 
         monkeypatch.setattr(DofPattern, "for_strip", refuse)
         r = pullback_identity_check(_sampled_map(surface_model), params2, 1,
-                                    nx=24, ny=24, n_max=8, seed=4)
+                                    nx=24, ny=24, seed=4)
         assert r["max_discrepancy"] < 1e-4
 
     def test_identity_map(self, params2):
         f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
         dmap = DomainMap(f0=f0, f_eta=f0, cutoff=make_cutoff(0.1, 1.1))
-        r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48, n_max=8)
+        r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48)
         assert r["max_discrepancy"] < 1e-12
 
     def test_flat_shift_refinement(self, params2):
@@ -470,15 +479,15 @@ class TestPullbackIdentity:
         f1 = flat_surface(0.35, 0.2, 0.4, 1.0)
         dmap = DomainMap(f0=f0, f_eta=f1, cutoff=make_cutoff(0.1, 1.1))
         coarse = pullback_identity_check(dmap, params2, 3, nx=48, ny=48,
-                                         n_max=8, seed=2)
+                                         seed=2)
         fine = pullback_identity_check(dmap, params2, 3, nx=96, ny=96,
-                                       n_max=8, seed=2)
+                                       seed=2)
         assert coarse["b_discrepancy"] < 1e-6
         assert fine["b_discrepancy"] < coarse["b_discrepancy"]
 
     def test_source_pair(self, params2, surface_model, bump):
         r = pullback_identity_check(_sampled_map(surface_model), params2, 2,
-                                    nx=48, ny=48, source=bump, n_max=8,
+                                    nx=48, ny=48, source=bump,
                                     seed=4)
         assert r["g_discrepancy"] < 1e-6
 
@@ -488,12 +497,12 @@ class TestPullbackIdentity:
         # the identity, or the check has become vacuous
         dmap = _sampled_map(surface_model)
         r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48,
-                                    n_max=8, seed=4)
+                                    seed=4)
         assert r["b_discrepancy"] < 1e-6
         monkeypatch.setattr(MappedQuadrature, "pullback_gradient",
                             lambda self, gx: np.asarray(gx))
         r = pullback_identity_check(dmap, params2, 2, nx=48, ny=48,
-                                    n_max=8, seed=4)
+                                    seed=4)
         assert r["b_discrepancy"] > 1e-6
 
     def test_blocks_equal_single_block_form(self):
@@ -549,7 +558,7 @@ class TestPullbackIdentity:
         # the check has become vacuous for that part of the change of
         # variables
         dmap = _sampled_map(surface_model)
-        args = dict(nx=48, ny=48, source=bump, n_max=8, seed=4)
+        args = dict(nx=48, ny=48, source=bump, seed=4)
         assert pullback_identity_check(dmap, params2, 2,
                                        **args)["max_discrepancy"] < 1e-6
         map_rule, rows = verify.map_quadrature, TrigPolyField.rows
@@ -585,6 +594,22 @@ class TestPullbackIdentity:
         r = pullback_identity_check(dmap, params2, 2, **args)
         assert r["max_discrepancy"] > 1e-6
 
+    @pytest.mark.parametrize("case", [{}, {"index": 3, "seed": 7}])
+    def test_fields_vanish_on_the_top_line(self, case):
+        # the window ends below the top line, so every test field is an
+        # exact zero there and the form's DtN pairing is exactly 0: the
+        # check compares the domain forms alone
+        dmap, _, args = _verify_all_case(**case)
+        band_lo, window = _pullback_window(dmap)
+        h = dmap.f0.sup() + dmap.cutoff.gap
+        assert window.support[1] < h
+        assert window.value(np.array([h]))[0] == 0.0
+        top = np.c_[np.linspace(0.0, dmap.f0.period, 97), np.full(97, h)]
+        for s in (0, 1, 777):
+            f = TrigPolyField(dmap.f0.period, window,
+                              seed=args["seed"] * 1000 + s, x2_ref=band_lo)
+            assert not np.any(f.values(top))
+
     def test_skipped_triangles_carry_zero_window(self):
         # every triangle the check skips has chi = chi' = 0 at all of its
         # 7 points, on both sides, so each skipped term is an exact zero
@@ -608,7 +633,7 @@ def _verify_all_case(index=0, seed=None, identity=False):
     """(dmap, params, keyword arguments) of verify-all's pullback check on
     the default config, with another sampled surface or seed if given, or
     with the identity map."""
-    cfg = default_config()
+    cfg = RunConfig()
     _, gap = cli._gate_random(cfg)
     model = cfg.make_model()
     f_eta = model.f0 if identity else sample_surface(model, index)
@@ -617,8 +642,7 @@ def _verify_all_case(index=0, seed=None, identity=False):
                      epsilon_margin=cfg.epsilon_margin)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     return dmap, cfg.make_params(), dict(
-        nx=64, ny=64, source=src, n_max=8,
-        seed=cfg.seed if seed is None else seed)
+        nx=64, ny=64, source=src, seed=cfg.seed if seed is None else seed)
 
 
 def _assert_equals_all_triangle_form(dmap, p, args):
@@ -704,8 +728,7 @@ def _domain_form(p, rule, u, v) -> complex:
     return complex(rule.integral(integrand))
 
 
-def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
-                                 seed):
+def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, seed):
     """pullback_identity_check with each side's test fields sampled point by
     point on all of its triangles at once: (its result, ((forms, loads) on
     the mapped domain, (forms, loads) pulled back))."""
@@ -719,10 +742,6 @@ def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
 
     pairs = [(field(2 * t), field(2 * t + 1)) for t in range(n_trials)]
     loads = [field(777 + t) for t in range(n_trials)]
-    top = _basis(field(0), np.stack([mesh_ref.nodes[mesh_ref.top_nodes, 0],
-                                     np.full(nx, h)], axis=-1))
-    dtn = [_dtn_pairing(_sample(u, top)[0], _sample(v, top)[0], per, p,
-                        n_max) for u, v in pairs]
 
     def side(rule, gradient):
         basis = _basis(field(0), rule.points)
@@ -731,8 +750,8 @@ def _single_block_pullback_check(dmap, p, n_trials, nx, ny, source, n_max,
             val, grad = _sample(f, basis)
             return val, gradient(grad)
 
-        forms = [_domain_form(p, rule, sample(u), sample(v)) - d
-                 for (u, v), d in zip(pairs, dtn)]
+        forms = [_domain_form(p, rule, sample(u), sample(v))
+                 for u, v in pairs]
         g = source(rule.points).reshape(-1, 2)
         return forms, [complex(-rule.integral(
             g * np.conj(_sample(f, basis)[0]))) for f in loads]
@@ -915,21 +934,22 @@ class TestHelmholtzFieldCheck:
     def test_pure_p_trace(self, params2):
         xi = 2 * math.pi
         gp = complex(gamma(xi, params2.k_p))
-        tr = TraceCoefficients(period=1.0, height=1.4,
-                               modes={1: np.array([xi, gp], complex)})
+        tr = TraceCoefficients(period=1.0, height=1.4, ns=np.array([1]),
+                               coef=np.array([[xi, gp]], complex))
         r = helmholtz_field_check(tr, params2)
         assert r["s_residual"] < 1e-12
 
     def test_zero_trace(self, params2):
-        tr = TraceCoefficients(period=1.0, height=1.4, modes={})
+        tr = TraceCoefficients(period=1.0, height=1.4,
+                               ns=np.zeros(0, dtype=int),
+                               coef=np.zeros((0, 2), complex))
         r = helmholtz_field_check(tr, params2)
         assert r == {"p_residual": 0.0, "s_residual": 0.0}
 
     def test_solved_problem(self, flat_geom, params2, bump):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 32, 48)
         system = assemble_B(mesh, params2, 8)
-        sol = solve(system, assemble_load(mesh, bump),
-                    metadata={"omega": 2.0, "n_max": system.n_max})
+        sol = solve(system, assemble_load(mesh, bump))
         r = helmholtz_field_check(sol, params2)
         assert r["p_residual"] < 1e-6
         assert r["s_residual"] < 1e-6
