@@ -45,9 +45,7 @@ def main() -> None:
     sol0 = solve(assemble_B(mesh, p0, 16), assemble_load(mesh, src0))
     prof0 = bound_profile(om0, 1.4, 0.2, l0)
     gn = source_norms(mesh, src0)["h1"]
-    anchor = sol0.norms["h1"] ** 2 / (
-        (prof0.h + 2.0 - prof0.m) ** 2
-        * (prof0.c4 + prof0.c5 + prof0.c6) ** 2 * gn ** 2)
+    anchor = sol0.norms["h1"] ** 2 / (prof0.envelope_factor * gn ** 2)
     calibrated = 2.0 * anchor
     print(f"anchored constant: {calibrated:.4e}")
 

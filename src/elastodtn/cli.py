@@ -20,9 +20,10 @@ import numpy as np
 from . import dtn, montecarlo, verify
 from .config import RunConfig, load_config, resolved_text
 from .errors import ConfigError, ElastoDtnError, GeometryError
-from .fem import assemble_B, assemble_load, solve
+from .fem import assemble_B, assemble_load, free_vector, solve
 from .mesh import build_mesh
-from .model import DomainMap, height_condition, make_cutoff, make_source, sample_surface
+from .model import (DomainMap, height_condition, keyed_generator, make_cutoff,
+                    make_source, sample_surface)
 from .verify import (
     bound_profile,
     convergence_slopes,
@@ -68,6 +69,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     else:
         text += "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
     path.write_text(text, newline="")
+
+
+def _write_checks(out: Path, rows) -> int:
+    """Write checks.csv, one [check_name, lhs, rhs, ok, tolerance] row per
+    check; the exit status is 0 when every ok holds, 1 otherwise."""
+    _write_csv(out / "checks.csv",
+               ["check_name", "lhs", "rhs", "ok", "tolerance"], rows)
+    return 0 if all(row[3] for row in rows) else 1
 
 
 def _svg_loglog(path: Path, xs, series: dict[str, list[float]]) -> None:
@@ -153,15 +162,15 @@ def _cmd_mms(cfg: RunConfig, out: Path) -> int:
             for lev, row in enumerate(table)]
     _write_csv(out / "mms.csv", ["level", "mesh_size", "h1_error", "l2_error"],
                rows)
-    h1 = convergence_slopes(table, "h1_error")
-    l2 = convergence_slopes(table, "l2_error")
-    checks = [
-        ["mms_h1_slope", h1[-1], 1.3, 0.8 <= h1[-1] <= 1.3, 0.8],
-        ["mms_l2_slope", l2[-1], 2.4, 1.6 <= l2[-1] <= 2.4, 1.6],
-    ]
-    _write_csv(out / "checks.csv",
-               ["check_name", "lhs", "rhs", "ok", "tolerance"], checks)
-    return 0 if all(c[3] for c in checks) else 1
+    return _write_checks(out, _mms_slope_checks(table))
+
+
+def _mms_slope_checks(table) -> list:
+    """checks.csv rows of the finest observed H1 and L2 orders."""
+    h1 = convergence_slopes(table, "h1_error")[-1]
+    l2 = convergence_slopes(table, "l2_error")[-1]
+    return [["mms_h1_slope", h1, 1.3, 0.8 <= h1 <= 1.3, 0.8],
+            ["mms_l2_slope", l2, 2.4, 1.6 <= l2 <= 2.4, 1.6]]
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
@@ -187,10 +196,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     ok = (sweep.fitted_slope <= 3.3
           and all(r <= e * (1.0 + 1e-9) for r, e in
                   zip(sweep.ratios, sweep.profile_envelope)))
-    _write_csv(out / "checks.csv",
-               ["check_name", "lhs", "rhs", "ok", "tolerance"],
-               [["omega_sweep_slope", sweep.fitted_slope, 3.3, ok, 0.0]])
-    return 0 if ok else 1
+    return _write_checks(
+        out, [["omega_sweep_slope", sweep.fitted_slope, 3.3, ok, 0.0]])
 
 
 def _gate_random(cfg: RunConfig):
@@ -204,7 +211,7 @@ def _gate_random(cfg: RunConfig):
 
 
 def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
-    geom, gap = _gate_random(cfg)
+    geom, _ = _gate_random(cfg)
     p = cfg.make_params()
     model = cfg.make_model()
     spec = cfg.make_source_spec()
@@ -217,7 +224,7 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
         _deterministic_anchor, cfg, profile)
     res = montecarlo.run_ensemble(
         model, spec, p, mesh, cfg.N, parallelism=cfg.parallelism,
-        anchor=anchor, delta=cfg.auto_delta(gap),
+        anchor=anchor, delta=cfg.delta or None,
         epsilon_margin=cfg.epsilon_margin, n_max=cfg.auto_n_max())
     _write_csv(out / "ensemble.csv",
                ["index", "u_h1_sq", "u_ref_h1_sq", "g_h1_sq", "min_detJ"],
@@ -227,11 +234,8 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
     c = cfg.calibrated_c if anchor is None \
         else cfg.anchor_safety * res.anchor
     check = montecarlo.meansquare_envelope_check(res, profile, c)
-    _write_csv(out / "checks.csv",
-               ["check_name", "lhs", "rhs", "ok", "tolerance"],
-               [["meansquare_envelope", check["lhs"], check["rhs"],
-                 check["ok"], 0.0]])
-    return 0 if check["ok"] else 1
+    return _write_checks(out, [["meansquare_envelope", check["lhs"],
+                                check["rhs"], check["ok"], 0.0]])
 
 
 def _deterministic_anchor(cfg: RunConfig, profile, system) -> float:
@@ -244,9 +248,7 @@ def _deterministic_anchor(cfg: RunConfig, profile, system) -> float:
     elems = src.support_elements(mesh.quadrature)
     sol = solve(system, assemble_load(mesh, src, elems))
     gn = verify.source_norms(mesh, src, elems)["h1"]
-    denom = ((profile.h + 2.0 - profile.m) ** 2
-             * (profile.c4 + profile.c5 + profile.c6) ** 2 * gn ** 2)
-    return sol.norms["h1"] ** 2 / denom
+    return sol.norms["h1"] ** 2 / (profile.envelope_factor * gn ** 2)
 
 
 def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
@@ -272,8 +274,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     checks.append(["symbol_growth_stable", rel, 0.01, rel < 0.01, 0.0])
 
     # projection algebra and keystone
-    gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 1],
-                                                            dtype=np.uint64)))
+    gen = keyed_generator(cfg.seed, 1)
     xis = gen.uniform(-5.0 * p.k_s, 5.0 * p.k_s, 1000)
     mp, ms = dtn.projection_matrices(xis, p)
     eye = np.eye(2)
@@ -291,7 +292,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     system = assemble_B(mesh, p, cfg.auto_n_max())
     load = assemble_load(mesh, src, elems)
     sol = solve(system, load)
-    xvec = verify._free_vector(mesh, sol.values)
+    xvec = free_vector(mesh, sol.values)
     gl2 = verify.source_norms(mesh, src, elems)["l2"]
     res_inf = float(np.max(np.abs(system.matrix @ xvec - load)))
     checks.append(["galerkin_residual", res_inf, 1e-9 * gl2,
@@ -315,7 +316,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     # pullback identity on one sampled map
     model = cfg.make_model()
     f1 = sample_surface(model, 0)
-    cutoff = make_cutoff(cfg.auto_delta(gap), gap)
+    cutoff = make_cutoff(cfg.delta or None, gap)
     dmap = DomainMap(f0=model.f0, f_eta=f1, cutoff=cutoff,
                      epsilon_margin=cfg.epsilon_margin)
     pb = pullback_identity_check(dmap, p, 2, nx=64, ny=64, source=src,
@@ -324,15 +325,9 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
                    pb["max_discrepancy"] < 1e-6, 0.0])
 
     # MMS slopes (coarse, 3 levels)
-    table = mms_convergence(p, geom, 3, n_max=cfg.auto_n_max())
-    h1s = convergence_slopes(table, "h1_error")[-1]
-    l2s = convergence_slopes(table, "l2_error")[-1]
-    checks.append(["mms_h1_slope", h1s, 1.3, 0.8 <= h1s <= 1.3, 0.8])
-    checks.append(["mms_l2_slope", l2s, 2.4, 1.6 <= l2s <= 2.4, 1.6])
-
-    _write_csv(out / "checks.csv",
-               ["check_name", "lhs", "rhs", "ok", "tolerance"], checks)
-    return 0 if all(bool(c[3]) for c in checks) else 1
+    checks += _mms_slope_checks(mms_convergence(p, geom, 3,
+                                                n_max=cfg.auto_n_max()))
+    return _write_checks(out, checks)
 
 
 def _keystone_deviation(p, gen, n_pairs: int) -> float:

@@ -25,6 +25,7 @@ from .model import (
     SurfaceFn,
     cosine_surface,
     flat_surface,
+    keyed_generator,
     make_params,
     sawtooth_surface,
 )
@@ -105,8 +106,7 @@ class RunConfig:
 
     def resolved_phases(self) -> tuple[float, ...]:
         if self.phase_seed >= 0:
-            gen = np.random.Generator(np.random.Philox(key=np.array(
-                [self.phase_seed, 0x9A5E], dtype=np.uint64)))
+            gen = keyed_generator(self.phase_seed, 0x9A5E)
             return tuple(float(t) for t in
                          gen.uniform(0.0, 2.0 * math.pi, self.mode_count))
         return self.phases
@@ -143,9 +143,6 @@ class RunConfig:
                 f"(nx - 1) // 2 = {nyquist}; the DtN block uses {nyquist}",
                 RuntimeWarning, stacklevel=2)
         return n_max
-
-    def auto_delta(self, gap: float) -> float:
-        return self.delta if self.delta > 0.0 else gap / 8.0
 
 
 _SCHEMA = {
@@ -287,7 +284,10 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.parallelism >= 1, "run.parallelism", "must be >= 1")
     need(0.0 < cfg.epsilon_margin < 1.0, "run.epsilon_margin",
          "must be in (0, 1)")
+    need(cfg.delta >= 0.0, "run.delta", "must be >= 0 (0 = auto)")
     need(cfg.levels >= 3, "run.levels", "must be >= 3")
+    need(cfg.calibrated_c >= 0.0, "run.calibrated_c",
+         "must be >= 0 (0 = auto-anchor)")
     # the surface itself must respect the declared envelope
     surf = cfg.make_surface()
     try:

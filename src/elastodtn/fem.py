@@ -58,6 +58,8 @@ __all__ = [
     "assemble_load",
     "assemble_load_transformed",
     "solve",
+    "solver_record",
+    "free_vector",
     "StripPreconditioner",
     "strip_preconditioner",
     "norms",
@@ -213,14 +215,12 @@ class SparseSystem:
     """Assembled complex system: sparse domain part minus a dense DtN block.
 
     `matrix` is the whole system in CSC, the only matrix held.  The DtN
-    block couples only the top-node dofs; `top_dofs` lists their positions
-    inside the free-dof vector.
+    block (`_dtn_block`) couples only the top-node dofs, at
+    `mesh.pattern.top_dofs` of the free-dof vector.
     """
 
     dimension: int
     matrix: sp.csc_matrix             # domain part minus the DtN block
-    dtn_block: np.ndarray             # (2*nx, 2*nx) complex
-    top_dofs: np.ndarray              # (2*nx,) indices into the free vector
     mesh: Mesh
     params: ElasticParams
     n_max: int                        # DtN modes |n| <= n_max in the block
@@ -336,8 +336,6 @@ def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
     return SparseSystem(
         dimension=domain.shape[0],
         matrix=domain - dtn,
-        dtn_block=block,
-        top_dofs=top,
         mesh=mesh,
         params=p,
         n_max=n_eff,
@@ -689,10 +687,8 @@ def solve(system: SparseSystem, load: np.ndarray,
         x = np.zeros_like(b)
 
     mesh = system.mesh
-    free = mesh.free_nodes
     values = np.zeros((mesh.n_nodes, 2), dtype=complex)
-    values[free, 0] = x[0::2]
-    values[free, 1] = x[1::2]
+    values[mesh.free_nodes] = x.reshape(-1, 2)    # `free_vector`'s inverse
     sol = FieldSolution(mesh=mesh, values=values, norms={},
                         metadata={"omega": system.params.omega,
                                   "n_max": system.n_max,
@@ -700,6 +696,20 @@ def solve(system: SparseSystem, load: np.ndarray,
                                   **health})
     sol.norms.update(norms(sol))
     return sol
+
+
+def free_vector(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """The free-dof vector of nodal values (n_nodes, 2): free node k
+    (`DofPattern`) owns entries 2k and 2k + 1.  `solve` lays its solution
+    out on the nodes by the inverse map."""
+    return np.asarray(values, dtype=complex)[mesh.free_nodes].reshape(-1)
+
+
+def solver_record(sol: FieldSolution) -> dict:
+    """The solve's `solver` (None for a zero load) and GMRES `iterations`
+    (0 when GMRES did not run)."""
+    return {"solver": sol.metadata.get("solver"),
+            "iterations": sol.metadata.get("iterations", 0)}
 
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:

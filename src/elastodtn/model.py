@@ -43,6 +43,7 @@ __all__ = [
     "height_condition",
     "CutoffFn",
     "make_cutoff",
+    "keyed_generator",
     "DomainMap",
     "check_invertibility",
     "RandomSurfaceModel",
@@ -230,8 +231,11 @@ class CutoffFn:
         return np.where(inside, -self.max_slope, 0.0)
 
 
-def make_cutoff(delta: float, gap: float) -> CutoffFn:
-    """Build the default ramp; requires 0 < delta < gap/4 for the slope margin."""
+def make_cutoff(delta: float | None, gap: float) -> CutoffFn:
+    """Build the default ramp; requires 0 < delta < gap/4 for the slope
+    margin.  delta None takes gap/8."""
+    if delta is None:
+        delta = gap / 8.0
     if not (0.0 < delta < gap / 4.0):
         raise CutoffError(
             f"delta={delta} must lie in (0, gap/4)=(0, {gap / 4.0}) to keep "
@@ -241,6 +245,14 @@ def make_cutoff(delta: float, gap: float) -> CutoffFn:
     return CutoffFn(delta=float(delta), gap=float(gap),
                     ramp_end=float(ramp_end),
                     max_slope=1.0 / (gap - 1.5 * delta))
+
+
+def keyed_generator(seed: int, stream: int) -> np.random.Generator:
+    """The counter-based generator of one (seed, stream) pair: Philox keyed
+    by the seed modulo 2^64 and the stream, so any integer seed (negative
+    ones included) names one reproducible sequence."""
+    key = np.array([seed % (1 << 64), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -388,35 +400,16 @@ def sample_surface(model: RandomSurfaceModel, index: int) -> SurfaceFn:
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     per = model.f0.period
-    key = np.array([model.seed % (1 << 64), index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    xi = gen.uniform(-1.0, 1.0, size=model.mode_count)
-    amps = np.asarray(model.amplitudes, dtype=float) * xi
-    modes = np.arange(1, model.mode_count + 1, dtype=float)
-    phases = np.asarray(model.phases, dtype=float)
-    ks = 2.0 * math.pi * modes / per
+    xi = keyed_generator(model.seed, index).uniform(-1.0, 1.0,
+                                                    size=model.mode_count)
+    pert = cosine_surface(0.0, np.asarray(model.amplitudes, dtype=float) * xi,
+                          np.arange(1, model.mode_count + 1), model.phases,
+                          model.f0.f_min, model.f0.f_max, per)
     f0, df0 = model.f0.f, model.f0.df
-
-    if model.mode_count == 0:
-        surf = SurfaceFn(f=f0, df=df0, f_min=model.f0.f_min,
-                         f_max=model.f0.f_max,
-                         lipschitz=model.f0.lipschitz, period=per)
-    else:
-        def f(x, _amps=amps, _ks=ks, _ph=phases):
-            x = np.asarray(x, dtype=float)
-            pert = np.sum(_amps * np.cos(np.multiply.outer(x, _ks) + _ph),
-                          axis=-1)
-            return f0(x) + pert
-
-        def df(x, _amps=amps, _ks=ks, _ph=phases):
-            x = np.asarray(x, dtype=float)
-            pert = -np.sum(_amps * _ks * np.sin(np.multiply.outer(x, _ks) + _ph),
-                           axis=-1)
-            return df0(x) + pert
-
-        surf = SurfaceFn(f=f, df=df, f_min=model.f0.f_min,
-                         f_max=model.f0.f_max,
-                         lipschitz=model.lipschitz_envelope, period=per)
+    surf = SurfaceFn(f=lambda x: f0(x) + pert.f(x),
+                     df=lambda x: df0(x) + pert.df(x),
+                     f_min=model.f0.f_min, f_max=model.f0.f_max,
+                     lipschitz=model.lipschitz_envelope, period=per)
     surf.validate()
     return surf
 
@@ -523,8 +516,7 @@ def make_source(spec: SourceSpec, index: int | None = None,
     center = np.asarray(spec.center, dtype=float)
     amp = np.asarray(spec.amplitude, dtype=complex)
     if spec.jitter is not None and index is not None:
-        key = np.array([spec.jitter.seed % (1 << 64), index], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        gen = keyed_generator(spec.jitter.seed, index)
         angle = gen.uniform(0.0, 2.0 * math.pi)
         rad = spec.jitter.center_radius * math.sqrt(gen.uniform(0.0, 1.0))
         center = center + rad * np.array([math.cos(angle), math.sin(angle)])

@@ -43,6 +43,7 @@ from .fem import (
     assemble_load_transformed,
     map_quadrature,
     solve,
+    solver_record,
     strip_preconditioner,
 )
 from .mesh import Mesh
@@ -64,7 +65,6 @@ __all__ = [
     "run_ensemble",
     "meansquare_envelope_check",
     "random_input_moments",
-    "default_n_max",
 ]
 
 
@@ -106,32 +106,23 @@ def _sample_n_max(model: RandomSurfaceModel, p: ElasticParams,
     return default_n_max(p, model.f0.period) if n_max is None else n_max
 
 
-_OWN = object()   # run_sample's default: build its own preconditioner
-
-
 def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
-               mesh_ref: Mesh, index: int, *, delta: float | None = None,
-               epsilon_margin: float = 0.05,
-               n_max: int | None = None, preconditioner=_OWN) -> dict:
+               mesh_ref: Mesh, index: int, *, preconditioner,
+               delta: float | None = None, epsilon_margin: float = 0.05,
+               n_max: int | None = None) -> dict:
     """Solve one draw of the random problem; returns the per-sample record.
 
     The source enters (load and norm) only through the triangles where it
-    does not vanish.  The system is solved with `preconditioner` (see
-    `fem.solve`; None solves by LU), which may be a `Future` of one, waited
-    for just before the solve; when it is not given, the sample builds its
-    own strip preconditioner of the reference system, the one
-    `run_ensemble` shares.  The
-    record's `solver` and `iterations` (0 when GMRES did not run) come from
-    the solve's metadata."""
+    does not vanish.  The system is solved with `preconditioner`: a
+    `fem.StripPreconditioner` (`run_ensemble` shares the reference
+    system's), a `Future` of one, waited for just before the solve, or None
+    for the LU (see `fem.solve`).  The record's `solver` and `iterations`
+    are `fem.solver_record`'s.  delta None is `make_cutoff`'s default."""
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     h = mesh_ref.h
     gap = h - model.f0.sup()
-    if delta is None:
-        delta = gap / 8.0
     n_max = _sample_n_max(model, p, n_max)
-    if preconditioner is _OWN:
-        preconditioner = strip_preconditioner(assemble_B(mesh_ref, p, n_max))
     f_eta = sample_surface(model, index)
     cutoff = make_cutoff(delta, gap)
     dmap = DomainMap(f0=model.f0, f_eta=f_eta, cutoff=cutoff,
@@ -155,8 +146,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
         "g_h1_sq": pullback_source_h1_sq(g_eta, near, g_values),
         "min_detJ": min_detj,
         "kappa": _norm_equivalence_kappa(mq),
-        "solver": sol.metadata.get("solver"),
-        "iterations": sol.metadata.get("iterations", 0),
+        **solver_record(sol),
     }
 
 
@@ -240,9 +230,7 @@ def meansquare_envelope_check(res: EnsembleResult, profile: BoundProfile,
     The profile must be evaluated at the envelope Lipschitz constant
     L0 = L + M0 of the random family.
     """
-    factor = (profile.h + 2.0 - profile.m) ** 2
-    rhs = calibrated_C * factor * (profile.c4 + profile.c5 + profile.c6) ** 2 \
-        * res.mean_g_sq
+    rhs = calibrated_C * profile.envelope_factor * res.mean_g_sq
     lhs = res.mean_u_sq
     return {"lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs)}
 
@@ -255,10 +243,7 @@ def random_input_moments(model: RandomSurfaceModel, src: SourceSpec,
     if N < 2:
         raise ParameterError("N must be >= 2 for moment estimates")
     h = mesh_ref.h
-    gap = h - model.f0.sup()
-    if delta is None:
-        delta = gap / 8.0
-    cutoff = make_cutoff(delta, gap)
+    cutoff = make_cutoff(delta, h - model.f0.sup())
     f_moms = []
     g_moms = []
     for i in range(N):

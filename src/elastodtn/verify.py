@@ -34,8 +34,9 @@ from .fem import (
     strip_preconditioner,
     trace_coefficients,
 )
-from .mesh import Mesh, build_mesh, nyquist_index
-from .model import DomainMap, ElasticParams, Geometry, SourceField, make_params
+from .mesh import Mesh, build_mesh
+from .model import (DomainMap, ElasticParams, Geometry, SourceField,
+                    keyed_generator, make_params)
 
 __all__ = [
     "BoundProfile",
@@ -85,6 +86,13 @@ class BoundProfile:
     c4: float
     c5: float
     c6: float
+
+    @property
+    def envelope_factor(self) -> float:
+        """(H - m + 1)^2 (c4 + c5 + c6)^2: the mean-square envelope is
+        C times this times E||g~||^2_H1."""
+        return ((self.h + 2.0 - self.m) ** 2
+                * (self.c4 + self.c5 + self.c6) ** 2)
 
 
 def bound_profile(omega: float, h: float, m: float, L: float) -> BoundProfile:
@@ -153,8 +161,8 @@ class SmoothStep:
 
 
 class SmoothWindow:
-    """C^3 window: 0 outside (lo, hi), 1 on the middle plateau.  `value`
-    and `d1` are exactly 0 outside the open `support` (lo, hi)."""
+    """C^3 window: 0 outside (lo, hi), 1 on the middle plateau.  Its value
+    and derivative are exactly 0 outside the open `support` (lo, hi)."""
 
     def __init__(self, lo: float, hi: float, ramp_fraction: float = 0.35):
         self.support = (float(lo), float(hi))
@@ -162,16 +170,8 @@ class SmoothWindow:
         self.up = SmoothStep(lo, lo + w, order=7)
         self.down = SmoothStep(hi - w, hi, order=7)
 
-    def value(self, x):
-        return self.up.value(x) * (1.0 - self.down.value(x))
-
-    def d1(self, x):
-        return (self.up.d1(x) * (1.0 - self.down.value(x))
-                - self.up.value(x) * self.down.d1(x))
-
     def value_d1(self, x):
-        """(value, d1), bitwise those of `value` and `d1`, from one
-        evaluation of each step."""
+        """(value, d1) from one evaluation of each step."""
         up, dup = self.up.value_d1(x)
         down, ddown = self.down.value_d1(x)
         rest = 1.0 - down
@@ -294,29 +294,20 @@ def navier_apply_fd(value_fn, p: ElasticParams, pts, step: float = 0.01):
     return (16.0 * fine - coarse) / 15.0
 
 
-def manufactured_source(u_exact, p: ElasticParams, step: float = 0.01,
-                        check_period: float | None = None):
-    """Source g = mu Lap(u) + (lam+mu) grad(div u) + omega^2 u as a callable.
-
-    Uses the field's closed-form .source when available, otherwise the
-    finite-difference application.  When a period is known (either passed or
-    read off the field) the field is required to be periodic in x1.
-    """
-    period = check_period if check_period is not None else getattr(
-        u_exact, "period", None)
-    value_fn = u_exact.value if hasattr(u_exact, "value") else u_exact
-    if period is not None:
-        x2 = np.linspace(0.0, 1.0, 9)
-        left = np.stack([np.zeros_like(x2), x2], axis=-1)
-        right = left.copy()
-        right[..., 0] = period
-        va, vb = np.asarray(value_fn(left)), np.asarray(value_fn(right))
-        scale = max(1.0, float(np.max(np.abs(va))))
-        if np.max(np.abs(va - vb)) > 1e-9 * scale:
-            raise MmsError("manufactured field is not periodic in x1")
-    if hasattr(u_exact, "source"):
-        return u_exact.source
-    return lambda pts: navier_apply_fd(value_fn, p, pts, step=step)
+def manufactured_source(u_exact):
+    """Source g = mu Lap(u) + (lam+mu) grad(div u) + omega^2 u of a
+    manufactured field: its closed-form `.source`, once the field is found
+    periodic in x1 over its `.period` (`navier_apply_fd` is the tests'
+    reference for it)."""
+    x2 = np.linspace(0.0, 1.0, 9)
+    left = np.stack([np.zeros_like(x2), x2], axis=-1)
+    right = left.copy()
+    right[..., 0] = u_exact.period
+    va, vb = np.asarray(u_exact.value(left)), np.asarray(u_exact.value(right))
+    scale = max(1.0, float(np.max(np.abs(va))))
+    if np.max(np.abs(va - vb)) > 1e-9 * scale:
+        raise MmsError("manufactured field is not periodic in x1")
+    return u_exact.source
 
 
 def _field_errors(mesh: Mesh, sol_values: np.ndarray, field) -> tuple[float, float]:
@@ -366,7 +357,7 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
         ny0 = max(8, int(math.ceil((geom.h - geom.surface.f_min) * 8)))
     if field is None:
         field = default_mms_field(p, geom)
-    g = manufactured_source(field, p)
+    g = manufactured_source(field)
     table = []
     for lev in range(levels):
         mesh = build_mesh(geom.surface, geom.h, nx0 * 2 ** lev, ny0 * 2 ** lev)
@@ -378,14 +369,8 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
         h1_err, l2_err = _field_errors(mesh, sol.values, field)
         table.append({"mesh_size": mesh.meshsize(),
                       "h1_error": h1_err, "l2_error": l2_err,
-                      **_solver_record(sol)})
+                      **fem.solver_record(sol)})
     return table
-
-
-def _solver_record(sol: FieldSolution) -> dict:
-    """The solve's `solver` and GMRES `iterations` (0 when it did not run)."""
-    return {"solver": sol.metadata["solver"],
-            "iterations": sol.metadata.get("iterations", 0)}
 
 
 def convergence_slopes(table, key: str) -> list[float]:
@@ -426,18 +411,15 @@ def _rellich_integrand(tu, u, grad, p: ElasticParams) -> np.ndarray:
     return term1 - e + p.omega ** 2 * np.sum(np.abs(u) ** 2, axis=-1)
 
 
-def rellich_residual(sol: FieldSolution, g, p: ElasticParams,
-                     n_max: int | None = None) -> dict:
+def rellich_residual(sol: FieldSolution, g, p: ElasticParams) -> dict:
     """lhs / rhs of the boundary inequality for a solved field.
 
-    lhs uses the mode transform of the piecewise-linear top trace and the
-    top-layer element gradients (midpoint rule over top edges); rhs is
-    2 k_s Im int g . conj(u).
+    lhs uses the mode transform of the piecewise-linear top trace, truncated
+    as the solve's DtN (`metadata["n_max"]`), and the top-layer element
+    gradients (midpoint rule over top edges); rhs is 2 k_s Im int g . conj(u).
     """
     mesh = sol.mesh
-    if n_max is None:
-        n_max = int(sol.metadata.get("n_max", nyquist_index(mesh.nx)))
-    trace = trace_coefficients(mesh, sol.values, n_max)
+    trace = trace_coefficients(mesh, sol.values, sol.metadata["n_max"])
     dx = mesh.period / mesh.nx
     tu_mid = apply_dtn(trace, p).values((np.arange(mesh.nx) + 0.5) * dx)
 
@@ -546,7 +528,7 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
                             config.n_max)
         sol = solve(system, load, preconditioner=strip_preconditioner(system))
         ratios.append(sol.norms["h1"] / gn["h1"])
-        solves.append(_solver_record(sol))
+        solves.append(fem.solver_record(sol))
     omegas = [float(o) for o in config.omegas]
     lo = np.log(omegas)
     lr = np.log(ratios)
@@ -573,8 +555,7 @@ class TrigPolyField:
         self.chi = chi
         self.x2_ref = float(x2_ref)
         self.n_harmonics = n_harmonics
-        gen = np.random.Generator(np.random.Philox(key=np.array(
-            [seed % (1 << 64), 0xF1E1D], dtype=np.uint64)))
+        gen = keyed_generator(seed, 0xF1E1D)
         ks = np.arange(-n_harmonics, n_harmonics + 1)
         shape = (2, ks.size, 3)  # component, harmonic, x2-power
         self.coef = (gen.standard_normal(shape)
@@ -596,12 +577,6 @@ class TrigPolyField:
         e[:n] = np.conj(e[:n:-1])
         return np.concatenate([self._coef @ e, self._coef_dx @ e]).reshape(
             6, 2, -1)
-
-    def values(self, pts) -> np.ndarray:
-        """Values (n, 2) at the flattened points."""
-        x1, x2 = np.asarray(pts, dtype=float).reshape(-1, 2).T
-        a, z = self.rows(x1), x2 - self.x2_ref
-        return (self.chi.value(x2) * (a[0] + z * (a[1] + z * a[2]))).T
 
 
 _PULLBACK_BLOCK = 1024  # triangles summed at once by _abscissa_tables
@@ -752,8 +727,7 @@ def surface_distance_1inf(fa, fb, period: float, n_samples: int = 10000) -> floa
 def _random_unit_fields(mesh: Mesh, count: int, seed: int):
     """Random free-node fields normalized to unit H1 norm, as solutions
     carrying their (scaled) norms."""
-    gen = np.random.Generator(np.random.Philox(key=np.array(
-        [seed % (1 << 64), 0xBA7C4], dtype=np.uint64)))
+    gen = keyed_generator(seed, 0xBA7C4)
     free = mesh.free_nodes
     out = []
     for _ in range(count):
@@ -764,14 +738,6 @@ def _random_unit_fields(mesh: Mesh, count: int, seed: int):
         vec /= n["h1"]
         out.append(FieldSolution(mesh=mesh, values=vec, norms={
             k: v / n["h1"] for k, v in n.items()}))
-    return out
-
-
-def _free_vector(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    free = mesh.free_nodes
-    out = np.empty(2 * free.size, dtype=complex)
-    out[0::2] = values[free, 0]
-    out[1::2] = values[free, 1]
     return out
 
 
@@ -795,7 +761,7 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
     sol0 = solve(base, load0)
     fields = _random_unit_fields(mesh, n_batch, seed)
     pairs = [(fields[i], fields[(i + 1) % len(fields)]) for i in range(len(fields))]
-    uvecs = [(_free_vector(mesh, u.values), _free_vector(mesh, v.values))
+    uvecs = [(fem.free_vector(mesh, u.values), fem.free_vector(mesh, v.values))
              for u, v in pairs]
 
     q = mesh.quadrature
@@ -831,9 +797,10 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
 # ---------------------------------------------------------------------------
 
 def helmholtz_field_check(sol_or_trace, p: ElasticParams, dz: float = 0.5,
-                          n_samples: int = 256,
-                          n_max: int | None = None) -> dict:
-    """Cross-check the two propagation routes above the top line.
+                          n_samples: int = 256) -> dict:
+    """Cross-check the two propagation routes above the top line, for a
+    trace or for a solution's top trace truncated as its DtN
+    (`metadata["n_max"]`).
 
     Route A splits the trace into scalar compressional/shear data, propagates
     each with its own vertical wavenumber and reassembles the vector field;
@@ -844,10 +811,7 @@ def helmholtz_field_check(sol_or_trace, p: ElasticParams, dz: float = 0.5,
         trace = sol_or_trace
     else:
         sol = sol_or_trace
-        if n_max is None:
-            n_max = int(sol.metadata.get("n_max",
-                                         nyquist_index(sol.mesh.nx)))
-        trace = trace_coefficients(sol.mesh, sol.values, n_max)
+        trace = trace_coefficients(sol.mesh, sol.values, sol.metadata["n_max"])
     x1 = np.linspace(0.0, trace.period, n_samples, endpoint=False)
     pts = np.stack([x1, np.full_like(x1, trace.height + dz)], axis=-1)
 

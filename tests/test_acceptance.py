@@ -142,7 +142,7 @@ def test_criterion_04_mms_convergence():
     field = default_mms_field(p, geom)
     mesh = build_mesh(geom.surface, geom.h, 96, 36)
     system = assemble_B(mesh, p, 8)
-    load = assemble_load(mesh, manufactured_source(field, p))
+    load = assemble_load(mesh, manufactured_source(field))
     sol = solve(system, load)
     a = system.matrix
     x = np.empty(system.dimension, dtype=complex)

@@ -2,6 +2,7 @@
 
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from elastodtn.errors import ConfigError
 from elastodtn.fem import assemble_B, assemble_load, solve
 from elastodtn.mesh import build_mesh
 from elastodtn.model import make_source
-from elastodtn.montecarlo import default_n_max
+from elastodtn.dtn import default_n_max
 
 
 def _write(path, text):
@@ -89,6 +90,16 @@ class TestLoadConfig:
     def test_source_support_checked(self, tmp_path):
         path = _write(tmp_path / "a.cfg", "[source]\ncenter = 0.5, 0.45\n")
         with pytest.raises(ConfigError, match="source.center"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["delta", "calibrated_c"])
+    def test_negative_run_value_rejected_zero_is_auto(self, tmp_path, key):
+        # 0 selects the automatic value; a negative one used to as well,
+        # while resolved.cfg recorded it
+        path = _write(tmp_path / "a.cfg", f"[run]\n{key} = 0\n")
+        assert getattr(load_config(path), key) == 0.0
+        path = _write(tmp_path / "b.cfg", f"[run]\n{key} = -0.05\n")
+        with pytest.raises(ConfigError, match=f"run.{key}"):
             load_config(path)
 
     def test_explicit_n_max_past_nyquist_rejected(self, tmp_path):
@@ -292,6 +303,16 @@ class TestEnsembleCommand:
         assert checks[0]["check_name"] == "meansquare_envelope"
         assert checks[0]["ok"] == "True"
 
+    def test_zero_delta_is_the_automatic_cutoff(self, tmp_path):
+        # delta = 0 runs the cutoff of make_cutoff's default, gap / 8
+        cfg = RunConfig(command="ensemble", N=2, nx=20, ny=24)
+        gap = cfg.make_geometry().gap
+        outs = [tmp_path / "auto", tmp_path / "explicit"]
+        for c, out in zip((cfg, replace(cfg, delta=gap / 8.0)), outs):
+            assert run_command(c, str(out)) == 0
+        assert (outs[0] / "ensemble.csv").read_bytes() == \
+            (outs[1] / "ensemble.csv").read_bytes()
+
     def test_absurd_constant_fails_with_exit_1(self, tmp_path):
         cfg = RunConfig(command="ensemble", N=2, nx=16, ny=24,
                         calibrated_c=1e-30)
@@ -324,6 +345,17 @@ class TestCliMain:
         main(["solve", "--config", str(path), "--out", str(out),
               "--seed", "777"])
         assert "seed = 777" in (out / "resolved.cfg").read_text()
+
+    def test_verify_all_takes_a_negative_seed(self, tmp_path):
+        # every generator key takes the seed modulo 2^64
+        path = tmp_path / "ok.cfg"
+        path.write_text("")
+        out = tmp_path / "out"
+        assert main(["verify-all", "--config", str(path), "--out", str(out),
+                     "--seed", "-1"]) == 0
+        checks = _read_csv(out / "checks.csv")
+        assert len(checks) == 11
+        assert all(row["ok"] == "True" for row in checks)
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2

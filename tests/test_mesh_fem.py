@@ -26,6 +26,7 @@ from elastodtn.fem import (
     assemble_B_transformed,
     assemble_load,
     assemble_load_transformed,
+    free_vector,
     map_quadrature,
     norms,
     solve,
@@ -53,7 +54,7 @@ from elastodtn.model import (
     sample_surface,
     sawtooth_surface,
 )
-from elastodtn.montecarlo import default_n_max
+from elastodtn.dtn import default_n_max
 
 
 def _stiffness_and_mass(gij, mm, lam, mu):
@@ -328,7 +329,7 @@ class TestAssembly:
             mesh, params2, map_quadrature(mesh.quadrature, ident), 8)
         diff = abs(sys_a.matrix - sys_b.matrix).max()
         assert diff < 1e-14 * abs(sys_a.matrix).max()
-        assert np.array_equal(sys_a.dtn_block, sys_b.dtn_block)
+        assert sys_a.n_max == sys_b.n_max    # so the same DtN block
 
     def test_flat_shift_element_against_hand_factors(self):
         # map factors inside the ramp band: J1 = 0, J2 = -delta_f * slope
@@ -407,7 +408,7 @@ class TestAssembly:
             outer = np.outer(w, np.conj(w)) * (mesh.period * beta ** 2
                                                / mesh.nx ** 2)
             expect += np.kron(outer, symbol_matrices(xi, p))
-        block = assemble_B(mesh, p, n_max).dtn_block
+        block = fem._dtn_block(mesh, p, assemble_B(mesh, p, n_max).n_max)
         assert np.max(np.abs(block - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     def test_dtn_block_touches_only_top_dofs(self, flat_geom, params2):
@@ -415,7 +416,7 @@ class TestAssembly:
         system = assemble_B(mesh, params2, 3)
         full = (_domain_part(mesh, params2) - system.matrix).toarray()
         mask = np.zeros(system.dimension, dtype=bool)
-        mask[system.top_dofs] = True
+        mask[mesh.pattern.top_dofs] = True
         assert np.all(full[~mask, :] == 0.0)
         assert np.all(full[:, ~mask] == 0.0)
         assert np.any(full[np.ix_(mask, mask)] != 0.0)
@@ -455,8 +456,10 @@ def _csr_minus_coo_oracle(system, domain):
     """The system matrix built the way it was before the assembly wrote
     CSC: the CSR domain part minus the DtN block as COO, converted to
     CSC."""
-    top = system.top_dofs
-    dtn = sp.coo_matrix((system.dtn_block.ravel(),
+    mesh = system.mesh
+    top = mesh.pattern.top_dofs
+    block = fem._dtn_block(mesh, system.params, system.n_max)
+    dtn = sp.coo_matrix((block.ravel(),
                          (np.repeat(top, top.size), np.tile(top, top.size))),
                         shape=(system.dimension, system.dimension))
     return (domain - dtn).tocsc()
@@ -485,7 +488,7 @@ def _assert_system_structure(geom, model, nx, ny, omega, mapped):
         system = assemble_B(mesh, p, n_max)
     a = system.matrix
     assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
-    b = system.dtn_block
+    b = fem._dtn_block(mesh, p, system.n_max)
     eigs = np.linalg.eigvalsh((b - b.conj().T) / 2j)
     assert eigs.min() >= -1e-12 * eigs.max()
 
@@ -979,6 +982,7 @@ class TestSolve:
         x[1::2] = sol.values[mesh.free_nodes, 1]
         rel = np.linalg.norm(a @ x - load) / np.linalg.norm(load)
         assert rel <= 1e-10
+        assert np.array_equal(free_vector(mesh, sol.values), x)
 
     def test_shape_mismatch_raises(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)

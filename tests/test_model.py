@@ -25,6 +25,7 @@ from elastodtn.model import (
     cosine_surface,
     flat_surface,
     height_condition,
+    keyed_generator,
     make_cutoff,
     make_params,
     make_source,
@@ -87,6 +88,9 @@ class TestCutoff:
         assert a(2.0) == 0.0
         assert float(a(1.0)) == pytest.approx(0.529412, abs=1e-6)
         assert float(a.slope(1.0)) == pytest.approx(-0.588235, abs=1e-6)
+
+    def test_none_takes_gap_over_eight(self):
+        assert make_cutoff(None, 2.2) == make_cutoff(0.275, 2.2)
 
     def test_strict_margin_identity(self):
         # max_slope * (gap - 2 delta) = (gap-2d)/(gap-1.5d) < 1 by construction
@@ -204,6 +208,32 @@ class TestRandomSurface:
         surf = sample_surface(model, 0)
         x = np.linspace(0, 1, 100)
         assert np.array_equal(surf.f(x), f0.f(x))
+
+    def test_equals_cosine_sum_of_the_draw(self, surface_model):
+        # f0 + sum_j a_j xi_j cos(2 pi j x / period + theta_j), xi from the
+        # (seed, index) generator, and its derivative, to the bit
+        m = surface_model
+        x = np.linspace(0, 1, 257)
+        xi = keyed_generator(m.seed, 5).uniform(-1.0, 1.0, m.mode_count)
+        amps = np.asarray(m.amplitudes) * xi
+        ks = 2.0 * math.pi * np.arange(1.0, m.mode_count + 1) / m.f0.period
+        arg = np.multiply.outer(x, ks) + np.asarray(m.phases)
+        s = sample_surface(m, 5)
+        assert np.array_equal(
+            s.f(x), m.f0.f(x) + np.sum(amps * np.cos(arg), axis=-1))
+        assert np.array_equal(
+            s.df(x), m.f0.df(x) - np.sum(amps * ks * np.sin(arg), axis=-1))
+        assert s.lipschitz == m.lipschitz_envelope
+
+    def test_keyed_generator_wraps_the_seed(self):
+        # a nonnegative seed keys Philox as it is, a negative one mod 2^64
+        a = keyed_generator(7, 3).standard_normal(4)
+        b = np.random.Generator(np.random.Philox(key=np.array(
+            [7, 3], dtype=np.uint64))).standard_normal(4)
+        assert np.array_equal(a, b)
+        assert np.array_equal(keyed_generator(-1, 3).standard_normal(4),
+                              keyed_generator(2 ** 64 - 1, 3)
+                              .standard_normal(4))
 
     def test_determinism(self, surface_model):
         x = np.linspace(0, 1, 257)

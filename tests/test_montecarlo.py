@@ -19,6 +19,7 @@ from elastodtn.fem import (
     assemble_load_transformed,
     map_quadrature,
     solve,
+    strip_preconditioner,
 )
 from elastodtn.mesh import build_mesh
 from elastodtn.model import (
@@ -30,9 +31,9 @@ from elastodtn.model import (
     make_source,
     sample_surface,
 )
+from elastodtn.dtn import default_n_max
 from elastodtn.montecarlo import (
     random_input_moments,
-    default_n_max,
     pullback_source_h1_sq,
     pushforward_h1_sq,
     run_ensemble,
@@ -47,6 +48,13 @@ def mesh_ref(flat_geom):
     return build_mesh(flat_geom.surface, flat_geom.h, 24, 32)
 
 
+def _shared_pre(mesh, p, n_max=None):
+    """The strip preconditioner `run_ensemble` shares: the reference
+    system's."""
+    return strip_preconditioner(assemble_B(
+        mesh, p, default_n_max(p, mesh.period) if n_max is None else n_max))
+
+
 def _det_model():
     return RandomSurfaceModel(f0=flat_surface(0.3, 0.2, 0.4, 1.0),
                               mode_count=0, amplitudes=(), phases=(),
@@ -56,7 +64,8 @@ def _det_model():
 class TestRunSample:
     def test_deterministic_model_reduces_to_plain_solve(
             self, source_spec, params2, mesh_ref):
-        rec = run_sample(_det_model(), source_spec, params2, mesh_ref, 0)
+        rec = run_sample(_det_model(), source_spec, params2, mesh_ref, 0,
+                         preconditioner=_shared_pre(mesh_ref, params2))
         src = make_source(source_spec, 0, f_max=0.4, h=1.4)
         system = assemble_B(mesh_ref, params2,
                             default_n_max(params2, 1.0))
@@ -68,17 +77,22 @@ class TestRunSample:
 
     def test_same_index_identical_records(self, surface_model, source_spec,
                                           params2, mesh_ref):
-        a = run_sample(surface_model, source_spec, params2, mesh_ref, 2)
-        b = run_sample(surface_model, source_spec, params2, mesh_ref, 2)
+        pre = _shared_pre(mesh_ref, params2)
+        a = run_sample(surface_model, source_spec, params2, mesh_ref, 2,
+                       preconditioner=pre)
+        b = run_sample(surface_model, source_spec, params2, mesh_ref, 2,
+                       preconditioner=pre)
         assert a == b
-        c = run_sample(surface_model, source_spec, params2, mesh_ref, 3)
+        c = run_sample(surface_model, source_spec, params2, mesh_ref, 3,
+                       preconditioner=pre)
         assert a != c
 
     def test_norm_equivalence_sandwich(self, surface_model, source_spec,
                                        params2, mesh_ref):
+        pre = _shared_pre(mesh_ref, params2)
         for idx in range(4):
             rec = run_sample(surface_model, source_spec, params2, mesh_ref,
-                             idx)
+                             idx, preconditioner=pre)
             k = rec["kappa"]
             assert rec["u_h1_sq"] <= k * rec["u_ref_h1_sq"] * (1 + 1e-12)
             assert rec["u_ref_h1_sq"] <= k * rec["u_h1_sq"] * (1 + 1e-12)
@@ -94,7 +108,8 @@ class TestRunSample:
             return gradients(*args, **kwargs)
 
         monkeypatch.setattr(fem, "element_gradients", counting)
-        run_sample(surface_model, source_spec, params2, mesh_ref, 1)
+        run_sample(surface_model, source_spec, params2, mesh_ref, 1,
+                   preconditioner=_shared_pre(mesh_ref, params2))
         assert len(calls) == 1
 
     def test_records_requested_and_effective_n_max(
@@ -111,13 +126,14 @@ class TestRunSample:
 
         monkeypatch.setattr(montecarlo, "solve", spy)
         run_sample(surface_model, source_spec, params2, mesh_ref, 1,
-                   n_max=16)
+                   n_max=16, preconditioner=_shared_pre(mesh_ref, params2, 16))
         assert seen[0]["n_max_requested"] == 16 and seen[0]["n_max"] == 11
 
     def test_negative_index_rejected(self, surface_model, source_spec,
                                      params2, mesh_ref):
         with pytest.raises(ParameterError):
-            run_sample(surface_model, source_spec, params2, mesh_ref, -1)
+            run_sample(surface_model, source_spec, params2, mesh_ref, -1,
+                       preconditioner=None)
 
 
 def _sampled_mq(surface_model, mesh, index=1):
@@ -171,7 +187,8 @@ class TestRunEnsemble:
     def test_single_sample_wraps_run_sample(self, surface_model, source_spec,
                                             params2, mesh_ref):
         res = run_ensemble(surface_model, source_spec, params2, mesh_ref, 1)
-        rec = run_sample(surface_model, source_spec, params2, mesh_ref, 0)
+        rec = run_sample(surface_model, source_spec, params2, mesh_ref, 0,
+                         preconditioner=_shared_pre(mesh_ref, params2))
         assert res.per_sample == [rec]
         assert res.mean_u_sq == rec["u_h1_sq"]
         assert res.se_u_sq == 0.0

@@ -1,4 +1,5 @@
-"""A ratchet on public names that only the tests call.
+"""Ratchets on public names that only the tests call and on private names
+read across modules.
 
 A public module-level function or class of `src/elastodtn` counts as
 referenced when another `src`, `scripts` or `benchmark` file names it (the
@@ -7,6 +8,13 @@ in code beyond its definition and its `__all__` entry.  The unreferenced
 names must be exactly `TEST_ONLY`: a new public function that only the
 tests call fails here, and so does a listed one that gains a caller, until
 the list shrinks.
+
+A private name (one leading underscore) of a package module that another
+`src`, `scripts` or `benchmark` file imports, or reads as an attribute of
+the module, is a cross-module private reference.  They must be exactly
+`CROSS_MODULE_PRIVATE`, as (reader, "module._name"): a decision that a
+second module reaches into fails here, and so does a listed reference that
+goes, until the list shrinks.
 """
 
 import ast
@@ -17,11 +25,18 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "elastodtn"
 
 TEST_ONLY = {
+    "navier_apply_fd",         # the tests' reference for the MMS sources
     "random_input_moments",
     "rellich_lhs_samples",
     "trace_bound_check",
     "form_continuity_check",
     "helmholtz_field_check",
+}
+
+CROSS_MODULE_PRIVATE = {
+    ("cli", "verify._random_unit_fields"),
+    ("fem", "mesh._weighted_sum"),
+    ("montecarlo", "fem._single_thread_blas"),
 }
 
 
@@ -79,3 +94,56 @@ def test_a_new_test_only_function_is_caught():
     texts[PACKAGE / "verify.py"] += (
         "\n\ndef only_tests_call_this():\n    pass\n")
     assert _unreferenced(texts) == TEST_ONLY | {"only_tests_call_this"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _imported_from(node: ast.ImportFrom) -> str | None:
+    """The package module a `from ... import` names ("" for the package
+    itself), or None for another package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module == "elastodtn":
+        return ""
+    if node.level == 0 and (node.module or "").startswith("elastodtn."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def _private_references(texts: dict[Path, str]) -> set[tuple[str, str]]:
+    modules = {path.stem for path in _modules()}
+    out = set()
+    for path, text in texts.items():
+        tree = ast.parse(text)
+        aliases = {}      # local name -> package module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = _imported_from(node)
+            for alias in node.names:
+                if source in modules and _private(alias.name):
+                    out.add((path.stem, f"{source}.{alias.name}"))
+                elif source == "" and alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and _private(node.attr)):
+                out.add((path.stem, f"{aliases[node.value.id]}.{node.attr}"))
+    return out
+
+
+def test_only_the_listed_private_names_cross_modules():
+    assert _private_references(_texts()) == CROSS_MODULE_PRIVATE
+
+
+def test_a_new_cross_module_private_reference_is_caught():
+    # negative control: one attribute read and one import of another
+    # module's private name
+    texts = _texts()
+    texts[PACKAGE / "cli.py"] += "\n\nREACH = verify._support_elements\n"
+    texts[PACKAGE / "montecarlo.py"] += "\n\nfrom .fem import _factor\n"
+    assert _private_references(texts) == CROSS_MODULE_PRIVATE | {
+        ("cli", "verify._support_elements"), ("montecarlo", "fem._factor")}
