@@ -42,11 +42,10 @@ def main() -> None:
     om0 = min(args.omegas)
     p0 = make_params(1.0, 1.0, om0)
     src0 = make_source(spec, None, f_max=0.4, h=1.4)
-    sol0 = solve(assemble_B(mesh, p0, 16), assemble_load(mesh, src0))
+    sol0 = solve(assemble_B(mesh, p0), assemble_load(mesh, src0))
     prof0 = bound_profile(om0, 1.4, 0.2, l0)
     gn = source_norms(mesh, src0)["h1"]
-    anchor = sol0.norms["h1"] ** 2 / (prof0.envelope_factor * gn ** 2)
-    calibrated = 2.0 * anchor
+    calibrated = 2.0 * prof0.anchor_constant(sol0.norms["h1"], gn)
     print(f"anchored constant: {calibrated:.4e}")
 
     for om in args.omegas:

@@ -137,7 +137,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     geom = cfg.make_geometry()
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
-    system = assemble_B(mesh, p, cfg.auto_n_max())
+    system = assemble_B(mesh, p, cfg.n_max or None)
     load = assemble_load(mesh, src, src.support_elements(mesh.quadrature))
     sol = solve(system, load)
     # the node coordinates' text, shared with mesh.txt, then the (re, im)
@@ -157,7 +157,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 def _cmd_mms(cfg: RunConfig, out: Path) -> int:
     p = cfg.make_params()
     geom = cfg.make_geometry()
-    table = mms_convergence(p, geom, cfg.levels, n_max=cfg.auto_n_max())
+    table = mms_convergence(p, geom, cfg.levels, n_max=cfg.n_max or None)
     rows = [[lev, row["mesh_size"], row["h1_error"], row["l2_error"]]
             for lev, row in enumerate(table)]
     _write_csv(out / "mms.csv", ["level", "mesh_size", "h1_error", "l2_error"],
@@ -180,8 +180,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     sweep = omega_sweep(SweepConfig(
         lam=cfg.lam, mu=cfg.mu, omegas=tuple(cfg.omega_list), geom=geom,
-        source=src, nx=cfg.nx, ny=cfg.ny,
-        n_max=cfg.auto_n_max(max(cfg.omega_list))))
+        source=src, nx=cfg.nx, ny=cfg.ny, n_max=cfg.n_max or None))
     rows = []
     for i, (om, r, env) in enumerate(zip(sweep.omegas, sweep.ratios,
                                          sweep.profile_envelope)):
@@ -225,7 +224,7 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
     res = montecarlo.run_ensemble(
         model, spec, p, mesh, cfg.N, parallelism=cfg.parallelism,
         anchor=anchor, delta=cfg.delta or None,
-        epsilon_margin=cfg.epsilon_margin, n_max=cfg.auto_n_max())
+        epsilon_margin=cfg.epsilon_margin, n_max=cfg.n_max or None)
     _write_csv(out / "ensemble.csv",
                ["index", "u_h1_sq", "u_ref_h1_sq", "g_h1_sq", "min_detJ"],
                [[r["index"], r["u_h1_sq"], r["u_ref_h1_sq"], r["g_h1_sq"],
@@ -248,7 +247,7 @@ def _deterministic_anchor(cfg: RunConfig, profile, system) -> float:
     elems = src.support_elements(mesh.quadrature)
     sol = solve(system, assemble_load(mesh, src, elems))
     gn = verify.source_norms(mesh, src, elems)["h1"]
-    return sol.norms["h1"] ** 2 / (profile.envelope_factor * gn ** 2)
+    return profile.anchor_constant(sol.norms["h1"], gn)
 
 
 def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
@@ -289,7 +288,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
     elems = src.support_elements(mesh.quadrature)
-    system = assemble_B(mesh, p, cfg.auto_n_max())
+    system = assemble_B(mesh, p, cfg.n_max or None)
     load = assemble_load(mesh, src, elems)
     sol = solve(system, load)
     xvec = free_vector(mesh, sol.values)
@@ -326,7 +325,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
 
     # MMS slopes (coarse, 3 levels)
     checks += _mms_slope_checks(mms_convergence(p, geom, 3,
-                                                n_max=cfg.auto_n_max()))
+                                                n_max=cfg.n_max or None))
     return _write_checks(out, checks)
 
 

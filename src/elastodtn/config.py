@@ -7,13 +7,11 @@ from __future__ import annotations
 
 import configparser
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dtn import default_n_max
 from .errors import ConfigError
 from .mesh import nyquist_index
 from .model import (
@@ -128,22 +126,6 @@ class RunConfig:
         return SourceSpec(center=self.center, radius=self.radius,
                           amplitude=amp, period=self.period, jitter=jitter)
 
-    def auto_n_max(self, omega: float | None = None) -> int:
-        """The configured n_max, or the automatic value (`default_n_max`)
-        when it is 0.  The assembly caps n_max at the Nyquist index
-        (nx - 1) // 2; an automatic value past it warns (RuntimeWarning),
-        an explicit one is rejected by `load_config`."""
-        if self.n_max > 0:
-            return self.n_max
-        n_max = default_n_max(self.make_params(omega), self.period)
-        nyquist = nyquist_index(self.nx)
-        if n_max > nyquist:
-            warnings.warn(
-                f"automatic n_max {n_max} exceeds the Nyquist index "
-                f"(nx - 1) // 2 = {nyquist}; the DtN block uses {nyquist}",
-                RuntimeWarning, stacklevel=2)
-        return n_max
-
 
 _SCHEMA = {
     "physics": {
@@ -252,6 +234,14 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.f0_kind == "cosine":
         need(len(cfg.f0_amplitudes) == len(cfg.f0_modes) == len(cfg.f0_phases),
              "geometry.f0_amplitudes", "amplitude/mode/phase lists must match")
+    else:  # a list the surface does not read is refused, not ignored
+        most = {"f0_amplitudes": 1 if cfg.f0_kind == "sawtooth" else 0,
+                "f0_modes": 0, "f0_phases": 0}
+        for key, limit in most.items():
+            got = len(getattr(cfg, key))
+            need(got <= limit, f"geometry.{key}",
+                 f"f0_kind = {cfg.f0_kind} reads at most {limit} entries, "
+                 f"got {got}")
     need(cfg.mode_count >= 0, "surface_model.mode_count", "must be >= 0")
     need(len(cfg.amplitudes) == cfg.mode_count, "surface_model.amplitudes",
          f"need exactly mode_count={cfg.mode_count} entries")
@@ -266,6 +256,9 @@ def _validate(cfg: RunConfig) -> None:
          f"sum |a_j|(1+2 pi j/period) = {bound:.6g} must not exceed M0")
     need(len(cfg.center) == 2, "source.center", "needs two coordinates")
     need(cfg.radius > 0, "source.radius", "must be positive")
+    for key in ("jitter_center", "jitter_amplitude"):
+        need(getattr(cfg, key) >= 0.0, f"source.{key}",
+             "must be >= 0 (0 = no jitter)")
     lo = cfg.center[1] - cfg.radius - cfg.jitter_center
     hi = cfg.center[1] + cfg.radius + cfg.jitter_center
     need(lo > cfg.M and hi < cfg.h, "source.center",

@@ -34,6 +34,7 @@ import ctypes
 import math
 import os
 import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack as _lapack
 
-from .dtn import TraceCoefficients, symbol_matrices
+from .dtn import TraceCoefficients, default_n_max, symbol_matrices
 from .errors import MapSingularError, SolveError
 from .mesh import (DEGREE5_RULE, Mesh, Quadrature, _weighted_sum,
                    nyquist_index)
@@ -53,6 +54,7 @@ __all__ = [
     "FieldSolution",
     "MappedQuadrature",
     "map_quadrature",
+    "dtn_truncation",
     "assemble_B",
     "assemble_B_transformed",
     "assemble_load",
@@ -261,9 +263,21 @@ def _scatter_elements(mesh: Mesh, elem: np.ndarray) -> sp.csc_matrix:
                          shape=(pat.n_dofs, pat.n_dofs))
 
 
-def _effective_n_max(mesh: Mesh, n_max: int) -> int:
-    # Aliasing guard: the PL trace transform is injective only up to Nyquist.
-    return min(int(n_max), nyquist_index(mesh.nx))
+def dtn_truncation(p: ElasticParams, period: float, nx: int,
+                   n_max: int | None = None) -> tuple[int, int]:
+    """(requested, effective) DtN truncation on nx top nodes: requested is
+    n_max, or `dtn.default_n_max(p, period)` when None; the block keeps
+    |n| <= effective = min(requested, `mesh.nyquist_index(nx)`), since past
+    it the trace's DFT aliases.  Only a capped automatic value warns
+    (RuntimeWarning); a system records both numbers."""
+    requested = default_n_max(p, period) if n_max is None else int(n_max)
+    nyquist = nyquist_index(nx)
+    if n_max is None and requested > nyquist:
+        warnings.warn(
+            f"automatic n_max {requested} exceeds the Nyquist index "
+            f"(nx - 1) // 2 = {nyquist} at nx = {nx}; the DtN block uses "
+            f"{nyquist}", RuntimeWarning, stacklevel=2)
+    return requested, min(requested, nyquist)
 
 
 def _sinc2(t: np.ndarray) -> np.ndarray:
@@ -292,14 +306,17 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
         2 * nx, 2 * nx)
 
 
-def assemble_B(mesh: Mesh, p: ElasticParams, n_max: int) -> SparseSystem:
-    """Assemble the reference form: exact P1 element integrals + DtN block."""
+def assemble_B(mesh: Mesh, p: ElasticParams,
+               n_max: int | None = None) -> SparseSystem:
+    """Assemble the reference form: exact P1 element integrals + DtN block
+    truncated by `dtn_truncation` (None: the automatic n_max)."""
     return _finish_system(mesh, p, n_max, _domain_matrix(
         mesh, p, lambda: _element_blocks(mesh.quadrature)))
 
 
 def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
-                           mq: MappedQuadrature, n_max: int) -> SparseSystem:
+                           mq: MappedQuadrature,
+                           n_max: int | None = None) -> SparseSystem:
     """Assemble the pulled-back form on the reference mesh, with the map
     factors of `mq` (built on mesh_ref.quadrature): gradients transform as
     G = inv(J)^T grad(phi) and every term carries det J through the weights
@@ -323,11 +340,11 @@ def _domain_matrix(mesh: Mesh, p: ElasticParams,
     return _scatter_elements(mesh, _element_array(*element_blocks(), p))
 
 
-def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
+def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int | None,
                    domain: sp.csc_matrix) -> SparseSystem:
     """The system holding the domain matrix minus the DtN block as one CSC
     matrix; the subtraction leaves out entries that come out exactly zero."""
-    n_eff = _effective_n_max(mesh, n_max)
+    requested, n_eff = dtn_truncation(p, mesh.period, mesh.nx, n_max)
     block = _dtn_block(mesh, p, n_eff)
     top = mesh.pattern.top_dofs
     dtn = sp.coo_matrix((block.ravel(), (np.repeat(top, top.size),
@@ -339,7 +356,7 @@ def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int,
         mesh=mesh,
         params=p,
         n_max=n_eff,
-        n_max_requested=int(n_max),
+        n_max_requested=requested,
     )
 
 
@@ -756,17 +773,17 @@ def norms(sol: FieldSolution) -> dict:
     }
 
 
-def trace_coefficients(mesh: Mesh, values: np.ndarray,
-                       n_max: int) -> TraceCoefficients:
-    """Fourier coefficients of the piecewise-linear top trace, |n| <= n_max.
+def trace_coefficients(sol: FieldSolution) -> TraceCoefficients:
+    """Fourier coefficients of the solution's piecewise-linear top trace,
+    |n| <= `metadata["n_max"]` (the truncation of its DtN).
 
     These are exact coefficients of the P1 interpolant: sinc^2-weighted DFT
     of the nodal values, the same transform the DtN block uses.
     """
-    n_eff = _effective_n_max(mesh, n_max)
-    top = np.asarray(values, dtype=complex)[mesh.top_nodes]   # (nx, 2)
+    mesh, n_max = sol.mesh, sol.metadata["n_max"]
+    top = np.asarray(sol.values, dtype=complex)[mesh.top_nodes]   # (nx, 2)
     hat = np.fft.fft(top, axis=0) / mesh.nx
-    ns = np.arange(-n_eff, n_eff + 1)
+    ns = np.arange(-n_max, n_max + 1)
     return TraceCoefficients(
         period=mesh.period, height=mesh.h, ns=ns,
         coef=_sinc2(math.pi * ns / mesh.nx)[:, None] * hat[ns % mesh.nx])

@@ -31,7 +31,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dtn import default_n_max
 from .errors import ElastoDtnError, EnsembleError, ParameterError
 from .fem import (
     FieldSolution,
@@ -41,6 +40,7 @@ from .fem import (
     assemble_B,
     assemble_B_transformed,
     assemble_load_transformed,
+    dtn_truncation,
     map_quadrature,
     solve,
     solver_record,
@@ -101,11 +101,6 @@ def pullback_source_h1_sq(g, mq: MappedQuadrature, values) -> float:
                  + mq.quad.integral(np.abs(dg) ** 2))
 
 
-def _sample_n_max(model: RandomSurfaceModel, p: ElasticParams,
-                  n_max: int | None) -> int:
-    return default_n_max(p, model.f0.period) if n_max is None else n_max
-
-
 def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                mesh_ref: Mesh, index: int, *, preconditioner,
                delta: float | None = None, epsilon_margin: float = 0.05,
@@ -117,12 +112,12 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     `fem.StripPreconditioner` (`run_ensemble` shares the reference
     system's), a `Future` of one, waited for just before the solve, or None
     for the LU (see `fem.solve`).  The record's `solver` and `iterations`
-    are `fem.solver_record`'s.  delta None is `make_cutoff`'s default."""
+    are `fem.solver_record`'s.  delta None is `make_cutoff`'s default, and
+    n_max None the automatic truncation (`fem.dtn_truncation`)."""
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     h = mesh_ref.h
     gap = h - model.f0.sup()
-    n_max = _sample_n_max(model, p, n_max)
     f_eta = sample_surface(model, index)
     cutoff = make_cutoff(delta, gap)
     dmap = DomainMap(f0=model.f0, f_eta=f_eta, cutoff=cutoff,
@@ -165,7 +160,7 @@ class EnsembleResult:
 def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                  mesh_ref: Mesh, N: int, parallelism: int = 1,
                  anchor: Callable[[SparseSystem], Any] | None = None,
-                 **sample_kwargs) -> EnsembleResult:
+                 n_max: int | None = None, **sample_kwargs) -> EnsembleResult:
     """N independent samples with indices 0..N-1; aggregation is an ordered
     reduction, so the result is independent of scheduling.  The samples run
     with OpenBLAS pinned to one thread and share one strip preconditioner
@@ -177,11 +172,12 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     `parallelism` tasks (and factorizations) are alive; its value is the
     result's `anchor`, and an error it raises propagates unchanged.
     Tasks wait only for the first, which was started before them, so no
-    worker count deadlocks.
+    worker count deadlocks.  The DtN truncation is resolved once
+    (`fem.dtn_truncation`; None is automatic) and shared by every system.
     """
     if N < 1:
         raise ParameterError("N must be >= 1")
-    n_max = _sample_n_max(model, p, sample_kwargs.pop("n_max", None))
+    n_max, _ = dtn_truncation(p, mesh_ref.period, mesh_ref.nx, n_max)
     results: dict[int, dict] = {}
     failures: dict[int, str] = {}
     pre: Future = Future()

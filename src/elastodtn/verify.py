@@ -44,10 +44,8 @@ __all__ = [
     "SmoothStep",
     "UpgoingModesField",
     "manufactured_source",
-    "navier_apply_fd",
     "mms_convergence",
     "rellich_residual",
-    "rellich_lhs_samples",
     "poincare_check",
     "trace_bound_check",
     "SweepConfig",
@@ -93,6 +91,11 @@ class BoundProfile:
         C times this times E||g~||^2_H1."""
         return ((self.h + 2.0 - self.m) ** 2
                 * (self.c4 + self.c5 + self.c6) ** 2)
+
+    def anchor_constant(self, u_h1: float, g_h1: float) -> float:
+        """The envelope constant ||u||^2_H1 / (envelope_factor ||g||^2_H1)
+        calibrated on a deterministic solve u of the source g."""
+        return u_h1 ** 2 / (self.envelope_factor * g_h1 ** 2)
 
 
 def bound_profile(omega: float, h: float, m: float, L: float) -> BoundProfile:
@@ -243,62 +246,10 @@ class UpgoingModesField:
         return out
 
 
-def navier_apply_fd(value_fn, p: ElasticParams, pts, step: float = 0.01):
-    """mu Lap(u) + (lam+mu) grad(div u) + omega^2 u by 4th-order differences
-    with one Richardson extrapolation level (6th order overall).
-
-    Accuracy on unit-amplitude fields with wavenumbers ~k: about (k*step)^6;
-    the default step targets ~1e-10 for k of order one.
-    """
-    pts = np.asarray(pts, dtype=float)
-
-    def apply_at(hh):
-        def d(axis, order):
-            shifts = {1: [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)],
-                      2: [(-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)]}
-            den = 12.0 * hh if order == 1 else 12.0 * hh * hh
-            acc = 0.0
-            for k, w in shifts[order]:
-                q = pts.copy()
-                q[..., axis] += k * hh
-                acc = acc + w * np.asarray(value_fn(q), dtype=complex)
-            return acc / den
-
-        lap = d(0, 2) + d(1, 2)
-        # grad(div u): [d1(div), d2(div)] with div = d1 u1 + d2 u2
-        def div_at(q):
-            def dd(axis):
-                shifts = [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]
-                acc = 0.0
-                for k, w in shifts:
-                    r = q.copy()
-                    r[..., axis] += k * hh
-                    acc = acc + w * np.asarray(value_fn(r), dtype=complex)[..., axis]
-                return acc / (12.0 * hh)
-            return dd(0) + dd(1)
-
-        graddiv = np.zeros(pts.shape[:-1] + (2,), dtype=complex)
-        shifts = [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]
-        for axis in range(2):
-            acc = 0.0
-            for k, w in shifts:
-                q = pts.copy()
-                q[..., axis] += k * hh
-                acc = acc + w * div_at(q)
-            graddiv[..., axis] = acc / (12.0 * hh)
-        u = np.asarray(value_fn(pts), dtype=complex)
-        return p.mu * lap + (p.lam + p.mu) * graddiv + p.omega ** 2 * u
-
-    coarse = apply_at(step)
-    fine = apply_at(step / 2.0)
-    return (16.0 * fine - coarse) / 15.0
-
-
 def manufactured_source(u_exact):
     """Source g = mu Lap(u) + (lam+mu) grad(div u) + omega^2 u of a
     manufactured field: its closed-form `.source`, once the field is found
-    periodic in x1 over its `.period` (`navier_apply_fd` is the tests'
-    reference for it)."""
+    periodic in x1 over its `.period`."""
     x2 = np.linspace(0.0, 1.0, 9)
     left = np.stack([np.zeros_like(x2), x2], axis=-1)
     right = left.copy()
@@ -338,7 +289,8 @@ def default_mms_field(p: ElasticParams, geom: Geometry,
 
 def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
                     nx0: int | None = None, ny0: int | None = None,
-                    n_max: int = 64, field: UpgoingModesField | None = None):
+                    n_max: int | None = None,
+                    field: UpgoingModesField | None = None):
     """Error table over dyadic refinements for the manufactured problem.
 
     Returns a list of {mesh_size, h1_error, l2_error, solver, iterations}
@@ -346,7 +298,8 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
     its own strip operator (`fem.strip_preconditioner`; the LU when GMRES
     misses the residual gate) and integrates the load only on the
     triangles with a rule point inside the step's band: the source is
-    exactly zero elsewhere.
+    exactly zero elsewhere.  The DtN truncation is resolved once, at the
+    finest level (`fem.dtn_truncation`); each level caps it at its own.
     """
     if levels < 3:
         raise MmsError("need at least 3 refinement levels")
@@ -358,6 +311,7 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
     if field is None:
         field = default_mms_field(p, geom)
     g = manufactured_source(field)
+    n_max, _ = fem.dtn_truncation(p, per, nx0 * 2 ** (levels - 1), n_max)
     table = []
     for lev in range(levels):
         mesh = build_mesh(geom.surface, geom.h, nx0 * 2 ** lev, ny0 * 2 ** lev)
@@ -383,24 +337,6 @@ def convergence_slopes(table, key: str) -> list[float]:
 # Rellich-type boundary inequality
 # ---------------------------------------------------------------------------
 
-def rellich_lhs_samples(u_vals: np.ndarray, grad_vals: np.ndarray,
-                        p: ElasticParams, period: float) -> float:
-    """Top-boundary integral from uniform samples of the trace and gradient.
-
-    u_vals (N, 2) and grad_vals (N, 2, 2) sample x1 = k*period/N on the top
-    line; the trapezoid rule and a plain DFT are exact for band-limited data,
-    which makes this the analytic cross-check path for single-mode fields.
-    """
-    u_vals = np.asarray(u_vals, dtype=complex)
-    n = u_vals.shape[0]
-    x = np.arange(n) * (period / n)
-    trace = TraceCoefficients(  # the height is not read
-        period=period, height=0.0, ns=((np.arange(n) + n // 2) % n) - n // 2,
-        coef=np.fft.fft(u_vals, axis=0) / n)
-    tu = apply_dtn(trace, p).values(x)
-    return float(_rellich_integrand(tu, u_vals, grad_vals, p).mean() * period)
-
-
 def _rellich_integrand(tu, u, grad, p: ElasticParams) -> np.ndarray:
     """2 Re(Tu . d2 conj(u)) - E(u, conj u) + omega^2 |u|^2, pointwise."""
     d2u = grad[..., 1]
@@ -419,7 +355,7 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams) -> dict:
     gradients (midpoint rule over top edges); rhs is 2 k_s Im int g . conj(u).
     """
     mesh = sol.mesh
-    trace = trace_coefficients(mesh, sol.values, sol.metadata["n_max"])
+    trace = trace_coefficients(sol)
     dx = mesh.period / mesh.nx
     tu_mid = apply_dtn(trace, p).values((np.arange(mesh.nx) + 0.5) * dx)
 
@@ -498,7 +434,7 @@ class SweepConfig:
     source: SourceField
     nx: int
     ny: int
-    n_max: int
+    n_max: int | None      # None: the automatic n_max at the largest omega
 
 
 @dataclass(frozen=True)
@@ -514,7 +450,8 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     """||u||_H1 / ||g||_H1 across frequencies, with the anchored omega^3
     envelope calibrated at the smallest frequency.  Each frequency solves
     by GMRES preconditioned with its own strip operator (the LU when GMRES
-    misses the residual gate)."""
+    misses the residual gate).  The DtN truncation is resolved once, at
+    the largest frequency (`fem.dtn_truncation`)."""
     geom = config.geom
     mesh = build_mesh(geom.surface, geom.h, config.nx, config.ny)
     elems = config.source.support_elements(mesh.quadrature)
@@ -522,10 +459,13 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     if gn["h1"] == 0.0:
         raise SweepError("source has zero H1 norm")
     load = assemble_load(mesh, config.source, elems)  # the same at every omega
+    n_max, _ = fem.dtn_truncation(
+        make_params(config.lam, config.mu, max(config.omegas)),
+        geom.surface.period, config.nx, config.n_max)
     ratios, solves = [], []
     for om in config.omegas:
         system = assemble_B(mesh, make_params(config.lam, config.mu, om),
-                            config.n_max)
+                            n_max)
         sol = solve(system, load, preconditioner=strip_preconditioner(system))
         ratios.append(sol.norms["h1"] / gn["h1"])
         solves.append(fem.solver_record(sol))
@@ -810,8 +750,7 @@ def helmholtz_field_check(sol_or_trace, p: ElasticParams, dz: float = 0.5,
     if isinstance(sol_or_trace, TraceCoefficients):
         trace = sol_or_trace
     else:
-        sol = sol_or_trace
-        trace = trace_coefficients(sol.mesh, sol.values, sol.metadata["n_max"])
+        trace = trace_coefficients(sol_or_trace)
     x1 = np.linspace(0.0, trace.period, n_samples, endpoint=False)
     pts = np.stack([x1, np.full_like(x1, trace.height + dz)], axis=-1)
 

@@ -11,7 +11,7 @@ from elastodtn import cli
 from elastodtn.cli import main, run_command
 from elastodtn.config import RunConfig, load_config, resolved_text
 from elastodtn.errors import ConfigError
-from elastodtn.fem import assemble_B, assemble_load, solve
+from elastodtn.fem import assemble_B, assemble_load, dtn_truncation, solve
 from elastodtn.mesh import build_mesh
 from elastodtn.model import make_source
 from elastodtn.dtn import default_n_max
@@ -41,11 +41,12 @@ class TestLoadConfig:
         (8.0, 3.0, 16), (24.0, 3.0, 46)])
     def test_auto_n_max_is_the_ensemble_rule(self, omega, period, expect):
         # one rule for the CLI commands and the ensemble: smallest n with
-        # |xi_n| >= 4 k_s, floored at 8
+        # |xi_n| >= 4 k_s, floored at 8, capped at the Nyquist index
         cfg = RunConfig(period=period)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cfg.auto_n_max(omega) == expect
+            assert dtn_truncation(cfg.make_params(omega), period, cfg.nx) \
+                == (expect, min(expect, 15))
         # the value passes the Nyquist index 15 of nx = 32: it warns
         assert [w.category for w in caught] == \
             [RuntimeWarning] * (expect > 15)
@@ -105,7 +106,7 @@ class TestLoadConfig:
     def test_explicit_n_max_past_nyquist_rejected(self, tmp_path):
         # nx = 32 resolves modes up to (32 - 1) // 2 = 15
         path = _write(tmp_path / "a.cfg", "[discretization]\nn_max = 15\n")
-        assert load_config(path).auto_n_max() == 15
+        assert load_config(path).n_max == 15
         path = _write(tmp_path / "b.cfg", "[discretization]\nn_max = 16\n")
         with pytest.raises(ConfigError,
                            match=r"discretization.n_max: 16 .* = 15"):
@@ -113,14 +114,49 @@ class TestLoadConfig:
 
     def test_auto_n_max_keeps_the_cap(self, tmp_path):
         # the automatic value at omega 24 is 16, past Nyquist at nx = 32:
-        # accepted with a warning naming both, and the assembly caps it
+        # accepted, and the assembly caps it with a warning naming the
+        # request, the Nyquist index and nx
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
         cfg = load_config(path)
-        with pytest.warns(RuntimeWarning,
-                          match=r"automatic n_max 16 .* = 15"):
-            assert cfg.auto_n_max() == 16
         mesh = build_mesh(cfg.make_geometry().surface, cfg.h, cfg.nx, cfg.ny)
-        assert assemble_B(mesh, cfg.make_params(), 16).n_max == 15
+        with pytest.warns(RuntimeWarning,
+                          match=r"automatic n_max 16 .* = 15 at nx = 32"):
+            system = assemble_B(mesh, cfg.make_params())
+        assert (system.n_max_requested, system.n_max) == (16, 15)
+        # an explicit request is capped silently; the system keeps both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            system = assemble_B(mesh, cfg.make_params(), 40)
+        assert (system.n_max_requested, system.n_max) == (40, 15)
+
+    @pytest.mark.parametrize("kind, text, key", [
+        ("flat", "f0_amplitudes = 0.05", "f0_amplitudes"),
+        ("flat", "f0_modes = 1", "f0_modes"),
+        ("flat", "f0_phases = 0.0", "f0_phases"),
+        ("sawtooth", "f0_amplitudes = 0.05, 0.09", "f0_amplitudes"),
+        ("sawtooth", "f0_amplitudes = 0.05\nf0_modes = 7", "f0_modes"),
+        ("sawtooth", "f0_amplitudes = 0.05\nf0_phases = 0.0", "f0_phases"),
+    ])
+    def test_unread_f0_list_rejected(self, tmp_path, kind, text, key):
+        # flat reads no f0 list and sawtooth one amplitude: a list the
+        # surface ignores used to load and run while resolved.cfg kept it
+        path = _write(tmp_path / "a.cfg",
+                      f"[geometry]\nf0_kind = {kind}\n{text}\n")
+        with pytest.raises(ConfigError, match=f"geometry.{key}"):
+            load_config(path)
+        path = _write(tmp_path / "b.cfg", "[geometry]\nf0_kind = sawtooth\n"
+                      "f0_amplitudes = 0.05\n")
+        assert load_config(path).f0_amplitudes == (0.05,)
+
+    @pytest.mark.parametrize("key", ["jitter_center", "jitter_amplitude"])
+    def test_negative_jitter_rejected_zero_is_none(self, tmp_path, key):
+        # a negative value used to run unjittered (or loosen the support
+        # band check) while resolved.cfg recorded it
+        path = _write(tmp_path / "a.cfg", f"[source]\n{key} = 0\n")
+        assert load_config(path).make_source_spec().jitter is None
+        path = _write(tmp_path / "b.cfg", f"[source]\n{key} = -0.05\n")
+        with pytest.raises(ConfigError, match=f"source.{key}"):
+            load_config(path)
 
 
 class TestSolveCommand:
@@ -216,7 +252,7 @@ class TestCsvWriter:
         p, geom = cfg.make_params(), cfg.make_geometry()
         mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
         src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
-        sol = solve(assemble_B(mesh, p, cfg.auto_n_max()),
+        sol = solve(assemble_B(mesh, p),
                     assemble_load(mesh, src))
         rows = [[float(x1), float(x2),
                  float(np.real(u[0])), float(np.imag(u[0])),
@@ -264,6 +300,28 @@ class TestCsvWriter:
         for name in names:
             assert (tmp_path / "new" / name).read_bytes() == \
                 (tmp_path / "ref" / name).read_bytes(), name
+
+
+class TestDtnTruncationWarnings:
+    """Only an automatic DtN truncation past the Nyquist index warns."""
+
+    @pytest.mark.parametrize("command", ["solve", "mms", "verify-all"])
+    def test_default_config_warns_nowhere(self, tmp_path, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_command(RunConfig(command=command), str(tmp_path)) == 0
+
+    def test_sweep_past_nyquist_warns(self, tmp_path):
+        # resolved once at the largest omega: 16 modes at omega 24, capped
+        # at nx = 32 to 15
+        cfg = RunConfig(command="sweep-omega",
+                        omega_list=(2.0, 4.0, 8.0, 24.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_command(cfg, str(tmp_path))
+        assert [str(w.message) for w in caught] == [
+            "automatic n_max 16 exceeds the Nyquist index (nx - 1) // 2 = 15 "
+            "at nx = 32; the DtN block uses 15"]
 
 
 class TestSweepCommand:

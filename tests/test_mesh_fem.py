@@ -1275,8 +1275,9 @@ class TestNorms:
         vals = np.zeros((mesh.n_nodes, 2), dtype=complex)
         x1 = mesh.nodes[mesh.top_nodes, 0]
         vals[mesh.top_nodes, 0] = np.exp(2j * math.pi * x1)
-        n = norms(FieldSolution(mesh=mesh, values=vals))
-        tr = trace_coefficients(mesh, vals, 1)
+        sol = FieldSolution(mesh=mesh, values=vals, metadata={"n_max": 1})
+        n = norms(sol)
+        tr = trace_coefficients(sol)
         mode1 = tr.coef[tr.ns == 1]
         parseval = mesh.period * float(np.sum(np.abs(mode1) ** 2))
         assert abs(n["trace_l2_top"] ** 2 - parseval) < 1e-10
@@ -1370,7 +1371,8 @@ class TestTraceCoefficients:
         vals = np.zeros((mesh.n_nodes, 2), dtype=complex)
         vals[mesh.top_nodes] = gen.standard_normal((16, 2)) \
             + 1j * gen.standard_normal((16, 2))
-        tr = trace_coefficients(mesh, vals, 5)
+        tr = trace_coefficients(FieldSolution(mesh=mesh, values=vals,
+                                              metadata={"n_max": 5}))
         x1 = mesh.nodes[mesh.top_nodes, 0]
         for n in (-3, 0, 2):
             xi = 2 * math.pi * n / mesh.period

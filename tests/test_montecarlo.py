@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,7 @@ def mesh_ref(flat_geom):
 def _shared_pre(mesh, p, n_max=None):
     """The strip preconditioner `run_ensemble` shares: the reference
     system's."""
-    return strip_preconditioner(assemble_B(
-        mesh, p, default_n_max(p, mesh.period) if n_max is None else n_max))
+    return strip_preconditioner(assemble_B(mesh, p, n_max))
 
 
 def _det_model():
@@ -128,6 +128,33 @@ class TestRunSample:
         run_sample(surface_model, source_spec, params2, mesh_ref, 1,
                    n_max=16, preconditioner=_shared_pre(mesh_ref, params2, 16))
         assert seen[0]["n_max_requested"] == 16 and seen[0]["n_max"] == 11
+
+    def test_ensemble_resolves_the_truncation_once(
+            self, surface_model, source_spec, params2, flat_geom,
+            monkeypatch):
+        # nx = 12 resolves modes up to 5, below the automatic 8: that
+        # warns once, not per sample; an explicit request never warns, and
+        # the reference system and every sample record it with the cap
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
+        systems = []
+        for name in ("assemble_B", "assemble_B_transformed"):
+            def spy(*args, real=getattr(montecarlo, name), **kwargs):
+                systems.append(real(*args, **kwargs))
+                return systems[-1]
+            monkeypatch.setattr(montecarlo, name, spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_ensemble(surface_model, source_spec, params2, mesh, 3)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert sorted((s.n_max_requested, s.n_max) for s in systems) == \
+            [(8, 5)] * 4
+        systems.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_ensemble(surface_model, source_spec, params2, mesh, 3,
+                         n_max=40)
+        assert sorted((s.n_max_requested, s.n_max) for s in systems) == \
+            [(40, 5)] * 4
 
     def test_negative_index_rejected(self, surface_model, source_spec,
                                      params2, mesh_ref):

@@ -373,7 +373,7 @@ def _default_solve(omega):
     geom = cfg.make_geometry()
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
-    return solve(assemble_B(mesh, p, cfg.auto_n_max()),
+    return solve(assemble_B(mesh, p),
                  assemble_load(mesh, src))
 
 

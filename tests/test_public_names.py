@@ -15,6 +15,9 @@ the module, is a cross-module private reference.  They must be exactly
 `CROSS_MODULE_PRIVATE`, as (reader, "module._name"): a decision that a
 second module reaches into fails here, and so does a listed reference that
 goes, until the list shrinks.
+
+A run decision has one owner: `RULE_CALLERS` pins, for each rule, the
+modules of `src`, `scripts` and `benchmark` whose code calls it.
 """
 
 import ast
@@ -25,12 +28,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "elastodtn"
 
 TEST_ONLY = {
-    "navier_apply_fd",         # the tests' reference for the MMS sources
     "random_input_moments",
-    "rellich_lhs_samples",
     "trace_bound_check",
     "form_continuity_check",
     "helmholtz_field_check",
+}
+
+RULE_CALLERS = {
+    "default_n_max": {"fem"},             # only in fem.dtn_truncation
+    "nyquist_index": {"fem", "config"},   # config rejects outside input
+    "Philox": {"model"},                  # only in model.keyed_generator
 }
 
 CROSS_MODULE_PRIVATE = {
@@ -147,3 +154,32 @@ def test_a_new_cross_module_private_reference_is_caught():
     texts[PACKAGE / "montecarlo.py"] += "\n\nfrom .fem import _factor\n"
     assert _private_references(texts) == CROSS_MODULE_PRIVATE | {
         ("cli", "verify._support_elements"), ("montecarlo", "fem._factor")}
+
+
+def _rule_callers(texts: dict[Path, str]) -> dict[str, set[str]]:
+    """For each rule of `RULE_CALLERS`, the modules whose code calls it,
+    by its plain name or as an attribute."""
+    out = {rule: set() for rule in RULE_CALLERS}
+    for path, text in texts.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in out:
+                out[name].add(path.stem)
+    return out
+
+
+def test_each_rule_has_its_owners():
+    assert _rule_callers(_texts()) == RULE_CALLERS
+
+
+def test_a_second_caller_of_a_rule_is_caught():
+    # negative control: the ensemble working out n_max itself again
+    texts = _texts()
+    texts[PACKAGE / "montecarlo.py"] += (
+        "\n\nN_MAX = default_n_max(None, 1.0)\n")
+    assert _rule_callers(texts) == {
+        **RULE_CALLERS, "default_n_max": {"fem", "montecarlo"}}

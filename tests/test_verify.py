@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from elastodtn import fem
 from elastodtn.mesh import DofPattern, build_mesh
 from elastodtn.model import (
     DomainMap,
+    ElasticParams,
     Geometry,
     cosine_surface,
     flat_surface,
@@ -43,6 +45,7 @@ from elastodtn.config import RunConfig
 from elastodtn import verify
 from elastodtn.verify import (
     _pullback_integrals,
+    _rellich_integrand,
     _support_elements,
     SmoothStep,
     SmoothWindow,
@@ -56,15 +59,85 @@ from elastodtn.verify import (
     helmholtz_field_check,
     manufactured_source,
     mms_convergence,
-    navier_apply_fd,
     omega_sweep,
     poincare_check,
     pullback_identity_check,
-    rellich_lhs_samples,
     rellich_residual,
     source_norms,
     trace_bound_check,
 )
+
+
+# The tests' reference oracles: the closed-form MMS source against finite
+# differences, and the Rellich boundary integral from uniform samples.
+
+def navier_apply_fd(value_fn, p: ElasticParams, pts, step: float = 0.01):
+    """mu Lap(u) + (lam+mu) grad(div u) + omega^2 u by 4th-order differences
+    with one Richardson extrapolation level (6th order overall).
+
+    Accuracy on unit-amplitude fields with wavenumbers ~k: about (k*step)^6;
+    the default step targets ~1e-10 for k of order one.
+    """
+    pts = np.asarray(pts, dtype=float)
+
+    def apply_at(hh):
+        def d(axis, order):
+            shifts = {1: [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)],
+                      2: [(-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)]}
+            den = 12.0 * hh if order == 1 else 12.0 * hh * hh
+            acc = 0.0
+            for k, w in shifts[order]:
+                q = pts.copy()
+                q[..., axis] += k * hh
+                acc = acc + w * np.asarray(value_fn(q), dtype=complex)
+            return acc / den
+
+        lap = d(0, 2) + d(1, 2)
+        # grad(div u): [d1(div), d2(div)] with div = d1 u1 + d2 u2
+        def div_at(q):
+            def dd(axis):
+                shifts = [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]
+                acc = 0.0
+                for k, w in shifts:
+                    r = q.copy()
+                    r[..., axis] += k * hh
+                    acc = acc + w * np.asarray(value_fn(r), dtype=complex)[..., axis]
+                return acc / (12.0 * hh)
+            return dd(0) + dd(1)
+
+        graddiv = np.zeros(pts.shape[:-1] + (2,), dtype=complex)
+        shifts = [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]
+        for axis in range(2):
+            acc = 0.0
+            for k, w in shifts:
+                q = pts.copy()
+                q[..., axis] += k * hh
+                acc = acc + w * div_at(q)
+            graddiv[..., axis] = acc / (12.0 * hh)
+        u = np.asarray(value_fn(pts), dtype=complex)
+        return p.mu * lap + (p.lam + p.mu) * graddiv + p.omega ** 2 * u
+
+    coarse = apply_at(step)
+    fine = apply_at(step / 2.0)
+    return (16.0 * fine - coarse) / 15.0
+
+
+def rellich_lhs_samples(u_vals: np.ndarray, grad_vals: np.ndarray,
+                        p: ElasticParams, period: float) -> float:
+    """Top-boundary integral from uniform samples of the trace and gradient.
+
+    u_vals (N, 2) and grad_vals (N, 2, 2) sample x1 = k*period/N on the top
+    line; the trapezoid rule and a plain DFT are exact for band-limited data,
+    which makes this the analytic cross-check path for single-mode fields.
+    """
+    u_vals = np.asarray(u_vals, dtype=complex)
+    n = u_vals.shape[0]
+    x = np.arange(n) * (period / n)
+    trace = TraceCoefficients(  # the height is not read
+        period=period, height=0.0, ns=((np.arange(n) + n // 2) % n) - n // 2,
+        coef=np.fft.fft(u_vals, axis=0) / n)
+    tu = apply_dtn(trace, p).values(x)
+    return float(_rellich_integrand(tu, u_vals, grad_vals, p).mean() * period)
 
 
 def _mms_geometry(kind="flat"):
@@ -425,6 +498,63 @@ class TestOmegaSweep:
             omega_sweep(self._config(flat_geom, g0, (2.0, 4.0)))
 
 
+def _spy_systems(monkeypatch):
+    """The systems `verify`'s studies assemble, collected as they are."""
+    systems = []
+    real = verify.assemble_B
+
+    def spy(*args, **kwargs):
+        systems.append(real(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(verify, "assemble_B", spy)
+    return systems
+
+
+class TestDtnTruncationOnce:
+    """The MMS study and the sweep resolve the DtN truncation once: an
+    automatic value past Nyquist warns once, an explicit one never, and
+    every system records the request and its own cap."""
+
+    def _mms(self, p, n_max):
+        return mms_convergence(p, _mms_geometry("flat"), 3, nx0=4, ny0=6,
+                               n_max=n_max)
+
+    def _sweep(self, flat_geom, bump, n_max):
+        return omega_sweep(SweepConfig(lam=1.0, mu=1.0, omegas=(2.0, 24.0),
+                                       geom=flat_geom, source=bump, nx=16,
+                                       ny=24, n_max=n_max))
+
+    def test_automatic_past_nyquist_warns_once(self, flat_geom, bump,
+                                               monkeypatch):
+        systems = _spy_systems(monkeypatch)
+        p = make_params(1.0, 1.0, 2.0)
+        for run, request, caps in (
+                # levels nx 4, 8, 16; resolved at the finest, Nyquist 7
+                (lambda: self._mms(p, None), 8, [1, 3, 7]),
+                # resolved at omega 24 (16 modes), Nyquist 7 at nx = 16
+                (lambda: self._sweep(flat_geom, bump, None), 16, [7, 7])):
+            systems.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run()
+            assert [str(w.message) for w in caught] == [
+                f"automatic n_max {request} exceeds the Nyquist index "
+                f"(nx - 1) // 2 = 7 at nx = 16; the DtN block uses 7"]
+            assert [(s.n_max_requested, s.n_max) for s in systems] == \
+                [(request, cap) for cap in caps]
+
+    def test_explicit_past_nyquist_is_silent(self, flat_geom, bump,
+                                             monkeypatch):
+        systems = _spy_systems(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self._mms(make_params(1.0, 1.0, 2.0), 40)
+            self._sweep(flat_geom, bump, 40)
+        assert [(s.n_max_requested, s.n_max) for s in systems] == \
+            [(40, 1), (40, 3), (40, 7), (40, 7), (40, 7)]
+
+
 class TestDtnPairing:
     """The assembled DtN block is the pairing of the trace coefficients:
     conj(v)^T block u = period * sum_k conj(v_k) . M(xi_k) u_k."""
@@ -442,9 +572,12 @@ class TestDtnPairing:
         expect = np.conj(v[mesh.top_nodes]).ravel() \
             @ fem._dtn_block(mesh, p, n_max) @ u[mesh.top_nodes].ravel()
 
+        def trace(values):
+            return trace_coefficients(FieldSolution(
+                mesh=mesh, values=values, metadata={"n_max": n_max}))
+
         def pairing(a, b):
-            tr_a = trace_coefficients(mesh, a, n_max)
-            tr_b = trace_coefficients(mesh, b, n_max)
+            tr_a, tr_b = trace(a), trace(b)
             return mesh.period * np.sum(np.conj(tr_b.coef)
                                         * apply_dtn(tr_a, p).coef)
 
