@@ -43,12 +43,10 @@ from .dtn import (
     TraceCoefficients,
     apply_dtn,
     gamma,
-    helmholtz_split,
     projection_matrices,
     symbol_bound_check,
     symbol_matrices,
     traction,
-    upward_extend,
 )
 from .mesh import Mesh, Quadrature, build_mesh
 from .fem import (
@@ -70,7 +68,6 @@ from .verify import (
     SweepResult,
     bound_profile,
     form_continuity_check,
-    helmholtz_field_check,
     manufactured_source,
     mms_convergence,
     omega_sweep,
@@ -81,7 +78,6 @@ from .verify import (
 )
 from .montecarlo import (
     EnsembleResult,
-    random_input_moments,
     run_ensemble,
     run_sample,
     meansquare_envelope_check,

@@ -23,7 +23,7 @@ from .errors import ConfigError, ElastoDtnError, GeometryError
 from .fem import assemble_B, assemble_load, free_vector, solve
 from .mesh import build_mesh
 from .model import (DomainMap, height_condition, keyed_generator, make_cutoff,
-                    make_source, sample_surface)
+                    sample_surface)
 from .verify import (
     bound_profile,
     convergence_slopes,
@@ -136,7 +136,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     p = cfg.make_params()
     geom = cfg.make_geometry()
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
-    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    src = cfg.make_source()
     system = assemble_B(mesh, p, cfg.n_max or None)
     load = assemble_load(mesh, src, src.support_elements(mesh.quadrature))
     sol = solve(system, load)
@@ -177,7 +177,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     if len(cfg.omega_list) < 2:
         raise ConfigError("physics.omega_list: sweep-omega needs >= 2 entries")
     geom = cfg.make_geometry()
-    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    src = cfg.make_source()
     sweep = omega_sweep(SweepConfig(
         lam=cfg.lam, mu=cfg.mu, omegas=tuple(cfg.omega_list), geom=geom,
         source=src, nx=cfg.nx, ny=cfg.ny, n_max=cfg.n_max or None))
@@ -243,7 +243,7 @@ def _deterministic_anchor(cfg: RunConfig, profile, system) -> float:
     pool, so BLAS is pinned as for the samples and checks.csv does not
     depend on the BLAS thread setting."""
     mesh = system.mesh
-    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    src = cfg.make_source()
     elems = src.support_elements(mesh.quadrature)
     sol = solve(system, assemble_load(mesh, src, elems))
     gn = verify.source_norms(mesh, src, elems)["h1"]
@@ -286,7 +286,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
 
     # solve-based checks
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
-    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    src = cfg.make_source()
     elems = src.support_elements(mesh.quadrature)
     system = assemble_B(mesh, p, cfg.n_max or None)
     load = assemble_load(mesh, src, elems)

@@ -18,6 +18,7 @@ from .model import (
     ElasticParams,
     Geometry,
     RandomSurfaceModel,
+    SourceField,
     SourceJitter,
     SourceSpec,
     SurfaceFn,
@@ -25,6 +26,7 @@ from .model import (
     flat_surface,
     keyed_generator,
     make_params,
+    make_source,
     sawtooth_surface,
 )
 
@@ -125,6 +127,12 @@ class RunConfig:
                                   seed=self.jitter_seed)
         return SourceSpec(center=self.center, radius=self.radius,
                           amplitude=amp, period=self.period, jitter=jitter)
+
+    def make_source(self) -> SourceField:
+        """The unjittered configured source, its support checked against
+        the band M < x2 < h."""
+        return make_source(self.make_source_spec(), None, f_max=self.M,
+                           h=self.h)
 
 
 _SCHEMA = {

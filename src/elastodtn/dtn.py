@@ -36,8 +36,6 @@ __all__ = [
     "projection_matrices",
     "TraceCoefficients",
     "apply_dtn",
-    "upward_extend",
-    "helmholtz_split",
     "traction",
     "symbol_bound_check",
     "default_n_max",
@@ -109,7 +107,7 @@ def projection_matrices(xis, p: ElasticParams) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TraceCoefficients:
-    """Fourier data of a vector trace on the line x2 = height.
+    """Fourier data of a vector trace on a horizontal line.
 
     coef[k] (coef is (K, 2) complex) is the coefficient of exp(i xi_k x1)
     with xi_k = 2 pi ns[k] / period, for the integer modes ns (K,) in any
@@ -117,7 +115,6 @@ class TraceCoefficients:
     """
 
     period: float
-    height: float
     ns: np.ndarray
     coef: np.ndarray
 
@@ -135,43 +132,9 @@ class TraceCoefficients:
 def apply_dtn(trace: TraceCoefficients, p: ElasticParams) -> TraceCoefficients:
     """The DtN operator applied mode by mode: M(xi_k) coef[k]."""
     return TraceCoefficients(
-        period=trace.period, height=trace.height, ns=trace.ns,
+        period=trace.period, ns=trace.ns,
         coef=np.einsum("kab,kb->ka", symbol_matrices(trace.xis, p),
                        trace.coef))
-
-
-def upward_extend(trace: TraceCoefficients, p: ElasticParams,
-                  pts: np.ndarray) -> np.ndarray:
-    """Upward extension u(x) at points (..., 2) with x2 >= trace.height:
-
-    u = sum_k [exp(i g_p (x2-h)) Mp + exp(i g_s (x2-h)) Ms] coef[k]
-              * exp(i xi_k x1).
-    """
-    pts = np.asarray(pts, dtype=float)
-    xis = trace.xis
-    x1, dz = pts[..., 0], pts[..., 1] - trace.height
-    out = np.zeros(pts.shape[:-1] + (2,), dtype=complex)
-    for m, k in zip(projection_matrices(xis, p), (p.k_p, p.k_s)):
-        phase = (np.multiply.outer(x1, xis)
-                 + np.multiply.outer(dz, gamma(xis, k)))
-        out += np.einsum("...k,ka->...a", np.exp(1j * phase),
-                         np.einsum("kab,kb->ka", m, trace.coef))
-    return out
-
-
-def helmholtz_split(trace: TraceCoefficients,
-                    p: ElasticParams) -> tuple[np.ndarray, np.ndarray]:
-    """Split the trace into compressional (P) and shear (S) scalar modes,
-    each (K,):
-
-    (P_k, S_k) = 1/rho * [[xi, g_s], [g_p, -xi]] coef[k].
-    """
-    xis = trace.xis
-    g_p, g_s, rho = _gammas_rho(xis, p)
-    if np.any(np.abs(rho) < _RHO_FLOOR):
-        raise SymbolSingularError("xi^2 + gamma_p*gamma_s vanished")
-    u1, u2 = trace.coef.T
-    return (xis * u1 + g_s * u2) / rho, (g_p * u1 - xis * u2) / rho
 
 
 def traction(grad_u: np.ndarray, div_u: complex, normal, p: ElasticParams) -> np.ndarray:

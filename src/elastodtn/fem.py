@@ -235,7 +235,6 @@ class FieldSolution:
 
     mesh: Mesh
     values: np.ndarray                # (n_nodes, 2) complex
-    norms: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     @cached_property
@@ -245,6 +244,11 @@ class FieldSolution:
         g = element_gradients(self.mesh, self.values)
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def norms(self) -> dict:
+        """`norms` of the values, computed on first use and then shared."""
+        return norms(self)
 
 
 def _sum_at(positions: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -706,13 +710,11 @@ def solve(system: SparseSystem, load: np.ndarray,
     mesh = system.mesh
     values = np.zeros((mesh.n_nodes, 2), dtype=complex)
     values[mesh.free_nodes] = x.reshape(-1, 2)    # `free_vector`'s inverse
-    sol = FieldSolution(mesh=mesh, values=values, norms={},
-                        metadata={"omega": system.params.omega,
-                                  "n_max": system.n_max,
-                                  "n_max_requested": system.n_max_requested,
-                                  **health})
-    sol.norms.update(norms(sol))
-    return sol
+    return FieldSolution(mesh=mesh, values=values,
+                         metadata={"omega": system.params.omega,
+                                   "n_max": system.n_max,
+                                   "n_max_requested": system.n_max_requested,
+                                   **health})
 
 
 def free_vector(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -723,10 +725,11 @@ def free_vector(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 
 
 def solver_record(sol: FieldSolution) -> dict:
-    """The solve's `solver` (None for a zero load) and GMRES `iterations`
-    (0 when GMRES did not run)."""
+    """The solve's `solver` (None for a zero load), GMRES `iterations`
+    (0 when GMRES did not run) and effective DtN truncation `n_max`."""
     return {"solver": sol.metadata.get("solver"),
-            "iterations": sol.metadata.get("iterations", 0)}
+            "iterations": sol.metadata.get("iterations", 0),
+            "n_max": sol.metadata["n_max"]}
 
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -785,5 +788,5 @@ def trace_coefficients(sol: FieldSolution) -> TraceCoefficients:
     hat = np.fft.fft(top, axis=0) / mesh.nx
     ns = np.arange(-n_max, n_max + 1)
     return TraceCoefficients(
-        period=mesh.period, height=mesh.h, ns=ns,
+        period=mesh.period, ns=ns,
         coef=_sinc2(math.pi * ns / mesh.nx)[:, None] * hat[ns % mesh.nx])

@@ -178,7 +178,7 @@ def sawtooth_surface(offset: float, amplitude: float, f_min: float,
 
 @dataclass(frozen=True)
 class Geometry:
-    """Reference strip: surface f0, measured height h, extension height h+1.
+    """Reference strip: surface f0 and measured height h.
 
     gap is h - sup(f0); the random problem additionally requires the envelope
     condition (f_max - f_min)/gap < 1 so the domain map stays invertible.
@@ -186,7 +186,6 @@ class Geometry:
 
     surface: SurfaceFn
     h: float
-    H_ext: float = field(init=False)
     gap: float = field(init=False)
 
     def __post_init__(self):
@@ -195,7 +194,6 @@ class Geometry:
                 f"measured height h={self.h} must exceed the surface bound "
                 f"M={self.surface.f_max}"
             )
-        object.__setattr__(self, "H_ext", self.h + 1.0)
         object.__setattr__(self, "gap", self.h - self.surface.sup())
 
 

@@ -57,14 +57,13 @@ from .model import (
     make_source,
     sample_surface,
 )
-from .verify import BoundProfile, surface_distance_1inf
+from .verify import BoundProfile
 
 __all__ = [
     "EnsembleResult",
     "run_sample",
     "run_ensemble",
     "meansquare_envelope_check",
-    "random_input_moments",
 ]
 
 
@@ -229,28 +228,3 @@ def meansquare_envelope_check(res: EnsembleResult, profile: BoundProfile,
     rhs = calibrated_C * profile.envelope_factor * res.mean_g_sq
     lhs = res.mean_u_sq
     return {"lhs": lhs, "rhs": rhs, "ok": bool(lhs <= rhs)}
-
-
-def random_input_moments(model: RandomSurfaceModel, src: SourceSpec,
-                        p: ElasticParams, mesh_ref: Mesh, N: int, *,
-                        delta: float | None = None,
-                        epsilon_margin: float = 0.05) -> dict:
-    """Sample second moments of ||f(eta)-f0||_{1,inf} and ||g~(eta)||_{H1}."""
-    if N < 2:
-        raise ParameterError("N must be >= 2 for moment estimates")
-    h = mesh_ref.h
-    cutoff = make_cutoff(delta, h - model.f0.sup())
-    f_moms = []
-    g_moms = []
-    for i in range(N):
-        f_eta = sample_surface(model, i)
-        f_moms.append(surface_distance_1inf(f_eta, model.f0, model.f0.period) ** 2)
-        dmap = DomainMap(f0=model.f0, f_eta=f_eta, cutoff=cutoff,
-                         epsilon_margin=epsilon_margin)
-        g_eta = make_source(src, i, f_max=model.f0.f_max, h=h)
-        mq = map_quadrature(mesh_ref.quadrature, dmap)
-        g_moms.append(pullback_source_h1_sq(g_eta, mq, g_eta(mq.points)))
-    return {
-        "f_second_moment": float(np.mean(f_moms)),
-        "g_second_moment": float(np.mean(g_moms)),
-    }

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .dtn import (
-    TraceCoefficients,
-    apply_dtn,
-    gamma,
-    helmholtz_split,
-    projection_matrices,
-    upward_extend,
-)
+from .dtn import apply_dtn, gamma
 from .errors import InternalError, MmsError, SweepError
 from .fem import (
     FieldSolution,
@@ -53,7 +46,6 @@ __all__ = [
     "omega_sweep",
     "pullback_identity_check",
     "form_continuity_check",
-    "helmholtz_field_check",
 ]
 
 
@@ -293,7 +285,8 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
                     field: UpgoingModesField | None = None):
     """Error table over dyadic refinements for the manufactured problem.
 
-    Returns a list of {mesh_size, h1_error, l2_error, solver, iterations}
+    Returns a list of {mesh_size, h1_error, l2_error, solver, iterations,
+    n_max}
     dicts, coarse to fine.  Each level solves by GMRES preconditioned with
     its own strip operator (`fem.strip_preconditioner`; the LU when GMRES
     misses the residual gate) and integrates the load only on the
@@ -377,8 +370,7 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams) -> dict:
 
 def poincare_check(field: FieldSolution) -> float:
     """l2 / ||d2 u|| for a surface-vanishing field (0 when both vanish)."""
-    n = field.norms if field.norms else fem.norms(field)
-    l2, d2 = n["l2"], n["d2"]
+    l2, d2 = field.norms["l2"], field.norms["d2"]
     if d2 == 0.0:
         if l2 > 0.0:
             raise InternalError(
@@ -415,8 +407,7 @@ def trace_bound_check(sol: FieldSolution, g, p: ElasticParams,
     length = np.hypot(dx, dy)
     lhs = float(np.sum(length * (np.abs(div) ** 2 + np.abs(curl) ** 2)))
     gnorm = math.sqrt(_source_l2_sq(mesh.quadrature, g))
-    d2 = sol.norms["d2"] if sol.norms else fem.norms(sol)["d2"]
-    rhs_shape = profile.c1 * gnorm * d2
+    rhs_shape = profile.c1 * gnorm * sol.norms["d2"]
     ratio = lhs / rhs_shape if rhs_shape > 0 else 0.0
     return {"lhs": lhs, "rhs_shape": rhs_shape, "ratio": ratio}
 
@@ -443,7 +434,7 @@ class SweepResult:
     ratios: list[float]
     fitted_slope: float
     profile_envelope: list[float]
-    solves: list[dict]     # per frequency: the solve's solver, iterations
+    solves: list[dict]     # per frequency: `fem.solver_record` of the solve
 
 
 def omega_sweep(config: SweepConfig) -> SweepResult:
@@ -665,8 +656,7 @@ def surface_distance_1inf(fa, fb, period: float, n_samples: int = 10000) -> floa
 
 
 def _random_unit_fields(mesh: Mesh, count: int, seed: int):
-    """Random free-node fields normalized to unit H1 norm, as solutions
-    carrying their (scaled) norms."""
+    """Random free-node fields normalized to unit H1 norm, as solutions."""
     gen = keyed_generator(seed, 0xBA7C4)
     free = mesh.free_nodes
     out = []
@@ -674,10 +664,8 @@ def _random_unit_fields(mesh: Mesh, count: int, seed: int):
         vec = np.zeros((mesh.n_nodes, 2), dtype=complex)
         vec[free] = gen.standard_normal((free.size, 2)) \
             + 1j * gen.standard_normal((free.size, 2))
-        n = fem.norms(FieldSolution(mesh=mesh, values=vec))
-        vec /= n["h1"]
-        out.append(FieldSolution(mesh=mesh, values=vec, norms={
-            k: v / n["h1"] for k, v in n.items()}))
+        vec /= FieldSolution(mesh=mesh, values=vec).norms["h1"]
+        out.append(FieldSolution(mesh=mesh, values=vec))
     return out
 
 
@@ -727,48 +715,6 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
 
         sol_m = solve(sys_m, load_m)
         err = FieldSolution(mesh=mesh, values=sol_m.values - sol0.values)
-        sol_errors.append(fem.norms(err)["h1"])
+        sol_errors.append(err.norms["h1"])
     return {"b_ratios": b_ratios, "g_ratios": g_ratios,
             "sol_errors": sol_errors}
-
-
-# ---------------------------------------------------------------------------
-# Helmholtz-decomposition consistency of the upward extension
-# ---------------------------------------------------------------------------
-
-def helmholtz_field_check(sol_or_trace, p: ElasticParams, dz: float = 0.5,
-                          n_samples: int = 256) -> dict:
-    """Cross-check the two propagation routes above the top line, for a
-    trace or for a solution's top trace truncated as its DtN
-    (`metadata["n_max"]`).
-
-    Route A splits the trace into scalar compressional/shear data, propagates
-    each with its own vertical wavenumber and reassembles the vector field;
-    route B propagates with the matrix projections.  The residuals are the
-    per-channel mismatches relative to the total extended field.
-    """
-    if isinstance(sol_or_trace, TraceCoefficients):
-        trace = sol_or_trace
-    else:
-        trace = trace_coefficients(sol_or_trace)
-    x1 = np.linspace(0.0, trace.period, n_samples, endpoint=False)
-    pts = np.stack([x1, np.full_like(x1, trace.height + dz)], axis=-1)
-
-    xis = trace.xis
-    g_p, g_s = gamma(xis, p.k_p), gamma(xis, p.k_s)
-    e = np.exp(1j * np.outer(x1, xis))                  # (n_samples, K)
-    e_p, e_s = e * np.exp(1j * g_p * dz), e * np.exp(1j * g_s * dz)
-    phi, psi = helmholtz_split(trace, p)
-    mp, ms = projection_matrices(xis, p)
-    u_p_a = e_p @ (phi[:, None] * np.stack([xis, g_p], axis=-1))
-    u_s_a = e_s @ (psi[:, None] * np.stack([g_s, -xis], axis=-1))
-    u_p_b = e_p @ np.einsum("kab,kb->ka", mp, trace.coef)
-    u_s_b = e_s @ np.einsum("kab,kb->ka", ms, trace.coef)
-    total = upward_extend(trace, p, pts)
-    scale = float(np.max(np.abs(total)))
-    if scale == 0.0:
-        return {"p_residual": 0.0, "s_residual": 0.0}
-    return {
-        "p_residual": float(np.max(np.abs(u_p_a - u_p_b))) / scale,
-        "s_residual": float(np.max(np.abs(u_s_a - u_s_b))) / scale,
-    }

@@ -13,7 +13,6 @@ from elastodtn.config import RunConfig, load_config, resolved_text
 from elastodtn.errors import ConfigError
 from elastodtn.fem import assemble_B, assemble_load, dtn_truncation, solve
 from elastodtn.mesh import build_mesh
-from elastodtn.model import make_source
 from elastodtn.dtn import default_n_max
 
 
@@ -251,7 +250,7 @@ class TestCsvWriter:
         assert run_command(cfg, str(tmp_path / "new")) == 0
         p, geom = cfg.make_params(), cfg.make_geometry()
         mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
-        src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+        src = cfg.make_source()
         sol = solve(assemble_B(mesh, p),
                     assemble_load(mesh, src))
         rows = [[float(x1), float(x2),

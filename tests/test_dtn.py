@@ -12,13 +12,11 @@ from elastodtn.dtn import (
     _positive_definite_2x2,
     apply_dtn,
     gamma,
-    helmholtz_split,
     projection_matrices,
     symbol_bound_check,
     symbol_matrices,
     sweep_grid,
     traction,
-    upward_extend,
 )
 from elastodtn.errors import ParameterError
 from elastodtn.model import make_params
@@ -98,11 +96,11 @@ class TestProjections:
         assert np.max(np.abs(mp @ ms)) < 1e-12
 
 
-def _trace(modes: dict, period=1.0, height=1.4) -> TraceCoefficients:
+def _trace(modes: dict, period=1.0) -> TraceCoefficients:
     """The trace with coefficient modes[n] at each mode n, in dict order."""
     ns = np.array(list(modes), dtype=int)
     coef = np.array([modes[n] for n in ns], dtype=complex).reshape(-1, 2)
-    return TraceCoefficients(period=period, height=height, ns=ns, coef=coef)
+    return TraceCoefficients(period=period, ns=ns, coef=coef)
 
 
 class TestTraceOps:
@@ -129,108 +127,38 @@ class TestTraceOps:
         t = traction(grad, div, (0.0, 1.0), params2)
         assert np.max(np.abs(dtn_out - t)) < 1e-10
 
-    def test_upward_extend_reproduces_trace_at_h(self, params2):
-        a = np.array([0.3 + 1j, -0.2], dtype=complex)
-        pts = np.array([[0.37, 1.4]])
-        val = upward_extend(_trace({2: a}), params2, pts)
-        expect = a * np.exp(1j * 2 * math.pi * 2 * 0.37)
-        assert np.allclose(val[0], expect, atol=1e-13)
-
-    def test_upward_extend_evanescent_decay(self, params2):
-        n = 3
-        xi = 2 * math.pi * n
-        a = np.array([1.0, 0.7j], dtype=complex)
-        val = upward_extend(_trace({n: a}), params2, np.array([[0.3, 2.4]]))
-        gp = complex(gamma(xi, params2.k_p))
-        gs = complex(gamma(xi, params2.k_s))
-        mp, ms = projection_matrices(xi, params2)
-        hand = (np.exp(1j * gp) * (mp @ a) + np.exp(1j * gs) * (ms @ a)) \
-            * np.exp(1j * xi * 0.3)
-        assert np.allclose(val[0], hand, atol=1e-14)
-        # slowest decay rate is the s-branch
-        bound = math.exp(-math.sqrt(xi ** 2 - params2.k_s ** 2))
-        assert np.max(np.abs(val)) <= 4.0 * bound * float(np.sum(np.abs(a)))
-
-    def test_upward_extend_zero(self, params2):
-        assert np.array_equal(
-            upward_extend(_trace({}), params2, np.array([[0.1, 2.0]])),
-            np.zeros((1, 2)))
-
     def test_unsorted_modes_match_per_mode_formulas(self, params2):
         # five modes in no order, propagating and evanescent: each output
-        # row is its own mode's formula, whatever the order, and the
-        # extension and the trace values sum the modes
+        # row is its own mode's formula, whatever the order, and the trace
+        # values sum the modes
         ns = np.array([3, -1, 0, -4, 2])
         gen = np.random.default_rng(5)
         coef = gen.standard_normal((5, 2)) + 1j * gen.standard_normal((5, 2))
-        tr = TraceCoefficients(period=1.3, height=1.4, ns=ns, coef=coef)
+        tr = TraceCoefficients(period=1.3, ns=ns, coef=coef)
         assert np.array_equal(tr.xis, 2 * math.pi * ns / 1.3)
         out = apply_dtn(tr, params2)
-        phi, psi = helmholtz_split(tr, params2)
-        assert np.array_equal(out.ns, ns) and phi.shape == psi.shape == (5,)
-        pts = np.array([[0.21, 1.4], [0.9, 1.75], [1.2, 2.3]])
-        total = upward_extend(tr, params2, pts)
-        values = tr.values(pts[:, 0])
-        extension, trace = np.zeros_like(total), np.zeros_like(values)
+        assert np.array_equal(out.ns, ns)
+        x1s = np.array([0.21, 0.9, 1.2])
+        values = tr.values(x1s)
+        trace = np.zeros_like(values)
         for k, n in enumerate(ns):
             xi = 2 * math.pi * n / 1.3
             u = coef[k]
             m = symbol_matrices(xi, params2)
             assert np.allclose(out.coef[k], m @ u, rtol=1e-14, atol=0)
-            gp = complex(gamma(xi, params2.k_p))
-            gs = complex(gamma(xi, params2.k_s))
-            rho = xi ** 2 + gp * gs
-            assert phi[k] == pytest.approx((xi * u[0] + gs * u[1]) / rho,
-                                           rel=1e-14)
-            assert psi[k] == pytest.approx((gp * u[0] - xi * u[1]) / rho,
-                                           rel=1e-14)
-            mp, ms = projection_matrices(xi, params2)
-            for j, (x1, x2) in enumerate(pts):
-                extension[j] += (np.exp(1j * gp * (x2 - 1.4)) * (mp @ u)
-                                 + np.exp(1j * gs * (x2 - 1.4)) * (ms @ u)) \
-                    * np.exp(1j * xi * x1)
+            for j, x1 in enumerate(x1s):
                 trace[j] += u * np.exp(1j * xi * x1)
-        assert np.allclose(total, extension, rtol=0,
-                           atol=1e-14 * np.max(np.abs(extension)))
         assert np.allclose(values, trace, rtol=0,
                            atol=1e-14 * np.max(np.abs(trace)))
 
     def test_empty_trace_shapes(self, params2):
-        tr = TraceCoefficients(period=1.0, height=1.4,
-                               ns=np.zeros(0, dtype=int),
+        tr = TraceCoefficients(period=1.0, ns=np.zeros(0, dtype=int),
                                coef=np.zeros((0, 2), dtype=complex))
         assert tr.xis.shape == (0,)
         assert np.array_equal(tr.values(np.linspace(0.0, 1.0, 4)),
                               np.zeros((4, 2)))
         out = apply_dtn(tr, params2)
         assert out.ns.shape == (0,) and out.coef.shape == (0, 2)
-        phi, psi = helmholtz_split(tr, params2)
-        assert phi.shape == psi.shape == (0,)
-        pts = np.zeros((3, 5, 2)) + [0.2, 2.0]
-        assert np.array_equal(upward_extend(tr, params2, pts),
-                              np.zeros((3, 5, 2)))
-
-
-class TestHelmholtzSplit:
-    def test_pure_p_mode(self, params2):
-        xi = 2 * math.pi
-        gp = complex(gamma(xi, params2.k_p))
-        h = 1.4
-        u = np.array([xi, gp]) * np.exp(1j * gp * h)
-        phi, psi = helmholtz_split(_trace({1: u}, height=h), params2)
-        assert abs(psi[0]) < 1e-12 * abs(phi[0])
-        assert phi[0] == pytest.approx(np.exp(1j * gp * h), abs=1e-12)
-
-    def test_pure_s_mode(self, params2):
-        xi = 2 * math.pi
-        gs = complex(gamma(xi, params2.k_s))
-        u = np.array([gs, -xi]) * 0.7
-        phi, psi = helmholtz_split(_trace({1: u}), params2)
-        assert abs(phi[0]) < 1e-12 * abs(psi[0])
-
-    def test_zero_trace(self, params2):
-        phi, psi = helmholtz_split(_trace({}), params2)
-        assert phi.size == 0 and psi.size == 0
 
 
 class TestTraction:

@@ -34,14 +34,14 @@ from elastodtn.model import (
 )
 from elastodtn.dtn import default_n_max
 from elastodtn.montecarlo import (
-    random_input_moments,
     pullback_source_h1_sq,
     pushforward_h1_sq,
     run_ensemble,
     run_sample,
     meansquare_envelope_check,
 )
-from elastodtn.verify import bound_profile, source_norms
+from elastodtn.verify import (bound_profile, source_norms,
+                              surface_distance_1inf)
 
 
 @pytest.fixture
@@ -134,7 +134,8 @@ class TestRunSample:
             monkeypatch):
         # nx = 12 resolves modes up to 5, below the automatic 8: that
         # warns once, not per sample; an explicit request never warns, and
-        # the reference system and every sample record it with the cap
+        # the reference system and every sample record it with the cap, as
+        # does every per-sample record
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
         systems = []
         for name in ("assemble_B", "assemble_B_transformed"):
@@ -144,10 +145,11 @@ class TestRunSample:
             monkeypatch.setattr(montecarlo, name, spy)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_ensemble(surface_model, source_spec, params2, mesh, 3)
+            res = run_ensemble(surface_model, source_spec, params2, mesh, 3)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert sorted((s.n_max_requested, s.n_max) for s in systems) == \
             [(8, 5)] * 4
+        assert [r["n_max"] for r in res.per_sample] == [5] * 3
         systems.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -481,31 +483,36 @@ class TestMeansquareEnvelope:
         assert not chk_tight["ok"]
 
 
+def _f_second_moment(model, n):
+    """Sample mean of ||f(eta) - f0||^2_{1,inf} over the draws 0..n-1."""
+    return float(np.mean([
+        surface_distance_1inf(sample_surface(model, i), model.f0,
+                              model.f0.period) ** 2 for i in range(n)]))
+
+
 class TestRandomInputMoments:
+    """The second moments of the random inputs: E||f - f0||^2_{1,inf} of the
+    drawn surfaces, and E||g~||^2_H1, the ensemble's `mean_g_sq`."""
+
     def test_deterministic_model_zero_f_moment(self, source_spec, params2,
                                                mesh_ref):
-        mom = random_input_moments(_det_model(), source_spec, params2,
-                                  mesh_ref, 4)
-        assert mom["f_second_moment"] == 0.0
-        assert mom["g_second_moment"] > 0.0
+        model = _det_model()
+        assert _f_second_moment(model, 4) == 0.0
+        res = run_ensemble(model, source_spec, params2, mesh_ref, 4)
+        assert res.mean_g_sq > 0.0
+        assert res.mean_g_sq == float(np.mean(
+            [r["g_h1_sq"] for r in res.per_sample]))
 
-    def test_halved_amplitudes_quarter_moment(self, source_spec, params2,
-                                              mesh_ref, surface_model):
+    def test_halved_amplitudes_quarter_moment(self, surface_model):
         half = RandomSurfaceModel(
             f0=surface_model.f0, mode_count=surface_model.mode_count,
             amplitudes=tuple(a / 2 for a in surface_model.amplitudes),
             phases=surface_model.phases, M0=surface_model.M0,
             seed=surface_model.seed)
-        m1 = random_input_moments(surface_model, source_spec, params2,
-                                 mesh_ref, 32)
-        m2 = random_input_moments(half, source_spec, params2, mesh_ref, 32)
-        assert m2["f_second_moment"] == pytest.approx(
-            m1["f_second_moment"] / 4.0, rel=0.2)
+        assert _f_second_moment(half, 32) == pytest.approx(
+            _f_second_moment(surface_model, 32) / 4.0, rel=0.2)
 
-    def test_stability_under_doubling(self, source_spec, params2, mesh_ref,
-                                      surface_model):
-        from elastodtn.model import sample_surface
-        from elastodtn.verify import surface_distance_1inf
+    def test_stability_under_doubling(self, surface_model):
         n = 64
         vals = np.array([
             surface_distance_1inf(sample_surface(surface_model, i),
@@ -515,9 +522,3 @@ class TestRandomInputMoments:
         m_2n = float(np.mean(vals))
         se = float(np.std(vals[:n], ddof=1) / math.sqrt(n))
         assert abs(m_2n - m_n) <= 2.0 * se
-
-    def test_minimum_sample_count(self, source_spec, params2, mesh_ref,
-                                  surface_model):
-        with pytest.raises(ParameterError):
-            random_input_moments(surface_model, source_spec, params2,
-                                mesh_ref, 1)

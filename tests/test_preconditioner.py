@@ -372,7 +372,7 @@ def _default_solve(omega):
     p = cfg.make_params()
     geom = cfg.make_geometry()
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
-    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    src = cfg.make_source()
     return solve(assemble_B(mesh, p),
                  assemble_load(mesh, src))
 

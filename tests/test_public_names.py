@@ -28,10 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "elastodtn"
 
 TEST_ONLY = {
-    "random_input_moments",
     "trace_bound_check",
     "form_continuity_check",
-    "helmholtz_field_check",
 }
 
 RULE_CALLERS = {

@@ -47,3 +47,31 @@ def test_ensemble_study_runs():
     assert match, proc.stdout
     lo, hi, fallbacks = map(int, match.groups())
     assert 1 <= lo <= hi and fallbacks == 0
+
+
+def test_mms_study_runs():
+    # both surfaces, three levels each, on the automatic DtN truncation
+    proc = _run_script(ROOT / "scripts" / "mms_study.py", "--levels", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    for kind in ("flat", "wavy"):
+        assert f"--- {kind} surface, omega = 4.0 ---" in proc.stdout
+    header = re.findall(r"^ +mesh size +H1 error +L2 error +solver +iters "
+                        r"+n_max$", proc.stdout, re.M)
+    rows = re.findall(r"^ +[\d.e-]+ +[\d.e-]+ +[\d.e-]+ +(\w+) +\d+ +(\d+)$",
+                      proc.stdout, re.M)
+    assert len(header) == 2 and len(rows) == 6, proc.stdout
+    # omega 4 on period 3 needs 8 modes, and nx 24 already resolves them
+    assert [int(n_max) for _, n_max in rows] == [8] * 6
+    assert proc.stdout.count("observed H1 orders:") == 2
+
+
+def test_frequency_sweep_runs():
+    proc = _run_script(ROOT / "scripts" / "frequency_sweep.py", "--points",
+                       "3", "--nx", "32", "--ny", "48")
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    rows = re.findall(r"^ +([\d.]+) +[\d.e-]+ +[\d.e-]+ +\w+ +\d+$",
+                      proc.stdout, re.M)
+    assert [float(om) for om in rows] == [2.0, 5.6569, 16.0], proc.stdout
+    assert "fitted slope (top half):" in proc.stdout

@@ -14,7 +14,6 @@ from elastodtn.fem import (
     assemble_B,
     assemble_load,
     map_quadrature,
-    norms,
     solve,
     strip_preconditioner,
     trace_coefficients,
@@ -56,7 +55,6 @@ from elastodtn.verify import (
     convergence_slopes,
     default_mms_field,
     form_continuity_check,
-    helmholtz_field_check,
     manufactured_source,
     mms_convergence,
     omega_sweep,
@@ -133,8 +131,8 @@ def rellich_lhs_samples(u_vals: np.ndarray, grad_vals: np.ndarray,
     u_vals = np.asarray(u_vals, dtype=complex)
     n = u_vals.shape[0]
     x = np.arange(n) * (period / n)
-    trace = TraceCoefficients(  # the height is not read
-        period=period, height=0.0, ns=((np.arange(n) + n // 2) % n) - n // 2,
+    trace = TraceCoefficients(
+        period=period, ns=((np.arange(n) + n // 2) % n) - n // 2,
         coef=np.fft.fft(u_vals, axis=0) / n)
     tu = apply_dtn(trace, p).values(x)
     return float(_rellich_integrand(tu, u_vals, grad_vals, p).mean() * period)
@@ -382,11 +380,7 @@ class TestPoincare:
         for field in _random_unit_fields(mesh, 30, seed=11):
             ratio = poincare_check(field)
             assert ratio <= bound
-            # the carried norms are those of the normalized values
-            fresh = norms(FieldSolution(mesh=mesh, values=field.values))
-            assert fresh["h1"] == pytest.approx(1.0, rel=1e-12)
-            for key, value in fresh.items():
-                assert field.norms[key] == pytest.approx(value, rel=1e-12)
+            assert field.norms["h1"] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestTraceBound:
@@ -514,7 +508,8 @@ def _spy_systems(monkeypatch):
 class TestDtnTruncationOnce:
     """The MMS study and the sweep resolve the DtN truncation once: an
     automatic value past Nyquist warns once, an explicit one never, and
-    every system records the request and its own cap."""
+    every system records the request and its own cap, which every MMS row
+    and sweep solve reports."""
 
     def _mms(self, p, n_max):
         return mms_convergence(p, _mms_geometry("flat"), 3, nx0=4, ny0=6,
@@ -533,26 +528,30 @@ class TestDtnTruncationOnce:
                 # levels nx 4, 8, 16; resolved at the finest, Nyquist 7
                 (lambda: self._mms(p, None), 8, [1, 3, 7]),
                 # resolved at omega 24 (16 modes), Nyquist 7 at nx = 16
-                (lambda: self._sweep(flat_geom, bump, None), 16, [7, 7])):
+                (lambda: self._sweep(flat_geom, bump, None).solves, 16,
+                 [7, 7])):
             systems.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                run()
+                rows = run()
             assert [str(w.message) for w in caught] == [
                 f"automatic n_max {request} exceeds the Nyquist index "
                 f"(nx - 1) // 2 = 7 at nx = 16; the DtN block uses 7"]
             assert [(s.n_max_requested, s.n_max) for s in systems] == \
                 [(request, cap) for cap in caps]
+            assert [row["n_max"] for row in rows] == caps
 
     def test_explicit_past_nyquist_is_silent(self, flat_geom, bump,
                                              monkeypatch):
         systems = _spy_systems(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            self._mms(make_params(1.0, 1.0, 2.0), 40)
-            self._sweep(flat_geom, bump, 40)
+            table = self._mms(make_params(1.0, 1.0, 2.0), 40)
+            sweep = self._sweep(flat_geom, bump, 40)
         assert [(s.n_max_requested, s.n_max) for s in systems] == \
             [(40, 1), (40, 3), (40, 7), (40, 7), (40, 7)]
+        assert [row["n_max"] for row in table + sweep.solves] == \
+            [1, 3, 7, 7, 7]
 
 
 class TestDtnPairing:
@@ -771,7 +770,7 @@ def _verify_all_case(index=0, seed=None, identity=False):
     dmap = DomainMap(f0=model.f0, f_eta=f_eta,
                      cutoff=make_cutoff(None, gap),
                      epsilon_margin=cfg.epsilon_margin)
-    src = make_source(cfg.make_source_spec(), None, f_max=cfg.M, h=cfg.h)
+    src = cfg.make_source()
     return dmap, cfg.make_params(), dict(
         nx=64, ny=64, source=src, seed=cfg.seed if seed is None else seed)
 
@@ -1059,28 +1058,3 @@ class TestFormContinuity:
         errs = r["sol_errors"]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-3
-
-
-class TestHelmholtzFieldCheck:
-    def test_pure_p_trace(self, params2):
-        xi = 2 * math.pi
-        gp = complex(gamma(xi, params2.k_p))
-        tr = TraceCoefficients(period=1.0, height=1.4, ns=np.array([1]),
-                               coef=np.array([[xi, gp]], complex))
-        r = helmholtz_field_check(tr, params2)
-        assert r["s_residual"] < 1e-12
-
-    def test_zero_trace(self, params2):
-        tr = TraceCoefficients(period=1.0, height=1.4,
-                               ns=np.zeros(0, dtype=int),
-                               coef=np.zeros((0, 2), complex))
-        r = helmholtz_field_check(tr, params2)
-        assert r == {"p_residual": 0.0, "s_residual": 0.0}
-
-    def test_solved_problem(self, flat_geom, params2, bump):
-        mesh = build_mesh(flat_geom.surface, flat_geom.h, 32, 48)
-        system = assemble_B(mesh, params2, 8)
-        sol = solve(system, assemble_load(mesh, bump))
-        r = helmholtz_field_check(sol, params2)
-        assert r["p_residual"] < 1e-6
-        assert r["s_residual"] < 1e-6
