@@ -20,12 +20,13 @@ all terms pick up det(J); all evaluated by the mesh's degree-5 (7-point)
 rule.  `map_quadrature` evaluates the map once per sample at those points;
 the resulting `MappedQuadrature` is the only place the factors are formed.
 
-Every LU factorization and triangular solve runs with every loaded OpenBLAS
-pinned to one thread (`_single_thread_blas`): SuperLU calls BLAS on each
-supernode, and with more threads the factorization is slower and its
-factors (so the solution's bytes) depend on the thread setting.  GMRES,
-whose Arnoldi steps call BLAS, and the band LU of a `StripPreconditioner`
-run under the same pin.  Other BLAS vendors are left as they are.
+Every LU factorization, triangular solve and `eigh` of Im A runs with
+every loaded OpenBLAS pinned to one thread (`_single_thread_blas`): SuperLU
+calls BLAS on each supernode, and with more threads the factorization is
+slower and its factors (so the solution's bytes) depend on the thread
+setting.  GMRES, whose Arnoldi steps call BLAS, and the band LU of a
+`StripPreconditioner` run under the same pin.  Other BLAS vendors are left
+as they are.
 """
 
 from __future__ import annotations
@@ -487,6 +488,7 @@ _single_thread_blas = _SingleThreadBlas()
 _RESIDUAL_GATE = 1e-10  # relative residual every returned solution meets
 _REFINE_TOL = 1e-12     # refinement (and GMRES) stops at this residual
 _REFINE_MAX_STEPS = 10
+_IMAG_RANK_TOL = 1e-13  # eigenvalues of Im A kept: |lam| > tol max |lam|
 # Preconditioned GMRES: Krylov basis size of one cycle and the number of
 # cycles.  scipy holds restart + 1 basis vectors, so the basis is what
 # each pool thread adds to the memory of a sample.
@@ -500,28 +502,77 @@ def _factor(a: sp.csc_matrix):
     return spla.splu(a, permc_spec="MMD_AT_PLUS_A")
 
 
-def _refined_solve(a: sp.csc_matrix, b: np.ndarray):
-    """(x, relative residual, steps, nnz(L+U)) from a complex64 LU of A and
-    complex128 iterative refinement (Carson & Higham, SIAM J. Sci. Comput.
-    40 (2018) A817), or None when the complex64 factorization fails.
+def _imag_part(a: sp.csc_matrix, top: np.ndarray):
+    """(u, lam) with Im A = U diag(lam) U^T, U zero off the dofs `top` and
+    u = U[top] orthonormal, from `eigh` of the top x top block of Im A;
+    eigenvalues with |lam| <= `_IMAG_RANK_TOL` max |lam| are dropped.
+    None when Im A has an entry outside that block."""
+    nz = np.flatnonzero(a.data.imag != 0.0)
+    pos = np.full(a.shape[0], -1)
+    pos[top] = np.arange(top.size)
+    rows = pos[a.indices[nz]]
+    cols = pos[np.searchsorted(a.indptr, nz, side="right") - 1]
+    if np.any(rows < 0) or np.any(cols < 0):
+        return None
+    block = np.zeros((top.size, top.size))
+    block[rows, cols] = a.data.imag[nz]
+    lam, vec = np.linalg.eigh(block)
+    keep = np.abs(lam) > _IMAG_RANK_TOL * np.max(np.abs(lam), initial=0.0)
+    return vec[:, keep], lam[keep]
 
-    Each step adds the complex64 correction of the complex128 residual
-    b - A x; refinement stops at relative residual `_REFINE_TOL`, after a
-    step that fails to halve it (that step is kept only if it lowered it),
-    or after `_REFINE_MAX_STEPS` steps.
+
+def _refined_solve(a: sp.csc_matrix, b: np.ndarray, top: np.ndarray):
+    """(x, relative residual, steps, nnz(L+U), rank of U) from a float32 LU
+    of Re A, a Woodbury correction for i Im A = U diag(i lam) U^T
+    (`_imag_part`) and complex128 iterative refinement (Carson & Higham,
+    SIAM J. Sci. Comput. 40 (2018) A817); None when Im A leaves the top
+    block or the float32 factorization fails.
+
+    With R = Re A and Z = R^-1 U (solved with Re b and Im b as one
+    multi-column solve), A^-1 r is approximated by y - Z S^-1 U^T y with
+    y = R^-1 r (two real solves) and S = diag(1 / (i lam)) + U^T Z.  Each
+    step adds that correction of the complex128 residual b - A x;
+    refinement stops at relative residual `_REFINE_TOL`, after a step that
+    fails to halve it (that step is kept only if it lowered it), or after
+    `_REFINE_MAX_STEPS` steps.
     """
-    try:  # the complex64 copy of A shares its index arrays
+    imag = _imag_part(a, top)
+    if imag is None:
+        return None
+    u, lam = imag
+    try:  # the float32 copy of Re A shares the index arrays of A
         lu = _factor(sp.csc_matrix(
-            (a.data.astype(np.complex64), a.indices, a.indptr), shape=a.shape))
+            (a.data.real.astype(np.float32), a.indices, a.indptr),
+            shape=a.shape))
     except RuntimeError:  # singular in single precision
         return None
+    rhs = np.zeros((a.shape[0], 2 + lam.size), dtype=np.float32)
+    rhs[:, 0], rhs[:, 1] = b.real, b.imag
+    rhs[top, 2:] = u
+    first = lu.solve(rhs)
+    z = np.array(first[:, 2:], dtype=float)
+    try:
+        s_inv = np.linalg.inv(np.diag(-1j / lam) + u.T @ z[top])
+    except np.linalg.LinAlgError:
+        return None
+
+    def woodbury(y_pair):
+        """The approximation of A^-1 r from y = R^-1 r, given as the
+        (re, im) columns y_pair[:, :2]."""
+        y = np.array(y_pair[:, :2], dtype=float, order="C")
+        yc = y.view(complex)[:, 0]          # y as complex, same memory
+        w = s_inv @ (u.T @ yc[top])
+        y -= z @ np.stack([w.real, w.imag], axis=1)
+        return yc
+
     bnorm = np.linalg.norm(b)
-    x = lu.solve(b.astype(np.complex64)).astype(complex)
+    x = woodbury(first)
     r = b - a @ x
     rel = np.linalg.norm(r) / bnorm
     steps = 0
     while rel > _REFINE_TOL and steps < _REFINE_MAX_STEPS:
-        x_new = x + lu.solve(r.astype(np.complex64))
+        x_new = x + woodbury(
+            lu.solve(r.view(float).reshape(-1, 2).astype(np.float32)))
         r_new = b - a @ x_new
         rel_new = np.linalg.norm(r_new) / bnorm
         steps += 1
@@ -531,18 +582,20 @@ def _refined_solve(a: sp.csc_matrix, b: np.ndarray):
         x, r, rel = x_new, r_new, rel_new
         if not halved:
             break
-    return x, rel, steps, lu.nnz
+    return x, rel, steps, lu.nnz, lam.size
 
 
-def _lu_solve(a: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, dict]:
-    """x with A x = b for a nonzero b, and its solver health (the metadata
+def _lu_solve(a: sp.csc_matrix, b: np.ndarray,
+              top: np.ndarray) -> tuple[np.ndarray, dict]:
+    """x with A x = b for a nonzero b whose Im A lies on the dofs `top`
+    (else the complex128 LU solves), and its solver health (the metadata
     keys `solve` documents); raises SolveError above the residual gate.
     Runs with OpenBLAS pinned to one thread."""
     with _single_thread_blas:
-        refined = _refined_solve(a, b)
+        refined = _refined_solve(a, b, top)
         if refined is not None and refined[1] <= _RESIDUAL_GATE:
-            x, rel, steps, nnz_lu = refined
-            dtype = "complex64"
+            x, rel, steps, nnz_lu, rank = refined
+            dtype = "float32"
         else:
             try:
                 lu = _factor(a)
@@ -550,13 +603,14 @@ def _lu_solve(a: sp.csc_matrix, b: np.ndarray) -> tuple[np.ndarray, dict]:
                 raise SolveError(f"factorization failed: {exc}") from exc
             x = lu.solve(b)
             rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
-            steps, nnz_lu, dtype = 0, lu.nnz, "complex128"
+            steps, nnz_lu, rank, dtype = 0, lu.nnz, 0, "complex128"
     if rel > _RESIDUAL_GATE:
         raise SolveError(
             f"relative residual {rel:.3e} exceeds {_RESIDUAL_GATE:g} "
             "(possible discrete resonance or bad truncation)")
     return x, {"solver": "lu", "residual": float(rel), "nnz_lu": int(nnz_lu),
-               "factor_dtype": dtype, "refinement_steps": steps}
+               "factor_dtype": dtype, "refinement_steps": steps,
+               "imag_rank": rank}
 
 
 _KL = _KU = 3   # band half-widths of a strip symbol in (row j, component a)
@@ -668,18 +722,21 @@ def solve(system: SparseSystem, load: np.ndarray,
           preconditioner: StripPreconditioner | None = None) -> FieldSolution:
     """Sparse solve; the residual must satisfy ||Ax-b|| <= 1e-10 ||b||.
 
-    Without a preconditioner, A is factored in complex64 and the solution
-    refined with complex128 residuals.  When the complex64 factorization
-    fails or refinement ends above the 1e-10 gate, A is factored in
-    complex128 and solved once.
+    Without a preconditioner, Re A is factored in float32, i Im A (the
+    propagating DtN modes, on the top dofs) is corrected for by the
+    Woodbury identity, and the solution is refined with complex128
+    residuals.  When the float32 factorization fails, refinement ends
+    above the 1e-10 gate or Im A has an entry off the top block, A is
+    factored in complex128 and solved once.
 
     With a `StripPreconditioner` (of a nearby operator on the same strip),
     GMRES runs first, in complex128 with at most `_GMRES_MAX_CYCLES` cycles
     of `_GMRES_RESTART` steps; its x is kept when its relative residual
     meets the gate, and the LU path above solves otherwise.
 
-    Factorizations, solves and GMRES run on one OpenBLAS thread, so the
-    solution does not depend on the BLAS thread setting.
+    Factorizations, solves, the `eigh` of Im A and GMRES run on one
+    OpenBLAS thread, so the solution does not depend on the BLAS thread
+    setting.
 
     The solution's metadata holds the system's `omega`, `n_max` (the
     effective DtN truncation) and `n_max_requested`, and the solver health
@@ -688,8 +745,8 @@ def solve(system: SparseSystem, load: np.ndarray,
     (-Im(x^H b) / |x^H b|, positive when the field radiates through the
     top); `iterations` when GMRES ran (also when it fell back to LU); and
     on the LU path `nnz_lu` (fill of the LU factors), `factor_dtype`
-    ("complex64" or "complex128") and `refinement_steps` (0 on the
-    complex128 path).
+    ("float32" or "complex128"), `refinement_steps` and `imag_rank` (the
+    rank of the Woodbury correction; both 0 on the complex128 path).
     """
     b = np.asarray(load, dtype=complex)
     if b.shape != (system.dimension,):
@@ -701,7 +758,8 @@ def solve(system: SparseSystem, load: np.ndarray,
             x, health = _gmres_solve(system.matrix, b, preconditioner)
         # no GMRES, or GMRES above the gate (a NaN residual included)
         if not health.get("residual", math.inf) <= _RESIDUAL_GATE:
-            x, lu_health = _lu_solve(system.matrix, b)
+            x, lu_health = _lu_solve(system.matrix, b,
+                                      system.mesh.pattern.top_dofs)
             health.update(lu_health)
         health["radiated_power"] = _radiated_power(x, b)
     else:

@@ -656,7 +656,11 @@ def surface_distance_1inf(fa, fb, period: float, n_samples: int = 10000) -> floa
 
 
 def _random_unit_fields(mesh: Mesh, count: int, seed: int):
-    """Random free-node fields normalized to unit H1 norm, as solutions."""
+    """Random free-node fields normalized to unit H1 norm, as solutions.
+
+    Each field's norms are computed once, on the drawn field, and divided
+    by its H1 norm (every norm is 1-homogeneous): they are the scaled
+    field's cached `norms`."""
     gen = keyed_generator(seed, 0xBA7C4)
     free = mesh.free_nodes
     out = []
@@ -664,8 +668,10 @@ def _random_unit_fields(mesh: Mesh, count: int, seed: int):
         vec = np.zeros((mesh.n_nodes, 2), dtype=complex)
         vec[free] = gen.standard_normal((free.size, 2)) \
             + 1j * gen.standard_normal((free.size, 2))
-        vec /= FieldSolution(mesh=mesh, values=vec).norms["h1"]
-        out.append(FieldSolution(mesh=mesh, values=vec))
+        drawn = FieldSolution(mesh=mesh, values=vec).norms
+        unit = FieldSolution(mesh=mesh, values=vec / drawn["h1"])
+        vars(unit)["norms"] = {k: v / drawn["h1"] for k, v in drawn.items()}
+        out.append(unit)
     return out
 
 

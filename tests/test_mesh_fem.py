@@ -362,12 +362,21 @@ class TestAssembly:
         _, m_plain = element_matrices(quad, lam, mu)
         assert np.allclose(m[0], d * m_plain[0], atol=1e-15)
 
-    @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi])
+    @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi,
+                                       16.0])
     @pytest.mark.parametrize("mapped", [False, True])
     def test_system_structure(self, flat_geom, surface_model, omega, mapped):
         # 2 pi and 4 pi are Rayleigh-Wood frequencies: xi_n = k_s for n = 1, 2
         _assert_system_structure(flat_geom, surface_model, 24, 16, omega,
                                  mapped)
+
+    @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi,
+                                       16.0])
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_wavy_system_structure(self, wavy_geom, surface_model, omega,
+                                   mapped):
+        model = dataclasses.replace(surface_model, f0=wavy_geom.surface)
+        _assert_system_structure(wavy_geom, model, 24, 16, omega, mapped)
 
     # today's cases, then random meshes and frequencies; k_s = omega and
     # k_p = omega / sqrt(3) meet xi_n = 2 pi n at the Rayleigh-Wood values
@@ -471,10 +480,20 @@ def _assert_same_csc(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def _propagating_modes(p, n_max: int, period: float) -> int:
+    """#{|n| <= n_max : |xi_n| < k_s}."""
+    xis = 2.0 * math.pi * np.arange(-n_max, n_max + 1) / period
+    return int(np.sum(np.abs(xis) < p.k_s))
+
+
 def _assert_system_structure(geom, model, nx, ny, omega, mapped):
     """The assembled system is complex-symmetric and the Im part of its DtN
     block is positive semidefinite (outgoing energy flux), for the plain
-    form or the form pulled back through a sampled map."""
+    form or the form pulled back through a sampled map.
+
+    Im A is zero off the top x top block, has rank at most 2 per
+    propagating mode there, and Re A + U diag(i lam) U^T (`fem._imag_part`,
+    which the float32 solve corrects for) reproduces A."""
     p = make_params(1.0, 1.0, omega)
     mesh = build_mesh(geom.surface, geom.h, nx, ny)
     n_max = default_n_max(p, mesh.period)
@@ -491,6 +510,19 @@ def _assert_system_structure(geom, model, nx, ny, omega, mapped):
     b = fem._dtn_block(mesh, p, system.n_max)
     eigs = np.linalg.eigvalsh((b - b.conj().T) / 2j)
     assert eigs.min() >= -1e-12 * eigs.max()
+
+    top = mesh.pattern.top_dofs
+    in_top = np.zeros(system.dimension, dtype=bool)
+    in_top[top] = True
+    coo = a.tocoo()
+    assert np.all(coo.data.imag[~(in_top[coo.row] & in_top[coo.col])] == 0.0)
+    u, lam = fem._imag_part(a, top)
+    assert 0 < lam.size <= 2 * _propagating_modes(p, system.n_max,
+                                                  mesh.period)
+    assert np.allclose(u.T @ u, np.eye(lam.size), rtol=0.0, atol=1e-14)
+    block = a[top][:, top].toarray()
+    split = block.real + 1j * (u * lam) @ u.T
+    assert np.max(np.abs(split - block)) <= 1e-14 * np.max(np.abs(block))
 
 
 def _sampled_map_quadrature(geom, model, mesh):
@@ -1049,6 +1081,9 @@ def _double_solve(system, load):
     return FieldSolution(mesh=mesh, values=values)
 
 
+NO_DOFS = np.arange(0)   # the top dofs of a real system: none
+
+
 def _near_singular(eps):
     """A = [[1, 1], [1, 1 + eps]] as CSC, with b = (1, 2)."""
     a = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + eps]],
@@ -1057,8 +1092,9 @@ def _near_singular(eps):
 
 
 class TestRefinedSolve:
-    """The complex64 factorization with complex128 refinement against a
-    complex128 solve, and its fallback to the complex128 factorization."""
+    """The float32 factorization of Re A with the Woodbury correction for
+    Im A and complex128 refinement against a complex128 solve, and its
+    fallback to the complex128 factorization."""
 
     @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi])
     @pytest.mark.parametrize("kind", ["flat", "wavy"])
@@ -1070,7 +1106,7 @@ class TestRefinedSolve:
         system = assemble_B(mesh, p, default_n_max(p, mesh.period))
         load = assemble_load(mesh, bump)
         sol = solve(system, load)
-        assert sol.metadata["factor_dtype"] == "complex64"
+        assert sol.metadata["factor_dtype"] == "float32"
         assert 1 <= sol.metadata["refinement_steps"] <= 10
         assert sol.metadata["residual"] <= 1e-10
         expect = _double_solve(system, load)
@@ -1081,9 +1117,9 @@ class TestRefinedSolve:
             <= 1e-11 * scale
 
     def test_single_precision_singular_falls_back(self):
-        # 1 + 1e-9 rounds to 1 in complex64: the complex64 LU is singular
+        # 1 + 1e-9 rounds to 1 in float32: the float32 LU is singular
         a, b = _near_singular(1e-9)
-        x, health = fem._lu_solve(a, b)
+        x, health = fem._lu_solve(a, b, NO_DOFS)
         assert health["factor_dtype"] == "complex128"
         assert health["refinement_steps"] == 0
         assert health["residual"] <= 1e-10
@@ -1092,27 +1128,27 @@ class TestRefinedSolve:
         assert np.array_equal(x, expect)
 
     def test_ill_conditioned_system_refines(self):
-        # kappa about 4e6: the first complex64 solve is off by about
+        # kappa about 4e6: the first float32 solve is off by about
         # kappa * 6e-8, and the refinement recovers double accuracy
         a, b = _near_singular(1e-6)
-        x, health = fem._lu_solve(a, b)
-        assert health["factor_dtype"] == "complex64"
+        x, health = fem._lu_solve(a, b, NO_DOFS)
+        assert health["factor_dtype"] == "float32"
         assert health["refinement_steps"] == 7
         assert health["residual"] <= 1e-12
         rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
         assert health["residual"] == pytest.approx(rel, rel=1e-9, abs=0.0)
 
     def test_refinement_short_of_gate_falls_back(self, monkeypatch):
-        # with no refinement steps the first complex64 solve misses the
+        # with no refinement steps the first float32 solve misses the
         # gate, so the complex128 factorization answers
         monkeypatch.setattr(fem, "_REFINE_MAX_STEPS", 0)
         a, b = _near_singular(1e-6)
-        _, health = fem._lu_solve(a, b)
+        _, health = fem._lu_solve(a, b, NO_DOFS)
         assert health["factor_dtype"] == "complex128"
         assert health["residual"] <= 1e-10
 
-    def test_complex64_matrix_shares_index_arrays(self, monkeypatch,
-                                                  wavy_geom, params2, bump):
+    def test_float32_matrix_shares_index_arrays(self, monkeypatch,
+                                                wavy_geom, params2, bump):
         seen = []
         factor = fem._factor
 
@@ -1124,13 +1160,52 @@ class TestRefinedSolve:
         mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 16, 24)
         system = assemble_B(mesh, params2, 8)
         sol = solve(system, assemble_load(mesh, bump))
-        assert sol.metadata["factor_dtype"] == "complex64"
+        assert sol.metadata["factor_dtype"] == "float32"
         [a32] = seen
         a = system.matrix
-        assert a32.dtype == np.complex64 and a32.nnz == a.nnz
+        assert a32.dtype == np.float32 and a32.nnz == a.nnz
         assert np.shares_memory(a32.indices, a.indices)
         assert np.shares_memory(a32.indptr, a.indptr)
-        assert np.array_equal(a32.data, a.data.astype(np.complex64))
+        assert np.array_equal(a32.data, a.data.real.astype(np.float32))
+
+
+class TestFloat32Path:
+    """The float32 LU of Re A with the Woodbury correction answers every
+    solve of a dense frequency sweep; an imaginary entry off the top block
+    sends a solve to the complex128 LU."""
+
+    @pytest.mark.parametrize("kind", ["flat", "wavy"])
+    def test_dense_sweep_without_fallback(self, flat_geom, wavy_geom, bump,
+                                          kind):
+        geom = flat_geom if kind == "flat" else wavy_geom
+        mesh = build_mesh(geom.surface, geom.h, 16, 24)
+        load = assemble_load(mesh, bump)
+        n_max = mesh_module.nyquist_index(mesh.nx)
+        for omega in 0.5 + 0.05 * np.arange(471):          # 0.5, ..., 24
+            p = make_params(1.0, 1.0, float(omega))
+            meta = solve(assemble_B(mesh, p, n_max), load).metadata
+            assert meta["factor_dtype"] == "float32", omega
+            assert meta["residual"] <= 1e-10, omega
+            assert 0 < meta["imag_rank"] <= 2 * _propagating_modes(
+                p, n_max, mesh.period), omega
+
+    def test_imag_entry_off_top_block_falls_back(self, wavy_geom, params2,
+                                                 bump):
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 16, 24)
+        system = assemble_B(mesh, params2, 7)
+        assert 0 not in mesh.pattern.top_dofs
+        a = system.matrix.copy()
+        diag = np.flatnonzero(a.indices[a.indptr[0]:a.indptr[1]] == 0)[0]
+        a.data[diag] += 1e-3j * abs(a.data[diag])          # A[0, 0]
+        load = assemble_load(mesh, bump)
+        planted = solve(dataclasses.replace(system, matrix=a), load)
+        meta = planted.metadata
+        assert meta["factor_dtype"] == "complex128"
+        assert meta["imag_rank"] == 0 and meta["refinement_steps"] == 0
+        assert meta["residual"] <= 1e-10
+        x = free_vector(mesh, planted.values)
+        assert np.linalg.norm(a @ x - load) <= 1e-10 * np.linalg.norm(load)
+        assert solve(system, load).metadata["factor_dtype"] == "float32"
 
 
 def _blas_threads(controls) -> list:
@@ -1174,18 +1249,24 @@ class TestBlasPin:
                                                params2, bump):
         controls = openblas_at_two
         seen = []
-        factor = fem._factor
+        factor, imag_part = fem._factor, fem._imag_part
 
         def recording_factor(a):
-            seen.append(_blas_threads(controls))
+            seen.append(("factor", _blas_threads(controls)))
             return factor(a)
 
+        def recording_imag_part(a, top):     # the eigh of Im A
+            seen.append(("eigh", _blas_threads(controls)))
+            return imag_part(a, top)
+
         monkeypatch.setattr(fem, "_factor", recording_factor)
+        monkeypatch.setattr(fem, "_imag_part", recording_imag_part)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 24)
         system = assemble_B(mesh, params2, 8)
         sol = solve(system, assemble_load(mesh, bump))
-        assert sol.metadata["factor_dtype"] == "complex64"
-        assert seen == [[1] * len(controls)]
+        assert sol.metadata["factor_dtype"] == "float32"
+        assert seen == [("eigh", [1] * len(controls)),
+                        ("factor", [1] * len(controls))]
         assert _blas_threads(controls) == [2] * len(controls)
 
     def test_dtn_block_pinned_and_bytes_independent_of_blas_threads(
@@ -1224,8 +1305,8 @@ class TestBlasPin:
         system = assemble_B(mesh, params2, 4)
         with pytest.raises(SolveError, match="factorization failed"):
             solve(system, assemble_load(mesh, bump))
-        # the complex64 attempt and the complex128 fallback, both pinned
-        assert seen == [(np.complex64, [1] * len(controls)),
+        # the float32 attempt and the complex128 fallback, both pinned
+        assert seen == [(np.float32, [1] * len(controls)),
                         (np.complex128, [1] * len(controls))]
         assert _blas_threads(controls) == [2] * len(controls)
 
