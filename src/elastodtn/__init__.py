@@ -74,7 +74,6 @@ from .verify import (
     poincare_check,
     pullback_identity_check,
     rellich_residual,
-    trace_bound_check,
 )
 from .montecarlo import (
     EnsembleResult,

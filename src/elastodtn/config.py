@@ -70,7 +70,7 @@ class RunConfig:
     # discretization
     nx: int = 32
     ny: int = 48
-    n_max: int = 0  # 0 = auto: smallest n with |xi_n| >= 4 k_s
+    n_max: int = 0  # 0 = every mode the mesh resolves: |n| <= (nx-1)//2
     # run
     command: str = "solve"
     N: int = 32
@@ -275,7 +275,8 @@ def _validate(cfg: RunConfig) -> None:
     need(len(cfg.amplitude_re) == 2 and len(cfg.amplitude_im) == 2,
          "source.amplitude_re", "amplitude needs two components")
     need(cfg.nx >= 2 and cfg.ny >= 2, "discretization.nx", "nx, ny must be >= 2")
-    need(cfg.n_max >= 0, "discretization.n_max", "must be >= 0 (0 = auto)")
+    need(cfg.n_max >= 0, "discretization.n_max",
+         "must be >= 0 (0 = every resolved mode)")
     nyquist = nyquist_index(cfg.nx)
     need(cfg.n_max <= nyquist, "discretization.n_max",
          f"{cfg.n_max} exceeds the Nyquist index (nx - 1) // 2 = {nyquist}")

@@ -38,16 +38,9 @@ __all__ = [
     "apply_dtn",
     "traction",
     "symbol_bound_check",
-    "default_n_max",
 ]
 
 _RHO_FLOOR = 1e-14
-
-
-def default_n_max(p: ElasticParams, period: float) -> int:
-    """Smallest mode count with |xi_n| >= 4 k_s (evanescent tail negligible
-    at unit distance), floored at 8."""
-    return max(8, int(math.ceil(4.0 * p.k_s * period / (2.0 * math.pi))))
 
 
 def gamma(xi, k: float):
@@ -63,9 +56,22 @@ def gamma(xi, k: float):
 
 
 def _gammas_rho(xi, p: ElasticParams):
+    """gamma_p, gamma_s and rho = xi^2 + gamma_p gamma_s.
+
+    Where both branches are evanescent (|xi| > k_s), gamma_p gamma_s =
+    -|gamma_p| |gamma_s| and xi^2 - |gamma_p| |gamma_s| cancels; rho is
+    formed there as (xi^2 (k_p^2 + k_s^2) - k_p^2 k_s^2) /
+    (xi^2 + |gamma_p| |gamma_s|), the same value without the cancellation.
+    """
+    xi = np.asarray(xi, dtype=float)
     g_p = gamma(xi, p.k_p)
     g_s = gamma(xi, p.k_s)
-    rho = np.asarray(xi, dtype=float) ** 2 + g_p * g_s
+    xi2 = xi * xi
+    kp2, ks2 = p.k_p ** 2, p.k_s ** 2
+    rho = np.where(np.abs(xi) > p.k_s,
+                   (xi2 * (kp2 + ks2) - kp2 * ks2)
+                   / (xi2 + np.abs(g_p) * np.abs(g_s)),
+                   xi2 + g_p * g_s)
     return g_p, g_s, rho
 
 

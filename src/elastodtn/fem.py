@@ -35,7 +35,6 @@ import ctypes
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack as _lapack
 
-from .dtn import TraceCoefficients, default_n_max, symbol_matrices
+from .dtn import TraceCoefficients, symbol_matrices
 from .errors import MapSingularError, SolveError
 from .mesh import (DEGREE5_RULE, Mesh, Quadrature, _weighted_sum,
                    nyquist_index)
@@ -55,7 +54,6 @@ __all__ = [
     "FieldSolution",
     "MappedQuadrature",
     "map_quadrature",
-    "dtn_truncation",
     "assemble_B",
     "assemble_B_transformed",
     "assemble_load",
@@ -227,7 +225,6 @@ class SparseSystem:
     mesh: Mesh
     params: ElasticParams
     n_max: int                        # DtN modes |n| <= n_max in the block
-    n_max_requested: int              # n_max asked for, before the cap
 
 
 @dataclass(frozen=True)
@@ -268,23 +265,6 @@ def _scatter_elements(mesh: Mesh, elem: np.ndarray) -> sp.csc_matrix:
                          shape=(pat.n_dofs, pat.n_dofs))
 
 
-def dtn_truncation(p: ElasticParams, period: float, nx: int,
-                   n_max: int | None = None) -> tuple[int, int]:
-    """(requested, effective) DtN truncation on nx top nodes: requested is
-    n_max, or `dtn.default_n_max(p, period)` when None; the block keeps
-    |n| <= effective = min(requested, `mesh.nyquist_index(nx)`), since past
-    it the trace's DFT aliases.  Only a capped automatic value warns
-    (RuntimeWarning); a system records both numbers."""
-    requested = default_n_max(p, period) if n_max is None else int(n_max)
-    nyquist = nyquist_index(nx)
-    if n_max is None and requested > nyquist:
-        warnings.warn(
-            f"automatic n_max {requested} exceeds the Nyquist index "
-            f"(nx - 1) // 2 = {nyquist} at nx = {nx}; the DtN block uses "
-            f"{nyquist}", RuntimeWarning, stacklevel=2)
-    return requested, min(requested, nyquist)
-
-
 def _sinc2(t: np.ndarray) -> np.ndarray:
     out = np.ones_like(t)
     nz = t != 0.0
@@ -314,7 +294,7 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
 def assemble_B(mesh: Mesh, p: ElasticParams,
                n_max: int | None = None) -> SparseSystem:
     """Assemble the reference form: exact P1 element integrals + DtN block
-    truncated by `dtn_truncation` (None: the automatic n_max)."""
+    (see `_finish_system` for its modes)."""
     return _finish_system(mesh, p, n_max, _domain_matrix(
         mesh, p, lambda: _element_blocks(mesh.quadrature)))
 
@@ -348,8 +328,13 @@ def _domain_matrix(mesh: Mesh, p: ElasticParams,
 def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int | None,
                    domain: sp.csc_matrix) -> SparseSystem:
     """The system holding the domain matrix minus the DtN block as one CSC
-    matrix; the subtraction leaves out entries that come out exactly zero."""
-    requested, n_eff = dtn_truncation(p, mesh.period, mesh.nx, n_max)
+    matrix; the subtraction leaves out entries that come out exactly zero.
+
+    The DtN block keeps the modes |n| <= `nyquist_index(mesh.nx)`, every
+    mode the nx top nodes resolve (past it the trace's DFT aliases), or
+    |n| <= n_max when a lower n_max is given."""
+    nyquist = nyquist_index(mesh.nx)
+    n_eff = nyquist if n_max is None else min(n_max, nyquist)
     block = _dtn_block(mesh, p, n_eff)
     top = mesh.pattern.top_dofs
     dtn = sp.coo_matrix((block.ravel(), (np.repeat(top, top.size),
@@ -361,7 +346,6 @@ def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int | None,
         mesh=mesh,
         params=p,
         n_max=n_eff,
-        n_max_requested=requested,
     )
 
 
@@ -738,8 +722,8 @@ def solve(system: SparseSystem, load: np.ndarray,
     OpenBLAS thread, so the solution does not depend on the BLAS thread
     setting.
 
-    The solution's metadata holds the system's `omega`, `n_max` (the
-    effective DtN truncation) and `n_max_requested`, and the solver health
+    The solution's metadata holds the system's `omega` and `n_max` (the
+    DtN block's modes |n| <= n_max), and the solver health
     of a nonzero load:
     `solver` ("lu" or "gmres"), `residual` (relative) and `radiated_power`
     (-Im(x^H b) / |x^H b|, positive when the field radiates through the
@@ -771,7 +755,6 @@ def solve(system: SparseSystem, load: np.ndarray,
     return FieldSolution(mesh=mesh, values=values,
                          metadata={"omega": system.params.omega,
                                    "n_max": system.n_max,
-                                   "n_max_requested": system.n_max_requested,
                                    **health})
 
 
@@ -784,7 +767,7 @@ def free_vector(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 
 def solver_record(sol: FieldSolution) -> dict:
     """The solve's `solver` (None for a zero load), GMRES `iterations`
-    (0 when GMRES did not run) and effective DtN truncation `n_max`."""
+    (0 when GMRES did not run) and DtN truncation `n_max`."""
     return {"solver": sol.metadata.get("solver"),
             "iterations": sol.metadata.get("iterations", 0),
             "n_max": sol.metadata["n_max"]}

@@ -370,11 +370,6 @@ class Mesh:
         i = np.arange(self.nx)
         return 2 * (i * self.ny + (self.ny - 1)) + 1
 
-    def surface_edge_triangles(self) -> np.ndarray:
-        """Triangle index adjacent to the surface edge of column i."""
-        i = np.arange(self.nx)
-        return 2 * (i * self.ny + 0)
-
     def node_text(self) -> np.ndarray:
         """(n_nodes, 2) object array of the shortest repr of each node
         coordinate: the text of the node records.  Every row of nodes has

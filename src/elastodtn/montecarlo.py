@@ -40,7 +40,6 @@ from .fem import (
     assemble_B,
     assemble_B_transformed,
     assemble_load_transformed,
-    dtn_truncation,
     map_quadrature,
     solve,
     solver_record,
@@ -112,7 +111,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     system's), a `Future` of one, waited for just before the solve, or None
     for the LU (see `fem.solve`).  The record's `solver` and `iterations`
     are `fem.solver_record`'s.  delta None is `make_cutoff`'s default, and
-    n_max None the automatic truncation (`fem.dtn_truncation`)."""
+    n_max None keeps every DtN mode the mesh resolves."""
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     h = mesh_ref.h
@@ -171,12 +170,11 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     `parallelism` tasks (and factorizations) are alive; its value is the
     result's `anchor`, and an error it raises propagates unchanged.
     Tasks wait only for the first, which was started before them, so no
-    worker count deadlocks.  The DtN truncation is resolved once
-    (`fem.dtn_truncation`; None is automatic) and shared by every system.
+    worker count deadlocks.  n_max goes to every system's assembly (None:
+    every DtN mode the mesh resolves).
     """
     if N < 1:
         raise ParameterError("N must be >= 1")
-    n_max, _ = dtn_truncation(p, mesh_ref.period, mesh_ref.nx, n_max)
     results: dict[int, dict] = {}
     failures: dict[int, str] = {}
     pre: Future = Future()

@@ -40,7 +40,6 @@ __all__ = [
     "mms_convergence",
     "rellich_residual",
     "poincare_check",
-    "trace_bound_check",
     "SweepConfig",
     "SweepResult",
     "omega_sweep",
@@ -291,8 +290,8 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
     its own strip operator (`fem.strip_preconditioner`; the LU when GMRES
     misses the residual gate) and integrates the load only on the
     triangles with a rule point inside the step's band: the source is
-    exactly zero elsewhere.  The DtN truncation is resolved once, at the
-    finest level (`fem.dtn_truncation`); each level caps it at its own.
+    exactly zero elsewhere.  Each level's DtN keeps every mode its mesh
+    resolves, or |n| <= n_max when that is lower (`fem.assemble_B`).
     """
     if levels < 3:
         raise MmsError("need at least 3 refinement levels")
@@ -304,7 +303,6 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
     if field is None:
         field = default_mms_field(p, geom)
     g = manufactured_source(field)
-    n_max, _ = fem.dtn_truncation(p, per, nx0 * 2 ** (levels - 1), n_max)
     table = []
     for lev in range(levels):
         mesh = build_mesh(geom.surface, geom.h, nx0 * 2 ** lev, ny0 * 2 ** lev)
@@ -365,7 +363,7 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Poincare and trace bounds
+# Poincare bound
 # ---------------------------------------------------------------------------
 
 def poincare_check(field: FieldSolution) -> float:
@@ -383,33 +381,11 @@ def source_norms(mesh: Mesh, g: SourceField, elems=None) -> dict:
     """L2 and H1 norms of an analytic source by degree-5 quadrature, on the
     triangles `elems` only (all when None; where g vanishes elsewhere)."""
     q = mesh.quadrature if elems is None else mesh.quadrature.take(elems)
-    l2_sq = _source_l2_sq(q, g)
+    l2_sq = float(q.integral(
+        np.abs(np.asarray(g(q.points), dtype=complex)) ** 2))
     semi_sq = float(q.integral(
         np.abs(np.asarray(g.grad(q.points), dtype=complex)) ** 2))
     return {"l2": math.sqrt(l2_sq), "h1": math.sqrt(l2_sq + semi_sq)}
-
-
-def _source_l2_sq(q, g) -> float:
-    return float(q.integral(np.abs(np.asarray(g(q.points), dtype=complex)) ** 2))
-
-
-def trace_bound_check(sol: FieldSolution, g, p: ElasticParams,
-                      profile: BoundProfile) -> dict:
-    """||div u||^2 + ||curl u||^2 on the surface vs the c1-shaped bound."""
-    mesh = sol.mesh
-    gu = sol.gradients[mesh.surface_edge_triangles()]
-    div = gu[:, 0, 0] + gu[:, 1, 1]
-    curl = gu[:, 1, 0] - gu[:, 0, 1]
-    x1 = mesh.nodes[mesh.surface_nodes, 0]
-    y1 = mesh.nodes[mesh.surface_nodes, 1]
-    dx = np.diff(np.append(x1, mesh.period))
-    dy = np.diff(np.append(y1, y1[0]))
-    length = np.hypot(dx, dy)
-    lhs = float(np.sum(length * (np.abs(div) ** 2 + np.abs(curl) ** 2)))
-    gnorm = math.sqrt(_source_l2_sq(mesh.quadrature, g))
-    rhs_shape = profile.c1 * gnorm * sol.norms["d2"]
-    ratio = lhs / rhs_shape if rhs_shape > 0 else 0.0
-    return {"lhs": lhs, "rhs_shape": rhs_shape, "ratio": ratio}
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +401,7 @@ class SweepConfig:
     source: SourceField
     nx: int
     ny: int
-    n_max: int | None      # None: the automatic n_max at the largest omega
+    n_max: int | None      # None: every DtN mode the mesh resolves
 
 
 @dataclass(frozen=True)
@@ -441,8 +417,7 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     """||u||_H1 / ||g||_H1 across frequencies, with the anchored omega^3
     envelope calibrated at the smallest frequency.  Each frequency solves
     by GMRES preconditioned with its own strip operator (the LU when GMRES
-    misses the residual gate).  The DtN truncation is resolved once, at
-    the largest frequency (`fem.dtn_truncation`)."""
+    misses the residual gate)."""
     geom = config.geom
     mesh = build_mesh(geom.surface, geom.h, config.nx, config.ny)
     elems = config.source.support_elements(mesh.quadrature)
@@ -450,13 +425,10 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     if gn["h1"] == 0.0:
         raise SweepError("source has zero H1 norm")
     load = assemble_load(mesh, config.source, elems)  # the same at every omega
-    n_max, _ = fem.dtn_truncation(
-        make_params(config.lam, config.mu, max(config.omegas)),
-        geom.surface.period, config.nx, config.n_max)
     ratios, solves = [], []
     for om in config.omegas:
         system = assemble_B(mesh, make_params(config.lam, config.mu, om),
-                            n_max)
+                            config.n_max)
         sol = solve(system, load, preconditioner=strip_preconditioner(system))
         ratios.append(sol.norms["h1"] / gn["h1"])
         solves.append(fem.solver_record(sol))

@@ -11,9 +11,8 @@ from elastodtn import cli
 from elastodtn.cli import main, run_command
 from elastodtn.config import RunConfig, load_config, resolved_text
 from elastodtn.errors import ConfigError
-from elastodtn.fem import assemble_B, assemble_load, dtn_truncation, solve
-from elastodtn.mesh import build_mesh
-from elastodtn.dtn import default_n_max
+from elastodtn.fem import assemble_B, assemble_load, solve
+from elastodtn.mesh import build_mesh, nyquist_index
 
 
 def _write(path, text):
@@ -35,21 +34,20 @@ class TestLoadConfig:
         cfg = load_config(_write(tmp_path / "a.cfg", ""))
         assert cfg == RunConfig()
 
-    @pytest.mark.parametrize("omega, period, expect", [
+    @pytest.mark.parametrize("omega, period, nx", [
         (0.5, 1.0, 8), (2.0, 1.0, 8), (8.0, 1.0, 8), (24.0, 1.0, 16),
         (8.0, 3.0, 16), (24.0, 3.0, 46)])
-    def test_auto_n_max_is_the_ensemble_rule(self, omega, period, expect):
-        # one rule for the CLI commands and the ensemble: smallest n with
-        # |xi_n| >= 4 k_s, floored at 8, capped at the Nyquist index
-        cfg = RunConfig(period=period)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert dtn_truncation(cfg.make_params(omega), period, cfg.nx) \
-                == (expect, min(expect, 15))
-        # the value passes the Nyquist index 15 of nx = 32: it warns
-        assert [w.category for w in caught] == \
-            [RuntimeWarning] * (expect > 15)
-        assert default_n_max(cfg.make_params(omega), period) == expect
+    def test_auto_n_max_is_the_ensemble_rule(self, omega, period, nx):
+        # one rule for the CLI commands and the ensemble: n_max = 0 keeps
+        # every mode the nx top nodes resolve, whatever omega and the
+        # period, and nothing warns
+        cfg = RunConfig(period=period, nx=nx, ny=4)
+        mesh = build_mesh(cfg.make_geometry().surface, cfg.h, nx, cfg.ny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            system = assemble_B(mesh, cfg.make_params(omega),
+                                cfg.n_max or None)
+        assert system.n_max == nyquist_index(nx) == (nx - 1) // 2
 
     def test_resolved_text_byte_stable(self, tmp_path):
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 3.5\n")
@@ -112,21 +110,18 @@ class TestLoadConfig:
             load_config(path)
 
     def test_auto_n_max_keeps_the_cap(self, tmp_path):
-        # the automatic value at omega 24 is 16, past Nyquist at nx = 32:
-        # accepted, and the assembly caps it with a warning naming the
-        # request, the Nyquist index and nx
+        # at omega 24 the old frequency rule asked for 16 modes, past the
+        # Nyquist index 15 of nx = 32; the default block keeps the 15 the
+        # mesh resolves, silently, and an explicit request is capped at
+        # them silently too
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
         cfg = load_config(path)
         mesh = build_mesh(cfg.make_geometry().surface, cfg.h, cfg.nx, cfg.ny)
-        with pytest.warns(RuntimeWarning,
-                          match=r"automatic n_max 16 .* = 15 at nx = 32"):
-            system = assemble_B(mesh, cfg.make_params())
-        assert (system.n_max_requested, system.n_max) == (16, 15)
-        # an explicit request is capped silently; the system keeps both
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            system = assemble_B(mesh, cfg.make_params(), 40)
-        assert (system.n_max_requested, system.n_max) == (40, 15)
+            assert assemble_B(mesh, cfg.make_params()).n_max == 15
+            assert assemble_B(mesh, cfg.make_params(), 40).n_max == 15
+            assert assemble_B(mesh, cfg.make_params(), 8).n_max == 8
 
     @pytest.mark.parametrize("kind, text, key", [
         ("flat", "f0_amplitudes = 0.05", "f0_amplitudes"),
@@ -178,7 +173,8 @@ class TestSolveCommand:
 
     def test_records_requested_and_effective_n_max(self, tmp_path,
                                                    monkeypatch):
-        # the automatic n_max at omega 24 is 16, capped at nx = 32 to 15
+        # resolved.cfg keeps the request (0: every resolved mode) and the
+        # solve's metadata the modes its block used, 15 at nx = 32
         seen = []
         real_solve = cli.solve
 
@@ -191,9 +187,11 @@ class TestSolveCommand:
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
         cfg = load_config(path)
         assert (cfg.nx, cfg.ny, cfg.f0_kind) == (32, 48, "flat")
-        with pytest.warns(RuntimeWarning, match="automatic n_max 16"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert run_command(cfg, str(tmp_path / "out")) == 0
-        assert seen[0]["n_max_requested"] == 16 and seen[0]["n_max"] == 15
+        assert "n_max = 0\n" in (tmp_path / "out" / "resolved.cfg").read_text()
+        assert seen[0]["n_max"] == 15
 
     def test_solve_never_builds_the_whole_mesh_rule(self, tmp_path,
                                                     monkeypatch):
@@ -302,7 +300,8 @@ class TestCsvWriter:
 
 
 class TestDtnTruncationWarnings:
-    """Only an automatic DtN truncation past the Nyquist index warns."""
+    """No DtN truncation warns: every block keeps the modes its mesh
+    resolves."""
 
     @pytest.mark.parametrize("command", ["solve", "mms", "verify-all"])
     def test_default_config_warns_nowhere(self, tmp_path, command):
@@ -310,17 +309,14 @@ class TestDtnTruncationWarnings:
             warnings.simplefilter("error", RuntimeWarning)
             assert run_command(RunConfig(command=command), str(tmp_path)) == 0
 
-    def test_sweep_past_nyquist_warns(self, tmp_path):
-        # resolved once at the largest omega: 16 modes at omega 24, capped
-        # at nx = 32 to 15
+    def test_sweep_to_omega_24_is_silent(self, tmp_path):
+        # the old frequency rule asked for 16 modes at omega 24, past the
+        # Nyquist index 15 of nx = 32, and warned
         cfg = RunConfig(command="sweep-omega",
                         omega_list=(2.0, 4.0, 8.0, 24.0))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_command(cfg, str(tmp_path))
-        assert [str(w.message) for w in caught] == [
-            "automatic n_max 16 exceeds the Nyquist index (nx - 1) // 2 = 15 "
-            "at nx = 32; the DtN block uses 15"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_command(cfg, str(tmp_path)) == 0
 
 
 class TestSweepCommand:

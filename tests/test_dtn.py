@@ -1,5 +1,6 @@
 """Vertical wavenumbers, DtN symbol, projections, traces, traction."""
 
+import decimal
 import math
 
 import numpy as np
@@ -75,6 +76,48 @@ class TestSymbol:
         g_s = np.array([gamma(x, p.k_s) for x in xi])
         rho = xi ** 2 + g_p * g_s
         assert np.all(np.abs(rho) > 1e-10 * np.maximum(1.0, xi ** 2))
+
+
+def _decimal_symbol(xi: float, p) -> np.ndarray:
+    """M(xi) from the module docstring's formula in 50-digit decimal
+    arithmetic, on the exact binary values of xi and p; complex numbers
+    are (re, im) pairs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        dec = decimal.Decimal
+        x, w2, mu = dec(xi), dec(p.omega) ** 2, dec(p.mu)
+
+        def gam(k):
+            d = dec(k) ** 2 - x * x
+            return (d.sqrt(), dec(0)) if d >= 0 else (dec(0), (-d).sqrt())
+
+        def mul(a, b):
+            return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+        g_p, g_s = gam(p.k_p), gam(p.k_s)
+        gg = mul(g_p, g_s)
+        rho = (x * x + gg[0], gg[1])
+        r2 = rho[0] ** 2 + rho[1] ** 2
+        i_over_rho = (rho[1] / r2, rho[0] / r2)
+        off = (x * (mu * rho[0] - w2), x * mu * rho[1])
+        entries = [(w2 * g_p[0], w2 * g_p[1]), off, (-off[0], -off[1]),
+                   (w2 * g_s[0], w2 * g_s[1])]
+        out = [mul(i_over_rho, e) for e in entries]
+        return np.array([complex(float(re), float(im))
+                         for re, im in out]).reshape(2, 2)
+
+
+class TestSymbolPrecision:
+    @pytest.mark.parametrize("omega", [2.0, 8.0, 24.0])
+    def test_symbols_match_a_decimal_reference(self, omega):
+        # every mode a mesh up to nx = 511 resolves: where both branches
+        # are evanescent, xi^2 + gamma_p gamma_s cancels in floating point
+        # unless it is formed from its conjugate form
+        p = make_params(1.0, 1.0, omega)
+        xis = 2.0 * math.pi * np.arange(256)
+        m = symbol_matrices(xis, p)
+        ref = np.array([_decimal_symbol(xi, p) for xi in xis])
+        assert np.all(np.abs(m - ref) <= 1e-14 * np.abs(ref))
 
 
 class TestProjections:

@@ -32,7 +32,6 @@ from elastodtn.model import (
     make_source,
     sample_surface,
 )
-from elastodtn.dtn import default_n_max
 from elastodtn.montecarlo import (
     pullback_source_h1_sq,
     pushforward_h1_sq,
@@ -67,8 +66,7 @@ class TestRunSample:
         rec = run_sample(_det_model(), source_spec, params2, mesh_ref, 0,
                          preconditioner=_shared_pre(mesh_ref, params2))
         src = make_source(source_spec, 0, f_max=0.4, h=1.4)
-        system = assemble_B(mesh_ref, params2,
-                            default_n_max(params2, 1.0))
+        system = assemble_B(mesh_ref, params2)
         sol = solve(system, assemble_load(mesh_ref, src))
         assert rec["u_h1_sq"] == pytest.approx(sol.norms["h1"] ** 2,
                                                rel=1e-12)
@@ -125,38 +123,34 @@ class TestRunSample:
             return sol
 
         monkeypatch.setattr(montecarlo, "solve", spy)
-        run_sample(surface_model, source_spec, params2, mesh_ref, 1,
-                   n_max=16, preconditioner=_shared_pre(mesh_ref, params2, 16))
-        assert seen[0]["n_max_requested"] == 16 and seen[0]["n_max"] == 11
+        rec = run_sample(surface_model, source_spec, params2, mesh_ref, 1,
+                         n_max=16,
+                         preconditioner=_shared_pre(mesh_ref, params2, 16))
+        assert seen[0]["n_max"] == rec["n_max"] == 11
 
-    def test_ensemble_resolves_the_truncation_once(
+    def test_ensemble_keeps_every_resolved_mode(
             self, surface_model, source_spec, params2, flat_geom,
             monkeypatch):
-        # nx = 12 resolves modes up to 5, below the automatic 8: that
-        # warns once, not per sample; an explicit request never warns, and
-        # the reference system and every sample record it with the cap, as
-        # does every per-sample record
-        mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
+        # nx = 64 resolves modes up to 31: by default the reference system
+        # and every sample keep them all, as every per-sample record says;
+        # an explicit request reaches every system, and nothing warns
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 64, 8)
         systems = []
         for name in ("assemble_B", "assemble_B_transformed"):
             def spy(*args, real=getattr(montecarlo, name), **kwargs):
                 systems.append(real(*args, **kwargs))
                 return systems[-1]
             monkeypatch.setattr(montecarlo, name, spy)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = run_ensemble(surface_model, source_spec, params2, mesh, 3)
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert sorted((s.n_max_requested, s.n_max) for s in systems) == \
-            [(8, 5)] * 4
-        assert [r["n_max"] for r in res.per_sample] == [5] * 3
-        systems.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            run_ensemble(surface_model, source_spec, params2, mesh, 3,
-                         n_max=40)
-        assert sorted((s.n_max_requested, s.n_max) for s in systems) == \
-            [(40, 5)] * 4
+            res = run_ensemble(surface_model, source_spec, params2, mesh, 3)
+            assert [s.n_max for s in systems] == [31] * 4
+            assert [r["n_max"] for r in res.per_sample] == [31] * 3
+            systems.clear()
+            res = run_ensemble(surface_model, source_spec, params2, mesh, 3,
+                               n_max=8)
+        assert [s.n_max for s in systems] == [8] * 4
+        assert [r["n_max"] for r in res.per_sample] == [8] * 3
 
     def test_negative_index_rejected(self, surface_model, source_spec,
                                      params2, mesh_ref):

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 
 from elastodtn import cli, fem, montecarlo
 from elastodtn.config import RunConfig
-from elastodtn.dtn import default_n_max
 from elastodtn.fem import (
     assemble_B,
     assemble_load,
@@ -50,8 +49,7 @@ def _rel(a, b):
 def _reference_pre(mesh, p):
     """The strip preconditioner `run_ensemble` shares: the reference
     system's."""
-    return strip_preconditioner(assemble_B(mesh, p,
-                                           default_n_max(p, mesh.period)))
+    return strip_preconditioner(assemble_B(mesh, p))
 
 
 def _captured_sample(model, spec, p, mesh, index, monkeypatch):
@@ -82,8 +80,7 @@ class TestSymbols:
     def test_inverts_flat_reference(self, nx, ny, omega, n_max):
         # nx = 2 and 3 make the offsets -1 and +1 (and 0 at nx = 2) alias
         p = make_params(1.0, 1.0, omega)
-        system = assemble_B(build_mesh(FLAT, 1.4, nx, ny), p,
-                            n_max or default_n_max(p, 1.0))
+        system = assemble_B(build_mesh(FLAT, 1.4, nx, ny), p, n_max or None)
         pre = strip_preconditioner(system)
         assert pre is not None
         for seed in range(3):
@@ -198,7 +195,7 @@ class TestFallback:
         p = make_params(1.0, 1.0, omega)
         mesh = build_mesh(FLAT, 1.4, 32, 48)
         src = make_source(source_spec, None, f_max=0.4, h=1.4)
-        system = assemble_B(mesh, p, default_n_max(p, 1.0))
+        system = assemble_B(mesh, p)
         load = assemble_load(mesh, src)
         return solve(system, load), solve(system, load,
                                           preconditioner=pre(mesh, p))
@@ -206,8 +203,7 @@ class TestFallback:
     def test_preconditioner_of_another_omega(self, source_spec):
         plain, sol = self._plain_and_preconditioned(
             source_spec, 24.0, lambda mesh, p: strip_preconditioner(
-                assemble_B(mesh, make_params(1.0, 1.0, 2.0),
-                           default_n_max(p, 1.0))))
+                assemble_B(mesh, make_params(1.0, 1.0, 2.0))))
         assert sol.metadata["solver"] == "lu"
         assert sol.metadata["iterations"] == (fem._GMRES_RESTART
                                               * fem._GMRES_MAX_CYCLES)
@@ -221,8 +217,7 @@ class TestFallback:
         monkeypatch.setattr(fem, "_GMRES_MAX_CYCLES", 1)
         plain, sol = self._plain_and_preconditioned(
             source_spec, 8.0, lambda mesh, p: strip_preconditioner(
-                assemble_B(mesh, make_params(1.0, 1.0, 2.0),
-                           default_n_max(p, 1.0))))
+                assemble_B(mesh, make_params(1.0, 1.0, 2.0))))
         assert (sol.metadata["solver"], sol.metadata["iterations"]) \
             == ("lu", 1)
         assert sol.values.tobytes() == plain.values.tobytes()

@@ -28,13 +28,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "elastodtn"
 
 TEST_ONLY = {
-    "trace_bound_check",
     "form_continuity_check",
 }
 
 RULE_CALLERS = {
-    "default_n_max": {"fem"},             # only in fem.dtn_truncation
-    "nyquist_index": {"fem", "config"},   # config rejects outside input
+    # fem._finish_system sets the DtN modes; config rejects outside input
+    "nyquist_index": {"fem", "config"},
     "Philox": {"model"},                  # only in model.keyed_generator
 }
 
@@ -175,9 +174,9 @@ def test_each_rule_has_its_owners():
 
 
 def test_a_second_caller_of_a_rule_is_caught():
-    # negative control: the ensemble working out n_max itself again
+    # negative control: the ensemble working out its DtN modes itself
     texts = _texts()
     texts[PACKAGE / "montecarlo.py"] += (
-        "\n\nN_MAX = default_n_max(None, 1.0)\n")
+        "\n\nN_MAX = nyquist_index(mesh_ref.nx)\n")
     assert _rule_callers(texts) == {
-        **RULE_CALLERS, "default_n_max": {"fem", "montecarlo"}}
+        **RULE_CALLERS, "nyquist_index": {"fem", "config", "montecarlo"}}

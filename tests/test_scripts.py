@@ -50,7 +50,8 @@ def test_ensemble_study_runs():
 
 
 def test_mms_study_runs():
-    # both surfaces, three levels each, on the automatic DtN truncation
+    # both surfaces, three levels each, each keeping every DtN mode its
+    # mesh resolves
     proc = _run_script(ROOT / "scripts" / "mms_study.py", "--levels", "3")
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -61,8 +62,8 @@ def test_mms_study_runs():
     rows = re.findall(r"^ +[\d.e-]+ +[\d.e-]+ +[\d.e-]+ +(\w+) +\d+ +(\d+)$",
                       proc.stdout, re.M)
     assert len(header) == 2 and len(rows) == 6, proc.stdout
-    # omega 4 on period 3 needs 8 modes, and nx 24 already resolves them
-    assert [int(n_max) for _, n_max in rows] == [8] * 6
+    # levels nx 24, 48 and 96 on period 3: Nyquist indices 11, 23 and 47
+    assert [int(n_max) for _, n_max in rows] == [11, 23, 47] * 2
     assert proc.stdout.count("observed H1 orders:") == 2
 
 

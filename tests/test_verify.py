@@ -62,7 +62,6 @@ from elastodtn.verify import (
     pullback_identity_check,
     rellich_residual,
     source_norms,
-    trace_bound_check,
 )
 
 
@@ -383,46 +382,6 @@ class TestPoincare:
             assert field.norms["h1"] == pytest.approx(1.0, rel=1e-12)
 
 
-class TestTraceBound:
-    def test_zero_solution(self, flat_geom, params2, bump):
-        mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 20)
-        sol = FieldSolution(mesh=mesh,
-                            values=np.zeros((mesh.n_nodes, 2), complex))
-        prof = bound_profile(2.0, 1.4, 0.2, 0.0)
-        r = trace_bound_check(sol, bump, params2, prof)
-        assert r["lhs"] == 0.0
-
-    def test_ratio_stability_across_omega(self, wavy_geom, source_spec):
-        ratios = []
-        surf = wavy_geom.surface
-        src = make_source(source_spec, None, f_max=0.4, h=1.4)
-        for om in (2.0, 4.0, 8.0):
-            p = make_params(1.0, 1.0, om)
-            mesh = build_mesh(surf, 1.4, 48, 64)
-            system = assemble_B(mesh, p, 16)
-            sol = solve(system, assemble_load(mesh, src))
-            prof = bound_profile(om, 1.4, 0.2, surf.lipschitz)
-            ratios.append(trace_bound_check(sol, src, p, prof)["ratio"])
-        assert max(ratios) / min(ratios) < 10.0
-
-    def test_ratio_stable_under_vanishing_waviness(self, source_spec):
-        # the normalized ratio changes little as the surface flattens; the
-        # direction of the change is not monotone in general (see the
-        # decisions ledger), so only near-stability is asserted
-        p = make_params(1.0, 1.0, 4.0)
-        src = make_source(source_spec, None, f_max=0.4, h=1.4)
-        ratios = []
-        for amp in (0.04, 0.02, 0.0):
-            surf = (cosine_surface(0.3, [amp], [1], [0.0], 0.2, 0.4, 1.0)
-                    if amp > 0 else flat_surface(0.3, 0.2, 0.4, 1.0))
-            mesh = build_mesh(surf, 1.4, 48, 64)
-            system = assemble_B(mesh, p, 16)
-            sol = solve(system, assemble_load(mesh, src))
-            prof = bound_profile(4.0, 1.4, 0.2, surf.lipschitz)
-            ratios.append(trace_bound_check(sol, src, p, prof)["ratio"])
-        assert max(ratios) / min(ratios) < 1.25
-
-
 class TestOmegaSweep:
     def _config(self, geom, src, omegas):
         return SweepConfig(lam=1.0, mu=1.0, omegas=omegas, geom=geom,
@@ -506,10 +465,11 @@ def _spy_systems(monkeypatch):
 
 
 class TestDtnTruncationOnce:
-    """The MMS study and the sweep resolve the DtN truncation once: an
-    automatic value past Nyquist warns once, an explicit one never, and
-    every system records the request and its own cap, which every MMS row
-    and sweep solve reports."""
+    """The MMS study and the sweep pass their n_max once, unchanged, to
+    every system they assemble: by default each system keeps every mode its
+    mesh resolves, an explicit value is capped at each mesh's Nyquist
+    index, nothing warns, and every MMS row and sweep solve reports its
+    system's n_max."""
 
     def _mms(self, p, n_max):
         return mms_convergence(p, _mms_geometry("flat"), 3, nx0=4, ny0=6,
@@ -520,25 +480,20 @@ class TestDtnTruncationOnce:
                                        geom=flat_geom, source=bump, nx=16,
                                        ny=24, n_max=n_max))
 
-    def test_automatic_past_nyquist_warns_once(self, flat_geom, bump,
-                                               monkeypatch):
+    def test_default_keeps_each_mesh_resolved_modes(self, flat_geom, bump,
+                                                    monkeypatch):
         systems = _spy_systems(monkeypatch)
         p = make_params(1.0, 1.0, 2.0)
-        for run, request, caps in (
-                # levels nx 4, 8, 16; resolved at the finest, Nyquist 7
-                (lambda: self._mms(p, None), 8, [1, 3, 7]),
-                # resolved at omega 24 (16 modes), Nyquist 7 at nx = 16
-                (lambda: self._sweep(flat_geom, bump, None).solves, 16,
-                 [7, 7])):
+        for run, caps in (
+                # levels nx 4, 8, 16: Nyquist indices 1, 3 and 7
+                (lambda: self._mms(p, None), [1, 3, 7]),
+                # omega 2 and 24 at nx = 16
+                (lambda: self._sweep(flat_geom, bump, None).solves, [7, 7])):
             systems.clear()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 rows = run()
-            assert [str(w.message) for w in caught] == [
-                f"automatic n_max {request} exceeds the Nyquist index "
-                f"(nx - 1) // 2 = 7 at nx = 16; the DtN block uses 7"]
-            assert [(s.n_max_requested, s.n_max) for s in systems] == \
-                [(request, cap) for cap in caps]
+            assert [s.n_max for s in systems] == caps
             assert [row["n_max"] for row in rows] == caps
 
     def test_explicit_past_nyquist_is_silent(self, flat_geom, bump,
@@ -548,8 +503,7 @@ class TestDtnTruncationOnce:
             warnings.simplefilter("error", RuntimeWarning)
             table = self._mms(make_params(1.0, 1.0, 2.0), 40)
             sweep = self._sweep(flat_geom, bump, 40)
-        assert [(s.n_max_requested, s.n_max) for s in systems] == \
-            [(40, 1), (40, 3), (40, 7), (40, 7), (40, 7)]
+        assert [s.n_max for s in systems] == [1, 3, 7, 7, 7]
         assert [row["n_max"] for row in table + sweep.solves] == \
             [1, 3, 7, 7, 7]
 
