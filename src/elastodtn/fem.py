@@ -14,11 +14,14 @@ sinc^2-weighted DFT values.  Using them on both trial and test side yields a
 dense coupling block on the top dofs only.
 
 The transformed form replaces the constant coefficients by the domain-map
-factors: with J the (lower-triangular) Jacobi matrix of the map and
-C = inv(J) inv(J)^T det(J), gradients become invJ^T-transformed gradients and
-all terms pick up det(J); all evaluated by the mesh's degree-5 (7-point)
-rule.  `map_quadrature` evaluates the map once per sample at those points;
-the resulting `MappedQuadrature` is the only place the factors are formed.
+factors: with J the (lower-triangular) Jacobi matrix of the map, gradients
+become invJ^T-transformed gradients and all terms pick up det(J), evaluated
+by the mesh's degree-5 (7-point) rule.  `map_quadrature` evaluates the map
+once per sample; its `MappedQuadrature` reduces the factors to six moments
+per triangle.  Both forms build their element entries from such moments
+(the plain ones exact) in one pass, sum them into the fixed slots of the
+mesh's `DofPattern` and subtract the DtN block at its known slots, so the
+pattern, and the nnz, never depend on the values.
 
 Every LU factorization, triangular solve and `eigh` of Im A runs with
 every loaded OpenBLAS pinned to one thread (`_single_thread_blas`): SuperLU
@@ -45,8 +48,8 @@ from scipy.linalg import lapack as _lapack
 
 from .dtn import TraceCoefficients, symbol_matrices
 from .errors import MapSingularError, SolveError
-from .mesh import (DEGREE5_RULE, Mesh, Quadrature, _weighted_sum,
-                   nyquist_index)
+from .mesh import (DEGREE5_RULE, DofPattern, Mesh, Quadrature,
+                   _weighted_sum, nyquist_index)
 from .model import DomainMap, ElasticParams
 
 __all__ = [
@@ -69,34 +72,48 @@ __all__ = [
 ]
 
 
-def _element_array(gij: np.ndarray, mm: np.ndarray,
-                   p: ElasticParams) -> np.ndarray:
-    """Element blocks k - omega^2 m, shape (nt, 6, 6), of the stiffness k
-    and the mass m, from the gradient products gij (nt, 6, 6), int
-    grad_i[a] grad_j[b] at [2i + a, 2j + b], and the scalar mass blocks mm
-    (nt, 3, 3); the local dof layout is (vertex k, component a) -> 2k + a.
-
-    One array: (lam + mu) gij, then mu grad_i . grad_j and -omega^2 mm
-    added on the diagonal component blocks.
-    """
-    nt = gij.shape[0]
-    e = (p.lam + p.mu) * gij.reshape(nt, 3, 2, 3, 2)
-    gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
-    for a in range(2):
-        e[:, :, a, :, a] += p.mu * gg
-        e[:, :, a, :, a] += -p.omega ** 2 * mm
-    return e.reshape(nt, 6, 6)
+_CHUNK = 2048   # triangles summed at a time, so the temporaries stay cached
 
 
-def _element_blocks(quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
-    """(gij, mm) of `_element_array` on the plain rule, exact for P1: the
-    gradients are constant and the mass has the closed form
-    area (1 + d_ij) / 12."""
+def _gradient_blocks(grads: np.ndarray, moments: np.ndarray):
+    """(g00, g01, g11), each (3, 3, nt): sum_q w G_i[a] G_j[b] of the
+    transformed P1 gradients G = (g_x + t12 g_y, t22 g_y) at [i, j], from
+    the constant gradients grads (nt, 3, 2) and the six moments sum_q w
+    {1, t12, t22, t12^2, t12 t22, t22^2} per triangle, (6, nt); g10 is g01
+    transposed.  Triangles run last, so each product streams."""
+    m1, m12, m22, m1212, m1222, m2222 = moments
+    gx, gy = np.ascontiguousarray(grads.transpose(2, 1, 0))    # (3, nt)
+    xx, xy, yy = gx[:, None] * gx, gx[:, None] * gy, gy[:, None] * gy
+    g00 = m1 * xx + m12 * (xy + xy.swapaxes(0, 1)) + m1212 * yy
+    return g00, m22 * xy + m1222 * yy, m2222 * yy
+
+
+def _element_entries(grads: np.ndarray, moments: np.ndarray,
+                     mm: np.ndarray, p: ElasticParams) -> np.ndarray:
+    """Element entries of k - omega^2 m, (nt, 36) in the order of
+    `DofPattern.slots` (local dof (vertex i, component a) -> 2i + a), from
+    the moments of `_gradient_blocks` and the mass blocks mm (3, 3, nt):
+    component block (a, b) is (lam + mu) g_ab, plus mu (g00 + g11) and
+    -omega^2 mm on the diagonal, each written once into its place."""
+    g00, g01, g11 = _gradient_blocks(grads, moments)
+    e = np.empty((len(grads), 3, 2, 3, 2))
+    lm = p.lam + p.mu
+    mu_gg, mass = p.mu * (g00 + g11), -p.omega ** 2 * mm
+    for a, g in enumerate((g00, g11)):
+        e[:, :, a, :, a] = (lm * g + mu_gg + mass).transpose(2, 0, 1)
+    e01 = (lm * g01).transpose(2, 0, 1)
+    e[:, :, 0, :, 1], e[:, :, 1, :, 0] = e01, e01.swapaxes(1, 2)
+    return e.reshape(-1, 36)
+
+
+def _plain_moments(quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
+    """The exact moments of the plain form, t12 = 0 and t22 = 1: (area, 0,
+    area, 0, 0, area), and its mass blocks area (1 + d_ij) / 12."""
     area = quad.area
-    g = quad.grads.reshape(-1, 6)
-    gij = (area[:, None] * g)[:, :, None] * g[:, None, :]
+    moments = np.zeros((6, area.size))
+    moments[[0, 2, 5]] = area
     m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return gij, area[:, None, None] * m_scalar
+    return moments, m_scalar[:, :, None] * area
 
 
 @dataclass(frozen=True)
@@ -155,42 +172,28 @@ class MappedQuadrature:
             weights=self.weights[elems], points=self.points[elems])
 
     @cached_property
-    def element_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gij, mm): the products sum_q w G_i[a] G_j[b] of the transformed
-        P1 gradients G = inv(J)^T grad(phi), (nt, 6, 6) at [2i + a, 2j + b],
-        and the scalar mass sum_q w phi_i phi_j, (nt, 3, 3).
-
-        grad(phi) is constant on a triangle and G = (g_x + t12 g_y, t22 g_y),
-        so gij needs only six moments sum_q w {1, t12, t22, t12^2, t12 t22,
-        t22^2} per triangle.
-        """
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(moments, mm): the six moments sum_q w {1, t12, t22, t12^2,
+        t12 t22, t22^2} per triangle, (6, nt), of `_gradient_blocks`, and
+        the scalar mass sum_q w phi_i phi_j, (3, 3, nt).  grad(phi) is
+        constant on a triangle, so these carry all of the map's factors."""
         bary, _ = DEGREE5_RULE
         w, t12, t22 = self.weights, self.t12, self.t22
-        nt, nq = w.shape
+        nq = w.shape[1]
         w12, w22 = w * t12, w * t22
         ones = np.ones(nq)        # row sums as matrix-vector products
-        m1, m12, m22, m1212, m1222, m2222 = (
-            (a @ ones)[:, None, None]
-            for a in (w, w12, w22, w12 * t12, w12 * t22, w22 * t22))
-        gx, gy = self.quad.grads[..., 0], self.quad.grads[..., 1]
-        xx = gx[:, :, None] * gx[:, None, :]
-        xy = gx[:, :, None] * gy[:, None, :]
-        yy = gy[:, :, None] * gy[:, None, :]
-        gij = np.empty((nt, 3, 2, 3, 2))
-        gij[:, :, 0, :, 0] = m1 * xx + m12 * (xy + xy.transpose(0, 2, 1)) \
-            + m1212 * yy
-        gij[:, :, 0, :, 1] = m22 * xy + m1222 * yy
-        gij[:, :, 1, :, 0] = gij[:, :, 0, :, 1].transpose(0, 2, 1)
-        gij[:, :, 1, :, 1] = m2222 * yy
+        moments = np.stack([a @ ones for a in (w, w12, w22, w12 * t12,
+                                               w12 * t22, w22 * t22)])
         mm = w @ (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
-        return gij.reshape(nt, 6, 6), mm.reshape(nt, 3, 3)
+        return moments, mm.T.reshape(3, 3, -1)
 
     @cached_property
     def h1_blocks(self) -> np.ndarray:
         """Scalar H1 blocks sum_q w (G_i . G_j + phi_i phi_j), (nt, 3, 3):
         the image-strip H1 norm of a P1 field is a quadratic form in them."""
-        gij, mm = self.element_blocks
-        return gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2] + mm
+        moments, mm = self.moments
+        g00, _, g11 = _gradient_blocks(self.quad.grads, moments)
+        return np.ascontiguousarray((g00 + g11 + mm).transpose(2, 0, 1))
 
 
 def map_quadrature(quad: Quadrature, dmap: DomainMap) -> MappedQuadrature:
@@ -215,9 +218,10 @@ def map_quadrature(quad: Quadrature, dmap: DomainMap) -> MappedQuadrature:
 class SparseSystem:
     """Assembled complex system: sparse domain part minus a dense DtN block.
 
-    `matrix` is the whole system in CSC, the only matrix held.  The DtN
-    block (`_dtn_block`) couples only the top-node dofs, at
-    `mesh.pattern.top_dofs` of the free-dof vector.
+    `matrix` is the whole system in CSC on the mesh's fixed pattern, the
+    only matrix held; an entry that sums to exactly zero stays stored.  The
+    DtN block (`_dtn_block`) couples only the top-node dofs
+    (`mesh.pattern.top_dofs`) and sits at `mesh.pattern.dtn_slots`.
     """
 
     dimension: int
@@ -256,15 +260,6 @@ def _sum_at(positions: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
                        minlength=n)[:n]
 
 
-def _scatter_elements(mesh: Mesh, elem: np.ndarray) -> sp.csc_matrix:
-    """Sum (nt, 6, 6) element blocks into the complex free-dof CSC matrix."""
-    pat = mesh.pattern
-    data = np.zeros(pat.indices.size, dtype=complex)
-    data.real = _sum_at(pat.slots, elem, data.size)
-    return sp.csc_matrix((data, pat.indices, pat.indptr),
-                         shape=(pat.n_dofs, pat.n_dofs))
-
-
 def _sinc2(t: np.ndarray) -> np.ndarray:
     out = np.ones_like(t)
     nz = t != 0.0
@@ -293,10 +288,10 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
 
 def assemble_B(mesh: Mesh, p: ElasticParams,
                n_max: int | None = None) -> SparseSystem:
-    """Assemble the reference form: exact P1 element integrals + DtN block
-    (see `_finish_system` for its modes)."""
-    return _finish_system(mesh, p, n_max, _domain_matrix(
-        mesh, p, lambda: _element_blocks(mesh.quadrature)))
+    """Assemble the reference form: exact P1 element integrals (from
+    `_plain_moments`) + DtN block (see `_finish_system` for its modes)."""
+    return _finish_system(mesh, p, n_max,
+                          lambda: _plain_moments(mesh.quadrature))
 
 
 def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
@@ -305,44 +300,41 @@ def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
     """Assemble the pulled-back form on the reference mesh, with the map
     factors of `mq` (built on mesh_ref.quadrature): gradients transform as
     G = inv(J)^T grad(phi) and every term carries det J through the weights
-    (`MappedQuadrature.element_blocks`).
+    (`MappedQuadrature.moments`).
 
     The map fixes the top line, so the DtN block is identical to assemble_B.
     """
-    return _finish_system(mesh_ref, p, n_max, _domain_matrix(
-        mesh_ref, p, lambda: mq.element_blocks))
-
-
-def _domain_matrix(mesh: Mesh, p: ElasticParams,
-                   element_blocks) -> sp.csc_matrix:
-    """The CSC domain matrix: the `_element_array` k - omega^2 m of the
-    blocks (gij, mm) = element_blocks(), summed into the mesh's pattern.
-
-    The blocks are made after the mesh's pattern exists: a first use builds
-    the pattern, and its temporaries then do not add to the blocks' memory.
-    """
-    mesh.pattern
-    return _scatter_elements(mesh, _element_array(*element_blocks(), p))
+    return _finish_system(mesh_ref, p, n_max, lambda: mq.moments)
 
 
 def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int | None,
-                   domain: sp.csc_matrix) -> SparseSystem:
-    """The system holding the domain matrix minus the DtN block as one CSC
-    matrix; the subtraction leaves out entries that come out exactly zero.
+                   moments) -> SparseSystem:
+    """The system of the (moments, mass blocks) = moments(): the
+    `_element_entries` of `_CHUNK` triangles at a time summed, in triangle
+    order, into the slots of the mesh's fixed pattern (the surface entries
+    into two slots past the end), then the DtN block subtracted at the
+    pattern's `dtn_slots`.  The result is the system's one CSC matrix; an
+    entry that sums to exactly zero stays stored.
 
     The DtN block keeps the modes |n| <= `nyquist_index(mesh.nx)`, every
     mode the nx top nodes resolve (past it the trace's DFT aliases), or
-    |n| <= n_max when a lower n_max is given."""
+    |n| <= n_max when a lower n_max is given.  The pattern (built on first
+    use) and the data are allocated before the element entries: below their
+    freed temporaries, they keep the heap small across commands."""
+    pat, grads = mesh.pattern, mesh.quadrature.grads
+    data = np.zeros(pat.indices.size + 2, dtype=complex)
+    m, mm = moments()
+    for lo in range(0, len(grads), _CHUNK):
+        t = slice(lo, lo + _CHUNK)
+        np.add.at(data.real, pat.slots[t].ravel(),
+                  _element_entries(grads[t], m[:, t], mm[:, :, t], p).ravel())
     nyquist = nyquist_index(mesh.nx)
     n_eff = nyquist if n_max is None else min(n_max, nyquist)
-    block = _dtn_block(mesh, p, n_eff)
-    top = mesh.pattern.top_dofs
-    dtn = sp.coo_matrix((block.ravel(), (np.repeat(top, top.size),
-                                         np.tile(top, top.size))),
-                        shape=domain.shape)
+    data[pat.dtn_slots] -= _dtn_block(mesh, p, n_eff)
     return SparseSystem(
-        dimension=domain.shape[0],
-        matrix=domain - dtn,
+        dimension=pat.n_dofs,
+        matrix=sp.csc_matrix((data[:-2], pat.indices, pat.indptr),
+                             shape=(pat.n_dofs, pat.n_dofs)),
         mesh=mesh,
         params=p,
         n_max=n_eff,
@@ -486,26 +478,22 @@ def _factor(a: sp.csc_matrix):
     return spla.splu(a, permc_spec="MMD_AT_PLUS_A")
 
 
-def _imag_part(a: sp.csc_matrix, top: np.ndarray):
-    """(u, lam) with Im A = U diag(lam) U^T, U zero off the dofs `top` and
-    u = U[top] orthonormal, from `eigh` of the top x top block of Im A;
+def _imag_part(a: sp.csc_matrix, pattern: DofPattern):
+    """(u, lam) with Im A = U diag(lam) U^T, U zero off the top dofs and
+    u = U[top] orthonormal, from `eigh` of the top x top block of Im A,
+    gathered at the pattern's `dtn_slots` (A's data follows the pattern);
     eigenvalues with |lam| <= `_IMAG_RANK_TOL` max |lam| are dropped.
     None when Im A has an entry outside that block."""
-    nz = np.flatnonzero(a.data.imag != 0.0)
-    pos = np.full(a.shape[0], -1)
-    pos[top] = np.arange(top.size)
-    rows = pos[a.indices[nz]]
-    cols = pos[np.searchsorted(a.indptr, nz, side="right") - 1]
-    if np.any(rows < 0) or np.any(cols < 0):
+    imag = a.data.imag
+    block = imag[pattern.dtn_slots]
+    if np.count_nonzero(imag) > np.count_nonzero(block):
         return None
-    block = np.zeros((top.size, top.size))
-    block[rows, cols] = a.data.imag[nz]
     lam, vec = np.linalg.eigh(block)
     keep = np.abs(lam) > _IMAG_RANK_TOL * np.max(np.abs(lam), initial=0.0)
     return vec[:, keep], lam[keep]
 
 
-def _refined_solve(a: sp.csc_matrix, b: np.ndarray, top: np.ndarray):
+def _refined_solve(a: sp.csc_matrix, b: np.ndarray, pattern: DofPattern):
     """(x, relative residual, steps, nnz(L+U), rank of U) from a float32 LU
     of Re A, a Woodbury correction for i Im A = U diag(i lam) U^T
     (`_imag_part`) and complex128 iterative refinement (Carson & Higham,
@@ -520,10 +508,11 @@ def _refined_solve(a: sp.csc_matrix, b: np.ndarray, top: np.ndarray):
     fails to halve it (that step is kept only if it lowered it), or after
     `_REFINE_MAX_STEPS` steps.
     """
-    imag = _imag_part(a, top)
+    imag = _imag_part(a, pattern)
     if imag is None:
         return None
     u, lam = imag
+    top = pattern.top_dofs
     try:  # the float32 copy of Re A shares the index arrays of A
         lu = _factor(sp.csc_matrix(
             (a.data.real.astype(np.float32), a.indices, a.indptr),
@@ -570,13 +559,13 @@ def _refined_solve(a: sp.csc_matrix, b: np.ndarray, top: np.ndarray):
 
 
 def _lu_solve(a: sp.csc_matrix, b: np.ndarray,
-              top: np.ndarray) -> tuple[np.ndarray, dict]:
-    """x with A x = b for a nonzero b whose Im A lies on the dofs `top`
-    (else the complex128 LU solves), and its solver health (the metadata
-    keys `solve` documents); raises SolveError above the residual gate.
-    Runs with OpenBLAS pinned to one thread."""
+              pattern: DofPattern) -> tuple[np.ndarray, dict]:
+    """x with A x = b for a nonzero b of a matrix A on the `pattern` whose
+    Im A lies on the top dofs (else the complex128 LU solves), and its
+    solver health (the metadata keys `solve` documents); raises SolveError
+    above the residual gate.  Runs with OpenBLAS pinned to one thread."""
     with _single_thread_blas:
-        refined = _refined_solve(a, b, top)
+        refined = _refined_solve(a, b, pattern)
         if refined is not None and refined[1] <= _RESIDUAL_GATE:
             x, rel, steps, nnz_lu, rank = refined
             dtype = "float32"
@@ -742,8 +731,7 @@ def solve(system: SparseSystem, load: np.ndarray,
             x, health = _gmres_solve(system.matrix, b, preconditioner)
         # no GMRES, or GMRES above the gate (a NaN residual included)
         if not health.get("residual", math.inf) <= _RESIDUAL_GATE:
-            x, lu_health = _lu_solve(system.matrix, b,
-                                      system.mesh.pattern.top_dofs)
+            x, lu_health = _lu_solve(system.matrix, b, system.mesh.pattern)
             health.update(lu_health)
         health["radiated_power"] = _radiated_power(x, b)
     else:

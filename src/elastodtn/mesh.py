@@ -173,27 +173,28 @@ def _read_only(a, maxval: int) -> np.ndarray:
 # (di, dj) from a node to each node it shares a triangle with, itself
 # included; the vertices (di, dj) of build_mesh's two triangles of a quad
 # from its lower-left node; and, per triangle parity, the offset index of
-# each vertex pair (p, q).
+# vertex i seen from vertex j, at [parity, i, j].
 _COUPLING_OFFSETS = np.array([(-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0),
                               (0, 1), (1, 1)])
 _TRIANGLE_VERTICES = np.array([[(0, 0), (1, 0), (1, 1)],
                                [(0, 0), (1, 1), (0, 1)]])
-_PAIR_OFFSET = np.array([[[_COUPLING_OFFSETS.tolist().index((q - p).tolist())
+_PAIR_OFFSET = np.array([[[_COUPLING_OFFSETS.tolist().index((p - q).tolist())
                            for q in tri] for p in tri]
                          for tri in _TRIANGLE_VERTICES])
 
 
 @dataclass(frozen=True)
 class DofPattern:
-    """Free-dof numbering and the sparsity pattern of the domain matrix.
+    """Free-dof numbering and the sparsity pattern of the system matrix.
 
     The free dofs are (node, component) pairs of the non-surface nodes:
     free node k (in node order) owns dofs 2k and 2k+1.  Local element dofs
-    follow (vertex i, component a) -> 2i + a.  The pattern is structurally
-    symmetric, so `indptr` and `indices` are both its CSR rows and its CSC
-    columns; the matrices are assembled in CSC.  `elem_dofs` and `slots`
-    point entries of surface nodes past the end (at `n_dofs`, or at `nnz`
-    and `nnz + 1`), where the scatters drop them.
+    follow (vertex i, component a) -> 2i + a.  The pattern holds every
+    coupling of a triangle and the top x top clique of the DtN block.  It
+    is structurally symmetric, so `indptr` and `indices` are both its CSR
+    rows and its CSC columns; the matrices are assembled in CSC.
+    `elem_dofs` and `slots` point entries of surface nodes past the end (at
+    `n_dofs`, or at `nnz` and `nnz + 1`), where the scatters drop them.
     """
 
     n_dofs: int
@@ -202,6 +203,7 @@ class DofPattern:
     indptr: np.ndarray     # (n_dofs + 1,) row (and column) pointers
     indices: np.ndarray    # (nnz,) columns (rows), sorted within each row
     slots: np.ndarray      # (nt, 36) CSC data position of element entry (i, j)
+    dtn_slots: np.ndarray  # (2nx, 2nx) CSC data position of top entry (p, q)
 
     @classmethod
     def for_strip(cls, nx: int, ny: int) -> DofPattern:
@@ -209,73 +211,83 @@ class DofPattern:
         rows of quads, in closed form.
 
         Node (i, j) has id j nx + i; the free ones (rows j >= 1) sit at
-        free position (j - 1) nx + i.  Every triangle edge joins nodes at
-        one of the offsets `_COUPLING_OFFSETS`, so node r couples to the
-        free nodes among those seven: sorting each node's seven candidate
-        columns (duplicates at nx = 2) gives its CSR row, and the rank of
-        each offset in it locates every element entry.
+        free position (j - 1) nx + i, so the top nodes own the last 2 nx
+        dofs.  Every triangle edge joins nodes at one of the offsets
+        `_COUPLING_OFFSETS`: a node couples to two nodes of the row below,
+        three of its own (two at nx = 2; every top node on the top row) and
+        two of the row above, so its row length depends on its grid row.
         """
-        nf = nx * ny
-        n = 2 * nf
+        n = 2 * nx * ny
         di, dj = _COUPLING_OFFSETS.T
-        rows = np.arange(1, ny + 1)[:, None, None] + dj          # (ny, 1, 7)
-        cand = np.where((rows >= 1) & (rows <= ny),
-                        (rows - 1) * nx + (np.arange(nx)[:, None] + di) % nx,
-                        nf).reshape(nf, -1)   # missing couplings sort last
-        order = np.argsort(cand, axis=1, kind="stable")
-        col = np.take_along_axis(cand, order, axis=1)
-        new = col < nf
-        new[:, 1:] &= col[:, 1:] != col[:, :-1]
-        rank_sorted = np.cumsum(new, axis=1) - 1
-        rank = np.empty_like(rank_sorted)       # rank of each offset
-        np.put_along_axis(rank, order, rank_sorted, axis=1)
-        row_len = rank_sorted[:, -1] + 1
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.repeat(2 * row_len, 2), out=indptr[1:])
+        # rank of an offset's column among the distinct ones of its grid
+        # row: the order of (i + di) mod nx, or the column in a top clique
+        # or an own row of two columns (nx = 2)
+        col = (np.arange(nx)[:, None] + di) % nx                 # (nx, 7)
+        within = np.sum((dj[:, None] == dj)
+                        & (col[:, None, :] < col[:, :, None]), axis=2)
+        jr = np.arange(ny)                                # free grid rows
+        top = jr == ny - 1
+        size = np.stack([np.where(jr >= 1, 2, 0),        # below, own, above
+                         np.where(top, nx, min(nx, 3)),
+                         np.where(top, 0, 2)], axis=1)
+        row_len = size.sum(axis=1)
+        rank = (np.cumsum(size, axis=1) - size)[:, None, dj + 1] + np.where(
+            (top[:, None, None] | (nx == 2)) & (dj == 0), col, within)
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(2 * row_len,
+                                                          2 * nx))])
+        node_ptr = indptr[:-1:2].reshape(ny, nx)       # dof row 2r of node r
         nnz = int(indptr[-1])
-        # dof rows 2r and 2r + 1 both list columns 2c, 2c + 1 for each c
         itype = _index_dtype(nnz + 1)
-        shape = (nf, 2, col.shape[1], 2)
-        cols = np.stack([2 * col, 2 * col + 1], axis=-1).astype(itype)
-        indices = np.broadcast_to(cols[:, None], shape)[
-            np.broadcast_to(new[:, None, :, None], shape)]
-        # slot of (2r, 2c) for each offset, and the stride to (2r + 1, 2c)
-        first = indptr[0:-1:2, None] + 2 * rank
-        stride = 2 * row_len
 
-        # free positions (-1 on the surface) of the vertices of triangle
-        # 2 (i ny + j) + parity, build_mesh's triangles of quad (i, j)
+        # grid rows (-1 on the surface) and columns of the vertices of
+        # triangle 2 (i ny + j) + parity, build_mesh's triangles of quad
+        # (i, j); arrays over (i, j, parity, vertex)
         vi, vj = _TRIANGLE_VERTICES[..., 0], _TRIANGLE_VERTICES[..., 1]
-        vrow = np.arange(ny)[:, None, None] + vj - 1            # (ny, 2, 3)
         vcol = (np.arange(nx)[:, None, None, None] + vi) % nx   # (nx, 1, 2, 3)
-        pt = np.where(vrow >= 0, vrow * nx + vcol, -1).reshape(-1, 3)
-        nt = pt.shape[0]
-        keep = (pt[:, :, None] >= 0) & (pt[:, None, :] >= 0)
-        parity = np.tile([0, 1], nt // 2)
-        row = np.where(pt >= 0, pt, 0)
-        first_t = np.where(keep, first[row[:, :, None],
-                                       _PAIR_OFFSET[parity]], nnz)
-        stride_t = np.where(keep, stride[row][:, :, None], 0)
-        # the CSC position of element entry (2i + a, 2j + b) is the CSR
-        # position of (2j + b, 2i + a): the vertex pairs swap
-        first_t, stride_t = first_t.transpose(0, 2, 1), \
-            stride_t.transpose(0, 2, 1)
-        slots = np.empty((nt, 3, 2, 3, 2), dtype=itype)
-        for a in range(2):
-            for b in range(2):
-                slots[:, :, a, :, b] = first_t + (b * stride_t + a)
+        # The CSC position of element entry (2i + a, 2j + b) is the CSR
+        # position of (2j + b, 2i + a): node_ptr[v_j] + 2 rank_j(v_i) + a,
+        # plus b times the row length 2 L(v_j); an entry of a surface
+        # vertex goes to nnz + a.  Quad rows 2..ny-2 touch middle grid rows
+        # alone, so each is quad row 2 shifted by whole middle rows.
+        qrows = np.unique([0, 1, min(2, ny - 1), ny - 1])
+        vrow = qrows[:, None, None] + vj - 1                    # (R, 2, 3)
+        first = (node_ptr[:, :, None] + 2 * rank).astype(itype).ravel()
+        first_t = first.take(7 * (np.maximum(vrow, 0) * nx + vcol)[
+            ..., None, :] + _PAIR_OFFSET)              # (nx, R, 2, 3, 3)
+        drop = (vrow < 0)[..., :, None] | (vrow < 0)[..., None, :]
+        first_t[:, drop] = nnz
+        step = np.where(drop, 0, 2 * row_len[np.maximum(vrow, 0)][
+            :, :, None, :])                          # (R, 2, 3, 3) [.., i, j]
+        slots = np.empty((nx, ny, 2, 3, 2, 3, 2), dtype=itype)
+        slots[:, qrows] = first_t[..., :, None, :, None] \
+            + step[..., :, None, :, None] * np.arange(2) \
+            + np.arange(2)[:, None, None]
+        flat = slots.reshape(nx, ny, 72)
+        np.add(flat[:, 2:3], 4 * nx * row_len[1] * np.arange(1, ny - 3)[
+            :, None], out=flat[:, 3:ny - 1])
 
-        def dofs_of(pos):
-            d = np.stack([2 * pos, 2 * pos + 1], axis=-1)
-            return np.where(d >= 0, d, n).reshape(pos.shape[:-1] + (-1,))
-
+        pos = 2 * ((np.arange(ny)[:, None, None] + vj - 1) * nx + vcol)
+        elem_dofs = np.stack([pos, pos + 1], axis=-1).astype(itype)
+        elem_dofs[:, 0, vj == 0] = n                   # the surface vertices
+        # a slot holds its entry's row: quad rows qrows fill all grid rows
+        # but 2..ny-2, grid row 1 shifted by nx nodes a row; each top
+        # column ends with the clique's rows, the last 2 nx dofs
+        indices = np.empty(nnz + 2, dtype=itype)
+        indices[slots[:, qrows]] = elem_dofs[:, qrows, ..., None, None]
+        lo, span = node_ptr[1, 0], 4 * nx * row_len[1]
+        np.add(indices[lo:lo + span], 2 * nx * np.arange(1, ny - 2)[:, None],
+               out=indices[lo + span:lo + (ny - 2) * span].reshape(-1, span))
+        top_dofs = np.arange(n - 2 * nx, n)
+        dtn_slots = indptr[top_dofs + 1] - 2 * nx + np.arange(2 * nx)[:, None]
+        indices[dtn_slots] = top_dofs[:, None]
+        elem_dofs, slots = elem_dofs.reshape(-1, 6), slots.reshape(-1, 36)
         return cls(n_dofs=n,
-                   elem_dofs=_read_only(dofs_of(pt), n),
-                   top_dofs=_read_only(dofs_of(
-                       (ny - 1) * nx + np.arange(nx)[:, None]).ravel(), n),
+                   elem_dofs=_read_only(elem_dofs, n),
+                   top_dofs=_read_only(top_dofs, n),
                    indptr=_read_only(indptr, nnz),
-                   indices=_read_only(indices, n),
-                   slots=_read_only(slots.reshape(nt, 36), nnz + 1))
+                   indices=_read_only(indices[:nnz], n),
+                   slots=_read_only(slots, nnz + 1),
+                   dtn_slots=_read_only(dtn_slots, nnz))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,26 +60,57 @@ from elastodtn.model import (
 def _stiffness_and_mass(gij, mm, lam, mu):
     """Reference element (stiffness, mass), shape (nt, 6, 6), from the
     gradient products gij (nt, 6, 6) and the scalar mass blocks mm
-    (nt, 3, 3): the pair the assembly combines into k - omega^2 m."""
+    (3, 3, nt): the pair the assembly combines into k - omega^2 m."""
     nt = gij.shape[0]
     k = (lam + mu) * gij.reshape(nt, 3, 2, 3, 2)
     gg = gij[:, 0::2, 0::2] + gij[:, 1::2, 1::2]      # grad_i . grad_j
     m = np.zeros((nt, 3, 2, 3, 2))
     for a in range(2):
         k[:, :, a, :, a] += mu * gg
-        m[:, :, a, :, a] = mm
+        m[:, :, a, :, a] = mm.transpose(2, 0, 1)
     return k.reshape(nt, 6, 6), m.reshape(nt, 6, 6)
 
 
+def _gradient_products(grads, moments):
+    """gij (nt, 6, 6) = sum_q w G_i[a] G_j[b] at [2i + a, 2j + b] from the
+    six moments (6, nt) of the assembly, formed triangle by triangle: the
+    operation order of each entry the assembly keeps."""
+    nt = grads.shape[0]
+    m1, m12, m22, m1212, m1222, m2222 = moments[:, :, None, None]
+    gx, gy = grads[..., 0], grads[..., 1]
+    xx = gx[:, :, None] * gx[:, None, :]
+    xy = gx[:, :, None] * gy[:, None, :]
+    yy = gy[:, :, None] * gy[:, None, :]
+    gij = np.empty((nt, 3, 2, 3, 2))
+    gij[:, :, 0, :, 0] = m1 * xx + m12 * (xy + xy.transpose(0, 2, 1)) \
+        + m1212 * yy
+    gij[:, :, 0, :, 1] = m22 * xy + m1222 * yy
+    gij[:, :, 1, :, 0] = gij[:, :, 0, :, 1].transpose(0, 2, 1)
+    gij[:, :, 1, :, 1] = m2222 * yy
+    return gij.reshape(nt, 6, 6)
+
+
+def _moments_of(quad_or_mq):
+    """(grads, moments, mm) the assembly forms its entries from: the exact
+    plain moments of a `Quadrature`, or the moments of a mapped rule."""
+    if isinstance(quad_or_mq, Quadrature):
+        return (quad_or_mq.grads, *fem._plain_moments(quad_or_mq))
+    return (quad_or_mq.quad.grads, *quad_or_mq.moments)
+
+
 def element_matrices(quad, lam, mu):
-    """(stiffness, mass) of the plain form from the assembly's blocks."""
-    return _stiffness_and_mass(*fem._element_blocks(quad), lam, mu)
+    """(stiffness, mass) of the plain form from the assembly's moments."""
+    grads, moments, mm = _moments_of(quad)
+    return _stiffness_and_mass(_gradient_products(grads, moments), mm,
+                               lam, mu)
 
 
 def transformed_element_matrices(mq, lam, mu):
     """(stiffness, mass) of the pulled-back form from the assembly's
-    blocks."""
-    return _stiffness_and_mass(*mq.element_blocks, lam, mu)
+    moments."""
+    grads, moments, mm = _moments_of(mq)
+    return _stiffness_and_mass(_gradient_products(grads, moments), mm,
+                               lam, mu)
 
 
 def _combined(k, m, omega):
@@ -309,6 +341,23 @@ class TestAssembly:
         a = _domain_part(mesh, params2)
         assert abs(a - a.conj().T).max() < 1e-12 * abs(a).max()
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_domain_part_bitwise_symmetric(self, wavy_geom, surface_model,
+                                           mapped):
+        # entries (r, c) and (c, r) sum mirrored element entries of the
+        # same triangles in the same order
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 24, 16)
+        p = make_params(1.0, 1.0, 8.0)
+        if mapped:
+            model = dataclasses.replace(surface_model, f0=wavy_geom.surface)
+            system = assemble_B_transformed(
+                mesh, p, _sampled_map_quadrature(wavy_geom, model, mesh))
+        else:
+            system = assemble_B(mesh, p)
+        a = system.matrix.copy()
+        a.data[mesh.pattern.dtn_slots] = 0.0
+        assert (a != a.T).nnz == 0
+
     def test_elastostatic_limit_positive_energy(self, flat_geom):
         p = make_params(1.0, 1.0, 1e-3)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
@@ -326,8 +375,11 @@ class TestAssembly:
         sys_a = assemble_B(mesh, params2, 8)
         sys_b = assemble_B_transformed(
             mesh, params2, map_quadrature(mesh.quadrature, ident), 8)
-        diff = abs(sys_a.matrix - sys_b.matrix).max()
-        assert diff < 1e-14 * abs(sys_a.matrix).max()
+        a, b = sys_a.matrix, sys_b.matrix
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.max(np.abs(a.data - b.data)) <= 1e-15 * np.max(
+            np.abs(a.data))
         assert sys_a.n_max == sys_b.n_max    # so the same DtN block
 
     def test_flat_shift_element_against_hand_factors(self):
@@ -415,7 +467,10 @@ class TestAssembly:
     def test_dtn_block_touches_only_top_dofs(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 6)
         system = assemble_B(mesh, params2, 3)
-        full = (_domain_part(mesh, params2) - system.matrix).toarray()
+        entries = fem._element_entries(*_moments_of(mesh.quadrature),
+                                       params2)
+        domain = _scatter(_pattern_from_topology(mesh), entries)
+        full = (domain - system.matrix).toarray()
         mask = np.zeros(system.dimension, dtype=bool)
         mask[mesh.pattern.top_dofs] = True
         assert np.all(full[~mask, :] == 0.0)
@@ -442,12 +497,15 @@ class TestAssembly:
     @pytest.mark.parametrize("kind", ["flat", "wavy"])
     def test_matrix_equals_csr_minus_coo_oracle(self, flat_geom, wavy_geom,
                                                 kind, nx, ny):
+        # the exact P1 entries by einsum, in another operation order than
+        # the moments: equal to 1e-15 of the largest entry
         geom = flat_geom if kind == "flat" else wavy_geom
         p = make_params(1.0, 1.0, 8.0)
         mesh = build_mesh(geom.surface, geom.h, nx, ny)
         system = assemble_B(mesh, p)
         _assert_same_csc(system.matrix,
-                         _csr_minus_coo_oracle(system, _domain_part(mesh, p)))
+                         _csr_minus_coo_oracle(system, _domain_part(mesh, p)),
+                         rtol=1e-15)
 
     def test_transformed_matrix_equals_csr_minus_coo_oracle(
             self, flat_geom, surface_model):
@@ -455,36 +513,70 @@ class TestAssembly:
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 16)
         mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
         system = assemble_B_transformed(mesh, p, mq, 8)
-        domain = _domain_part(mesh, p, mq.element_blocks)
+        # bitwise: the entries from the moments in the assembly's order
+        k, m = transformed_element_matrices(mq, p.lam, p.mu)
+        domain = _scatter(_pattern_from_topology(mesh),
+                          _combined(k, m, p.omega))
         _assert_same_csc(system.matrix, _csr_minus_coo_oracle(system, domain))
+        # the three-operand einsum rule: to 1e-15 of the largest entry
+        _assert_same_csc(system.matrix,
+                         _csr_minus_coo_oracle(system,
+                                               _domain_part(mesh, p, mq)),
+                         rtol=1e-15)
+
+    @pytest.mark.parametrize("nx, ny, nnz", [(128, 192, 750_080),
+                                             (64, 96, 186_624),
+                                             (32, 48, 46_208)])
+    def test_benchmark_configs_nnz(self, nx, ny, nnz):
+        # the solve-49k, ensemble-12k and verify-battery meshes: the union
+        # of the triangles' couplings and the top clique
+        pat = DofPattern.for_strip(nx, ny)
+        assert pat.indices.size == pat.indptr[-1] == nnz
 
 
-def _domain_part(mesh, p, blocks=None):
-    """The CSR domain matrix (stiffness - omega^2 mass) of assemble_B, or
-    of the form with element blocks (gij, mm), from the reference pair."""
-    gij, mm = fem._element_blocks(mesh.quadrature) if blocks is None \
-        else blocks
-    k, m = _stiffness_and_mass(gij, mm, p.lam, p.mu)
-    return fem._scatter_elements(mesh, _combined(k, m, p.omega)).tocsr()
+def _scatter(pat, elem):
+    """The complex CSC matrix of the pattern `pat` holding the element
+    entries elem (nt, 36 or 6, 6) summed at its slots (the surface entries
+    dropped); slots no triangle reaches hold zero."""
+    data = fem._sum_at(pat.slots, np.asarray(elem).reshape(-1, 36),
+                       pat.indices.size).astype(complex)
+    return sp.csc_matrix((data, pat.indices, pat.indptr),
+                         shape=(pat.n_dofs, pat.n_dofs))
+
+
+def _domain_part(mesh, p, mq=None):
+    """The CSC domain matrix (stiffness - omega^2 mass) of assemble_B, or
+    of the form pulled back through mq: the einsum element matrices summed
+    through the topology oracle's pattern."""
+    k, m = (_einsum_plain_element_matrices(mesh.quadrature, p.lam, p.mu)
+            if mq is None else _einsum_element_matrices(mq, p.lam, p.mu))
+    return _scatter(_pattern_from_topology(mesh), _combined(k, m, p.omega))
 
 
 def _csr_minus_coo_oracle(system, domain):
     """The system matrix built the way it was before the assembly wrote
-    CSC: the CSR domain part minus the DtN block as COO, converted to
-    CSC."""
+    the DtN block into fixed slots: the CSR domain part minus the DtN block
+    as COO, converted to CSC."""
     mesh = system.mesh
     top = mesh.pattern.top_dofs
     block = fem._dtn_block(mesh, system.params, system.n_max)
     dtn = sp.coo_matrix((block.ravel(),
                          (np.repeat(top, top.size), np.tile(top, top.size))),
                         shape=(system.dimension, system.dimension))
-    return (domain - dtn).tocsc()
+    return (domain.tocsr() - dtn).tocsc()
 
 
-def _assert_same_csc(a, b):
+def _assert_same_csc(a, b, rtol=0.0):
+    """Same CSC structure, and data equal (bitwise at rtol 0) to rtol of
+    the largest entry."""
     assert a.format == b.format == "csc" and a.shape == b.shape
-    for name in ("data", "indices", "indptr"):
+    for name in ("indices", "indptr"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    if rtol == 0.0:
+        assert np.array_equal(a.data, b.data)
+    else:
+        assert np.max(np.abs(a.data - b.data)) <= rtol * np.max(
+            np.abs(b.data))
 
 
 def _propagating_modes(p, n_max: int, period: float) -> int:
@@ -522,7 +614,7 @@ def _assert_system_structure(geom, model, nx, ny, omega, mapped):
     in_top[top] = True
     coo = a.tocoo()
     assert np.all(coo.data.imag[~(in_top[coo.row] & in_top[coo.col])] == 0.0)
-    u, lam = fem._imag_part(a, top)
+    u, lam = fem._imag_part(a, mesh.pattern)
     assert 0 < lam.size <= 2 * _propagating_modes(p, system.n_max,
                                                   mesh.period)
     assert np.allclose(u.T @ u, np.eye(lam.size), rtol=0.0, atol=1e-14)
@@ -591,6 +683,18 @@ def _coo_oracle(mesh, elem):
                          shape=(n, n))
 
 
+def _triangle_part(mesh, a):
+    """a on the mesh's pattern without the top clique's entries that no
+    triangle reaches."""
+    slots = mesh.pattern.slots
+    keep = np.zeros(a.nnz + 2, dtype=bool)
+    keep[slots] = True
+    keep = keep[:a.nnz]
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    return sp.csc_matrix((a.data[keep], (a.indices[keep], cols[keep])),
+                         shape=a.shape)
+
+
 def _reference_dofs(mesh):
     """(nt, 6) free-vector dof of local dof 2i + a, -1 on surface nodes."""
     pos = -np.ones(mesh.n_nodes, dtype=np.int64)
@@ -631,7 +735,7 @@ class TestAssemblyPattern:
                                        mesh):
         elem = _sampled_element_array(flat_geom, surface_model, mesh)
         ref = _coo_oracle(mesh, elem).tocsr()
-        a = fem._scatter_elements(mesh, elem).tocsr()
+        a = _triangle_part(mesh, _scatter(mesh.pattern, elem)).tocsr()
         assert a.shape == ref.shape
         assert np.array_equal(a.indptr, ref.indptr)
         assert np.array_equal(a.indices, ref.indices)
@@ -645,7 +749,7 @@ class TestAssemblyPattern:
         elem = _sampled_element_array(flat_geom, surface_model, mesh)
         elem = elem + np.arange(36.0).reshape(6, 6) * 1e-3
         ref = _coo_oracle(mesh, elem).tocsc()
-        a = fem._scatter_elements(mesh, elem)
+        a = _triangle_part(mesh, _scatter(mesh.pattern, elem))
         assert a.format == "csc" and a.shape == ref.shape
         assert np.array_equal(a.indptr, ref.indptr)
         assert np.array_equal(a.indices, ref.indices)
@@ -655,14 +759,16 @@ class TestAssemblyPattern:
     @pytest.mark.parametrize("mapped", [False, True])
     def test_element_array_equals_stiffness_minus_mass(
             self, flat_geom, surface_model, mesh, omega, mapped):
-        # one array, bitwise the (k, m) pair combined; k itself at omega 0
-        blocks = (_sampled_map_quadrature(flat_geom, surface_model,
-                                          mesh).element_blocks if mapped
-                  else fem._element_blocks(mesh.quadrature))
+        # one array, bitwise the (k, m) pair of the moments, formed
+        # triangle by triangle, combined; k itself at omega 0
+        grads, moments, mm = _moments_of(
+            _sampled_map_quadrature(flat_geom, surface_model, mesh)
+            if mapped else mesh.quadrature)
         # make_params refuses omega 0, which only the element array reads
         p = dataclasses.replace(make_params(1.3, 0.7, 1.0), omega=omega)
-        k, m = _stiffness_and_mass(*blocks, p.lam, p.mu)
-        got = fem._element_array(*blocks, p)
+        k, m = _stiffness_and_mass(_gradient_products(grads, moments), mm,
+                                   p.lam, p.mu)
+        got = fem._element_entries(grads, moments, mm, p).reshape(-1, 6, 6)
         assert np.array_equal(got, _combined(k, m, omega))
         if omega == 0.0:
             assert np.array_equal(got, k)
@@ -706,8 +812,9 @@ class TestAssemblyPattern:
 
 
 def _pattern_from_topology(mesh) -> DofPattern:
-    """Oracle: the pattern of any triangulation, from the sorted distinct
-    node pairs of its triangles (one global sort)."""
+    """Oracle: the pattern of any triangulation with a DtN block on its top
+    nodes, from the sorted distinct node pairs of its triangles and of the
+    top x top clique (one global sort)."""
     triangles, surface_nodes = mesh.triangles, mesh.surface_nodes
     # free-node position of each node, -1 on the surface
     pos = np.ones(mesh.n_nodes, dtype=np.int64)
@@ -727,8 +834,11 @@ def _pattern_from_topology(mesh) -> DofPattern:
     pt = pos[triangles]                              # (nt, 3)
     nt = pt.shape[0]
     keep = (pt[:, :, None] >= 0) & (pt[:, None, :] >= 0)
-    pairs, inverse = np.unique((pt[:, :, None] * nf + pt[:, None, :])
-                               [keep], return_inverse=True)
+    top = pos[mesh.top_nodes]
+    pairs, inverse = np.unique(np.concatenate([
+        (pt[:, :, None] * nf + pt[:, None, :])[keep],
+        (top[:, None] * nf + top).ravel()]), return_inverse=True)
+    inverse = inverse[:np.count_nonzero(keep)]      # the triangles' pairs
     r, c = np.divmod(pairs, nf)
     row_len = np.bincount(r, minlength=nf)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -753,18 +863,25 @@ def _pattern_from_topology(mesh) -> DofPattern:
             indices[first + a * stride + b] = 2 * c + b
             slots[:, :, b, :, a] = (first_t + (a * stride_t + b)
                                     ).transpose(0, 2, 1)
+    # the CSC position of (top_dofs[p], top_dofs[q]): row top_dofs[p] in
+    # the sorted rows of column top_dofs[q]
+    top_dofs = dofs_of(mesh.top_nodes[:, None]).ravel()
+    dtn_slots = np.stack([indptr[c] + np.searchsorted(
+        indices[indptr[c]:indptr[c + 1]], top_dofs) for c in top_dofs],
+        axis=1)
     return DofPattern(n_dofs=n,
                       elem_dofs=_read_only(dofs_of(triangles), n),
-                      top_dofs=_read_only(
-                          dofs_of(mesh.top_nodes[:, None]).ravel(), n),
+                      top_dofs=_read_only(top_dofs, n),
                       indptr=_read_only(indptr, nnz),
                       indices=_read_only(indices, n),
-                      slots=_read_only(slots.reshape(nt, 36), nnz + 1))
+                      slots=_read_only(slots.reshape(nt, 36), nnz + 1),
+                      dtn_slots=_read_only(dtn_slots, nnz))
 
 
 def _assert_same_pattern(got: DofPattern, expect: DofPattern):
     assert got.n_dofs == expect.n_dofs
-    for name in ("elem_dofs", "top_dofs", "indptr", "indices", "slots"):
+    for name in ("elem_dofs", "top_dofs", "indptr", "indices", "slots",
+                 "dtn_slots"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -1087,7 +1204,9 @@ def _double_solve(system, load):
     return FieldSolution(mesh=mesh, values=values)
 
 
-NO_DOFS = np.arange(0)   # the top dofs of a real system: none
+# the top block of a real system: no dofs, no slots
+NO_DOFS = SimpleNamespace(top_dofs=np.arange(0),
+                          dtn_slots=np.zeros((0, 0), dtype=int))
 
 
 def _near_singular(eps):
