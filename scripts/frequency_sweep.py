@@ -32,8 +32,7 @@ def main() -> None:
                       amplitude=(1.0, 0.5j), period=1.0)
     src = make_source(spec, None, f_max=0.4, h=1.4)
     sw = omega_sweep(SweepConfig(lam=1.0, mu=1.0, omegas=omegas, geom=geom,
-                                 source=src, nx=args.nx, ny=args.ny,
-                                 n_max=None))
+                                 source=src, nx=args.nx, ny=args.ny))
     print(f"{'omega':>10s} {'ratio':>12s} {'envelope':>12s} "
           f"{'solver':>7s} {'iters':>5s}")
     for om, r, env, s in zip(sw.omegas, sw.ratios, sw.profile_envelope,

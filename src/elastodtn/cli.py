@@ -8,7 +8,6 @@ came out false), 2 configuration or runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -137,7 +136,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
     geom = cfg.make_geometry()
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = cfg.make_source()
-    system = assemble_B(mesh, p, cfg.n_max or None)
+    system = assemble_B(mesh, p)
     load = assemble_load(mesh, src, src.support_elements(mesh.quadrature))
     sol = solve(system, load)
     # the node coordinates' text, shared with mesh.txt, then the (re, im)
@@ -157,7 +156,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> int:
 def _cmd_mms(cfg: RunConfig, out: Path) -> int:
     p = cfg.make_params()
     geom = cfg.make_geometry()
-    table = mms_convergence(p, geom, cfg.levels, n_max=cfg.n_max or None)
+    table = mms_convergence(p, geom, cfg.levels)
     rows = [[lev, row["mesh_size"], row["h1_error"], row["l2_error"]]
             for lev, row in enumerate(table)]
     _write_csv(out / "mms.csv", ["level", "mesh_size", "h1_error", "l2_error"],
@@ -180,7 +179,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
     src = cfg.make_source()
     sweep = omega_sweep(SweepConfig(
         lam=cfg.lam, mu=cfg.mu, omegas=tuple(cfg.omega_list), geom=geom,
-        source=src, nx=cfg.nx, ny=cfg.ny, n_max=cfg.n_max or None))
+        source=src, nx=cfg.nx, ny=cfg.ny))
     rows = []
     for i, (om, r, env) in enumerate(zip(sweep.omegas, sweep.ratios,
                                          sweep.profile_envelope)):
@@ -224,7 +223,7 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
     res = montecarlo.run_ensemble(
         model, spec, p, mesh, cfg.N, parallelism=cfg.parallelism,
         anchor=anchor, delta=cfg.delta or None,
-        epsilon_margin=cfg.epsilon_margin, n_max=cfg.n_max or None)
+        epsilon_margin=cfg.epsilon_margin)
     _write_csv(out / "ensemble.csv",
                ["index", "u_h1_sq", "u_ref_h1_sq", "g_h1_sq", "min_detJ"],
                [[r["index"], r["u_h1_sq"], r["u_ref_h1_sq"], r["g_h1_sq"],
@@ -288,7 +287,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
     src = cfg.make_source()
     elems = src.support_elements(mesh.quadrature)
-    system = assemble_B(mesh, p, cfg.n_max or None)
+    system = assemble_B(mesh, p)
     load = assemble_load(mesh, src, elems)
     sol = solve(system, load)
     xvec = free_vector(mesh, sol.values)
@@ -324,8 +323,7 @@ def _cmd_verify_all(cfg: RunConfig, out: Path) -> int:
                    pb["max_discrepancy"] < 1e-6, 0.0])
 
     # MMS slopes (coarse, 3 levels)
-    checks += _mms_slope_checks(mms_convergence(p, geom, 3,
-                                                n_max=cfg.n_max or None))
+    checks += _mms_slope_checks(mms_convergence(p, geom, 3))
     return _write_checks(out, checks)
 
 
@@ -381,14 +379,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="override run.parallelism")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        updates = {"command": args.command}
+        overrides = {"command": args.command}
         if args.seed is not None:
-            updates["seed"] = args.seed
+            overrides["seed"] = args.seed
         if args.parallelism is not None:
-            updates["parallelism"] = args.parallelism
-        cfg = dataclasses.replace(cfg, **updates)
-        return run_command(cfg, args.out)
+            overrides["parallelism"] = args.parallelism
+        return run_command(load_config(args.config, **overrides), args.out)
     except ElastoDtnError as exc:
         print(f"elastodtn: error: {exc}", file=sys.stderr)
         return 2

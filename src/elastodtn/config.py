@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import nyquist_index
 from .model import (
     ElasticParams,
     Geometry,
@@ -70,7 +69,7 @@ class RunConfig:
     # discretization
     nx: int = 32
     ny: int = 48
-    n_max: int = 0  # 0 = every mode the mesh resolves: |n| <= (nx-1)//2
+    n_max: int = 0  # only 0: the DtN keeps every mode the mesh resolves
     # run
     command: str = "solve"
     N: int = 32
@@ -197,8 +196,9 @@ def _parse_value(raw: str, kind, path: str):
     raise ConfigError(f"{path}: unsupported kind {kind!r}")
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and fully validate a config file."""
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    """Parse a config file, replace the `RunConfig` fields named in
+    `overrides` (the CLI's flags), and fully validate the result."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such file: {path}")
@@ -219,7 +219,7 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ConfigError(f"{section}.{key}: unknown key")
             name, kind = _SCHEMA[section][key]
             values[name] = _parse_value(raw, kind, f"{section}.{key}")
-    cfg = RunConfig(**values)
+    cfg = RunConfig(**{**values, **overrides})
     _validate(cfg)
     return cfg
 
@@ -275,11 +275,9 @@ def _validate(cfg: RunConfig) -> None:
     need(len(cfg.amplitude_re) == 2 and len(cfg.amplitude_im) == 2,
          "source.amplitude_re", "amplitude needs two components")
     need(cfg.nx >= 2 and cfg.ny >= 2, "discretization.nx", "nx, ny must be >= 2")
-    need(cfg.n_max >= 0, "discretization.n_max",
-         "must be >= 0 (0 = every resolved mode)")
-    nyquist = nyquist_index(cfg.nx)
-    need(cfg.n_max <= nyquist, "discretization.n_max",
-         f"{cfg.n_max} exceeds the Nyquist index (nx - 1) // 2 = {nyquist}")
+    need(cfg.n_max == 0, "discretization.n_max",
+         f"got {cfg.n_max}, must be 0: the DtN block keeps every mode the "
+         "mesh resolves, |n| <= (nx - 1) // 2")
     need(cfg.command in _COMMANDS, "run.command",
          f"must be one of {', '.join(_COMMANDS)}")
     need(cfg.N >= 1, "run.N", "must be >= 1")

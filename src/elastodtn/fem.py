@@ -187,14 +187,6 @@ class MappedQuadrature:
         mm = w @ (bary[:, :, None] * bary[:, None, :]).reshape(nq, 9)
         return moments, mm.T.reshape(3, 3, -1)
 
-    @cached_property
-    def h1_blocks(self) -> np.ndarray:
-        """Scalar H1 blocks sum_q w (G_i . G_j + phi_i phi_j), (nt, 3, 3):
-        the image-strip H1 norm of a P1 field is a quadratic form in them."""
-        moments, mm = self.moments
-        g00, _, g11 = _gradient_blocks(self.quad.grads, moments)
-        return np.ascontiguousarray((g00 + g11 + mm).transpose(2, 0, 1))
-
 
 def map_quadrature(quad: Quadrature, dmap: DomainMap) -> MappedQuadrature:
     """Evaluate the map factors once at the rule's points; the surfaces are
@@ -286,17 +278,15 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
         2 * nx, 2 * nx)
 
 
-def assemble_B(mesh: Mesh, p: ElasticParams,
-               n_max: int | None = None) -> SparseSystem:
+def assemble_B(mesh: Mesh, p: ElasticParams) -> SparseSystem:
     """Assemble the reference form: exact P1 element integrals (from
-    `_plain_moments`) + DtN block (see `_finish_system` for its modes)."""
-    return _finish_system(mesh, p, n_max,
-                          lambda: _plain_moments(mesh.quadrature))
+    `_plain_moments`) + DtN block over every mode the mesh resolves (see
+    `_finish_system`)."""
+    return _finish_system(mesh, p, lambda: _plain_moments(mesh.quadrature))
 
 
 def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
-                           mq: MappedQuadrature,
-                           n_max: int | None = None) -> SparseSystem:
+                           mq: MappedQuadrature) -> SparseSystem:
     """Assemble the pulled-back form on the reference mesh, with the map
     factors of `mq` (built on mesh_ref.quadrature): gradients transform as
     G = inv(J)^T grad(phi) and every term carries det J through the weights
@@ -304,11 +294,10 @@ def assemble_B_transformed(mesh_ref: Mesh, p: ElasticParams,
 
     The map fixes the top line, so the DtN block is identical to assemble_B.
     """
-    return _finish_system(mesh_ref, p, n_max, lambda: mq.moments)
+    return _finish_system(mesh_ref, p, lambda: mq.moments)
 
 
-def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int | None,
-                   moments) -> SparseSystem:
+def _finish_system(mesh: Mesh, p: ElasticParams, moments) -> SparseSystem:
     """The system of the (moments, mass blocks) = moments(): the
     `_element_entries` of `_CHUNK` triangles at a time summed, in triangle
     order, into the slots of the mesh's fixed pattern (the surface entries
@@ -317,10 +306,10 @@ def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int | None,
     entry that sums to exactly zero stays stored.
 
     The DtN block keeps the modes |n| <= `nyquist_index(mesh.nx)`, every
-    mode the nx top nodes resolve (past it the trace's DFT aliases), or
-    |n| <= n_max when a lower n_max is given.  The pattern (built on first
-    use) and the data are allocated before the element entries: below their
-    freed temporaries, they keep the heap small across commands."""
+    mode the nx top nodes resolve (past it the trace's DFT aliases); no
+    caller can lower it.  The pattern (built on first use) and the data are
+    allocated before the element entries: below their freed temporaries,
+    they keep the heap small across commands."""
     pat, grads = mesh.pattern, mesh.quadrature.grads
     data = np.zeros(pat.indices.size + 2, dtype=complex)
     m, mm = moments()
@@ -328,16 +317,15 @@ def _finish_system(mesh: Mesh, p: ElasticParams, n_max: int | None,
         t = slice(lo, lo + _CHUNK)
         np.add.at(data.real, pat.slots[t].ravel(),
                   _element_entries(grads[t], m[:, t], mm[:, :, t], p).ravel())
-    nyquist = nyquist_index(mesh.nx)
-    n_eff = nyquist if n_max is None else min(n_max, nyquist)
-    data[pat.dtn_slots] -= _dtn_block(mesh, p, n_eff)
+    n_max = nyquist_index(mesh.nx)
+    data[pat.dtn_slots] -= _dtn_block(mesh, p, n_max)
     return SparseSystem(
         dimension=pat.n_dofs,
         matrix=sp.csc_matrix((data[:-2], pat.indices, pat.indptr),
                              shape=(pat.n_dofs, pat.n_dofs)),
         mesh=mesh,
         params=p,
-        n_max=n_eff,
+        n_max=n_max,
     )
 
 

@@ -82,11 +82,20 @@ def _norm_equivalence_kappa(mq: MappedQuadrature) -> float:
 
 def pushforward_h1_sq(sol: FieldSolution, mq: MappedQuadrature) -> float:
     """||u*||^2_{H1} on the image strip by change of variables:
-    int [sum_a |invJ^T grad u~_a|^2 + |u~|^2] det J dy, which for P1 is
-    sum over triangles and components of u^H (mq.h1_blocks) u."""
+    int [sum_a |invJ^T grad u~_a|^2 + |u~|^2] det J dy.  With the moments
+    of `mq.moments` and the constant P1 gradients `sol.gradients`, the
+    semi-norm sums m1 |d1 u|^2 + 2 m12 Re(d1 u conj d2 u) + (m1212 + m2222)
+    |d2 u|^2 over triangles and components; the L2 part is u^H mm u."""
+    (m1, m12, _, m1212, _, m2222), mm = mq.moments
+    # (nt, b, (a, re/im)): the contiguous array `sol.gradients` views
+    gf = np.ascontiguousarray(sol.gradients.transpose(0, 2, 1)).view(float)
+    s11, s12, s22 = (np.einsum("tk,tk->t", gf[:, b], gf[:, c])
+                     for b, c in ((0, 0), (0, 1), (1, 1)))
     u = np.asarray(sol.values, dtype=complex)
-    v = u[sol.mesh.triangles].view(float)              # (nt, 3, (re, im) x 2)
-    return float(np.sum(v * (mq.h1_blocks @ v)))
+    v = u[sol.mesh.triangles].view(float)              # (nt, 3, (a, re/im))
+    mass = np.sum(v * (np.ascontiguousarray(mm.transpose(2, 0, 1)) @ v))
+    return float(np.sum(m1 * s11 + 2.0 * m12 * s12 + (m1212 + m2222) * s22)
+                 + mass)
 
 
 def pullback_source_h1_sq(g, mq: MappedQuadrature, values) -> float:
@@ -101,8 +110,8 @@ def pullback_source_h1_sq(g, mq: MappedQuadrature, values) -> float:
 
 def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                mesh_ref: Mesh, index: int, *, preconditioner,
-               delta: float | None = None, epsilon_margin: float = 0.05,
-               n_max: int | None = None) -> dict:
+               delta: float | None = None,
+               epsilon_margin: float = 0.05) -> dict:
     """Solve one draw of the random problem; returns the per-sample record.
 
     The source enters (load and norm) only through the triangles where it
@@ -110,8 +119,8 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     `fem.StripPreconditioner` (`run_ensemble` shares the reference
     system's), a `Future` of one, waited for just before the solve, or None
     for the LU (see `fem.solve`).  The record's `solver` and `iterations`
-    are `fem.solver_record`'s.  delta None is `make_cutoff`'s default, and
-    n_max None keeps every DtN mode the mesh resolves."""
+    are `fem.solver_record`'s (the DtN keeps every mode the mesh resolves).
+    delta None is `make_cutoff`'s default."""
     if index < 0:
         raise ParameterError("sample index must be >= 0")
     h = mesh_ref.h
@@ -127,7 +136,7 @@ def run_sample(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     elems = g_eta.support_elements(mq)
     near = mq.take(elems)
     g_values = g_eta(near.points)
-    system = assemble_B_transformed(mesh_ref, p, mq, n_max)
+    system = assemble_B_transformed(mesh_ref, p, mq)
     load = assemble_load_transformed(mesh_ref, g_values, near, elems)
     if isinstance(preconditioner, Future):
         preconditioner = preconditioner.result()
@@ -158,7 +167,7 @@ class EnsembleResult:
 def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
                  mesh_ref: Mesh, N: int, parallelism: int = 1,
                  anchor: Callable[[SparseSystem], Any] | None = None,
-                 n_max: int | None = None, **sample_kwargs) -> EnsembleResult:
+                 **sample_kwargs) -> EnsembleResult:
     """N independent samples with indices 0..N-1; aggregation is an ordered
     reduction, so the result is independent of scheduling.  The samples run
     with OpenBLAS pinned to one thread and share one strip preconditioner
@@ -170,8 +179,7 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
     `parallelism` tasks (and factorizations) are alive; its value is the
     result's `anchor`, and an error it raises propagates unchanged.
     Tasks wait only for the first, which was started before them, so no
-    worker count deadlocks.  n_max goes to every system's assembly (None:
-    every DtN mode the mesh resolves).
+    worker count deadlocks.
     """
     if N < 1:
         raise ParameterError("N must be >= 1")
@@ -181,7 +189,7 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
 
     def reference():
         try:
-            system = assemble_B(mesh_ref, p, n_max)
+            system = assemble_B(mesh_ref, p)
             pre.set_result(strip_preconditioner(system))
         except BaseException as exc:   # the samples waiting on pre raise it
             pre.set_exception(exc)
@@ -192,8 +200,7 @@ def run_ensemble(model: RandomSurfaceModel, src: SourceSpec, p: ElasticParams,
             ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
         first = pool.submit(reference)
         futs = {i: pool.submit(run_sample, model, src, p, mesh_ref, i,
-                               n_max=n_max, preconditioner=pre,
-                               **sample_kwargs)
+                               preconditioner=pre, **sample_kwargs)
                 for i in range(N)}
         for i, fut in futs.items():
             try:

@@ -280,18 +280,16 @@ def default_mms_field(p: ElasticParams, geom: Geometry,
 
 def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
                     nx0: int | None = None, ny0: int | None = None,
-                    n_max: int | None = None,
                     field: UpgoingModesField | None = None):
     """Error table over dyadic refinements for the manufactured problem.
 
     Returns a list of {mesh_size, h1_error, l2_error, solver, iterations,
-    n_max}
-    dicts, coarse to fine.  Each level solves by GMRES preconditioned with
-    its own strip operator (`fem.strip_preconditioner`; the LU when GMRES
-    misses the residual gate) and integrates the load only on the
-    triangles with a rule point inside the step's band: the source is
-    exactly zero elsewhere.  Each level's DtN keeps every mode its mesh
-    resolves, or |n| <= n_max when that is lower (`fem.assemble_B`).
+    n_max} dicts, coarse to fine.  Each level solves by GMRES
+    preconditioned with its own strip operator (`fem.strip_preconditioner`;
+    the LU when GMRES misses the residual gate) and integrates the load
+    only on the triangles with a rule point inside the step's band: the
+    source is exactly zero elsewhere.  Each level's DtN keeps every mode
+    its mesh resolves (`fem.assemble_B`), and its row records that n_max.
     """
     if levels < 3:
         raise MmsError("need at least 3 refinement levels")
@@ -306,7 +304,7 @@ def mms_convergence(p: ElasticParams, geom: Geometry, levels: int,
     table = []
     for lev in range(levels):
         mesh = build_mesh(geom.surface, geom.h, nx0 * 2 ** lev, ny0 * 2 ** lev)
-        system = assemble_B(mesh, p, n_max)
+        system = assemble_B(mesh, p)
         band = _support_elements(mesh.quadrature.points,
                                  (field.chi.lo, field.chi.hi))
         sol = solve(system, assemble_load(mesh, g, band),
@@ -401,7 +399,6 @@ class SweepConfig:
     source: SourceField
     nx: int
     ny: int
-    n_max: int | None      # None: every DtN mode the mesh resolves
 
 
 @dataclass(frozen=True)
@@ -427,8 +424,7 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     load = assemble_load(mesh, config.source, elems)  # the same at every omega
     ratios, solves = [], []
     for om in config.omegas:
-        system = assemble_B(mesh, make_params(config.lam, config.mu, om),
-                            config.n_max)
+        system = assemble_B(mesh, make_params(config.lam, config.mu, om))
         sol = solve(system, load, preconditioner=strip_preconditioner(system))
         ratios.append(sol.norms["h1"] / gn["h1"])
         solves.append(fem.solver_record(sol))
@@ -648,9 +644,8 @@ def _random_unit_fields(mesh: Mesh, count: int, seed: int):
 
 
 def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
-                          h: float, nx: int, ny: int, n_max: int,
-                          delta: float, n_batch: int = 32,
-                          seed: int = 0) -> dict:
+                          h: float, nx: int, ny: int, delta: float,
+                          n_batch: int = 32, seed: int = 0) -> dict:
     """Operator-discrepancy ratios along (f_m, g_m) -> (f0, g0).
 
     b_ratios[m] = max_pairs |B_m(u,v) - B(u,v)| / ||f_m - f0||_{1,inf};
@@ -662,7 +657,7 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
     mesh = build_mesh(f0, h, nx, ny)
     gap = h - f0.sup()
     cutoff = make_cutoff(delta, gap)
-    base = assemble_B(mesh, p, n_max)
+    base = assemble_B(mesh, p)
     load0 = assemble_load(mesh, g0)
     sol0 = solve(base, load0)
     fields = _random_unit_fields(mesh, n_batch, seed)
@@ -677,7 +672,7 @@ def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
         dist_f = surface_distance_1inf(fm, f0, f0.period)
         dmap = DomainMap(f0=f0, f_eta=fm, cutoff=cutoff)
         mq = map_quadrature(q, dmap)
-        sys_m = assemble_B_transformed(mesh, p, mq, n_max)
+        sys_m = assemble_B_transformed(mesh, p, mq)
         diff = (sys_m.matrix - base.matrix).tocsr()
         disc = max(abs(complex(np.vdot(v, diff @ u))) for u, v in uvecs)
         b_ratios.append(disc / dist_f if dist_f > 0 else 0.0)

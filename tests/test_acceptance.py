@@ -130,7 +130,7 @@ def test_criterion_04_mms_convergence():
                                 period=3.0)),
     ):
         geom = Geometry(surface=surf, h=1.25)
-        table = mms_convergence(p, geom, 4, n_max=8)
+        table = mms_convergence(p, geom, 4)
         sizes = [row["mesh_size"] for row in table]
         s_h1 = _lsq_slope(sizes, [row["h1_error"] for row in table])
         s_l2 = _lsq_slope(sizes, [row["l2_error"] for row in table])
@@ -141,7 +141,7 @@ def test_criterion_04_mms_convergence():
     from elastodtn.verify import default_mms_field, manufactured_source
     field = default_mms_field(p, geom)
     mesh = build_mesh(geom.surface, geom.h, 96, 36)
-    system = assemble_B(mesh, p, 8)
+    system = assemble_B(mesh, p)
     load = assemble_load(mesh, manufactured_source(field))
     sol = solve(system, load)
     a = system.matrix
@@ -168,7 +168,7 @@ def test_criterion_05_rellich_inequality():
             tols = []
             for nx, ny in ((24, 32), (48, 64), (96, 128)):
                 mesh = build_mesh(surf, 1.4, nx, ny)
-                system = assemble_B(mesh, p, 16)
+                system = assemble_B(mesh, p)
                 sol = solve(system, assemble_load(mesh, src))
                 r = rellich_residual(sol, src, p)
                 tol = mesh.meshsize() * (sol.norms["h1"] ** 2
@@ -245,7 +245,7 @@ def test_criterion_08_frequency_envelope():
     src = make_source(_default_source(), None, f_max=0.4, h=1.4)
     omegas = tuple(2.0 * 2 ** (k / 2) for k in range(7))  # 2 .. 16
     sw = omega_sweep(SweepConfig(lam=1.0, mu=1.0, omegas=omegas, geom=geom,
-                                 source=src, nx=64, ny=96, n_max=16))
+                                 source=src, nx=64, ny=96))
     below = all(r <= e * (1.0 + 1e-9)
                 for r, e in zip(sw.ratios, sw.profile_envelope))
     ok = sw.fitted_slope <= 3.3 and below
@@ -286,7 +286,7 @@ def test_criterion_09_random_case_suite():
     gseq = [lambda pts, s=2.0 ** (-m): src0(pts) + s * dg(pts)
             for m in range(1, 7)]
     cont = form_continuity_check(f0, fseq, src0, gseq, p2, h=1.4,
-                                 nx=24, ny=32, n_max=8, delta=delta,
+                                 nx=24, ny=32, delta=delta,
                                  n_batch=32, seed=109)
     b = cont["b_ratios"]
     ratio_ok = max(b) / float(np.median(b)) <= 3.0
@@ -295,7 +295,7 @@ def test_criterion_09_random_case_suite():
     from elastodtn.fem import assemble_B as _asm, assemble_load as _ld
     l0 = f0.lipschitz + model.norm_bound
     prof2 = bound_profile(2.0, 1.4, 0.2, l0)
-    sys0 = _asm(mesh, p2, 16)
+    sys0 = _asm(mesh, p2)
     sol0 = solve(sys0, _ld(mesh, src0))
     gn = source_norms(mesh, src0)["h1"]
     anchor = sol0.norms["h1"] ** 2 / (

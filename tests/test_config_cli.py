@@ -45,8 +45,7 @@ class TestLoadConfig:
         mesh = build_mesh(cfg.make_geometry().surface, cfg.h, nx, cfg.ny)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            system = assemble_B(mesh, cfg.make_params(omega),
-                                cfg.n_max or None)
+            system = assemble_B(mesh, cfg.make_params(omega))
         assert system.n_max == nyquist_index(nx) == (nx - 1) // 2
 
     def test_resolved_text_byte_stable(self, tmp_path):
@@ -101,27 +100,25 @@ class TestLoadConfig:
             load_config(path)
 
     def test_explicit_n_max_past_nyquist_rejected(self, tmp_path):
-        # nx = 32 resolves modes up to (32 - 1) // 2 = 15
-        path = _write(tmp_path / "a.cfg", "[discretization]\nn_max = 15\n")
-        assert load_config(path).n_max == 15
-        path = _write(tmp_path / "b.cfg", "[discretization]\nn_max = 16\n")
+        # the DtN block keeps every mode the mesh resolves: 0 is the only
+        # value the key takes, and any other is refused, not capped
+        path = _write(tmp_path / "a.cfg", "[discretization]\nn_max = 0\n")
+        assert load_config(path).n_max == 0
+        path = _write(tmp_path / "b.cfg", "[discretization]\nn_max = 3\n")
         with pytest.raises(ConfigError,
-                           match=r"discretization.n_max: 16 .* = 15"):
+                           match=r"discretization.n_max: got 3, must be 0"):
             load_config(path)
 
     def test_auto_n_max_keeps_the_cap(self, tmp_path):
         # at omega 24 the old frequency rule asked for 16 modes, past the
-        # Nyquist index 15 of nx = 32; the default block keeps the 15 the
-        # mesh resolves, silently, and an explicit request is capped at
-        # them silently too
+        # Nyquist index 15 of nx = 32; the block keeps the 15 the mesh
+        # resolves, silently
         path = _write(tmp_path / "a.cfg", "[physics]\nomega = 24\n")
         cfg = load_config(path)
         mesh = build_mesh(cfg.make_geometry().surface, cfg.h, cfg.nx, cfg.ny)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert assemble_B(mesh, cfg.make_params()).n_max == 15
-            assert assemble_B(mesh, cfg.make_params(), 40).n_max == 15
-            assert assemble_B(mesh, cfg.make_params(), 8).n_max == 8
 
     @pytest.mark.parametrize("kind, text, key", [
         ("flat", "f0_amplitudes = 0.05", "f0_amplitudes"),
@@ -398,6 +395,20 @@ class TestCliMain:
         main(["solve", "--config", str(path), "--out", str(out),
               "--seed", "777"])
         assert "seed = 777" in (out / "resolved.cfg").read_text()
+
+    def test_flag_overrides_are_validated(self, tmp_path, capsys):
+        # a flag is checked as the same key in the file is: --parallelism 0
+        # used to run and record parallelism = 0 in resolved.cfg
+        path = tmp_path / "ok.cfg"
+        path.write_text("")
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(path), "--out", str(out),
+                     "--parallelism", "0"]) == 2
+        assert "run.parallelism" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["solve", "--config", str(path), "--out", str(out),
+                     "--seed", "-1"]) == 0
+        assert "seed = -1\n" in (out / "resolved.cfg").read_text()
 
     def test_verify_all_takes_a_negative_seed(self, tmp_path):
         # every generator key takes the seed modulo 2^64

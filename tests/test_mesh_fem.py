@@ -361,7 +361,7 @@ class TestAssembly:
     def test_elastostatic_limit_positive_energy(self, flat_geom):
         p = make_params(1.0, 1.0, 1e-3)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
-        a = assemble_B(mesh, p, 8).matrix
+        a = assemble_B(mesh, p).matrix
         gen = np.random.default_rng(3)
         for _ in range(10):
             v = gen.standard_normal(a.shape[0]) \
@@ -372,9 +372,9 @@ class TestAssembly:
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 20)
         f0 = flat_geom.surface
         ident = DomainMap(f0=f0, f_eta=f0, cutoff=make_cutoff(0.1, 1.1))
-        sys_a = assemble_B(mesh, params2, 8)
+        sys_a = assemble_B(mesh, params2)
         sys_b = assemble_B_transformed(
-            mesh, params2, map_quadrature(mesh.quadrature, ident), 8)
+            mesh, params2, map_quadrature(mesh.quadrature, ident))
         a, b = sys_a.matrix, sys_b.matrix
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
@@ -446,11 +446,13 @@ class TestAssembly:
                                  mapped)
 
     def test_dtn_block_equals_per_mode_kron_sum(self, flat_geom):
-        # reference: the mode-by-mode Kronecker sum the block realizes;
-        # the vectorized sum only reorders floating-point additions
+        # reference: the mode-by-mode Kronecker sum the block realizes,
+        # over every mode the 128 top nodes resolve; the vectorized sum
+        # only reorders floating-point additions
         p = make_params(1.0, 1.0, 8.0)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 128, 4)
-        n_max = 8
+        n_max = assemble_B(mesh, p).n_max
+        assert n_max == 63
         xk = mesh.nodes[mesh.top_nodes, 0]
         expect = np.zeros((2 * mesh.nx, 2 * mesh.nx), dtype=complex)
         for n in range(-n_max, n_max + 1):
@@ -461,12 +463,12 @@ class TestAssembly:
             outer = np.outer(w, np.conj(w)) * (mesh.period * beta ** 2
                                                / mesh.nx ** 2)
             expect += np.kron(outer, symbol_matrices(xi, p))
-        block = fem._dtn_block(mesh, p, assemble_B(mesh, p, n_max).n_max)
+        block = fem._dtn_block(mesh, p, n_max)
         assert np.max(np.abs(block - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     def test_dtn_block_touches_only_top_dofs(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 6)
-        system = assemble_B(mesh, params2, 3)
+        system = assemble_B(mesh, params2)
         entries = fem._element_entries(*_moments_of(mesh.quadrature),
                                        params2)
         domain = _scatter(_pattern_from_topology(mesh), entries)
@@ -480,17 +482,24 @@ class TestAssembly:
     def test_default_block_keeps_every_resolved_mode(self):
         # a source disk whose top is 0.06 below the top line: 8 modes (what
         # a frequency-only rule kept at omega 2) leave a relative H1 error
-        # of about 6e-6 against the 15 modes that nx = 32 resolves
+        # of about 6e-6 against the 15 modes that nx = 32 resolves, which
+        # the assembled block keeps
         p = make_params(1.0, 1.0, 2.0)
         mesh = build_mesh(flat_surface(0.3, 0.2, 0.4, 1.0), 0.6, 32, 24)
         src = make_source(SourceSpec(center=(0.5, 0.49), radius=0.05,
                                      amplitude=(1.0, 0.5j)),
                           None, f_max=0.4, h=0.6)
         load = assemble_load(mesh, src)
-        h1 = {n_max: solve(assemble_B(mesh, p, n_max), load).norms["h1"]
-              for n_max in (None, 15, 8)}
-        assert h1[None] == h1[15]
-        assert abs(h1[8] - h1[None]) > 1e-7 * h1[None]
+        system = assemble_B(mesh, p)
+        assert system.n_max == mesh_module.nyquist_index(32) == 15
+        # the same system with the block of |n| <= 8 in its slots
+        truncated = system.matrix.copy()
+        truncated.data[mesh.pattern.dtn_slots] += (
+            fem._dtn_block(mesh, p, 15) - fem._dtn_block(mesh, p, 8))
+        h1 = solve(system, load).norms["h1"]
+        h1_8 = solve(dataclasses.replace(system, matrix=truncated, n_max=8),
+                     load).norms["h1"]
+        assert abs(h1_8 - h1) > 1e-7 * h1
 
     @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (2, 5), (4, 3),
                                         (24, 16), (64, 96)])
@@ -512,7 +521,7 @@ class TestAssembly:
         p = make_params(1.0, 1.0, 8.0)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 16)
         mq = _sampled_map_quadrature(flat_geom, surface_model, mesh)
-        system = assemble_B_transformed(mesh, p, mq, 8)
+        system = assemble_B_transformed(mesh, p, mq)
         # bitwise: the entries from the moments in the assembly's order
         k, m = transformed_element_matrices(mq, p.lam, p.mu)
         domain = _scatter(_pattern_from_topology(mesh),
@@ -1113,14 +1122,14 @@ class TestLoads:
 class TestSolve:
     def test_zero_load_zero_solution(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
-        system = assemble_B(mesh, params2, 4)
+        system = assemble_B(mesh, params2)
         sol = solve(system, np.zeros(system.dimension, dtype=complex))
         assert np.array_equal(sol.values, np.zeros_like(sol.values))
         assert sol.norms["h1"] == 0.0
 
     def test_linearity_exact(self, flat_geom, params2, bump):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 24)
-        system = assemble_B(mesh, params2, 8)
+        system = assemble_B(mesh, params2)
         load = assemble_load(mesh, bump)
         u1 = solve(system, load)
         u2 = solve(system, 2.0 * load)
@@ -1128,7 +1137,7 @@ class TestSolve:
 
     def test_residual_enforced(self, flat_geom, params2, bump):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 32)
-        system = assemble_B(mesh, params2, 8)
+        system = assemble_B(mesh, params2)
         load = assemble_load(mesh, bump)
         sol = solve(system, load)
         a = system.matrix
@@ -1141,14 +1150,14 @@ class TestSolve:
 
     def test_shape_mismatch_raises(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
-        system = assemble_B(mesh, params2, 4)
+        system = assemble_B(mesh, params2)
         with pytest.raises(SolveError):
             solve(system, np.zeros(3, dtype=complex))
 
     def test_galerkin_orthogonality(self, flat_geom, params2, bump):
         from elastodtn.verify import source_norms
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 32)
-        system = assemble_B(mesh, params2, 8)
+        system = assemble_B(mesh, params2)
         load = assemble_load(mesh, bump)
         sol = solve(system, load)
         a = system.matrix
@@ -1283,7 +1292,7 @@ class TestRefinedSolve:
 
         monkeypatch.setattr(fem, "_factor", recording_factor)
         mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 16, 24)
-        system = assemble_B(mesh, params2, 8)
+        system = assemble_B(mesh, params2)
         sol = solve(system, assemble_load(mesh, bump))
         assert sol.metadata["factor_dtype"] == "float32"
         [a32] = seen
@@ -1308,7 +1317,7 @@ class TestFloat32Path:
         n_max = mesh_module.nyquist_index(mesh.nx)
         for omega in 0.5 + 0.05 * np.arange(471):          # 0.5, ..., 24
             p = make_params(1.0, 1.0, float(omega))
-            meta = solve(assemble_B(mesh, p, n_max), load).metadata
+            meta = solve(assemble_B(mesh, p), load).metadata
             assert meta["factor_dtype"] == "float32", omega
             assert meta["residual"] <= 1e-10, omega
             assert 0 < meta["imag_rank"] <= 2 * _propagating_modes(
@@ -1317,7 +1326,7 @@ class TestFloat32Path:
     def test_imag_entry_off_top_block_falls_back(self, wavy_geom, params2,
                                                  bump):
         mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 16, 24)
-        system = assemble_B(mesh, params2, 7)
+        system = assemble_B(mesh, params2)
         assert 0 not in mesh.pattern.top_dofs
         a = system.matrix.copy()
         diag = np.flatnonzero(a.indices[a.indptr[0]:a.indptr[1]] == 0)[0]
@@ -1387,7 +1396,7 @@ class TestBlasPin:
         monkeypatch.setattr(fem, "_factor", recording_factor)
         monkeypatch.setattr(fem, "_imag_part", recording_imag_part)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 24)
-        system = assemble_B(mesh, params2, 8)
+        system = assemble_B(mesh, params2)
         sol = solve(system, assemble_load(mesh, bump))
         assert sol.metadata["factor_dtype"] == "float32"
         assert seen == [("eigh", [1] * len(controls)),
@@ -1427,7 +1436,7 @@ class TestBlasPin:
 
         monkeypatch.setattr(fem, "_factor", failing_factor)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
-        system = assemble_B(mesh, params2, 4)
+        system = assemble_B(mesh, params2)
         with pytest.raises(SolveError, match="factorization failed"):
             solve(system, assemble_load(mesh, bump))
         # the float32 attempt and the complex128 fallback, both pinned
@@ -1447,7 +1456,7 @@ class TestBlasPin:
         monkeypatch.setattr(fem, "_openblas_thread_controls", counting_scan)
         monkeypatch.setattr(fem._single_thread_blas, "_controls", None)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
-        system = assemble_B(mesh, params2, 4)
+        system = assemble_B(mesh, params2)
         load = assemble_load(mesh, bump)
         for _ in range(3):
             solve(system, load)

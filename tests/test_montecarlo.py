@@ -48,10 +48,10 @@ def mesh_ref(flat_geom):
     return build_mesh(flat_geom.surface, flat_geom.h, 24, 32)
 
 
-def _shared_pre(mesh, p, n_max=None):
+def _shared_pre(mesh, p):
     """The strip preconditioner `run_ensemble` shares: the reference
     system's."""
-    return strip_preconditioner(assemble_B(mesh, p, n_max))
+    return strip_preconditioner(assemble_B(mesh, p))
 
 
 def _det_model():
@@ -113,7 +113,8 @@ class TestRunSample:
     def test_records_requested_and_effective_n_max(
             self, surface_model, source_spec, params2, mesh_ref,
             monkeypatch):
-        # nx = 24 resolves modes up to (24 - 1) // 2 = 11
+        # nx = 24 resolves modes up to (24 - 1) // 2 = 11: the sample's
+        # system keeps them all and its record says so
         seen = []
         real_solve = montecarlo.solve
 
@@ -124,16 +125,15 @@ class TestRunSample:
 
         monkeypatch.setattr(montecarlo, "solve", spy)
         rec = run_sample(surface_model, source_spec, params2, mesh_ref, 1,
-                         n_max=16,
-                         preconditioner=_shared_pre(mesh_ref, params2, 16))
+                         preconditioner=_shared_pre(mesh_ref, params2))
         assert seen[0]["n_max"] == rec["n_max"] == 11
 
     def test_ensemble_keeps_every_resolved_mode(
             self, surface_model, source_spec, params2, flat_geom,
             monkeypatch):
         # nx = 64 resolves modes up to 31: by default the reference system
-        # and every sample keep them all, as every per-sample record says;
-        # an explicit request reaches every system, and nothing warns
+        # and every sample keep them all, as every per-sample record says,
+        # and nothing warns
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 64, 8)
         systems = []
         for name in ("assemble_B", "assemble_B_transformed"):
@@ -144,13 +144,8 @@ class TestRunSample:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = run_ensemble(surface_model, source_spec, params2, mesh, 3)
-            assert [s.n_max for s in systems] == [31] * 4
-            assert [r["n_max"] for r in res.per_sample] == [31] * 3
-            systems.clear()
-            res = run_ensemble(surface_model, source_spec, params2, mesh, 3,
-                               n_max=8)
-        assert [s.n_max for s in systems] == [8] * 4
-        assert [r["n_max"] for r in res.per_sample] == [8] * 3
+        assert [s.n_max for s in systems] == [31] * 4
+        assert [r["n_max"] for r in res.per_sample] == [31] * 3
 
     def test_negative_index_rejected(self, surface_model, source_spec,
                                      params2, mesh_ref):

@@ -74,13 +74,18 @@ class TestSymbols:
     """On a flat strip the x1-average is the operator itself, so the
     preconditioner inverts it."""
 
-    @pytest.mark.parametrize("nx, ny, omega, n_max", [
-        (2, 3, 2.0, 4), (3, 4, 8.0, 4), (3, 5, 2.0, 0), (8, 6, 2.0, 16),
-        (8, 12, 24.0, 3), (64, 8, 8.0, 0), (64, 12, 24.0, 40)])
-    def test_inverts_flat_reference(self, nx, ny, omega, n_max):
+    # the ids end in the DtN n_max each case used to request (0: auto);
+    # every request already kept all the modes its mesh resolves, as every
+    # block now does
+    @pytest.mark.parametrize("nx, ny, omega", [
+        (2, 3, 2.0), (3, 4, 8.0), (3, 5, 2.0), (8, 6, 2.0), (8, 12, 24.0),
+        (64, 8, 8.0), (64, 12, 24.0)],
+        ids=["2-3-2.0-4", "3-4-8.0-4", "3-5-2.0-0", "8-6-2.0-16",
+             "8-12-24.0-3", "64-8-8.0-0", "64-12-24.0-40"])
+    def test_inverts_flat_reference(self, nx, ny, omega):
         # nx = 2 and 3 make the offsets -1 and +1 (and 0 at nx = 2) alias
         p = make_params(1.0, 1.0, omega)
-        system = assemble_B(build_mesh(FLAT, 1.4, nx, ny), p, n_max or None)
+        system = assemble_B(build_mesh(FLAT, 1.4, nx, ny), p)
         pre = strip_preconditioner(system)
         assert pre is not None
         for seed in range(3):
@@ -89,7 +94,7 @@ class TestSymbols:
 
     def test_factors_read_only(self, params2):
         pre = strip_preconditioner(assemble_B(build_mesh(FLAT, 1.4, 8, 6),
-                                              params2, 3))
+                                              params2))
         assert not pre.factors.flags.writeable
         assert not pre.pivots.flags.writeable
         assert pre.factors.flags.f_contiguous
@@ -97,7 +102,7 @@ class TestSymbols:
     def test_zero_pivot_leaves_none(self, params2):
         # every (row 1, component 0) column zero: each symbol's first
         # column vanishes
-        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2, 3)
+        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2)
         keep = np.ones(system.dimension)
         keep[0:16:2] = 0.0
         system = replace(system, matrix=sp.csc_matrix(
@@ -106,7 +111,7 @@ class TestSymbols:
 
     def test_entry_outside_band_leaves_none(self, params2):
         # a coupling between the first and the last row of nodes
-        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2, 3)
+        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2)
         n = system.dimension
         extra = sp.csc_matrix(([1.0 + 0j], ([0], [n - 2])), shape=(n, n))
         system = replace(system, matrix=sp.csc_matrix(system.matrix + extra))
@@ -181,7 +186,7 @@ class TestRoughSurfaces:
         sweep = omega_sweep(SweepConfig(
             lam=1.0, mu=1.0, omegas=(2.0, 8.0, 16.0, 24.0),
             geom=Geometry(surface=surface, h=1.4), source=bump,
-            nx=32, ny=48, n_max=15))
+            nx=32, ny=48))
         iterations = [s["iterations"] for s in sweep.solves]
         record_property("gmres_iterations", iterations)
         assert [s["solver"] for s in sweep.solves] == ["gmres"] * 4
@@ -288,9 +293,9 @@ class TestDeterminism:
                                               source_spec, params2):
         controls = openblas_at_two
         mesh = build_mesh(FLAT, 1.4, 16, 24)
-        system = assemble_B(mesh, params2, 8)
+        system = assemble_B(mesh, params2)
         pre = strip_preconditioner(
-            assemble_B(mesh, make_params(1.0, 1.0, 2.5), 8))
+            assemble_B(mesh, make_params(1.0, 1.0, 2.5)))
         seen = []
 
         class Recording:
@@ -351,7 +356,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(fem._lapack, "zgbtrf", recording)
         assert strip_preconditioner(assemble_B(
-            build_mesh(FLAT, 1.4, 8, 6), params2, 3)) is not None
+            build_mesh(FLAT, 1.4, 8, 6), params2)) is not None
         assert seen == [[1] * len(controls)]
         assert _blas_threads(controls) == [2] * len(controls)
 
@@ -392,6 +397,6 @@ class TestRadiatedPower:
             assert _default_solve(omega).metadata["radiated_power"] < -0.1
 
     def test_not_recorded_for_zero_load(self, params2):
-        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2, 3)
+        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2)
         sol = solve(system, np.zeros(system.dimension))
         assert "radiated_power" not in sol.metadata

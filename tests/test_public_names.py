@@ -32,8 +32,8 @@ TEST_ONLY = {
 }
 
 RULE_CALLERS = {
-    # fem._finish_system sets the DtN modes; config rejects outside input
-    "nyquist_index": {"fem", "config"},
+    # fem._finish_system sets the DtN modes, and no input can change them
+    "nyquist_index": {"fem"},
     "Philox": {"model"},                  # only in model.keyed_generator
 }
 
@@ -179,4 +179,4 @@ def test_a_second_caller_of_a_rule_is_caught():
     texts[PACKAGE / "montecarlo.py"] += (
         "\n\nN_MAX = nyquist_index(mesh_ref.nx)\n")
     assert _rule_callers(texts) == {
-        **RULE_CALLERS, "nyquist_index": {"fem", "config", "montecarlo"}}
+        **RULE_CALLERS, "nyquist_index": {"fem", "montecarlo"}}

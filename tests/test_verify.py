@@ -229,7 +229,7 @@ class TestManufacturedSource:
 class TestMmsConvergence:
     def test_flat_surface_orders(self):
         p = make_params(1.0, 1.0, 4.0)
-        table = mms_convergence(p, _mms_geometry("flat"), 3, n_max=8)
+        table = mms_convergence(p, _mms_geometry("flat"), 3)
         h1 = convergence_slopes(table, "h1_error")
         l2 = convergence_slopes(table, "l2_error")
         assert 0.8 <= h1[-1] <= 1.3
@@ -237,15 +237,14 @@ class TestMmsConvergence:
 
     def test_low_frequency_sanity(self):
         p = make_params(1.0, 1.0, 0.5)
-        table = mms_convergence(p, _mms_geometry("flat"), 3, n_max=8)
+        table = mms_convergence(p, _mms_geometry("flat"), 3)
         errs = [row["h1_error"] for row in table]
         assert errs[0] > errs[1] > errs[2]
 
     def test_flat_levels_take_gmres(self):
         # the strip operator is the exact inverse on a flat strip
         table = mms_convergence(make_params(1.0, 1.0, 4.0),
-                                _mms_geometry("flat"), 3, nx0=8, ny0=8,
-                                n_max=8)
+                                _mms_geometry("flat"), 3, nx0=8, ny0=8)
         assert [row["solver"] for row in table] == ["gmres"] * 3
         assert all(1 <= row["iterations"] <= 2 for row in table)
 
@@ -331,7 +330,7 @@ class TestRellich:
         for om in (2.0, 4.0, 8.0):
             p = make_params(1.0, 1.0, om)
             mesh = build_mesh(flat_geom.surface, flat_geom.h, 48, 64)
-            system = assemble_B(mesh, p, 16)
+            system = assemble_B(mesh, p)
             sol = solve(system, assemble_load(mesh, bump))
             r = rellich_residual(sol, bump, p)
             tol = mesh.meshsize() * (sol.norms["h1"] ** 2
@@ -385,7 +384,7 @@ class TestPoincare:
 class TestOmegaSweep:
     def _config(self, geom, src, omegas):
         return SweepConfig(lam=1.0, mu=1.0, omegas=omegas, geom=geom,
-                           source=src, nx=48, ny=64, n_max=16)
+                           source=src, nx=48, ny=64)
 
     def test_slope_and_envelope(self, flat_geom, bump):
         omegas = tuple(2.0 * 2 ** (k / 2) for k in range(5))
@@ -419,7 +418,7 @@ class TestOmegaSweep:
         gn = source_norms(mesh, bump)["h1"]
         expect = []
         for om in omegas:
-            system = assemble_B(mesh, make_params(1.0, 1.0, om), 16)
+            system = assemble_B(mesh, make_params(1.0, 1.0, om))
             expect.append(solve(system, assemble_load(mesh, bump),
                                 preconditioner=strip_preconditioner(system))
                           .norms["h1"] / gn)
@@ -438,7 +437,7 @@ class TestOmegaSweep:
         mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 48, 64)
         load = assemble_load(mesh, bump)
         gn = source_norms(mesh, bump)["h1"]
-        lu = [solve(assemble_B(mesh, make_params(1.0, 1.0, om), 16), load)
+        lu = [solve(assemble_B(mesh, make_params(1.0, 1.0, om)), load)
               .norms["h1"] / gn for om in omegas]
         assert sw.ratios == pytest.approx(lu, rel=1e-10, abs=0.0)
 
@@ -465,20 +464,17 @@ def _spy_systems(monkeypatch):
 
 
 class TestDtnTruncationOnce:
-    """The MMS study and the sweep pass their n_max once, unchanged, to
-    every system they assemble: by default each system keeps every mode its
-    mesh resolves, an explicit value is capped at each mesh's Nyquist
-    index, nothing warns, and every MMS row and sweep solve reports its
-    system's n_max."""
+    """Every system the MMS study and the sweep assemble keeps every mode
+    its mesh resolves, nothing warns, and every MMS row and sweep solve
+    reports its system's n_max."""
 
-    def _mms(self, p, n_max):
-        return mms_convergence(p, _mms_geometry("flat"), 3, nx0=4, ny0=6,
-                               n_max=n_max)
+    def _mms(self, p):
+        return mms_convergence(p, _mms_geometry("flat"), 3, nx0=4, ny0=6)
 
-    def _sweep(self, flat_geom, bump, n_max):
+    def _sweep(self, flat_geom, bump):
         return omega_sweep(SweepConfig(lam=1.0, mu=1.0, omegas=(2.0, 24.0),
                                        geom=flat_geom, source=bump, nx=16,
-                                       ny=24, n_max=n_max))
+                                       ny=24))
 
     def test_default_keeps_each_mesh_resolved_modes(self, flat_geom, bump,
                                                     monkeypatch):
@@ -486,26 +482,15 @@ class TestDtnTruncationOnce:
         p = make_params(1.0, 1.0, 2.0)
         for run, caps in (
                 # levels nx 4, 8, 16: Nyquist indices 1, 3 and 7
-                (lambda: self._mms(p, None), [1, 3, 7]),
+                (lambda: self._mms(p), [1, 3, 7]),
                 # omega 2 and 24 at nx = 16
-                (lambda: self._sweep(flat_geom, bump, None).solves, [7, 7])):
+                (lambda: self._sweep(flat_geom, bump).solves, [7, 7])):
             systems.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 rows = run()
             assert [s.n_max for s in systems] == caps
             assert [row["n_max"] for row in rows] == caps
-
-    def test_explicit_past_nyquist_is_silent(self, flat_geom, bump,
-                                             monkeypatch):
-        systems = _spy_systems(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            table = self._mms(make_params(1.0, 1.0, 2.0), 40)
-            sweep = self._sweep(flat_geom, bump, 40)
-        assert [s.n_max for s in systems] == [1, 3, 7, 7, 7]
-        assert [row["n_max"] for row in table + sweep.solves] == \
-            [1, 3, 7, 7, 7]
 
 
 class TestDtnPairing:
@@ -994,7 +979,7 @@ class TestFormContinuity:
         f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
         g0, _, _ = self._sequence()
         r = form_continuity_check(f0, [f0, f0], g0, [g0, g0], params2,
-                                  h=1.4, nx=16, ny=20, n_max=8,
+                                  h=1.4, nx=16, ny=20,
                                   delta=0.1375, n_batch=8, seed=1)
         assert all(x == 0.0 for x in r["b_ratios"])
         assert max(r["sol_errors"]) < 1e-13
@@ -1003,7 +988,7 @@ class TestFormContinuity:
         f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
         g0, fseq, gseq = self._sequence()
         r = form_continuity_check(f0, fseq, g0, gseq, params2,
-                                  h=1.4, nx=24, ny=32, n_max=8,
+                                  h=1.4, nx=24, ny=32,
                                   delta=0.1375, n_batch=16, seed=5)
         b = r["b_ratios"]
         assert max(b) / np.median(b) <= 3.0
