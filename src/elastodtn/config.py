@@ -288,6 +288,8 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.levels >= 3, "run.levels", "must be >= 3")
     need(cfg.calibrated_c >= 0.0, "run.calibrated_c",
          "must be >= 0 (0 = auto-anchor)")
+    need(cfg.anchor_safety > 0.0, "run.anchor_safety",  # False for NaN too
+         "must be a positive number")
     # the surface itself must respect the declared envelope
     surf = cfg.make_surface()
     try:

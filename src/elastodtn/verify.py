@@ -253,11 +253,17 @@ def manufactured_source(u_exact):
 
 
 def _field_errors(mesh: Mesh, sol_values: np.ndarray, field) -> tuple[float, float]:
-    """(h1_error, l2_error) of the P1 field against an analytic field."""
+    """(h1_error, l2_error) of the P1 field against a manufactured field.
+
+    The field and its gradient are exactly 0 at and below its step's lo,
+    so they are evaluated only on the triangles with a rule point above."""
     q = mesh.quadrature
     uh = q.interpolate(np.asarray(sol_values, dtype=complex)[mesh.triangles])
     guh = fem.element_gradients(mesh, sol_values)           # (nt, 2, 2)
-    u, du = field.value_grad(q.points)
+    live = _support_elements(q.points, (field.chi.lo, math.inf))
+    u = np.zeros(uh.shape, dtype=complex)
+    du = np.zeros(uh.shape + (2,), dtype=complex)
+    u[live], du[live] = field.value_grad(q.points[live])
     l2_sq = float(q.integral(np.abs(uh - u) ** 2))
     semi_sq = float(q.integral(np.abs(guh[:, None, :, :] - du) ** 2))
     return math.sqrt(l2_sq + semi_sq), math.sqrt(l2_sq)
@@ -336,12 +342,14 @@ def _rellich_integrand(tu, u, grad, p: ElasticParams) -> np.ndarray:
     return term1 - e + p.omega ** 2 * np.sum(np.abs(u) ** 2, axis=-1)
 
 
-def rellich_residual(sol: FieldSolution, g, p: ElasticParams) -> dict:
+def rellich_residual(sol: FieldSolution, g: SourceField,
+                     p: ElasticParams) -> dict:
     """lhs / rhs of the boundary inequality for a solved field.
 
     lhs uses the mode transform of the piecewise-linear top trace, truncated
     as the solve's DtN (`metadata["n_max"]`), and the top-layer element
-    gradients (midpoint rule over top edges); rhs is 2 k_s Im int g . conj(u).
+    gradients (midpoint rule over top edges); rhs is 2 k_s Im int g . conj(u),
+    integrated on the source's `support_elements` only (g is 0 elsewhere).
     """
     mesh = sol.mesh
     trace = trace_coefficients(sol)
@@ -353,8 +361,9 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams) -> dict:
     gu = sol.gradients[mesh.top_edge_triangles()]
     lhs = float(np.sum(_rellich_integrand(tu_mid, u_mid, gu, p)) * dx)
 
-    q = mesh.quadrature
-    uh = q.interpolate(sol.values[mesh.triangles])
+    elems = g.support_elements(mesh.quadrature)
+    q = mesh.quadrature.take(elems)
+    uh = q.interpolate(sol.values[mesh.triangles[elems]])
     integral = q.integral(np.asarray(g(q.points), dtype=complex) * np.conj(uh))
     rhs = float(2.0 * p.k_s * np.imag(integral))
     return {"lhs": lhs, "rhs": rhs}
@@ -364,15 +373,48 @@ def rellich_residual(sol: FieldSolution, g, p: ElasticParams) -> dict:
 # Poincare bound
 # ---------------------------------------------------------------------------
 
-def poincare_check(field: FieldSolution) -> float:
-    """l2 / ||d2 u|| for a surface-vanishing field (0 when both vanish)."""
-    l2, d2 = field.norms["l2"], field.norms["d2"]
-    if d2 == 0.0:
-        if l2 > 0.0:
-            raise InternalError(
-                "||d2 u|| = 0 with ||u|| > 0 for a surface-vanishing field")
-        return 0.0
-    return l2 / d2
+def _random_free_fields(mesh: Mesh, count: int, seed: int) -> np.ndarray:
+    """(n_nodes, 2, count): random fields, 0 on the surface nodes and
+    complex standard normal on the free ones.  One draw reads the stream
+    as `count` draws of one field each would: per field the (free, 2) real
+    parts, then the imaginary parts."""
+    free = mesh.free_nodes
+    z = keyed_generator(seed, 0xBA7C4).standard_normal(
+        (count, 2, free.size, 2))
+    block = np.zeros((mesh.n_nodes, 2, count), dtype=complex)
+    block.view(float).reshape(mesh.n_nodes, 2, count, 2)[free] = \
+        z.transpose(2, 3, 0, 1)
+    return block
+
+
+def _poincare_ratios(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """||u|| / ||d2 u|| of each field of an (n_nodes, 2, count) block (0
+    when both vanish), from the P1 operators that `fem.norms` applies, here
+    to the (re, im) float view of the whole block at once.  einsum sums
+    the weighted squares without a temporary of the products' size."""
+    ops, area = mesh.p1_operators, mesh.quadrature.area
+    count = values.shape[-1]
+    vf = np.ascontiguousarray(values, dtype=complex).reshape(
+        values.shape[0], -1).view(float)     # (n_nodes, (a, field, re/im))
+    s = ops.vertex_sum @ vf
+    d2 = ops.grad[1::2] @ vf                    # d/dx2 on each triangle
+    l2_sq = (np.einsum("t,tk,tk->k", area, s, s) / 12.0
+             + np.einsum("n,nk,nk->k", ops.nodal_weights, vf, vf))
+    d2_sq = np.einsum("t,tk,tk->k", area, d2, d2)
+    l2, d2 = (np.sqrt(a.reshape(2, count, 2).sum(axis=(0, 2)))
+              for a in (l2_sq, d2_sq))
+    if np.any((d2 == 0.0) & (l2 > 0.0)):
+        raise InternalError(
+            "||d2 u|| = 0 with ||u|| > 0 for a surface-vanishing field")
+    return np.divide(l2, d2, out=np.zeros(count), where=d2 > 0.0)
+
+
+def poincare_check(mesh: Mesh, count: int, seed: int) -> float:
+    """The worst ||u|| / ||d2 u|| over `count` random surface-vanishing
+    fields drawn from `seed`.  The ratio does not depend on scale, so the
+    fields are not normalized."""
+    return float(np.max(_poincare_ratios(
+        mesh, _random_free_fields(mesh, count, seed)), initial=0.0))
 
 
 def source_norms(mesh: Mesh, g: SourceField, elems=None) -> dict:
@@ -624,23 +666,12 @@ def surface_distance_1inf(fa, fb, period: float, n_samples: int = 10000) -> floa
 
 
 def _random_unit_fields(mesh: Mesh, count: int, seed: int):
-    """Random free-node fields normalized to unit H1 norm, as solutions.
-
-    Each field's norms are computed once, on the drawn field, and divided
-    by its H1 norm (every norm is 1-homogeneous): they are the scaled
-    field's cached `norms`."""
-    gen = keyed_generator(seed, 0xBA7C4)
-    free = mesh.free_nodes
-    out = []
-    for _ in range(count):
-        vec = np.zeros((mesh.n_nodes, 2), dtype=complex)
-        vec[free] = gen.standard_normal((free.size, 2)) \
-            + 1j * gen.standard_normal((free.size, 2))
-        drawn = FieldSolution(mesh=mesh, values=vec).norms
-        unit = FieldSolution(mesh=mesh, values=vec / drawn["h1"])
-        vars(unit)["norms"] = {k: v / drawn["h1"] for k, v in drawn.items()}
-        out.append(unit)
-    return out
+    """The fields of `_random_free_fields`, each divided by its H1 norm,
+    as solutions."""
+    return [FieldSolution(mesh=mesh, values=vec / FieldSolution(
+                mesh=mesh, values=vec).norms["h1"])
+            for vec in np.moveaxis(_random_free_fields(mesh, count, seed),
+                                   -1, 0)]
 
 
 def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,

@@ -13,6 +13,7 @@ from elastodtn.config import RunConfig, load_config, resolved_text
 from elastodtn.errors import ConfigError
 from elastodtn.fem import assemble_B, assemble_load, solve
 from elastodtn.mesh import build_mesh, nyquist_index
+from elastodtn.model import keyed_generator
 
 
 def _write(path, text):
@@ -97,6 +98,14 @@ class TestLoadConfig:
         assert getattr(load_config(path), key) == 0.0
         path = _write(tmp_path / "b.cfg", f"[run]\n{key} = -0.05\n")
         with pytest.raises(ConfigError, match=f"run.{key}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", ["0", "-1.0", "nan"])
+    def test_anchor_safety_must_be_positive(self, tmp_path, value):
+        path = _write(tmp_path / "a.cfg", "[run]\nanchor_safety = 0.5\n")
+        assert load_config(path).anchor_safety == 0.5
+        path = _write(tmp_path / "b.cfg", f"[run]\nanchor_safety = {value}\n")
+        with pytest.raises(ConfigError, match="run.anchor_safety"):
             load_config(path)
 
     def test_explicit_n_max_past_nyquist_rejected(self, tmp_path):
@@ -369,6 +378,17 @@ class TestEnsembleCommand:
         assert run_command(cfg, str(tmp_path / "e")) == 1
 
 
+class TestProjectionAlgebraRow:
+    def test_round_off_margin_over_seeds(self):
+        # the row bounds an absolute deviation, set by rounding in Mp @ Mp
+        # (entries up to about 35), by a fixed 1e-12; on the default config
+        # it reaches 8.88e-13 at seed 150
+        p = RunConfig().make_params()
+        worst = max(cli._projection_deviation(p, keyed_generator(seed, 1),
+                                              1000) for seed in range(300))
+        assert worst < 1e-12
+
+
 class TestCliMain:
     def test_verify_all_gate_exits_2_before_solving(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -409,6 +429,18 @@ class TestCliMain:
         assert main(["solve", "--config", str(path), "--out", str(out),
                      "--seed", "-1"]) == 0
         assert "seed = -1\n" in (out / "resolved.cfg").read_text()
+
+    def test_nonpositive_anchor_safety_exits_2(self, tmp_path, capsys):
+        # it used to scale the envelope negative, and the ensemble wrote a
+        # failing meansquare_envelope row and exited 1
+        path = tmp_path / "bad.cfg"
+        path.write_text("[discretization]\nnx = 16\nny = 16\n"
+                        "[run]\nN = 2\nanchor_safety = -1.0\n")
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert "run.anchor_safety" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_all_takes_a_negative_seed(self, tmp_path):
         # every generator key takes the seed modulo 2^64

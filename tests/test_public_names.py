@@ -38,7 +38,6 @@ RULE_CALLERS = {
 }
 
 CROSS_MODULE_PRIVATE = {
-    ("cli", "verify._random_unit_fields"),
     ("fem", "mesh._weighted_sum"),
     ("montecarlo", "fem._single_thread_blas"),
 }

@@ -26,6 +26,7 @@ from elastodtn.model import (
     Geometry,
     cosine_surface,
     flat_surface,
+    keyed_generator,
     make_cutoff,
     make_params,
     make_source,
@@ -43,7 +44,9 @@ from elastodtn import cli
 from elastodtn.config import RunConfig
 from elastodtn import verify
 from elastodtn.verify import (
+    _poincare_ratios,
     _pullback_integrals,
+    _random_free_fields,
     _rellich_integrand,
     _support_elements,
     SmoothStep,
@@ -248,6 +251,29 @@ class TestMmsConvergence:
         assert [row["solver"] for row in table] == ["gmres"] * 3
         assert all(1 <= row["iterations"] <= 2 for row in table)
 
+    def test_table_equals_all_point_field_errors(self, monkeypatch):
+        # the manufactured field is exactly zero at and below its step's lo,
+        # so the errors skip evaluating it there, bitwise
+        def all_points(mesh, sol_values, field):
+            q = mesh.quadrature
+            uh = q.interpolate(np.asarray(sol_values, dtype=complex)
+                               [mesh.triangles])
+            guh = fem.element_gradients(mesh, sol_values)
+            u, du = field.value_grad(q.points)
+            l2_sq = float(q.integral(np.abs(uh - u) ** 2))
+            semi_sq = float(q.integral(np.abs(guh[:, None] - du) ** 2))
+            return math.sqrt(l2_sq + semi_sq), math.sqrt(l2_sq)
+
+        p = make_params(1.0, 1.0, 2.0)
+        geom = _mms_geometry("cosine")
+        table = mms_convergence(p, geom, 3)
+        monkeypatch.setattr(verify, "_field_errors", all_points)
+        assert mms_convergence(p, geom, 3) == table
+        mesh = build_mesh(geom.surface, geom.h, 24, 9)  # the coarsest level
+        lo = default_mms_field(p, geom).chi.lo
+        skipped = ~(mesh.quadrature.points[..., 1] > lo).any(axis=1)
+        assert 0 < np.count_nonzero(skipped) < mesh.triangles.shape[0]
+
     def test_band_load_equals_all_triangle_load(self):
         # the manufactured source is exactly zero off the step's band
         p = make_params(1.0, 1.0, 4.0)
@@ -338,6 +364,18 @@ class TestRellich:
                                      * sol.norms["h1"])
             assert r["lhs"] <= r["rhs"] + tol
 
+    def test_source_integral_on_the_support_only(self, wavy_geom, bump,
+                                                  params2):
+        mesh = build_mesh(wavy_geom.surface, wavy_geom.h, 32, 48)
+        sol = solve(assemble_B(mesh, params2), assemble_load(mesh, bump))
+        q = mesh.quadrature
+        assert bump.support_elements(q).size < mesh.triangles.shape[0] / 4
+        uh = q.interpolate(sol.values[mesh.triangles])
+        full = 2.0 * params2.k_s * float(np.imag(q.integral(
+            np.asarray(bump(q.points), dtype=complex) * np.conj(uh))))
+        got = rellich_residual(sol, bump, params2)["rhs"]
+        assert got == pytest.approx(full, rel=1e-13)
+
 
 class TestPoincare:
     def test_linear_vertical_profile(self):
@@ -346,7 +384,7 @@ class TestPoincare:
         mesh = build_mesh(surf, 1.3, 16, 32)
         vals = np.zeros((mesh.n_nodes, 2), dtype=complex)
         vals[:, 0] = mesh.nodes[:, 1] - 0.3
-        ratio = poincare_check(FieldSolution(mesh=mesh, values=vals))
+        (ratio,) = _poincare_ratios(mesh, vals[..., None])
         assert ratio == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
 
     def test_sine_profile(self):
@@ -354,31 +392,54 @@ class TestPoincare:
         mesh = build_mesh(surf, 1.3, 8, 64)
         vals = np.zeros((mesh.n_nodes, 2), dtype=complex)
         vals[:, 0] = np.sin(np.pi * (mesh.nodes[:, 1] - 0.3) / 2.0)
-        ratio = poincare_check(FieldSolution(mesh=mesh, values=vals))
+        (ratio,) = _poincare_ratios(mesh, vals[..., None])
         assert ratio == pytest.approx(2.0 / math.pi, abs=1e-3)
 
     def test_zero_field(self, flat_geom):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
-        sol = FieldSolution(mesh=mesh,
-                            values=np.zeros((mesh.n_nodes, 2), complex))
-        assert poincare_check(sol) == 0.0
+        vals = np.zeros((mesh.n_nodes, 2, 1), complex)
+        assert _poincare_ratios(mesh, vals)[0] == 0.0
 
     def test_impossible_state_flagged(self, flat_geom):
         # constant field: nonzero l2 with zero d2 (violates the surface
         # condition on purpose)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 8)
-        vals = np.ones((mesh.n_nodes, 2), dtype=complex)
+        vals = np.ones((mesh.n_nodes, 2, 1), dtype=complex)
         with pytest.raises(InternalError):
-            poincare_check(FieldSolution(mesh=mesh, values=vals))
+            _poincare_ratios(mesh, vals)
 
     def test_random_surface_vanishing_fields(self, flat_geom):
         from elastodtn.verify import _random_unit_fields
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 32)
         bound = (1.4 - 0.2) / math.sqrt(2.0) * (1 + 5 * mesh.meshsize())
+        assert 0.0 < poincare_check(mesh, 30, seed=11) <= bound
         for field in _random_unit_fields(mesh, 30, seed=11):
-            ratio = poincare_check(field)
+            (ratio,) = _poincare_ratios(mesh, field.values[..., None])
             assert ratio <= bound
             assert field.norms["h1"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_block_draw_is_the_per_field_sequence(self, flat_geom):
+        # the stream the fields were drawn from one at a time: per field the
+        # free-node real parts, then the imaginary parts
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
+        gen = keyed_generator(7, 0xBA7C4)
+        free = mesh.free_nodes
+        block = _random_free_fields(mesh, 5, 7)
+        for k in range(5):
+            vec = np.zeros((mesh.n_nodes, 2), dtype=complex)
+            vec[free] = gen.standard_normal((free.size, 2)) \
+                + 1j * gen.standard_normal((free.size, 2))
+            assert block[..., k].tobytes() == vec.tobytes()
+
+    def test_block_ratios_equal_per_field_norms(self):
+        surf = cosine_surface(0.3, [0.04], [1], [0.0], 0.2, 0.4, 1.0)
+        mesh = build_mesh(surf, 1.4, 24, 32)
+        block = _random_free_fields(mesh, 12, 3)
+        got = _poincare_ratios(mesh, block)
+        for k in range(12):
+            n = fem.norms(FieldSolution(mesh=mesh, values=block[..., k]))
+            assert got[k] == pytest.approx(n["l2"] / n["d2"], rel=1e-13)
+        assert poincare_check(mesh, 12, 3) == float(np.max(got))
 
 
 class TestOmegaSweep:
