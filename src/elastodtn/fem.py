@@ -27,9 +27,9 @@ Every LU factorization, triangular solve and `eigh` of Im A runs with
 every loaded OpenBLAS pinned to one thread (`_single_thread_blas`): SuperLU
 calls BLAS on each supernode, and with more threads the factorization is
 slower and its factors (so the solution's bytes) depend on the thread
-setting.  GMRES, whose Arnoldi steps call BLAS, and the band LU of a
-`StripPreconditioner` run under the same pin.  Other BLAS vendors are left
-as they are.
+setting.  GMRES, whose Arnoldi steps and `StripPreconditioner.apply` call
+BLAS, runs under the same pin; a `StripPreconditioner` is factored in numpy
+and calls no BLAS.  Other BLAS vendors are left as they are.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack as _lapack
+from scipy.linalg import blas as _blas
 
 from .dtn import TraceCoefficients, symbol_matrices
 from .errors import MapSingularError, SolveError
 from .mesh import (DEGREE5_RULE, DofPattern, Mesh, Quadrature,
-                   _weighted_sum, nyquist_index)
+                   _built_once, _weighted_sum, nyquist_index)
 from .model import DomainMap, ElasticParams
 
 __all__ = [
@@ -79,11 +79,15 @@ def _gradient_blocks(grads: np.ndarray, moments: np.ndarray):
     """(g00, g01, g11), each (3, 3, nt): sum_q w G_i[a] G_j[b] of the
     transformed P1 gradients G = (g_x + t12 g_y, t22 g_y) at [i, j], from
     the constant gradients grads (nt, 3, 2) and the six moments sum_q w
-    {1, t12, t22, t12^2, t12 t22, t22^2} per triangle, (6, nt); g10 is g01
-    transposed.  Triangles run last, so each product streams."""
-    m1, m12, m22, m1212, m1222, m2222 = moments
+    {1, t12, t22, t12^2, t12 t22, t22^2} per triangle, (6, nt), or where
+    t12 = 0 (the plain form) the three of {1, t22, t22^2}, (3, nt); g10 is
+    g01 transposed.  Triangles run last, so each product streams."""
     gx, gy = np.ascontiguousarray(grads.transpose(2, 1, 0))    # (3, nt)
     xx, xy, yy = gx[:, None] * gx, gx[:, None] * gy, gy[:, None] * gy
+    if len(moments) == 3:
+        m1, m22, m2222 = moments
+        return m1 * xx, m22 * xy, m2222 * yy
+    m1, m12, m22, m1212, m1222, m2222 = moments
     g00 = m1 * xx + m12 * (xy + xy.swapaxes(0, 1)) + m1212 * yy
     return g00, m22 * xy + m1222 * yy, m2222 * yy
 
@@ -107,13 +111,12 @@ def _element_entries(grads: np.ndarray, moments: np.ndarray,
 
 
 def _plain_moments(quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
-    """The exact moments of the plain form, t12 = 0 and t22 = 1: (area, 0,
-    area, 0, 0, area), and its mass blocks area (1 + d_ij) / 12."""
+    """The exact moments of the plain form, t12 = 0 and t22 = 1: (area,
+    area, area) of {1, t22, t22^2}, and its mass blocks area (1 + d_ij) /
+    12."""
     area = quad.area
-    moments = np.zeros((6, area.size))
-    moments[[0, 2, 5]] = area
     m_scalar = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return moments, m_scalar[:, :, None] * area
+    return np.broadcast_to(area, (3, area.size)), m_scalar[:, :, None] * area
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,8 @@ def _sinc2(t: np.ndarray) -> np.ndarray:
 def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
     """Dense coupling on top dofs realizing int_top (DtN u_h) . conj(v_h):
     sum_n c_n kron(w_n w_n^H, M(xi_n)) with w_n = exp(i xi_n x_top), formed
-    on one OpenBLAS thread (on more, this small product can stall for ms)."""
+    on one OpenBLAS thread (on more, this small product can stall for ms);
+    read-only."""
     nx = mesh.nx
     per = mesh.period
     xk = mesh.nodes[mesh.top_nodes, 0]
@@ -274,8 +278,10 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
         c = per * _sinc2(math.pi * ns / nx) ** 2 / nx ** 2
         cwm = (c[:, None] * w)[:, :, None, None] * m[:, None]  # c w_n[i] M_n
         block = cwm.reshape(ns.size, 4 * nx).T @ np.conj(w)   # (i a b, j)
-    return block.reshape(nx, 2, 2, nx).transpose(0, 1, 3, 2).reshape(
+    block = block.reshape(nx, 2, 2, nx).transpose(0, 1, 3, 2).reshape(
         2 * nx, 2 * nx)
+    block.setflags(write=False)
+    return block
 
 
 def assemble_B(mesh: Mesh, p: ElasticParams) -> SparseSystem:
@@ -307,7 +313,9 @@ def _finish_system(mesh: Mesh, p: ElasticParams, moments) -> SparseSystem:
 
     The DtN block keeps the modes |n| <= `nyquist_index(mesh.nx)`, every
     mode the nx top nodes resolve (past it the trace's DFT aliases); no
-    caller can lower it.  The pattern (built on first use) and the data are
+    caller can lower it.  The map fixes the top line, so the block is built
+    once per params and kept, read-only, on the mesh for every system
+    assembled on it.  The pattern (built on first use) and the data are
     allocated before the element entries: below their freed temporaries,
     they keep the heap small across commands."""
     pat, grads = mesh.pattern, mesh.quadrature.grads
@@ -318,7 +326,8 @@ def _finish_system(mesh: Mesh, p: ElasticParams, moments) -> SparseSystem:
         np.add.at(data.real, pat.slots[t].ravel(),
                   _element_entries(grads[t], m[:, t], mm[:, :, t], p).ravel())
     n_max = nyquist_index(mesh.nx)
-    data[pat.dtn_slots] -= _dtn_block(mesh, p, n_max)
+    data[pat.dtn_slots] -= _built_once(mesh, ("_dtn_block", p),
+                                       lambda: _dtn_block(mesh, p, n_max))
     return SparseSystem(
         dimension=pat.n_dofs,
         matrix=sp.csc_matrix((data[:-2], pat.indices, pat.indptr),
@@ -584,67 +593,99 @@ class StripPreconditioner:
     With the free dofs laid out as 2((j - 1) nx + i) + a (`DofPattern`),
     an operator that does not vary along x1 couples x[j, i, a] to
     x[j', i + d, b] by a matrix that depends on d alone, so a DFT along
-    x1 splits it into one 2 ny x 2 ny symbol per wavenumber k.  The
-    symbols are banded in (j, a): 3 sub- and super-diagonals, the DtN
-    block in the last 2 x 2 block.  `factors` and `pivots` are the LAPACK
-    band LU (`zgbtrf`) of the block-diagonal matrix of all nx symbols,
-    wavenumber-major, which is the band LU of each symbol in turn.  They
-    are read-only, so threads share one preconditioner.
+    x1 splits it into one 2 ny x 2 ny symbol per wavenumber k, banded in
+    (j, a) with 3 sub- and super-diagonals and the DtN block last.  Each
+    symbol is reversed, (j, a) -> (ny - j, 1 - a), so that elimination
+    starts at the DtN row.  `lower` (unit diagonal) and `upper` are the
+    BLAS band storage of the LU factors, without row interchanges, of the
+    block-diagonal matrix of all nx reversed symbols, wavenumber-major.
+    They are read-only, so threads share one preconditioner.
     """
 
     nx: int
     ny: int
-    factors: np.ndarray    # (2 kl + ku + 1, 2 nx ny) complex, Fortran order
-    pivots: np.ndarray     # (2 nx ny,) LAPACK row interchanges
+    lower: np.ndarray      # (kl + 1, 2 nx ny) complex, Fortran order
+    upper: np.ndarray      # (ku + 1, 2 nx ny) complex, Fortran order
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """The preconditioner's inverse times r: an FFT along x1, the band
-        solve of each wavenumber's symbol, the inverse FFT."""
+        """The preconditioner's inverse times r: an FFT along x1, the two
+        triangular band solves, the inverse FFT, each FFT along a
+        contiguous last axis."""
         nx, ny = self.nx, self.ny
-        rhat = np.fft.fft(np.reshape(r, (ny, nx, 2)), axis=1)
-        rhs = rhat.transpose(1, 0, 2).reshape(-1, 1)
-        yhat, _ = _lapack.zgbtrs(self.factors, _KL, _KU, rhs, self.pivots,
-                                 overwrite_b=1)
-        y = np.fft.ifft(yhat.reshape(nx, ny, 2), axis=0)
-        return y.transpose(1, 0, 2).reshape(-1)
+        r = np.ascontiguousarray(np.reshape(r, (ny, nx, 2)).transpose(0, 2, 1))
+        y = np.fft.fft(r).reshape(2 * ny, nx)[::-1].T.ravel()   # (k, J, 1 - a)
+        y = _blas.ztbsv(_KL, self.lower, y, lower=1, diag=1, overwrite_x=1)
+        y = _blas.ztbsv(_KU, self.upper, y, overwrite_x=1)
+        y = np.fft.ifft(np.ascontiguousarray(y.reshape(nx, 2 * ny)[:, ::-1].T))
+        return y.reshape(ny, 2, nx).transpose(0, 2, 1).reshape(-1)
 
 
 def strip_preconditioner(system: SparseSystem) -> StripPreconditioner | None:
     """The `StripPreconditioner` of a system on a `build_mesh` strip, or
-    None when the system's entries do not fit the band or a symbol has a
-    zero pivot.
+    None when the system couples node rows that are not adjacent or a pivot
+    is zero or not finite.
 
     The entries of row (j, a) and column (j', b) are summed by offset
     d = (i' - i) mod nx; divided by nx, these sums are the x1-average of
     the operator, exact when the mesh does not vary along x1 (a flat
-    surface).  An inverse DFT over d gives the symbols.  The band LU runs
-    on one OpenBLAS thread, so the factors do not depend on the caller's
-    thread setting.
+    surface).  An inverse DFT over d gives the symbols, block tridiagonal
+    in the 2 x 2 blocks T_JJ' of the reversed node rows J.  They are
+    factored in numpy for all k at once, with no BLAS call: the Schur
+    complements D_J = T_JJ - C adj(D) B / det(D) of D = D_J-1, C = T_J,J-1
+    and B = T_J-1,J one row at a time (C adj(D) B is one 4 x 4 matrix
+    times D), then every factor entry from them.
     """
-    mesh = system.mesh
-    nx, ny = mesh.nx, mesh.ny
-    nb = 2 * ny                       # order of one symbol
+    nx, ny = system.mesh.nx, system.mesh.ny
     a = system.matrix.tocoo()
-    row, col = a.row.astype(np.int64), a.col.astype(np.int64)
-    # (j, a) positions 2 j + a of the entries inside their symbols
-    sr, sc = 2 * (row // (2 * nx)) + row % 2, 2 * (col // (2 * nx)) + col % 2
-    if np.any(np.abs(sr - sc) > _KL):
+    # entry (row, col) of dofs 2 (j nx + i) + a, 2 (j' nx + i') + b goes to
+    # [3 J + J' - J + 1, 1 - a, 1 - b, nx + i' - i], J = ny - 1 - j
+    dof = np.arange(2 * nx * ny)
+    node_row, i, comp = ny - 1 - dof // (2 * nx), dof // 2 % nx, 1 - dof % 2
+    if np.any(np.abs(node_row[a.col] - node_row[a.row]) > 1):
         return None
-    d = (col // 2 - row // 2) % nx
-    rows = 2 * _KL + _KU + 1          # LAPACK band storage, with fill rows
-    slot = (d * rows + _KL + _KU + sr - sc) * nb + sc
-    sums = np.empty(nx * rows * nb, dtype=complex)
+    slot = ((8 * node_row + 2 * comp) * 2 * nx + nx - i)[a.row] \
+        + ((4 * node_row + 4 + comp) * 2 * nx + i)[a.col]
+    sums = np.empty(ny * 24 * nx, dtype=complex)
     sums.real = np.bincount(slot, weights=a.data.real, minlength=sums.size)
     sums.imag = np.bincount(slot, weights=a.data.imag, minlength=sums.size)
-    symbols = np.fft.ifft(sums.reshape(nx, rows, nb), axis=0)
-    ab = np.asfortranarray(symbols.transpose(1, 0, 2).reshape(rows, nx * nb))
-    with _single_thread_blas:
-        factors, pivots, info = _lapack.zgbtrf(ab, _KL, _KU, overwrite_ab=1)
-    if info != 0:
+    # offsets i' - i and i' - i + nx are one d; t[J, J' - J + 1, a, b, k]
+    t = np.fft.ifft(sums.reshape(ny, 3, 2, 2, 2, nx).sum(axis=4))
+    sub, sup = t[1:, 0], t[:-1, 2]
+    # kmat[J, (a, b), (c, e)] = (-1)^(c + e) C[a, 1 - e] B[1 - c, b]
+    kmat = (sub[:, :, None, None, ::-1] * np.array([[1, -1], [-1, 1]])[
+        :, :, None] * sup[:, ::-1].transpose(0, 2, 1, 3)[:, None, :, :, None]
+            ).reshape(ny - 1, 4, 4, nx)
+    schur = np.array(t[:, 1].reshape(ny, 4, nx))       # D_J[c, e] at 2c + e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, ny):
+            v = schur[j - 1]
+            schur[j] -= (kmat[j - 1] * v).sum(axis=1) / (v[0] * v[3]
+                                                         - v[1] * v[2])
+        # [U_JJ U_J,J+1] = L_JJ^-1 [D_J B], [L_JJ; L_J+1,J] = [D_J; C] U_JJ^-1
+        urow = np.zeros((ny + 1, 2, 4, nx), dtype=complex)  # J at J + 1
+        lcol = np.zeros((ny, 4, 2, nx), dtype=complex)
+        urow[1:, :, :2] = lcol[:, :2] = schur.reshape(ny, 2, 2, nx)
+        urow[1:-1, :, 2:], lcol[:-1, 2:] = sup, sub
+        urow[1:, 1] -= urow[1:, 1, :1] / urow[1:, 0, :1] * urow[1:, 0]
+        u00, u01, u11 = urow[1:, 0, 0], urow[1:, 0, 1], urow[1:, 1, 1]
+        lcol[:, :, 0] /= u00[:, None]
+        lcol[:, :, 1] -= lcol[:, :, 0] * u01[:, None]
+        lcol[:, :, 1] /= u11[:, None]
+    if not np.all(np.isfinite(u00 * u11) & (u00 * u11 != 0.0)):
         return None
-    factors.setflags(write=False)
-    pivots.setflags(write=False)
-    return StripPreconditioner(nx=nx, ny=ny, factors=factors, pivots=pivots)
+    # band column (k, J, b), rows last: U rows 2J - 2 .. 2J + 1 from band
+    # row 1 - b, L rows 2J + b .. 2J + 3 from band row 0
+    window = np.concatenate([urow[:-1, :, 2:], urow[1:, :, :2]], axis=1)
+    upper = np.zeros((nx, ny, 2, _KU + 1), dtype=complex)
+    upper[:, :, 0, 1:] = window[:, :3, 0].transpose(2, 0, 1)
+    upper[:, :, 1] = window[:, :, 1].transpose(2, 0, 1)
+    lower = np.zeros((nx, ny, 2, _KL + 1), dtype=complex)
+    lower[:, :, 0] = lcol[:, :, 0].transpose(2, 0, 1)
+    lower[:, :, 1, :3] = lcol[:, 1:, 1].transpose(2, 0, 1)
+    lower, upper = (f.reshape(-1, 4).T for f in (lower, upper))
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return StripPreconditioner(nx=nx, ny=ny, lower=lower, upper=upper)
 
 
 def _gmres_solve(a: sp.csc_matrix, b: np.ndarray,

@@ -63,10 +63,11 @@ DEGREE5_RULE = (
 _BUILD_LOCK = threading.RLock()
 
 
-def _built_once(owner, name: str, build):
-    """owner's attribute `name`, made by build() on first use.  Concurrent
-    first users wait for one build and share it; a build may make another
-    attribute on first use (the lock is reentrant)."""
+def _built_once(owner, name, build):
+    """owner's attribute `name` (or any other key of its `__dict__`), made
+    by build() on first use.  Concurrent first users wait for one build and
+    share it; a build may make another attribute on first use (the lock is
+    reentrant)."""
     try:
         return owner.__dict__[name]
     except KeyError:

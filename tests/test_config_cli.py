@@ -1,8 +1,12 @@
 """Config parsing/validation, artifact schemas, exit codes, determinism."""
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +391,22 @@ class TestProjectionAlgebraRow:
         worst = max(cli._projection_deviation(p, keyed_generator(seed, 1),
                                               1000) for seed in range(300))
         assert worst < 1e-12
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # every command's set-up imports the CLI; scipy.fft is a faster FFT
+    # than numpy's, but importing it costs tens of ms, so the package uses
+    # numpy's FFT (along a contiguous last axis) and never imports it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, elastodtn.cli; print('scipy.fft' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestCliMain:

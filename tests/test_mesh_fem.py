@@ -94,7 +94,10 @@ def _moments_of(quad_or_mq):
     """(grads, moments, mm) the assembly forms its entries from: the exact
     plain moments of a `Quadrature`, or the moments of a mapped rule."""
     if isinstance(quad_or_mq, Quadrature):
-        return (quad_or_mq.grads, *fem._plain_moments(quad_or_mq))
+        (m1, m22, m2222), mm = fem._plain_moments(quad_or_mq)
+        zero = np.zeros_like(m1)
+        return (quad_or_mq.grads,
+                np.stack([m1, zero, m22, zero, zero, m2222]), mm)
     return (quad_or_mq.quad.grads, *quad_or_mq.moments)
 
 
@@ -465,6 +468,32 @@ class TestAssembly:
             expect += np.kron(outer, symbol_matrices(xi, p))
         block = fem._dtn_block(mesh, p, n_max)
         assert np.max(np.abs(block - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    def test_dtn_block_built_once_per_mesh_and_params(
+            self, flat_geom, surface_model, monkeypatch):
+        # the map fixes the top line, so the reference system and every
+        # sample on one mesh share one read-only block
+        calls = []
+        real = fem.symbol_matrices
+        monkeypatch.setattr(fem, "symbol_matrices",
+                            lambda *a: calls.append(1) or real(*a))
+        p = make_params(1.0, 1.0, 8.0)
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 12)
+        ref = assemble_B(mesh, p)
+        gap = flat_geom.h - flat_geom.surface.sup()
+        for index in range(4):
+            dmap = DomainMap(f0=flat_geom.surface,
+                             f_eta=sample_surface(surface_model, index),
+                             cutoff=make_cutoff(gap / 8.0, gap))
+            assemble_B_transformed(mesh, p,
+                                   map_quadrature(mesh.quadrature, dmap))
+        assert len(calls) == 1
+        block = mesh.__dict__[("_dtn_block", p)]
+        assert not block.flags.writeable
+        assert block.tobytes() == fem._dtn_block(mesh, p,
+                                                 ref.n_max).tobytes()
+        assemble_B(mesh, make_params(1.0, 1.0, 2.0))
+        assert len(calls) == 3
 
     def test_dtn_block_touches_only_top_dofs(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 8, 6)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from elastodtn import cli, fem, montecarlo
 from elastodtn.config import RunConfig
@@ -30,6 +31,8 @@ from elastodtn.verify import SweepConfig, omega_sweep
 
 FLAT = flat_surface(0.3, 0.2, 0.4, 1.0)
 WAVY = cosine_surface(0.3, [0.04], [1], [0.0], 0.2, 0.4, 1.0)
+SAWTOOTH = sawtooth_surface(0.3, 0.05, 0.2, 0.4, 1.0)
+OMEGAS = (2.0, 2 * np.pi - 1e-3, 2 * np.pi + 1e-3, 8.0, 16.75, 24.0)
 
 
 def _model(f0):
@@ -74,14 +77,20 @@ class TestSymbols:
     """On a flat strip the x1-average is the operator itself, so the
     preconditioner inverts it."""
 
-    # the ids end in the DtN n_max each case used to request (0: auto);
-    # every request already kept all the modes its mesh resolves, as every
-    # block now does
+    # the first seven ids end in the DtN n_max each case used to request
+    # (0: auto); every request already kept all the modes its mesh
+    # resolves, as every block now does.  The cases after them take the
+    # frequencies of OMEGAS (2 pi +- 1e-3 beside the first shear Wood
+    # frequency) on three more strips.
     @pytest.mark.parametrize("nx, ny, omega", [
         (2, 3, 2.0), (3, 4, 8.0), (3, 5, 2.0), (8, 6, 2.0), (8, 12, 24.0),
-        (64, 8, 8.0), (64, 12, 24.0)],
+        (64, 8, 8.0), (64, 12, 24.0)] + [
+        (nx, ny, omega) for nx, ny in ((8, 8), (32, 32), (64, 96))
+        for omega in OMEGAS],
         ids=["2-3-2.0-4", "3-4-8.0-4", "3-5-2.0-0", "8-6-2.0-16",
-             "8-12-24.0-3", "64-8-8.0-0", "64-12-24.0-40"])
+             "8-12-24.0-3", "64-8-8.0-0", "64-12-24.0-40"] + [
+            f"{nx}-{ny}-{omega:.4f}" for nx, ny in ((8, 8), (32, 32), (64, 96))
+            for omega in OMEGAS])
     def test_inverts_flat_reference(self, nx, ny, omega):
         # nx = 2 and 3 make the offsets -1 and +1 (and 0 at nx = 2) alias
         p = make_params(1.0, 1.0, omega)
@@ -95,9 +104,10 @@ class TestSymbols:
     def test_factors_read_only(self, params2):
         pre = strip_preconditioner(assemble_B(build_mesh(FLAT, 1.4, 8, 6),
                                               params2))
-        assert not pre.factors.flags.writeable
-        assert not pre.pivots.flags.writeable
-        assert pre.factors.flags.f_contiguous
+        for f in (pre.lower, pre.upper):
+            assert not f.flags.writeable
+            assert f.flags.f_contiguous
+            assert f.shape == (4, 2 * 8 * 6)
 
     def test_zero_pivot_leaves_none(self, params2):
         # every (row 1, component 0) column zero: each symbol's first
@@ -115,6 +125,77 @@ class TestSymbols:
         n = system.dimension
         extra = sp.csc_matrix(([1.0 + 0j], ([0], [n - 2])), shape=(n, n))
         system = replace(system, matrix=sp.csc_matrix(system.matrix + extra))
+        assert strip_preconditioner(system) is None
+
+
+def _lapack_strip_solve(system, r):
+    """The preconditioner's inverse times r by the LAPACK pivoted band LU
+    (zgbtrf, zgbtrs) of the same symbols, in (row j, component a) order,
+    unreversed: the factorization the strip preconditioner once used."""
+    mesh = system.mesh
+    nx, ny = mesh.nx, mesh.ny
+    kl = ku = 3
+    nb, rows = 2 * ny, 2 * kl + ku + 1
+    a = system.matrix.tocoo()
+    row, col = a.row.astype(np.int64), a.col.astype(np.int64)
+    sr, sc = 2 * (row // (2 * nx)) + row % 2, 2 * (col // (2 * nx)) + col % 2
+    d = (col // 2 - row // 2) % nx
+    slot = (d * rows + kl + ku + sr - sc) * nb + sc
+    sums = np.empty(nx * rows * nb, dtype=complex)
+    sums.real = np.bincount(slot, weights=a.data.real, minlength=sums.size)
+    sums.imag = np.bincount(slot, weights=a.data.imag, minlength=sums.size)
+    symbols = np.fft.ifft(sums.reshape(nx, rows, nb), axis=0)
+    ab = np.asfortranarray(symbols.transpose(1, 0, 2).reshape(rows, nx * nb))
+    factors, pivots, info = lapack.zgbtrf(ab, kl, ku)
+    assert info == 0
+    rhat = np.fft.fft(np.reshape(r, (ny, nx, 2)), axis=1)
+    yhat, info = lapack.zgbtrs(factors, kl, ku,
+                               rhat.transpose(1, 0, 2).reshape(-1, 1), pivots)
+    assert info == 0
+    y = np.fft.ifft(yhat.reshape(nx, ny, 2), axis=0)
+    return y.transpose(1, 0, 2).reshape(-1)
+
+
+def _relative_pivot(pre) -> float:
+    """The smallest pivot of the top-down elimination relative to the
+    largest entry of its column at its step, 1 / max(1, |l_ic|)."""
+    return 1.0 / max(1.0, float(np.max(np.abs(pre.lower[1:]))))
+
+
+class TestTopDownFactors:
+    """The strip symbols are factored from the DtN row down without row
+    interchanges."""
+
+    @pytest.mark.parametrize("surface", [FLAT, WAVY, SAWTOOTH],
+                             ids=["flat", "cosine", "sawtooth"])
+    def test_pivot_floor(self, surface):
+        mesh = build_mesh(surface, 1.4, 32, 48)
+        for omega in (0.5, 2.0, 2 * np.pi - 1e-3, 2 * np.pi + 1e-3, 8.0,
+                      12.0, 16.75, 20.0, 24.0):
+            pre = strip_preconditioner(
+                assemble_B(mesh, make_params(1.0, 1.0, omega)))
+            assert _relative_pivot(pre) >= 0.1, omega
+
+    @pytest.mark.parametrize("surface, nx, ny", [
+        (FLAT, 3, 4), (WAVY, 16, 24), (SAWTOOTH, 32, 48)],
+        ids=["flat", "cosine", "sawtooth"])
+    @pytest.mark.parametrize("omega", [2.0, 2 * np.pi + 1e-3, 16.75])
+    def test_equals_pivoted_lapack_solve(self, surface, nx, ny, omega):
+        system = assemble_B(build_mesh(surface, 1.4, nx, ny),
+                            make_params(1.0, 1.0, omega))
+        pre = strip_preconditioner(system)
+        for seed in range(2):
+            r = _random(system.dimension, seed)
+            assert _rel(pre.apply(r), _lapack_strip_solve(system, r)) \
+                <= 1e-12
+
+    def test_non_finite_pivot_leaves_none(self, params2):
+        system = assemble_B(build_mesh(FLAT, 1.4, 8, 6), params2)
+        data = system.matrix.data.copy()
+        data[0] = np.nan
+        system = replace(system, matrix=sp.csc_matrix(
+            (data, system.matrix.indices, system.matrix.indptr),
+            shape=system.matrix.shape))
         assert strip_preconditioner(system) is None
 
 
@@ -180,7 +261,7 @@ class TestRoughSurfaces:
     meets the residual gate with no LU fallback."""
 
     @pytest.mark.parametrize("surface", [
-        WAVY, sawtooth_surface(0.3, 0.05, 0.2, 0.4, 1.0)],
+        WAVY, SAWTOOTH],
         ids=["cosine", "sawtooth"])
     def test_sweep_takes_gmres(self, surface, bump, record_property):
         sweep = omega_sweep(SweepConfig(
@@ -342,23 +423,21 @@ class TestDeterminism:
         assert outs[0].count(b"\n") == 12
         assert outs[0] == outs[1]
 
-    def test_reference_preconditioner_built_pinned(
-            self, openblas_at_two, monkeypatch, params2):
-        # the pin is held inside fem.strip_preconditioner, around its
-        # band LU, so every caller's preconditioner is built pinned
-        controls = openblas_at_two
-        seen = []
-        factor = fem._lapack.zgbtrf
-
-        def recording(*args, **kwargs):
-            seen.append(_blas_threads(controls))
-            return factor(*args, **kwargs)
-
-        monkeypatch.setattr(fem._lapack, "zgbtrf", recording)
-        assert strip_preconditioner(assemble_B(
-            build_mesh(FLAT, 1.4, 8, 6), params2)) is not None
-        assert seen == [[1] * len(controls)]
-        assert _blas_threads(controls) == [2] * len(controls)
+    def test_reference_preconditioner_built_without_blas(
+            self, openblas_at_two, params2):
+        # the factorization runs in numpy and calls no BLAS, so its bytes
+        # cannot depend on the thread setting (the apply runs inside the
+        # pinned GMRES)
+        system = assemble_B(build_mesh(WAVY, 1.4, 16, 24), params2)
+        factors = []
+        for threads in (2, 1):
+            for _, set_threads in openblas_at_two:
+                set_threads(threads)
+            pre = strip_preconditioner(system)
+            factors.append((pre.lower.tobytes(), pre.upper.tobytes()))
+            assert _blas_threads(openblas_at_two) == [threads] * len(
+                openblas_at_two)
+        assert factors[0] == factors[1]
 
 
 def _blas_threads(controls) -> list:

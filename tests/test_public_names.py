@@ -38,6 +38,7 @@ RULE_CALLERS = {
 }
 
 CROSS_MODULE_PRIVATE = {
+    ("fem", "mesh._built_once"),
     ("fem", "mesh._weighted_sum"),
     ("montecarlo", "fem._single_thread_blas"),
 }
