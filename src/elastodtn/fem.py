@@ -23,8 +23,8 @@ per triangle.  Both forms build their element entries from such moments
 mesh's `DofPattern` and subtract the DtN block at its known slots, so the
 pattern, and the nnz, never depend on the values.
 
-Every LU factorization, triangular solve and `eigh` of Im A runs with
-every loaded OpenBLAS pinned to one thread (`_single_thread_blas`): SuperLU
+Every LU factorization and triangular solve runs with every loaded
+OpenBLAS pinned to one thread (`_single_thread_blas`): SuperLU
 calls BLAS on each supernode, and with more threads the factorization is
 slower and its factors (so the solution's bytes) depend on the thread
 setting.  GMRES, whose Arnoldi steps and `StripPreconditioner.apply` call
@@ -216,7 +216,8 @@ class SparseSystem:
     `matrix` is the whole system in CSC on the mesh's fixed pattern, the
     only matrix held; an entry that sums to exactly zero stays stored.  The
     DtN block (`_dtn_block`) couples only the top-node dofs
-    (`mesh.pattern.top_dofs`) and sits at `mesh.pattern.dtn_slots`.
+    (`mesh.pattern.top_dofs`), sits at `mesh.pattern.dtn_slots` and holds
+    all of Im A: Im A[top, top] = u diag(lam) u^T, (u, lam) = `imag_split`.
     """
 
     dimension: int
@@ -224,6 +225,7 @@ class SparseSystem:
     mesh: Mesh
     params: ElasticParams
     n_max: int                        # DtN modes |n| <= n_max in the block
+    imag_split: tuple                 # (u, lam), u (2 nx, r) orthonormal
 
 
 @dataclass(frozen=True)
@@ -262,13 +264,17 @@ def _sinc2(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
-    """Dense coupling on top dofs realizing int_top (DtN u_h) . conj(v_h):
-    sum_n c_n kron(w_n w_n^H, M(xi_n)) with w_n = exp(i xi_n x_top), formed
-    on one OpenBLAS thread (on more, this small product can stall for ms);
-    read-only."""
-    nx = mesh.nx
-    per = mesh.period
+def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int):
+    """(block, u, lam), read-only: the dense coupling on top dofs realizing
+    int_top (DtN u_h) . conj(v_h), sum_n c_n kron(w_n w_n^H, M(xi_n)) with
+    w_n = exp(i xi_n x_top) = a_n + i b_n, formed on one OpenBLAS thread (on
+    more, this small product can stall for ms), and Im block = -u diag(lam)
+    u^T, u orthonormal: kron(1 / sqrt(nx), I_2) for mode 0, and for each
+    pair +-n with |xi_n| < k_s (an evanescent pair is real) the eigenvectors
+    of c_n [(a a^T + b b^T) x Im(M_n + M_-n) + (b a^T - a b^T) x Re(M_n -
+    M_-n)], whose 4 x 4 core in {a, b} x {e_1, e_2} has rank 2 + 2 [|xi_n|
+    < k_p]: the columns of that many largest |eigenvalues|."""
+    nx, per = mesh.nx, mesh.period
     xk = mesh.nodes[mesh.top_nodes, 0]
     ns = np.arange(-n_max, n_max + 1)
     xis = 2.0 * math.pi * ns / per
@@ -278,10 +284,23 @@ def _dtn_block(mesh: Mesh, p: ElasticParams, n_max: int) -> np.ndarray:
         c = per * _sinc2(math.pi * ns / nx) ** 2 / nx ** 2
         cwm = (c[:, None] * w)[:, :, None, None] * m[:, None]  # c w_n[i] M_n
         block = cwm.reshape(ns.size, 4 * nx).T @ np.conj(w)   # (i a b, j)
+        # +n with gamma_s > 0 as `dtn.gamma` rounds it; m[::-1] there is -n
+        pos = np.flatnonzero((ns > 0) & (xis ** 2 < p.k_s * p.k_s))
+        pim, rre = (m[pos] + m[::-1][pos]).imag, (m[pos] - m[::-1][pos]).real
+        ev, vec = np.linalg.eigh(np.block([[pim, -rre], [rre, pim]]))
+        place = np.argsort(np.argsort(-np.abs(ev), axis=1), axis=1)
+        keep = place < (2 + 2 * (xis[pos] ** 2 < p.k_p * p.k_p))[:, None]
+        ab = np.stack([w[pos].real, w[pos].imag], 1) * math.sqrt(2.0 / nx)
+        cols = np.einsum("kti,ktaj->iakj", ab, vec.reshape(-1, 2, 2, 4))
+        u = np.hstack([np.kron(np.full((nx, 1), nx ** -0.5), np.eye(2)),
+                       cols.reshape(2 * nx, -1)[:, keep.ravel()]])
+        lam = -np.concatenate([c[n_max] * nx * np.diagonal(m[n_max].imag),
+                               (ev * (c[pos] * nx / 2)[:, None])[keep]])
     block = block.reshape(nx, 2, 2, nx).transpose(0, 1, 3, 2).reshape(
         2 * nx, 2 * nx)
-    block.setflags(write=False)
-    return block
+    for a in (block, u, lam):
+        a.setflags(write=False)
+    return block, u, lam
 
 
 def assemble_B(mesh: Mesh, p: ElasticParams) -> SparseSystem:
@@ -326,8 +345,9 @@ def _finish_system(mesh: Mesh, p: ElasticParams, moments) -> SparseSystem:
         np.add.at(data.real, pat.slots[t].ravel(),
                   _element_entries(grads[t], m[:, t], mm[:, :, t], p).ravel())
     n_max = nyquist_index(mesh.nx)
-    data[pat.dtn_slots] -= _built_once(mesh, ("_dtn_block", p),
-                                       lambda: _dtn_block(mesh, p, n_max))
+    block, u, lam = _built_once(mesh, ("_dtn_block", p),
+                                lambda: _dtn_block(mesh, p, n_max))
+    data[pat.dtn_slots] -= block
     return SparseSystem(
         dimension=pat.n_dofs,
         matrix=sp.csc_matrix((data[:-2], pat.indices, pat.indptr),
@@ -335,6 +355,7 @@ def _finish_system(mesh: Mesh, p: ElasticParams, moments) -> SparseSystem:
         mesh=mesh,
         params=p,
         n_max=n_max,
+        imag_split=(u, lam),
     )
 
 
@@ -461,7 +482,6 @@ _single_thread_blas = _SingleThreadBlas()
 _RESIDUAL_GATE = 1e-10  # relative residual every returned solution meets
 _REFINE_TOL = 1e-12     # refinement (and GMRES) stops at this residual
 _REFINE_MAX_STEPS = 10
-_IMAG_RANK_TOL = 1e-13  # eigenvalues of Im A kept: |lam| > tol max |lam|
 # Preconditioned GMRES: Krylov basis size of one cycle and the number of
 # cycles.  scipy holds restart + 1 basis vectors, so the basis is what
 # each pool thread adds to the memory of a sample.
@@ -475,27 +495,13 @@ def _factor(a: sp.csc_matrix):
     return spla.splu(a, permc_spec="MMD_AT_PLUS_A")
 
 
-def _imag_part(a: sp.csc_matrix, pattern: DofPattern):
-    """(u, lam) with Im A = U diag(lam) U^T, U zero off the top dofs and
-    u = U[top] orthonormal, from `eigh` of the top x top block of Im A,
-    gathered at the pattern's `dtn_slots` (A's data follows the pattern);
-    eigenvalues with |lam| <= `_IMAG_RANK_TOL` max |lam| are dropped.
-    None when Im A has an entry outside that block."""
-    imag = a.data.imag
-    block = imag[pattern.dtn_slots]
-    if np.count_nonzero(imag) > np.count_nonzero(block):
-        return None
-    lam, vec = np.linalg.eigh(block)
-    keep = np.abs(lam) > _IMAG_RANK_TOL * np.max(np.abs(lam), initial=0.0)
-    return vec[:, keep], lam[keep]
-
-
-def _refined_solve(a: sp.csc_matrix, b: np.ndarray, pattern: DofPattern):
+def _refined_solve(a: sp.csc_matrix, b: np.ndarray, pattern: DofPattern,
+                   imag_split: tuple):
     """(x, relative residual, steps, nnz(L+U), rank of U) from a float32 LU
-    of Re A, a Woodbury correction for i Im A = U diag(i lam) U^T
-    (`_imag_part`) and complex128 iterative refinement (Carson & Higham,
-    SIAM J. Sci. Comput. 40 (2018) A817); None when Im A leaves the top
-    block or the float32 factorization fails.
+    of Re A, a Woodbury correction for i Im A = U diag(i lam) U^T with
+    (U[top], lam) = imag_split and complex128 iterative refinement (Carson &
+    Higham, SIAM J. Sci. Comput. 40 (2018) A817); None when Im A leaves the
+    top block (the pattern's `dtn_slots`) or the float32 LU fails.
 
     With R = Re A and Z = R^-1 U (solved with Re b and Im b as one
     multi-column solve), A^-1 r is approximated by y - Z S^-1 U^T y with
@@ -505,10 +511,10 @@ def _refined_solve(a: sp.csc_matrix, b: np.ndarray, pattern: DofPattern):
     fails to halve it (that step is kept only if it lowered it), or after
     `_REFINE_MAX_STEPS` steps.
     """
-    imag = _imag_part(a, pattern)
-    if imag is None:
+    imag = a.data.imag
+    if np.count_nonzero(imag) > np.count_nonzero(imag[pattern.dtn_slots]):
         return None
-    u, lam = imag
+    u, lam = imag_split
     top = pattern.top_dofs
     try:  # the float32 copy of Re A shares the index arrays of A
         lu = _factor(sp.csc_matrix(
@@ -555,14 +561,14 @@ def _refined_solve(a: sp.csc_matrix, b: np.ndarray, pattern: DofPattern):
     return x, rel, steps, lu.nnz, lam.size
 
 
-def _lu_solve(a: sp.csc_matrix, b: np.ndarray,
-              pattern: DofPattern) -> tuple[np.ndarray, dict]:
+def _lu_solve(a: sp.csc_matrix, b: np.ndarray, pattern: DofPattern,
+              imag_split: tuple) -> tuple[np.ndarray, dict]:
     """x with A x = b for a nonzero b of a matrix A on the `pattern` whose
-    Im A lies on the top dofs (else the complex128 LU solves), and its
-    solver health (the metadata keys `solve` documents); raises SolveError
-    above the residual gate.  Runs with OpenBLAS pinned to one thread."""
+    Im A lies on the top dofs, split as imag_split (else the complex128 LU
+    solves), and its solver health (the `solve` metadata keys); raises
+    SolveError above the residual gate.  OpenBLAS is pinned to one thread."""
     with _single_thread_blas:
-        refined = _refined_solve(a, b, pattern)
+        refined = _refined_solve(a, b, pattern, imag_split)
         if refined is not None and refined[1] <= _RESIDUAL_GATE:
             x, rel, steps, nnz_lu, rank = refined
             dtype = "float32"
@@ -577,7 +583,7 @@ def _lu_solve(a: sp.csc_matrix, b: np.ndarray,
     if rel > _RESIDUAL_GATE:
         raise SolveError(
             f"relative residual {rel:.3e} exceeds {_RESIDUAL_GATE:g} "
-            "(possible discrete resonance or bad truncation)")
+            "(possible discrete resonance)")
     return x, {"solver": "lu", "residual": float(rel), "nnz_lu": int(nnz_lu),
                "factor_dtype": dtype, "refinement_steps": steps,
                "imag_rank": rank}
@@ -725,30 +731,28 @@ def solve(system: SparseSystem, load: np.ndarray,
     """Sparse solve; the residual must satisfy ||Ax-b|| <= 1e-10 ||b||.
 
     Without a preconditioner, Re A is factored in float32, i Im A (the
-    propagating DtN modes, on the top dofs) is corrected for by the
-    Woodbury identity, and the solution is refined with complex128
-    residuals.  When the float32 factorization fails, refinement ends
-    above the 1e-10 gate or Im A has an entry off the top block, A is
-    factored in complex128 and solved once.
+    propagating DtN modes on the top dofs, the system's `imag_split`) is
+    corrected for by the Woodbury identity, and the solution is refined
+    with complex128 residuals.  When the float32 factorization fails,
+    refinement ends above the 1e-10 gate or Im A has an entry off the top
+    block, A is factored in complex128 and solved once.
 
     With a `StripPreconditioner` (of a nearby operator on the same strip),
     GMRES runs first, in complex128 with at most `_GMRES_MAX_CYCLES` cycles
     of `_GMRES_RESTART` steps; its x is kept when its relative residual
     meets the gate, and the LU path above solves otherwise.
 
-    Factorizations, solves, the `eigh` of Im A and GMRES run on one
-    OpenBLAS thread, so the solution does not depend on the BLAS thread
-    setting.
+    Factorizations, solves and GMRES run on one OpenBLAS thread, so the
+    solution does not depend on the BLAS thread setting.
 
     The solution's metadata holds the system's `omega` and `n_max` (the
-    DtN block's modes |n| <= n_max), and the solver health
-    of a nonzero load:
-    `solver` ("lu" or "gmres"), `residual` (relative) and `radiated_power`
-    (-Im(x^H b) / |x^H b|, positive when the field radiates through the
-    top); `iterations` when GMRES ran (also when it fell back to LU); and
-    on the LU path `nnz_lu` (fill of the LU factors), `factor_dtype`
-    ("float32" or "complex128"), `refinement_steps` and `imag_rank` (the
-    rank of the Woodbury correction; both 0 on the complex128 path).
+    DtN block's modes |n| <= n_max), and the solver health of a nonzero
+    load: `solver` ("lu" or "gmres"), `residual` (relative) and
+    `radiated_power` (-Im(x^H b) / |x^H b|, positive when the field
+    radiates through the top); `iterations` when GMRES ran (also when it
+    fell back to LU); and on the LU path `nnz_lu` (fill of the LU factors),
+    `factor_dtype` ("float32" or "complex128"), `refinement_steps` and
+    `imag_rank` (the rank of `imag_split`; both 0 on the complex128 path).
     """
     b = np.asarray(load, dtype=complex)
     if b.shape != (system.dimension,):
@@ -760,7 +764,8 @@ def solve(system: SparseSystem, load: np.ndarray,
             x, health = _gmres_solve(system.matrix, b, preconditioner)
         # no GMRES, or GMRES above the gate (a NaN residual included)
         if not health.get("residual", math.inf) <= _RESIDUAL_GATE:
-            x, lu_health = _lu_solve(system.matrix, b, system.mesh.pattern)
+            x, lu_health = _lu_solve(system.matrix, b, system.mesh.pattern,
+                                     system.imag_split)
             health.update(lu_health)
         health["radiated_power"] = _radiated_power(x, b)
     else:
@@ -784,7 +789,7 @@ def free_vector(mesh: Mesh, values: np.ndarray) -> np.ndarray:
 
 def solver_record(sol: FieldSolution) -> dict:
     """The solve's `solver` (None for a zero load), GMRES `iterations`
-    (0 when GMRES did not run) and DtN truncation `n_max`."""
+    (0 when GMRES did not run) and the `n_max` of its DtN block."""
     return {"solver": sol.metadata.get("solver"),
             "iterations": sol.metadata.get("iterations", 0),
             "n_max": sol.metadata["n_max"]}
@@ -836,7 +841,7 @@ def norms(sol: FieldSolution) -> dict:
 
 def trace_coefficients(sol: FieldSolution) -> TraceCoefficients:
     """Fourier coefficients of the solution's piecewise-linear top trace,
-    |n| <= `metadata["n_max"]` (the truncation of its DtN).
+    |n| <= `metadata["n_max"]`, the modes of its DtN block.
 
     These are exact coefficients of the P1 interpolant: sinc^2-weighted DFT
     of the nodal values, the same transform the DtN block uses.

@@ -212,13 +212,12 @@ class UpgoingModesField:
         grad = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
         for xi, g, c in self.modes:
             e = np.exp(1j * (xi * x1 + g * x2))
-            val[..., 0] += c * xi * ch * e
-            val[..., 1] += c * g * ch * e
-            comp = np.stack([np.full_like(e, xi), np.full_like(e, g)], axis=-1)
             d1 = 1j * xi * ch * e
             d2 = (dch + 1j * g * ch) * e
-            grad[..., 0] += c * comp * d1[..., None]
-            grad[..., 1] += c * comp * d2[..., None]
+            for a, k in enumerate((xi, g)):
+                val[..., a] += c * k * ch * e
+                grad[..., a, 0] += c * k * d1
+                grad[..., a, 1] += c * k * d2
         return val, grad
 
     def source(self, pts):
@@ -346,8 +345,8 @@ def rellich_residual(sol: FieldSolution, g: SourceField,
                      p: ElasticParams) -> dict:
     """lhs / rhs of the boundary inequality for a solved field.
 
-    lhs uses the mode transform of the piecewise-linear top trace, truncated
-    as the solve's DtN (`metadata["n_max"]`), and the top-layer element
+    lhs uses the mode transform of the piecewise-linear top trace over its
+    DtN block's modes (`metadata["n_max"]`) and the top-layer element
     gradients (midpoint rule over top edges); rhs is 2 k_s Im int g . conj(u),
     integrated on the source's `support_elements` only (g is 0 elsewhere).
     """

@@ -338,6 +338,13 @@ class TestElementMatrices:
         assert np.allclose(m[0], m_q.reshape(6, 6), atol=1e-14)
 
 
+# 2 pi and 4 pi are Rayleigh-Wood frequencies (xi_n = k_s for n = 1, 2;
+# 2 pi +- 1e-3 straddle the first), and at 2 pi sqrt(3) xi_1 = k_p
+BRANCH_OMEGAS = [2.0, 8.0, 2 * math.pi, 2 * math.pi - 1e-3,
+                 2 * math.pi + 1e-3, 2 * math.sqrt(3.0) * math.pi,
+                 4 * math.pi, 16.0]
+
+
 class TestAssembly:
     def test_domain_block_conjugate_symmetric(self, flat_geom, params2):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 12, 16)
@@ -416,16 +423,13 @@ class TestAssembly:
         _, m_plain = element_matrices(quad, lam, mu)
         assert np.allclose(m[0], d * m_plain[0], atol=1e-15)
 
-    @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi,
-                                       16.0])
+    @pytest.mark.parametrize("omega", BRANCH_OMEGAS)
     @pytest.mark.parametrize("mapped", [False, True])
     def test_system_structure(self, flat_geom, surface_model, omega, mapped):
-        # 2 pi and 4 pi are Rayleigh-Wood frequencies: xi_n = k_s for n = 1, 2
         _assert_system_structure(flat_geom, surface_model, 24, 16, omega,
                                  mapped)
 
-    @pytest.mark.parametrize("omega", [2.0, 8.0, 2 * math.pi, 4 * math.pi,
-                                       16.0])
+    @pytest.mark.parametrize("omega", BRANCH_OMEGAS)
     @pytest.mark.parametrize("mapped", [False, True])
     def test_wavy_system_structure(self, wavy_geom, surface_model, omega,
                                    mapped):
@@ -466,7 +470,7 @@ class TestAssembly:
             outer = np.outer(w, np.conj(w)) * (mesh.period * beta ** 2
                                                / mesh.nx ** 2)
             expect += np.kron(outer, symbol_matrices(xi, p))
-        block = fem._dtn_block(mesh, p, n_max)
+        block, _, _ = fem._dtn_block(mesh, p, n_max)
         assert np.max(np.abs(block - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     def test_dtn_block_built_once_per_mesh_and_params(
@@ -488,10 +492,11 @@ class TestAssembly:
             assemble_B_transformed(mesh, p,
                                    map_quadrature(mesh.quadrature, dmap))
         assert len(calls) == 1
-        block = mesh.__dict__[("_dtn_block", p)]
-        assert not block.flags.writeable
-        assert block.tobytes() == fem._dtn_block(mesh, p,
-                                                 ref.n_max).tobytes()
+        built = mesh.__dict__[("_dtn_block", p)]
+        assert ref.imag_split == built[1:]
+        for got, expect in zip(built, fem._dtn_block(mesh, p, ref.n_max)):
+            assert not got.flags.writeable
+            assert got.tobytes() == expect.tobytes()
         assemble_B(mesh, make_params(1.0, 1.0, 2.0))
         assert len(calls) == 3
 
@@ -524,7 +529,7 @@ class TestAssembly:
         # the same system with the block of |n| <= 8 in its slots
         truncated = system.matrix.copy()
         truncated.data[mesh.pattern.dtn_slots] += (
-            fem._dtn_block(mesh, p, 15) - fem._dtn_block(mesh, p, 8))
+            fem._dtn_block(mesh, p, 15)[0] - fem._dtn_block(mesh, p, 8)[0])
         h1 = solve(system, load).norms["h1"]
         h1_8 = solve(dataclasses.replace(system, matrix=truncated, n_max=8),
                      load).norms["h1"]
@@ -597,7 +602,7 @@ def _csr_minus_coo_oracle(system, domain):
     as COO, converted to CSC."""
     mesh = system.mesh
     top = mesh.pattern.top_dofs
-    block = fem._dtn_block(mesh, system.params, system.n_max)
+    block, _, _ = fem._dtn_block(mesh, system.params, system.n_max)
     dtn = sp.coo_matrix((block.ravel(),
                          (np.repeat(top, top.size), np.tile(top, top.size))),
                         shape=(system.dimension, system.dimension))
@@ -617,10 +622,11 @@ def _assert_same_csc(a, b, rtol=0.0):
             np.abs(b.data))
 
 
-def _propagating_modes(p, n_max: int, period: float) -> int:
-    """#{|n| <= n_max : |xi_n| < k_s}."""
-    xis = 2.0 * math.pi * np.arange(-n_max, n_max + 1) / period
-    return int(np.sum(np.abs(xis) < p.k_s))
+def _imag_rank(p, n_max: int, period: float) -> int:
+    """The rank of Im A: 2 for mode 0, plus 2 for each n in 1..n_max with
+    xi_n < k_s and 2 more for each with xi_n < k_p."""
+    xis = 2.0 * math.pi * np.arange(1, n_max + 1) / period
+    return int(2 + 2 * np.sum(xis < p.k_s) + 2 * np.sum(xis < p.k_p))
 
 
 def _assert_system_structure(geom, model, nx, ny, omega, mapped):
@@ -628,9 +634,9 @@ def _assert_system_structure(geom, model, nx, ny, omega, mapped):
     block is positive semidefinite (outgoing energy flux), for the plain
     form or the form pulled back through a sampled map.
 
-    Im A is zero off the top x top block, has rank at most 2 per
-    propagating mode there, and Re A + U diag(i lam) U^T (`fem._imag_part`,
-    which the float32 solve corrects for) reproduces A."""
+    Im A is zero off the top x top block, has the rank `_imag_rank`
+    there, and Re A + U diag(i lam) U^T (the system's `imag_split`, which
+    the float32 solve corrects for) reproduces A."""
     p = make_params(1.0, 1.0, omega)
     mesh = build_mesh(geom.surface, geom.h, nx, ny)
     if mapped:
@@ -643,7 +649,7 @@ def _assert_system_structure(geom, model, nx, ny, omega, mapped):
         system = assemble_B(mesh, p)
     a = system.matrix
     assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
-    b = fem._dtn_block(mesh, p, system.n_max)
+    b, _, _ = fem._dtn_block(mesh, p, system.n_max)
     eigs = np.linalg.eigvalsh((b - b.conj().T) / 2j)
     assert eigs.min() >= -1e-12 * eigs.max()
 
@@ -652,9 +658,8 @@ def _assert_system_structure(geom, model, nx, ny, omega, mapped):
     in_top[top] = True
     coo = a.tocoo()
     assert np.all(coo.data.imag[~(in_top[coo.row] & in_top[coo.col])] == 0.0)
-    u, lam = fem._imag_part(a, mesh.pattern)
-    assert 0 < lam.size <= 2 * _propagating_modes(p, system.n_max,
-                                                  mesh.period)
+    u, lam = system.imag_split
+    assert lam.size == _imag_rank(p, system.n_max, mesh.period)
     assert np.allclose(u.T @ u, np.eye(lam.size), rtol=0.0, atol=1e-14)
     block = a[top][:, top].toarray()
     split = block.real + 1j * (u * lam) @ u.T
@@ -1242,9 +1247,10 @@ def _double_solve(system, load):
     return FieldSolution(mesh=mesh, values=values)
 
 
-# the top block of a real system: no dofs, no slots
+# the top block of a real system: no dofs, no slots, and an empty split
 NO_DOFS = SimpleNamespace(top_dofs=np.arange(0),
                           dtn_slots=np.zeros((0, 0), dtype=int))
+NO_SPLIT = (np.zeros((0, 0)), np.zeros(0))
 
 
 def _near_singular(eps):
@@ -1282,7 +1288,7 @@ class TestRefinedSolve:
     def test_single_precision_singular_falls_back(self):
         # 1 + 1e-9 rounds to 1 in float32: the float32 LU is singular
         a, b = _near_singular(1e-9)
-        x, health = fem._lu_solve(a, b, NO_DOFS)
+        x, health = fem._lu_solve(a, b, NO_DOFS, NO_SPLIT)
         assert health["factor_dtype"] == "complex128"
         assert health["refinement_steps"] == 0
         assert health["residual"] <= 1e-10
@@ -1294,7 +1300,7 @@ class TestRefinedSolve:
         # kappa about 4e6: the first float32 solve is off by about
         # kappa * 6e-8, and the refinement recovers double accuracy
         a, b = _near_singular(1e-6)
-        x, health = fem._lu_solve(a, b, NO_DOFS)
+        x, health = fem._lu_solve(a, b, NO_DOFS, NO_SPLIT)
         assert health["factor_dtype"] == "float32"
         assert health["refinement_steps"] == 7
         assert health["residual"] <= 1e-12
@@ -1306,7 +1312,7 @@ class TestRefinedSolve:
         # gate, so the complex128 factorization answers
         monkeypatch.setattr(fem, "_REFINE_MAX_STEPS", 0)
         a, b = _near_singular(1e-6)
-        _, health = fem._lu_solve(a, b, NO_DOFS)
+        _, health = fem._lu_solve(a, b, NO_DOFS, NO_SPLIT)
         assert health["factor_dtype"] == "complex128"
         assert health["residual"] <= 1e-10
 
@@ -1349,8 +1355,22 @@ class TestFloat32Path:
             meta = solve(assemble_B(mesh, p), load).metadata
             assert meta["factor_dtype"] == "float32", omega
             assert meta["residual"] <= 1e-10, omega
-            assert 0 < meta["imag_rank"] <= 2 * _propagating_modes(
-                p, n_max, mesh.period), omega
+            assert meta["imag_rank"] == _imag_rank(p, n_max,
+                                                   mesh.period), omega
+
+    @pytest.mark.parametrize("kind", ["flat", "wavy"])
+    def test_imag_rank_equals_dense_eigh_rank(self, flat_geom, wavy_geom,
+                                              kind):
+        # oracle: the rank the solver used to find, the eigenvalues of the
+        # gathered top block of Im A above 1e-13 of the largest |eigenvalue|
+        geom = flat_geom if kind == "flat" else wavy_geom
+        mesh = build_mesh(geom.surface, geom.h, 16, 24)
+        for omega in 0.5 + 0.05 * np.arange(471):          # 0.5, ..., 24
+            system = assemble_B(mesh, make_params(1.0, 1.0, float(omega)))
+            lam = np.linalg.eigvalsh(
+                system.matrix.data.imag[mesh.pattern.dtn_slots])
+            rank = np.count_nonzero(np.abs(lam) > 1e-13 * np.abs(lam).max())
+            assert system.imag_split[1].size == rank, omega
 
     def test_imag_entry_off_top_block_falls_back(self, wavy_geom, params2,
                                                  bump):
@@ -1412,24 +1432,18 @@ class TestBlasPin:
                                                params2, bump):
         controls = openblas_at_two
         seen = []
-        factor, imag_part = fem._factor, fem._imag_part
+        factor = fem._factor
 
         def recording_factor(a):
             seen.append(("factor", _blas_threads(controls)))
             return factor(a)
 
-        def recording_imag_part(a, top):     # the eigh of Im A
-            seen.append(("eigh", _blas_threads(controls)))
-            return imag_part(a, top)
-
         monkeypatch.setattr(fem, "_factor", recording_factor)
-        monkeypatch.setattr(fem, "_imag_part", recording_imag_part)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 24)
         system = assemble_B(mesh, params2)
         sol = solve(system, assemble_load(mesh, bump))
         assert sol.metadata["factor_dtype"] == "float32"
-        assert seen == [("eigh", [1] * len(controls)),
-                        ("factor", [1] * len(controls))]
+        assert seen == [("factor", [1] * len(controls))]
         assert _blas_threads(controls) == [2] * len(controls)
 
     def test_dtn_block_pinned_and_bytes_independent_of_blas_threads(
@@ -1446,13 +1460,14 @@ class TestBlasPin:
 
         monkeypatch.setattr(fem, "_sinc2", recording)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 64, 8)
-        blocks = [fem._dtn_block(mesh, params2, 31).tobytes()]
+        blocks = [fem._dtn_block(mesh, params2, 31)]
         assert seen == [[1] * len(controls)]
         assert _blas_threads(controls) == [2] * len(controls)
         for _, set_threads in controls:
             set_threads(1)
-        blocks.append(fem._dtn_block(mesh, params2, 31).tobytes())
-        assert blocks[0] == blocks[1]
+        blocks.append(fem._dtn_block(mesh, params2, 31))
+        for two, one in zip(*blocks):                 # block, u and lam
+            assert two.tobytes() == one.tobytes()
 
     def test_counts_restored_when_factorization_raises(
             self, openblas_at_two, monkeypatch, flat_geom, params2, bump):

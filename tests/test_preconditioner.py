@@ -464,14 +464,21 @@ class TestRadiatedPower:
         assert rp == pytest.approx(expected, abs=0.01)
 
     def test_zero_without_the_dtn(self, monkeypatch):
-        block = fem._dtn_block
-        monkeypatch.setattr(fem, "_dtn_block",
-                            lambda *a: np.zeros_like(block(*a)))
+        def no_block(*args):                      # and so no Im A
+            block, u, lam = fem_dtn_block(*args)
+            return np.zeros_like(block), u[:, :0], lam[:0]
+
+        fem_dtn_block = fem._dtn_block
+        monkeypatch.setattr(fem, "_dtn_block", no_block)
         assert abs(_default_solve(8.0).metadata["radiated_power"]) <= 1e-12
 
     def test_negative_with_incoming_dtn(self, monkeypatch):
-        block = fem._dtn_block
-        monkeypatch.setattr(fem, "_dtn_block", lambda *a: np.conj(block(*a)))
+        def incoming(*args):                      # Im A changes sign
+            block, u, lam = fem_dtn_block(*args)
+            return np.conj(block), u, -lam
+
+        fem_dtn_block = fem._dtn_block
+        monkeypatch.setattr(fem, "_dtn_block", incoming)
         for omega in (2.0, 8.0):
             assert _default_solve(omega).metadata["radiated_power"] < -0.1
 
