@@ -67,7 +67,6 @@ from .verify import (
     SweepConfig,
     SweepResult,
     bound_profile,
-    form_continuity_check,
     manufactured_source,
     mms_convergence,
     omega_sweep,

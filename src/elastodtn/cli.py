@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dtn, montecarlo, verify
 from .config import RunConfig, load_config, resolved_text
-from .errors import ConfigError, ElastoDtnError, GeometryError
+from .errors import ElastoDtnError, GeometryError
 from .fem import assemble_B, assemble_load, free_vector, solve
 from .mesh import build_mesh
 from .model import (DomainMap, height_condition, keyed_generator, make_cutoff,
@@ -173,8 +173,6 @@ def _mms_slope_checks(table) -> list:
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    if len(cfg.omega_list) < 2:
-        raise ConfigError("physics.omega_list: sweep-omega needs >= 2 entries")
     geom = cfg.make_geometry()
     src = cfg.make_source()
     sweep = omega_sweep(SweepConfig(

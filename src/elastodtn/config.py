@@ -234,6 +234,9 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.omega > 0, "physics.omega", "must be positive")
     need(all(o > 0 for o in cfg.omega_list), "physics.omega_list",
          "entries must be positive")
+    if cfg.command == "sweep-omega":
+        need(len(cfg.omega_list) >= 2, "physics.omega_list",
+             "sweep-omega needs >= 2 entries")
     need(cfg.period > 0, "geometry.period", "must be positive")
     need(cfg.m < cfg.M, "geometry.m", "must satisfy m < M")
     need(cfg.h > cfg.M, "geometry.h", "must exceed M")

@@ -276,11 +276,6 @@ class DomainMap:
                 f"sup|J2| envelope {j2_envelope:.6g} exceeds "
                 f"1 - epsilon = {1.0 - self.epsilon_margin:.6g}"
             )
-        object.__setattr__(self, "_j2_envelope", j2_envelope)
-
-    @property
-    def j2_envelope(self) -> float:
-        return self._j2_envelope
 
     def surface_terms(self, y1) -> tuple:
         """(f0, f_eta - f0, f0', f_eta' - f0') at abscissae y1: everything

@@ -1,6 +1,5 @@
 """Executable checks: manufactured solutions, inequality residuals,
-stability-constant shapes, frequency sweeps, pullback identities and
-form-continuity estimates.
+stability-constant shapes, frequency sweeps and pullback identities.
 
 All stability "constants" here are shapes with the generic prefactor set to
 1; only growth rates, ratios and envelopes are checkable quantities.
@@ -19,9 +18,8 @@ from .errors import InternalError, MmsError, SweepError
 from .fem import (
     FieldSolution,
     assemble_B,
-    assemble_B_transformed,
+    assemble_B_transformed,  # the benchmark self-test checks its tracing
     assemble_load,
-    assemble_load_transformed,
     map_quadrature,
     solve,
     strip_preconditioner,
@@ -44,7 +42,6 @@ __all__ = [
     "SweepResult",
     "omega_sweep",
     "pullback_identity_check",
-    "form_continuity_check",
 ]
 
 
@@ -456,6 +453,9 @@ def omega_sweep(config: SweepConfig) -> SweepResult:
     envelope calibrated at the smallest frequency.  Each frequency solves
     by GMRES preconditioned with its own strip operator (the LU when GMRES
     misses the residual gate)."""
+    if len(config.omegas) < 2:
+        raise SweepError(f"a sweep needs >= 2 frequencies, got "
+                         f"{len(config.omegas)}")
     geom = config.geom
     mesh = build_mesh(geom.surface, geom.h, config.nx, config.ny)
     elems = config.source.support_elements(mesh.quadrature)
@@ -651,73 +651,3 @@ def _pullback_integrals(dmap: DomainMap, p: ElasticParams, n_trials: int,
         dmap.f0, h, nx, ny).quadrature, reach), dmap)),
                lambda mq, g: mq.physical_gradient(mq.pullback_gradient(g)))
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Form continuity along a shrinking surface/source sequence
-# ---------------------------------------------------------------------------
-
-def surface_distance_1inf(fa, fb, period: float, n_samples: int = 10000) -> float:
-    """Dense-grid sup|fa-fb| + sup|fa'-fb'|."""
-    x = np.linspace(0.0, period, n_samples, endpoint=False)
-    return float(np.max(np.abs(fa.f(x) - fb.f(x)))
-                 + np.max(np.abs(fa.df(x) - fb.df(x))))
-
-
-def _random_unit_fields(mesh: Mesh, count: int, seed: int):
-    """The fields of `_random_free_fields`, each divided by its H1 norm,
-    as solutions."""
-    return [FieldSolution(mesh=mesh, values=vec / FieldSolution(
-                mesh=mesh, values=vec).norms["h1"])
-            for vec in np.moveaxis(_random_free_fields(mesh, count, seed),
-                                   -1, 0)]
-
-
-def form_continuity_check(f0, f_sequence, g0, g_sequence, p: ElasticParams,
-                          h: float, nx: int, ny: int, delta: float,
-                          n_batch: int = 32, seed: int = 0) -> dict:
-    """Operator-discrepancy ratios along (f_m, g_m) -> (f0, g0).
-
-    b_ratios[m] = max_pairs |B_m(u,v) - B(u,v)| / ||f_m - f0||_{1,inf};
-    g_ratios[m] = max_v |G_m(v) - G(v)| / (||g0 - g_m||_L2 + ||f_m-f0||_{1,inf});
-    sol_errors[m] = ||u_m - u||_H1 on the fixed reference mesh.
-    """
-    from .model import make_cutoff
-
-    mesh = build_mesh(f0, h, nx, ny)
-    gap = h - f0.sup()
-    cutoff = make_cutoff(delta, gap)
-    base = assemble_B(mesh, p)
-    load0 = assemble_load(mesh, g0)
-    sol0 = solve(base, load0)
-    fields = _random_unit_fields(mesh, n_batch, seed)
-    pairs = [(fields[i], fields[(i + 1) % len(fields)]) for i in range(len(fields))]
-    uvecs = [(fem.free_vector(mesh, u.values), fem.free_vector(mesh, v.values))
-             for u, v in pairs]
-
-    q = mesh.quadrature
-    g0_vals = np.asarray(g0(q.points), dtype=complex)
-    b_ratios, g_ratios, sol_errors = [], [], []
-    for fm, gm in zip(f_sequence, g_sequence):
-        dist_f = surface_distance_1inf(fm, f0, f0.period)
-        dmap = DomainMap(f0=f0, f_eta=fm, cutoff=cutoff)
-        mq = map_quadrature(q, dmap)
-        sys_m = assemble_B_transformed(mesh, p, mq)
-        diff = (sys_m.matrix - base.matrix).tocsr()
-        disc = max(abs(complex(np.vdot(v, diff @ u))) for u, v in uvecs)
-        b_ratios.append(disc / dist_f if dist_f > 0 else 0.0)
-
-        gm_vals = np.asarray(gm(q.points), dtype=complex)
-        load_m = assemble_load_transformed(mesh, gm_vals, mq)
-        dload = load_m - load0
-        g_disc = max(abs(complex(np.vdot(v, dload))) for u, v in uvecs)
-        dg = gm_vals - g0_vals
-        dist_g = math.sqrt(float(q.integral(np.abs(dg) ** 2)))
-        denom = dist_g + dist_f
-        g_ratios.append(g_disc / denom if denom > 0 else 0.0)
-
-        sol_m = solve(sys_m, load_m)
-        err = FieldSolution(mesh=mesh, values=sol_m.values - sol0.values)
-        sol_errors.append(err.norms["h1"])
-    return {"b_ratios": b_ratios, "g_ratios": g_ratios,
-            "sol_errors": sol_errors}

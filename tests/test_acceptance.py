@@ -41,7 +41,6 @@ from elastodtn.montecarlo import run_ensemble, meansquare_envelope_check
 from elastodtn.verify import (
     SweepConfig,
     bound_profile,
-    form_continuity_check,
     mms_convergence,
     omega_sweep,
     poincare_check,
@@ -251,7 +250,7 @@ def test_criterion_08_frequency_envelope():
             f"ratios below anchored omega^3 envelope: {below}")
 
 
-def test_criterion_09_random_case_suite():
+def test_criterion_09_random_case_suite(form_continuity):
     f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
     model = RandomSurfaceModel(f0=f0, mode_count=2, amplitudes=(0.02, 0.01),
                                phases=(0.0, 1.3), M0=0.3, seed=109)
@@ -282,9 +281,9 @@ def test_criterion_09_random_case_suite():
                            0.2, 0.4, 1.0) for m in range(1, 7)]
     gseq = [lambda pts, s=2.0 ** (-m): src0(pts) + s * dg(pts)
             for m in range(1, 7)]
-    cont = form_continuity_check(f0, fseq, src0, gseq, p2, h=1.4,
-                                 nx=24, ny=32, delta=delta,
-                                 n_batch=32, seed=109)
+    cont = form_continuity(f0, fseq, src0, gseq, p2, h=1.4,
+                           nx=24, ny=32, delta=delta,
+                           n_batch=32, seed=109)
     b = cont["b_ratios"]
     ratio_ok = max(b) / float(np.median(b)) <= 3.0
 

@@ -346,10 +346,16 @@ class TestSweepCommand:
         assert (out / "sweep.svg").read_bytes() == \
             (out2 / "sweep.svg").read_bytes()
 
-    def test_needs_omega_list(self, tmp_path):
-        cfg = RunConfig(command="sweep-omega")
-        with pytest.raises(ConfigError, match="omega_list"):
-            run_command(cfg, str(tmp_path / "x"))
+    def test_needs_omega_list(self, tmp_path, capsys):
+        # refused with the other config errors: the run used to create the
+        # output directory and write resolved.cfg first
+        path = tmp_path / "one.cfg"
+        path.write_text("[physics]\nomega_list = 2.0\n")
+        out = tmp_path / "x"
+        assert main(["sweep-omega", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert "physics.omega_list" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEnsembleCommand:

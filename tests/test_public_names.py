@@ -18,6 +18,11 @@ goes, until the list shrinks.
 
 A run decision has one owner: `RULE_CALLERS` pins, for each rule, the
 modules of `src`, `scripts` and `benchmark` whose code calls it.
+
+Every public method or property of a package class is read as an attribute
+somewhere in `src`, `scripts` or `benchmark` code, and every name a module
+there imports is used in its code or listed in its `__all__` (`__init__.py`
+and `from __future__` are exempt); the one kept import is `KEPT_IMPORTS`.
 """
 
 import ast
@@ -27,9 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "elastodtn"
 
-TEST_ONLY = {
-    "form_continuity_check",
-}
+TEST_ONLY = set()
 
 RULE_CALLERS = {
     # fem._finish_system sets the DtN modes, and no input can change them
@@ -41,6 +44,12 @@ CROSS_MODULE_PRIVATE = {
     ("fem", "mesh._built_once"),
     ("fem", "mesh._weighted_sum"),
     ("montecarlo", "fem._single_thread_blas"),
+}
+
+
+KEPT_IMPORTS = {
+    # benchmark/selftest.py checks that the tracer wraps this binding
+    ("verify", "assemble_B_transformed"),
 }
 
 
@@ -180,3 +189,75 @@ def test_a_second_caller_of_a_rule_is_caught():
         "\n\nN_MAX = nyquist_index(mesh_ref.nx)\n")
     assert _rule_callers(texts) == {
         **RULE_CALLERS, "nyquist_index": {"fem", "montecarlo"}}
+
+
+def _unread_methods(texts: dict[Path, str]) -> set[str]:
+    """The "Class.name" of each public method or property of a package
+    class that no `src`, `scripts` or `benchmark` code reads as an
+    attribute."""
+    read = {node.attr for text in texts.values()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return {f"{cls.name}.{node.name}" for path in _modules()
+            for cls in ast.parse(texts[path]).body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in read}
+
+
+def test_every_public_method_is_read():
+    assert _unread_methods(_texts()) == set()
+
+
+def test_an_unread_method_is_caught():
+    # negative control: a class whose one property nothing reads
+    texts = _texts()
+    texts[PACKAGE / "model.py"] += (
+        "\n\nclass Planted:\n    @property\n"
+        "    def nobody_reads_this(self):\n        return 0\n")
+    assert _unread_methods(texts) == {"Planted.nobody_reads_this"}
+
+
+def _all_entries(tree: ast.Module) -> set[str]:
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for elt in node.value.elts}
+
+
+def _unused_imports(texts: dict[Path, str]) -> set[tuple[str, str]]:
+    """(module, name) of each name a module imports and neither uses in
+    its code nor lists in its `__all__`."""
+    out = set()
+    for path, text in texts.items():
+        tree = ast.parse(text)
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {alias.asname or alias.name.split(".")[0]
+                          for alias in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _all_entries(tree)
+        out |= {(path.stem, name) for name in bound - used}
+    return out
+
+
+def test_every_import_is_used():
+    assert _unused_imports(_texts()) == KEPT_IMPORTS
+
+
+def test_an_unused_import_is_caught():
+    # negative control: a module import, an aliased from-import and a
+    # from-import that nothing reads; an unread import `__all__` lists passes
+    texts = _texts()
+    texts[PACKAGE / "dtn.py"] += (
+        "\n\nimport os.path\nfrom .mesh import build_mesh as bm\n")
+    texts[ROOT / "benchmark" / "planted.py"] = (
+        "from elastodtn.errors import ConfigError, MeshError\n"
+        "__all__ = [\"ConfigError\"]\n")
+    assert _unused_imports(texts) == KEPT_IMPORTS | {
+        ("dtn", "os"), ("dtn", "bm"), ("planted", "MeshError")}

@@ -57,7 +57,6 @@ from elastodtn.verify import (
     bound_profile,
     convergence_slopes,
     default_mms_field,
-    form_continuity_check,
     manufactured_source,
     mms_convergence,
     omega_sweep,
@@ -443,14 +442,11 @@ class TestPoincare:
             _poincare_ratios(mesh, vals)
 
     def test_random_surface_vanishing_fields(self, flat_geom):
-        from elastodtn.verify import _random_unit_fields
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 24, 32)
         bound = (1.4 - 0.2) / math.sqrt(2.0) * (1 + 5 * mesh.meshsize())
         assert 0.0 < poincare_check(mesh, 30, seed=11) <= bound
-        for field in _random_unit_fields(mesh, 30, seed=11):
-            (ratio,) = _poincare_ratios(mesh, field.values[..., None])
-            assert ratio <= bound
-            assert field.norms["h1"] == pytest.approx(1.0, rel=1e-12)
+        ratios = _poincare_ratios(mesh, _random_free_fields(mesh, 30, 11))
+        assert np.all(ratios <= bound)
 
     def test_block_draw_is_the_per_field_sequence(self, flat_geom):
         # the stream the fields were drawn from one at a time: per field the
@@ -543,6 +539,13 @@ class TestOmegaSweep:
         g0 = make_source(spec0, None, f_max=0.4, h=1.4)
         with pytest.raises(SweepError):
             omega_sweep(self._config(flat_geom, g0, (2.0, 4.0)))
+
+    @pytest.mark.parametrize("omegas", [(), (2.0,)])
+    def test_fewer_than_two_frequencies_rejected(self, flat_geom, bump,
+                                                 omegas):
+        # one frequency used to fit a slope to one point, none a TypeError
+        with pytest.raises(SweepError, match="2 frequencies"):
+            omega_sweep(self._config(flat_geom, bump, omegas))
 
 
 def _spy_systems(monkeypatch):
@@ -1070,21 +1073,22 @@ class TestFormContinuity:
             gseq.append(lambda pts, s=2.0 ** (-m): g0(pts) + s * dg(pts))
         return g0, fseq, gseq
 
-    def test_identical_sequence_gives_zero(self, params2):
+    def test_identical_sequence_gives_zero(self, params2, form_continuity):
         f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
         g0, _, _ = self._sequence()
-        r = form_continuity_check(f0, [f0, f0], g0, [g0, g0], params2,
-                                  h=1.4, nx=16, ny=20,
-                                  delta=0.1375, n_batch=8, seed=1)
+        r = form_continuity(f0, [f0, f0], g0, [g0, g0], params2,
+                            h=1.4, nx=16, ny=20,
+                            delta=0.1375, n_batch=8, seed=1)
         assert all(x == 0.0 for x in r["b_ratios"])
         assert max(r["sol_errors"]) < 1e-13
 
-    def test_ratio_boundedness_and_solution_convergence(self, params2):
+    def test_ratio_boundedness_and_solution_convergence(self, params2,
+                                                         form_continuity):
         f0 = flat_surface(0.3, 0.2, 0.4, 1.0)
         g0, fseq, gseq = self._sequence()
-        r = form_continuity_check(f0, fseq, g0, gseq, params2,
-                                  h=1.4, nx=24, ny=32,
-                                  delta=0.1375, n_batch=16, seed=5)
+        r = form_continuity(f0, fseq, g0, gseq, params2,
+                            h=1.4, nx=24, ny=32,
+                            delta=0.1375, n_batch=16, seed=5)
         b = r["b_ratios"]
         assert max(b) / np.median(b) <= 3.0
         g = r["g_ratios"]
