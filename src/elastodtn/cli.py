@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dtn, montecarlo, verify
-from .config import RunConfig, load_config, resolved_text
+from .config import RunConfig, load_config, resolved_text, validate
 from .errors import ElastoDtnError, GeometryError
 from .fem import assemble_B, assemble_load, free_vector, solve
 from .mesh import build_mesh
@@ -212,7 +212,7 @@ def _cmd_ensemble(cfg: RunConfig, out: Path) -> int:
     model = cfg.make_model()
     spec = cfg.make_source_spec()
     mesh = build_mesh(geom.surface, geom.h, cfg.nx, cfg.ny)
-    l0 = model.f0.lipschitz + min(model.M0, model.norm_bound)
+    l0 = model.f0.lipschitz + model.norm_bound
     profile = bound_profile(p.omega, cfg.h, cfg.m, l0)
     # the anchor solve (when the constant is not given) runs in the
     # ensemble's pool on its reference system, overlapping the samples
@@ -360,7 +360,9 @@ _DISPATCH = {
 
 
 def run_command(cfg: RunConfig, out_override: str | None = None) -> int:
-    """Execute cfg.command; returns the process exit status (0 or 1)."""
+    """Validate cfg, then execute cfg.command; returns the process exit
+    status (0 or 1)."""
+    validate(cfg)
     out = _out_dir(cfg, out_override)
     (out / "resolved.cfg").write_text(resolved_text(cfg))
     return _DISPATCH[cfg.command](cfg, out)

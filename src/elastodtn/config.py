@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,12 @@ from .model import (
     SurfaceFn,
     cosine_surface,
     flat_surface,
-    keyed_generator,
     make_params,
     make_source,
     sawtooth_surface,
 )
 
-__all__ = ["RunConfig", "load_config", "resolved_text"]
+__all__ = ["RunConfig", "load_config", "resolved_text", "validate"]
 
 _COMMANDS = ("solve", "mms", "sweep-omega", "ensemble", "verify-all")
 
@@ -55,7 +55,6 @@ class RunConfig:
     mode_count: int = 1
     amplitudes: tuple[float, ...] = (0.03,)
     phases: tuple[float, ...] = (0.0,)
-    phase_seed: int = -1
     M0: float = 0.25
     seed: int = 12345
     # source
@@ -103,17 +102,10 @@ class RunConfig:
     def make_geometry(self) -> Geometry:
         return Geometry(surface=self.make_surface(), h=self.h)
 
-    def resolved_phases(self) -> tuple[float, ...]:
-        if self.phase_seed >= 0:
-            gen = keyed_generator(self.phase_seed, 0x9A5E)
-            return tuple(float(t) for t in
-                         gen.uniform(0.0, 2.0 * math.pi, self.mode_count))
-        return self.phases
-
     def make_model(self) -> RandomSurfaceModel:
         return RandomSurfaceModel(
             f0=self.make_surface(), mode_count=self.mode_count,
-            amplitudes=self.amplitudes, phases=self.resolved_phases(),
+            amplitudes=self.amplitudes, phases=self.phases,
             M0=self.M0, seed=self.seed)
 
     def make_source_spec(self) -> SourceSpec:
@@ -134,66 +126,38 @@ class RunConfig:
                            h=self.h)
 
 
-_SCHEMA = {
-    "physics": {
-        "lambda": ("lam", float), "mu": ("mu", float),
-        "omega": ("omega", float), "omega_list": ("omega_list", "floats"),
-    },
-    "geometry": {
-        "period": ("period", float), "h": ("h", float),
-        "m": ("m", float), "M": ("M", float),
-        "f0_kind": ("f0_kind", str), "f0_level": ("f0_level", float),
-        "f0_amplitudes": ("f0_amplitudes", "floats"),
-        "f0_modes": ("f0_modes", "ints"),
-        "f0_phases": ("f0_phases", "floats"),
-    },
-    "surface_model": {
-        "mode_count": ("mode_count", int),
-        "amplitudes": ("amplitudes", "floats"),
-        "phases": ("phases", "floats"),
-        "phase_seed": ("phase_seed", int),
-        "M0": ("M0", float), "seed": ("seed", int),
-    },
-    "source": {
-        "center": ("center", "floats"), "radius": ("radius", float),
-        "amplitude_re": ("amplitude_re", "floats"),
-        "amplitude_im": ("amplitude_im", "floats"),
-        "jitter_center": ("jitter_center", float),
-        "jitter_amplitude": ("jitter_amplitude", float),
-        "jitter_seed": ("jitter_seed", int),
-    },
-    "discretization": {
-        "nx": ("nx", int), "ny": ("ny", int), "n_max": ("n_max", int),
-    },
-    "run": {
-        "command": ("command", str), "N": ("N", int),
-        "parallelism": ("parallelism", int),
-        "output_dir": ("output_dir", str),
-        "epsilon_margin": ("epsilon_margin", float),
-        "delta": ("delta", float), "levels": ("levels", int),
-        "calibrated_c": ("calibrated_c", float),
-        "anchor_safety": ("anchor_safety", float),
-    },
-}
+# The INI order is RunConfig's field order; each section opens at its
+# first field, and `lam` is the one field whose key is not its name.
+_SECTION_STARTS = {"lam": "physics", "period": "geometry",
+                   "mode_count": "surface_model", "center": "source",
+                   "nx": "discretization", "command": "run"}
+_KEYS = {"lam": "lambda"}
 
 
-def _parse_value(raw: str, kind, path: str):
+def _schema() -> dict[str, dict[str, tuple[str, type]]]:
+    """{section: {key: (field name, resolved annotation)}}."""
+    hints = typing.get_type_hints(RunConfig)
+    schema = {}
+    for f in fields(RunConfig):
+        if f.name in _SECTION_STARTS:
+            keys = schema[_SECTION_STARTS[f.name]] = {}
+        keys[_KEYS.get(f.name, f.name)] = (f.name, hints[f.name])
+    return schema
+
+
+_SCHEMA = _schema()
+
+
+def _parse_value(raw: str, kind: type, path: str):
+    """`raw` as `kind`: float, int, str, or a tuple of floats or ints
+    written comma-separated."""
     try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind is str:
-            return raw.strip()
-        if kind == "floats":
-            items = [s.strip() for s in raw.split(",") if s.strip()]
-            return tuple(float(s) for s in items)
-        if kind == "ints":
-            items = [s.strip() for s in raw.split(",") if s.strip()]
-            return tuple(int(s) for s in items)
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(s.strip()) for s in raw.split(",") if s.strip())
+        return raw.strip() if kind is str else kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{path}: cannot parse {raw!r} ({exc})") from exc
-    raise ConfigError(f"{path}: unsupported kind {kind!r}")
 
 
 def load_config(path: str | Path, **overrides) -> RunConfig:
@@ -220,11 +184,13 @@ def load_config(path: str | Path, **overrides) -> RunConfig:
             name, kind = _SCHEMA[section][key]
             values[name] = _parse_value(raw, kind, f"{section}.{key}")
     cfg = RunConfig(**{**values, **overrides})
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def validate(cfg: RunConfig) -> None:
+    """Raise `ConfigError`, naming the key, unless `cfg` is a config the
+    commands can run."""
     def need(cond, path, msg):
         if not cond:
             raise ConfigError(f"{path}: {msg}")
@@ -256,9 +222,8 @@ def _validate(cfg: RunConfig) -> None:
     need(cfg.mode_count >= 0, "surface_model.mode_count", "must be >= 0")
     need(len(cfg.amplitudes) == cfg.mode_count, "surface_model.amplitudes",
          f"need exactly mode_count={cfg.mode_count} entries")
-    if cfg.phase_seed < 0:
-        need(len(cfg.phases) == cfg.mode_count, "surface_model.phases",
-             f"need exactly mode_count={cfg.mode_count} entries")
+    need(len(cfg.phases) == cfg.mode_count, "surface_model.phases",
+         f"need exactly mode_count={cfg.mode_count} entries")
     need(cfg.M0 > 0, "surface_model.M0", "must be positive")
     j = np.arange(1, cfg.mode_count + 1)
     bound = float(np.sum(np.abs(np.asarray(cfg.amplitudes))

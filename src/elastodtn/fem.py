@@ -841,12 +841,13 @@ def norms(sol: FieldSolution) -> dict:
 
 def trace_coefficients(sol: FieldSolution) -> TraceCoefficients:
     """Fourier coefficients of the solution's piecewise-linear top trace,
-    |n| <= `metadata["n_max"]`, the modes of its DtN block.
+    |n| <= `nyquist_index(mesh.nx)`, the modes of the mesh's DtN block.
 
     These are exact coefficients of the P1 interpolant: sinc^2-weighted DFT
     of the nodal values, the same transform the DtN block uses.
     """
-    mesh, n_max = sol.mesh, sol.metadata["n_max"]
+    mesh = sol.mesh
+    n_max = nyquist_index(mesh.nx)
     top = np.asarray(sol.values, dtype=complex)[mesh.top_nodes]   # (nx, 2)
     hat = np.fft.fft(top, axis=0) / mesh.nx
     ns = np.arange(-n_max, n_max + 1)

@@ -343,7 +343,7 @@ def rellich_residual(sol: FieldSolution, g: SourceField,
     """lhs / rhs of the boundary inequality for a solved field.
 
     lhs uses the mode transform of the piecewise-linear top trace over its
-    DtN block's modes (`metadata["n_max"]`) and the top-layer element
+    DtN block's modes (`fem.trace_coefficients`) and the top-layer element
     gradients (midpoint rule over top edges); rhs is 2 k_s Im int g . conj(u),
     integrated on the source's `support_elements` only (g is 0 elsewhere).
     """

@@ -1,6 +1,8 @@
 """Config parsing/validation, artifact schemas, exit codes, determinism."""
 
+import configparser
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elastodtn import cli
+from elastodtn import cli, config
 from elastodtn.cli import main, run_command
 from elastodtn.config import RunConfig, load_config, resolved_text
 from elastodtn.errors import ConfigError
@@ -28,6 +30,19 @@ def _write(path, text):
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def _keys_in_order(text: str) -> list[tuple[str, list[str]]]:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    parser.read_string(text)
+    return [(s, list(parser[s])) for s in parser.sections()]
 
 
 class TestLoadConfig:
@@ -59,6 +74,35 @@ class TestLoadConfig:
         t2 = resolved_text(load_config(path))
         assert t1 == t2
         assert "omega = 3.5" in t1
+
+    def test_readme_block_is_the_schema(self, tmp_path):
+        # the README's block loads and names RunConfig's keys in its order
+        schema = [(s, list(keys)) for s, keys in config._SCHEMA.items()]
+        block = _readme_config_block()
+        load_config(_write(tmp_path / "a.cfg", block))
+        assert _keys_in_order(block) == schema
+        # negative controls: a planted key and a dropped one are seen
+        planted = block.replace("mu = 1.0\n", "mu = 1.0\nnu = 0.3\n")
+        dropped = block.replace("mu = 1.0\n", "")
+        assert _keys_in_order(planted) != schema
+        assert _keys_in_order(dropped) != schema
+        with pytest.raises(ConfigError, match="physics.nu: unknown key"):
+            load_config(_write(tmp_path / "b.cfg", planted))
+
+    @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(
+        omega_list=(2.0, 2.0 * math.sqrt(2.0), 4.0), f0_kind="cosine",
+        f0_amplitudes=(0.03, 0.01), f0_modes=(1, 3), f0_phases=(0.0, 0.5),
+        mode_count=2, amplitudes=(0.02, 0.005), phases=(0.0, 1.3), M0=0.3)])
+    def test_resolved_text_round_trips(self, tmp_path, cfg):
+        text = resolved_text(cfg)
+        loaded = load_config(_write(tmp_path / "a.cfg", text))
+        assert loaded == cfg
+        assert resolved_text(loaded) == text   # ints stay ints
+        # negative control: the comparison sees a float written short
+        x = 2.0 * math.sqrt(2.0)
+        long = replace(cfg, omega=x)
+        short = resolved_text(long).replace(repr(x), f"{x:.6g}")
+        assert load_config(_write(tmp_path / "b.cfg", short)) != long
 
     def test_h_below_surface_bound(self, tmp_path):
         path = _write(tmp_path / "a.cfg", "[geometry]\nh = 0.3\n")
@@ -478,6 +522,17 @@ class TestCliMain:
         checks = _read_csv(out / "checks.csv")
         assert len(checks) == 11
         assert all(row["ok"] == "True" for row in checks)
+
+    @pytest.mark.parametrize("cfg, key", [
+        (RunConfig(command="sweep-omega"), "physics.omega_list"),
+        (RunConfig(command="ensemble", parallelism=0), "run.parallelism")])
+    def test_run_command_validates_before_writing(self, tmp_path, cfg, key):
+        # a library caller's invalid config used to leave resolved.cfg
+        # behind, and parallelism = 0 ran
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=key):
+            run_command(cfg, str(out))
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2

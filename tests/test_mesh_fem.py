@@ -1534,7 +1534,7 @@ class TestNorms:
         vals = np.zeros((mesh.n_nodes, 2), dtype=complex)
         x1 = mesh.nodes[mesh.top_nodes, 0]
         vals[mesh.top_nodes, 0] = np.exp(2j * math.pi * x1)
-        sol = FieldSolution(mesh=mesh, values=vals, metadata={"n_max": 1})
+        sol = FieldSolution(mesh=mesh, values=vals)
         n = norms(sol)
         tr = trace_coefficients(sol)
         mode1 = tr.coef[tr.ns == 1]
@@ -1630,8 +1630,7 @@ class TestTraceCoefficients:
         vals = np.zeros((mesh.n_nodes, 2), dtype=complex)
         vals[mesh.top_nodes] = gen.standard_normal((16, 2)) \
             + 1j * gen.standard_normal((16, 2))
-        tr = trace_coefficients(FieldSolution(mesh=mesh, values=vals,
-                                              metadata={"n_max": 5}))
+        tr = trace_coefficients(FieldSolution(mesh=mesh, values=vals))
         x1 = mesh.nodes[mesh.top_nodes, 0]
         for n in (-3, 0, 2):
             xi = 2 * math.pi * n / mesh.period
@@ -1640,5 +1639,15 @@ class TestTraceCoefficients:
             direct = sinc2 * np.mean(
                 vals[mesh.top_nodes] * np.exp(-1j * xi * x1)[:, None], axis=0)
             assert np.allclose(tr.coef[tr.ns == n][0], direct, atol=1e-14)
-        assert np.array_equal(tr.ns, np.arange(-5, 6))
-        assert tr.coef.shape == (11, 2)
+        assert np.array_equal(tr.ns, np.arange(-7, 8))
+        assert tr.coef.shape == (15, 2)
+
+    @pytest.mark.parametrize("nx", [2, 3, 16, 17])
+    def test_modes_are_the_dtn_blocks(self, flat_geom, nx):
+        # the mesh, not a solution's metadata, sets the modes: those of
+        # the DtN block its system assembles
+        mesh = build_mesh(flat_geom.surface, flat_geom.h, nx, 2)
+        n = assemble_B(mesh, make_params(1.0, 1.0, 2.0)).n_max
+        tr = trace_coefficients(FieldSolution(
+            mesh=mesh, values=np.zeros((mesh.n_nodes, 2), complex)))
+        assert np.array_equal(tr.ns, np.arange(-n, n + 1))

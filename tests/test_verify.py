@@ -19,7 +19,7 @@ from elastodtn.fem import (
     trace_coefficients,
 )
 from elastodtn import fem
-from elastodtn.mesh import DofPattern, build_mesh
+from elastodtn.mesh import DofPattern, build_mesh, nyquist_index
 from elastodtn.model import (
     DomainMap,
     ElasticParams,
@@ -352,8 +352,7 @@ class TestRellich:
     def test_zero_solution(self, flat_geom, params2, bump):
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 16, 20)
         sol = FieldSolution(mesh=mesh,
-                            values=np.zeros((mesh.n_nodes, 2), complex),
-                            metadata={"n_max": 8})
+                            values=np.zeros((mesh.n_nodes, 2), complex))
         r = rellich_residual(sol, bump, params2)
         assert r["lhs"] == 0.0 and r["rhs"] == 0.0
 
@@ -599,7 +598,7 @@ class TestDtnPairing:
     def test_equals_dtn_block_form(self, flat_geom, omega):
         p = make_params(1.0, 1.0, omega)
         mesh = build_mesh(flat_geom.surface, flat_geom.h, 32, 4)
-        n_max = 12
+        n_max = nyquist_index(mesh.nx)
         gen = np.random.default_rng(int(omega))
         u, v = (np.zeros((mesh.n_nodes, 2), dtype=complex) for _ in range(2))
         for vals in (u, v):
@@ -609,8 +608,7 @@ class TestDtnPairing:
             @ fem._dtn_block(mesh, p, n_max)[0] @ u[mesh.top_nodes].ravel()
 
         def trace(values):
-            return trace_coefficients(FieldSolution(
-                mesh=mesh, values=values, metadata={"n_max": n_max}))
+            return trace_coefficients(FieldSolution(mesh=mesh, values=values))
 
         def pairing(a, b):
             tr_a, tr_b = trace(a), trace(b)
