@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 from elastodtn import cli, config
 from elastodtn.cli import main, run_command
 from elastodtn.config import RunConfig, load_config, resolved_text
-from elastodtn.errors import ConfigError
+from elastodtn.errors import ConfigError, MapSingularError, SolveError
 from elastodtn.fem import assemble_B, assemble_load, solve
 from elastodtn.mesh import build_mesh, nyquist_index
 from elastodtn.model import keyed_generator
@@ -544,3 +546,114 @@ class TestCliMain:
         monkeypatch.setenv("ELASTODTN_OUT", str(env_out))
         assert main(["solve", "--config", str(path)]) == 0
         assert (env_out / "solution.csv").exists()
+
+
+def _set_cpus(monkeypatch, count):
+    # the CPUs verify-all may use: two or more run its second lane on a
+    # helper thread, one runs both lanes on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+class TestVerifyAllLanes:
+    """verify-all's two lanes: the symbol and pullback rows on the calling
+    thread, the solve rows and the MMS on one helper thread."""
+
+    @staticmethod
+    def _run(tmp_path, name, *flags):
+        path = tmp_path / "default.cfg"
+        path.write_text("")
+        out = tmp_path / name
+        return main(["verify-all", "--config", str(path), "--out", str(out),
+                     *flags]), out
+
+    @staticmethod
+    def _plant(monkeypatch, name, error=None, seen=None, controls=()):
+        """Replace cli.<name> by a wrapper that records in `seen` the BLAS
+        thread counts it sees and whether it runs on the main thread, then
+        raises `error` or, without one, calls the original."""
+        fn = getattr(cli, name)
+
+        def planted(*args, **kwargs):
+            if seen is not None:
+                seen[name] = ([get() for get, _ in controls],
+                              threading.current_thread()
+                              is threading.main_thread())
+            if error is not None:
+                raise error
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, planted)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_errors_surface_in_serial_order(self, tmp_path, monkeypatch,
+                                            capsys, cpus):
+        # the serial battery reached the solve before the pullback check,
+        # so the solve's error wins although lane A fails at once
+        _set_cpus(monkeypatch, cpus)
+        self._plant(monkeypatch, "pullback_identity_check",
+                    MapSingularError("planted pullback failure"))
+        threads = threading.active_count()
+        with monkeypatch.context() as solve_plant:
+            self._plant(solve_plant, "solve",
+                        SolveError("planted solve failure"))
+            status, out = self._run(tmp_path, "both")
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "planted solve failure" in err and "pullback" not in err
+        assert not (out / "checks.csv").exists()
+        assert threading.active_count() == threads
+
+        status, out = self._run(tmp_path, "pullback")
+        assert status == 2
+        assert "planted pullback failure" in capsys.readouterr().err
+        assert not (out / "checks.csv").exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("seed", ["12345", "7"])
+    def test_one_cpu_starts_no_helper_and_writes_the_same_bytes(
+            self, tmp_path, monkeypatch, seed):
+        pools = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        _set_cpus(monkeypatch, 2)
+        status, two = self._run(tmp_path, "two", "--seed", seed)
+        assert status == 0 and pools == [1]
+        _set_cpus(monkeypatch, 1)
+        threads = threading.active_count()
+        status, one = self._run(tmp_path, "one", "--seed", seed)
+        assert status == 0 and pools == [1]
+        assert threading.active_count() == threads
+        assert ((one / "checks.csv").read_bytes()
+                == (two / "checks.csv").read_bytes())
+
+    def test_both_lanes_run_pinned_and_counts_restored(
+            self, openblas_at_two, tmp_path, monkeypatch):
+        controls = openblas_at_two
+        ones, twos = [1] * len(controls), [2] * len(controls)
+        _set_cpus(monkeypatch, 2)
+        seen = {}
+        self._plant(monkeypatch, "pullback_identity_check", seen=seen,
+                    controls=controls)
+        self._plant(monkeypatch, "poincare_check", seen=seen,
+                    controls=controls)
+        assert self._run(tmp_path, "ok")[0] == 0
+        assert seen == {"pullback_identity_check": (ones, True),
+                        "poincare_check": (ones, False)}
+        assert [get() for get, _ in controls] == twos
+
+        # the error-order plants, recording as they raise
+        seen.clear()
+        self._plant(monkeypatch, "pullback_identity_check",
+                    MapSingularError("planted pullback failure"), seen,
+                    controls)
+        self._plant(monkeypatch, "solve", SolveError("planted solve failure"),
+                    seen, controls)
+        assert self._run(tmp_path, "failed")[0] == 2
+        assert seen == {"pullback_identity_check": (ones, True),
+                        "solve": (ones, False)}
+        assert [get() for get, _ in controls] == twos

@@ -41,6 +41,7 @@ RULE_CALLERS = {
 }
 
 CROSS_MODULE_PRIVATE = {
+    ("cli", "fem._single_thread_blas"),
     ("fem", "mesh._built_once"),
     ("fem", "mesh._weighted_sum"),
     ("montecarlo", "fem._single_thread_blas"),
